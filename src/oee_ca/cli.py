@@ -47,6 +47,14 @@ def _variant(name: str) -> Variant:
             f"unknown variant {name!r} (choose from case1, case2, case3, eca)")
 
 
+def _render_variant(name: str) -> Variant:
+    variant = _variant(name)
+    if variant is Variant.CASE_III:
+        raise argparse.ArgumentTypeError(
+            "render has no case3 (choose from case1, case2, eca)")
+    return variant
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="oee-ca", description=__doc__)
     parser.add_argument("--version", action="version", version=f"oee-ca {__version__}")
@@ -79,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     em.add_argument("--samples", type=int, required=True)
     em.add_argument("--seed", type=int, default=0)
     em.add_argument("--cap", type=int)
-    em.add_argument("--workers", type=int, default=1)
+    em.add_argument("--workers", type=int,
+                    help="process-pool size (default: $OEE_THREADS, else 1)")
     em.add_argument("--norm-samples", type=int, default=1000)
     em.add_argument("--norm-steps", type=int, default=1024)
     em.add_argument("--norm-seed", type=int, default=0)
@@ -107,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--svg-dir", help="also emit SVG plots into this directory")
 
     rd = sub.add_parser("render", help="render a large-width run to PGM")
-    rd.add_argument("--variant", type=_variant, default=Variant.CASE_I)
+    rd.add_argument("--variant", type=_render_variant, default=Variant.CASE_I)
     rd.add_argument("--wo", type=int, required=True)
     rd.add_argument("--we", type=int)
     rd.add_argument("--steps", type=int, default=400)
@@ -116,17 +125,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
 def _apply_config_file(parser, argv, args):
-    """Fill unset flags from the --config file; CLI takes precedence."""
-    overrides = iof.read_config_file(args.config)
+    """Re-parse with the --config file's keys turned into flags, so argparse
+    converts and checks their values; flags given on the command line win."""
     explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
-    for key, value in overrides.items():
+    before, after = [], []
+    for key, value in iof.read_config_file(args.config).items():
         dest = key.replace("-", "_")
-        if dest in explicit or not hasattr(args, dest):
+        if dest in explicit or dest in ("command", "config") or not hasattr(args, dest):
             continue
-        current = getattr(args, dest)
-        setattr(args, dest, type(current)(value) if current is not None else value)
-    return args
+        flag = "--" + dest.replace("_", "-")
+        if dest == "class_table":  # the one top-level option: it goes first
+            before += [flag, value]
+        elif isinstance(getattr(args, dest), bool):
+            if value.lower() not in _TRUE + _FALSE:
+                raise ValueError(f"config key {key!r}: expected true or false, got {value!r}")
+            after += [flag] if value.lower() in _TRUE else []
+        else:
+            after += [flag, value]
+    return parser.parse_args(before + argv + after)
 
 
 def _config_echo(args) -> dict:

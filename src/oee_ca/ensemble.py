@@ -230,24 +230,29 @@ def _worker(args) -> ExecutionRecord:
     return execute_tuple(*args)
 
 
-def worker_count(default: int = 1) -> int:
-    env = os.environ.get("OEE_THREADS")
-    if env:
-        return max(1, int(env))
-    return default
+def worker_count(requested: int | None, n_tasks: int, env: str | None,
+                 cpus: int | None) -> int:
+    """Worker processes for ``n_tasks`` executions: the explicit request,
+    else the ``OEE_THREADS`` value ``env``, else 1; at most one per task and
+    one per CPU, and at least 1."""
+    if requested is None:
+        requested = int(env) if env else 1
+    return max(1, min(requested, n_tasks, cpus or 1))
 
 
 def run_ensemble(plan: SamplePlan, workers: int | None = None,
                  tuples: list[tuple] | None = None,
                  norm_cache: str | None = None) -> list[ExecutionRecord]:
-    """Execute a plan; output order equals draw order for any worker count."""
+    """Execute a plan; output order equals draw order for any worker count.
+    ``workers`` None defers to ``OEE_THREADS`` (see ``worker_count``)."""
     if tuples is None:
         tuples = draw_plan(plan)
     norm_bits = cx.normalization_constant(
         plan.full_width, plan.norm_samples, plan.norm_steps, plan.norm_seed,
         cache_path=norm_cache)
-    workers = worker_count(workers or 1)
     tasks = [(plan, i, tup, norm_bits) for i, tup in enumerate(tuples)]
+    workers = worker_count(workers, len(tasks), os.environ.get("OEE_THREADS"),
+                           os.cpu_count())
     if workers <= 1:
         return [_worker(t) for t in tasks]
     chunk = max(1, len(tasks) // (workers * 8))

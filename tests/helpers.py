@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from oee_ca.eca import step_bits
 from oee_ca.ensemble import SamplePlan, config_for_tuple, draw_plan
 from oee_ca.innovation import is_eca_reproducible
 from oee_ca.recurrence import build_report
-from oee_ca.variants import run_trajectory
+from oee_ca.variants import execution_rng, run_trajectory
 
 
 @dataclass(frozen=True)
@@ -55,3 +57,64 @@ def naive_cycle(step_fn, initial) -> tuple[int, int]:
         if cur in seen:
             return seen[cur], t - seen[cur]
         seen[cur] = t
+
+
+def lzw_compress(symbols: str) -> list[tuple[int, int]]:
+    """LZW over {0,1} with an unbounded dictionary; returns a list of
+    (code, code_width_bits) pairs (string-keyed oracle)."""
+    if not symbols:
+        raise ValueError("empty input")
+    dictionary = {"0": 0, "1": 1}
+    out = []
+    cur = ""
+    for ch in symbols:
+        nxt = cur + ch
+        if nxt in dictionary:
+            cur = nxt
+            continue
+        out.append((dictionary[cur], _code_width(len(dictionary))))
+        dictionary[nxt] = len(dictionary)
+        cur = ch
+    out.append((dictionary[cur], _code_width(len(dictionary))))
+    return out
+
+
+def _code_width(dict_size: int) -> int:
+    return max(1, math.ceil(math.log2(dict_size)))
+
+
+def lzw_decompress(codes: list[tuple[int, int]]) -> str:
+    """Inverse of lzw_compress (round-trip check of the oracle)."""
+    dictionary = {0: "0", 1: "1"}
+    out = []
+    prev = None
+    for code, _ in codes:
+        if code in dictionary:
+            entry = dictionary[code]
+        elif prev is not None and code == len(dictionary):
+            entry = prev + prev[0]
+        else:
+            raise ValueError(f"bad LZW code {code}")
+        out.append(entry)
+        if prev is not None:
+            dictionary[len(dictionary)] = prev + entry[0]
+        prev = entry
+    return "".join(out)
+
+
+def scalar_normalization_constant(w: int, samples: int, steps: int, seed: int) -> int:
+    """The normalization constant one sample and one step at a time:
+    ``step_bits`` per step, ``format`` per row and the string LZW (oracle)."""
+    run_steps = min(steps, 1 << min(2 * w, 62))
+    rng = execution_rng(seed)
+    best = 0
+    for _ in range(samples):
+        rule = int(rng.integers(0, 256))
+        bits = int(rng.integers(0, 1 << w))
+        rows = [format(bits, f"0{w}b")]
+        cur = bits
+        for _ in range(run_steps):
+            cur = step_bits(rule, cur, w)
+            rows.append(format(cur, f"0{w}b"))
+        best = max(best, sum(width for _, width in lzw_compress("".join(rows))))
+    return best

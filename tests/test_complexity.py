@@ -5,19 +5,21 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import lzw_compress, lzw_decompress, scalar_normalization_constant
 from oee_ca.complexity import (
     EXTINCT,
+    NORM_MAX_WIDTH,
     compressibility,
+    fixed_rule_runs,
     fit_exponent,
     lyapunov,
     lyapunov_mean,
-    lzw_compress,
     lzw_compress_bits,
-    lzw_decompress,
+    lzw_phrase_count,
     normalization_constant,
     serialize_trajectory,
 )
-from oee_ca.eca import BitState
+from oee_ca.eca import BitState, step_bits
 from oee_ca.variants import Variant, VariantConfig, execution_rng
 
 
@@ -48,7 +50,14 @@ def test_lzw_single_symbol_costs_one_bit():
 
 def test_lzw_empty_rejected():
     with pytest.raises(ValueError):
-        lzw_compress("")
+        lzw_compress_bits("")
+    with pytest.raises(ValueError):
+        lzw_phrase_count(b"")
+
+
+def test_lzw_non_binary_rejected():
+    with pytest.raises(ValueError):
+        lzw_compress_bits("0120")
 
 
 def test_lzw_repetition_beats_random():
@@ -82,6 +91,26 @@ def test_lzw_bad_code_rejected():
         lzw_decompress([(9, 4)])
 
 
+def _oracle_bits(s: str) -> int:
+    return sum(width for _, width in lzw_compress(s))
+
+
+@given(st.text(alphabet="01", min_size=1, max_size=600))
+def test_lzw_size_matches_oracle_random(s):
+    assert lzw_compress_bits(s) == _oracle_bits(s)
+
+
+@given(st.text(alphabet="01", min_size=1, max_size=24), st.integers(1, 60))
+def test_lzw_size_matches_oracle_periodic(period, k):
+    s = period * k
+    assert lzw_compress_bits(s) == _oracle_bits(s)
+
+
+@given(st.sampled_from("01"), st.integers(1, 3000))
+def test_lzw_size_matches_oracle_one_symbol(ch, n):
+    assert lzw_compress_bits(ch * n) == _oracle_bits(ch * n)
+
+
 # --- normalization constant -------------------------------------------------
 
 def test_norm_constant_deterministic_and_memoized():
@@ -107,6 +136,51 @@ def test_norm_constant_cache_file(tmp_path):
     cx._NORM_MEMO.pop((5, 10, 32, 9))
     assert normalization_constant(5, samples=10, steps=32, seed=9,
                                   cache_path=path) == val
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 5, 13, 63])
+def test_norm_constant_matches_scalar_oracle(w):
+    from oee_ca import complexity as cx
+    for seed in (0, 1, 7):
+        key = (w, 12, 40, seed)
+        cx._NORM_MEMO.pop(key, None)
+        assert normalization_constant(*key) == scalar_normalization_constant(*key)
+
+
+@pytest.mark.parametrize("w, expected", [(6, 6097), (8, 8697), (19, 23577)])
+def test_norm_constant_defaults_pinned(w, expected):
+    """The CLI's default settings: 1000 samples x 1024 steps, seed 0."""
+    assert normalization_constant(w, samples=1000, steps=1024, seed=0) == expected
+
+
+@pytest.mark.parametrize("w", [0, -1, NORM_MAX_WIDTH + 1, 70])
+def test_norm_constant_rejects_width(w):
+    with pytest.raises(ValueError, match="normalization width"):
+        normalization_constant(w, samples=2, steps=4)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 7, 40, 63])
+def test_fixed_rule_runs_match_step_bits(w):
+    rng = execution_rng(w)
+    to_bits = bytes.maketrans(b"01", b"\x00\x01")
+    runs = list(fixed_rule_runs(w, 5, 9, seed=w))
+    assert len(runs) == 5
+    for run in runs:
+        rule, bits = int(rng.integers(0, 256)), int(rng.integers(0, 1 << w))
+        rows = [bits]
+        for _ in range(9):
+            rows.append(step_bits(rule, rows[-1], w))
+        expected = "".join(format(r, f"0{w}b") for r in rows)
+        assert run == expected.encode().translate(to_bits)
+
+
+@pytest.mark.parametrize("w", [3, 13])
+def test_fixed_rule_runs_independent_of_chunking(w, monkeypatch):
+    from oee_ca import complexity as cx
+    whole = list(fixed_rule_runs(w, 12, 40, seed=3))
+    # chunks of 5, 5 and 2 samples
+    monkeypatch.setattr(cx, "_NORM_CHUNK_BYTES", 5 * 41 * (w + 2))
+    assert list(fixed_rule_runs(w, 12, 40, seed=3)) == whole
 
 
 # --- compressibility --------------------------------------------------------

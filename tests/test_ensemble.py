@@ -18,6 +18,7 @@ from oee_ca.ensemble import (
     metagenome,
     run_ensemble,
     sample_space_size,
+    worker_count,
 )
 from oee_ca.eca import canonical_rule
 from oee_ca.variants import Variant
@@ -137,6 +138,36 @@ def test_worker_counts_agree(small_case1_records):
     plan, records = small_case1_records
     parallel = run_ensemble(dataclasses.replace(plan), workers=2)
     assert parallel == records
+
+
+def test_worker_count_explicit_request_beats_env():
+    assert worker_count(2, 100, env="3", cpus=4) == 2
+    assert worker_count(1, 100, env="3", cpus=4) == 1
+
+
+def test_worker_count_env_only_without_request():
+    assert worker_count(None, 100, env="3", cpus=4) == 3
+    assert worker_count(None, 100, env=None, cpus=4) == 1
+    assert worker_count(None, 100, env="", cpus=4) == 1
+
+
+def test_worker_count_clamped_to_tasks_and_cpus():
+    assert worker_count(8, 3, env=None, cpus=4) == 3
+    assert worker_count(8, 100, env=None, cpus=2) == 2
+    assert worker_count(None, 100, env="6", cpus=None) == 1
+    assert worker_count(4, 0, env=None, cpus=4) == 1
+    assert worker_count(0, 100, env=None, cpus=4) == 1
+    assert worker_count(-3, 100, env="2", cpus=4) == 1
+
+
+def test_run_ensemble_explicit_workers_ignore_env(monkeypatch):
+    """OEE_THREADS must not turn an explicit serial run into a pool: an
+    invalid value would raise if it were read."""
+    monkeypatch.setenv("OEE_THREADS", "not-a-number")
+    plan = SamplePlan(Variant.ISOLATED, 3, sample_count=20, master_seed=2)
+    assert len(run_ensemble(plan, workers=1)) == 20
+    with pytest.raises(ValueError):
+        run_ensemble(plan)
 
 
 def test_isolated_control_zero_oee():

@@ -223,6 +223,23 @@ def test_cli_render_dimensions(tmp_path):
     assert head[0] == b"P5" and head[2] == b"101 41"
 
 
+def test_cli_render_case3_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "render.pgm"
+    with pytest.raises(SystemExit) as exc:
+        main(["render", "--variant", "case3", "--wo", "8", "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert "case3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_norm_width_out_of_range_exits_3(tmp_path, capsys):
+    code = main(["ensemble", "--variant", "case1", "--wo", "40", "--we", "30",
+                 "--samples", "2", "--out", str(tmp_path / "r.csv"),
+                 "--report", str(tmp_path / "rep.json")])
+    assert code == EXIT_DATA
+    assert "normalization width" in capsys.readouterr().err
+
+
 def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["ensemble", "--variant", "bogus", "--wo", "3", "--samples", "1"])
@@ -252,6 +269,37 @@ def test_cli_config_file_with_precedence(tmp_path):
                  "--out", out, "--report", report])
     assert code == EXIT_OK
     assert len(read_records_csv(out)) == 50
+
+
+def test_cli_config_file_values_are_converted(tmp_path):
+    """Config values go through argparse: an int flag with no default
+    becomes an int, a bad value is a usage error."""
+    conf = tmp_path / "plan.conf"
+    out = str(tmp_path / "records.csv")
+    report = str(tmp_path / "report.json")
+    conf.write_text("we = 3\nworkers = 1\ncap = 500\n")
+    code = main(["--config", str(conf), "ensemble", "--variant", "case1",
+                 "--wo", "3", "--samples", "20", "--out", out, "--report", report])
+    assert code == EXIT_OK
+    assert all(r.w_e == 3 for r in read_records_csv(out))
+    assert json.load(open(report))["metadata"]["config"]["workers"] == 1
+    conf.write_text("we = three\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(conf), "ensemble", "--variant", "case1",
+              "--wo", "3", "--samples", "20", "--out", out, "--report", report])
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_cli_config_file_false_flag_stays_off(tmp_path, monkeypatch):
+    import oee_ca.cli as cli
+    conf = tmp_path / "o.conf"
+    conf.write_text("verify = false\n")
+    calls = []
+    monkeypatch.setitem(cli.COMMANDS, "oracle", lambda args: calls.append(args.verify) or EXIT_OK)
+    assert main(["--config", str(conf), "oracle", "--width", "3"]) == EXIT_OK
+    conf.write_text("verify = maybe\n")
+    assert main(["--config", str(conf), "oracle", "--width", "3"]) == EXIT_DATA
+    assert calls == [False]
 
 
 def test_cli_class_table_override(tmp_path):
