@@ -26,7 +26,6 @@ from .eca import (
 )
 from .innovation import brute_force_counterfactual, load_oracle_cache
 from .variants import (
-    SystemSnapshot,
     Variant,
     VariantConfig,
     case1_update_bits,
@@ -184,16 +183,18 @@ def cmd_run(args) -> int:
         for key, value in echo.items():
             fh.write(f"# {key} = {value}\n")
         fh.write("t,s_o,r_o,s_e\n")
-        for snap in traj.snapshots:
-            s_e = snap.s_e.to_string() if snap.s_e is not None else ""
-            fh.write(f"{snap.t},{snap.s_o.to_string()},{snap.r_o},{s_e}\n")
+        w_o, w_e = config.w_o, config.w_e
+        envs = traj.envs or [None] * len(traj.states)
+        for t, (s_o, r_o, s_e) in enumerate(zip(traj.states, traj.rules, envs)):
+            s_e = "" if s_e is None else format(s_e, f"0{w_e}b")
+            fh.write(f"{t},{s_o:0{w_o}b},{r_o},{s_e}\n")
     os.replace(args.out + ".tmp", args.out)
     if traj.cap_hit:
-        print(f"warning: step cap reached after {len(traj.snapshots) - 1} steps",
+        print(f"warning: step cap reached after {len(traj.states) - 1} steps",
               file=sys.stderr)
     if args.pgm:
-        iof.write_pgm([(s.s_o.bits, s.s_o.width) for s in traj.snapshots], args.pgm)
-    print(f"wrote {args.out} ({len(traj.snapshots)} snapshots)")
+        iof.write_pgm([(s_o, w_o) for s_o in traj.states], args.pgm)
+    print(f"wrote {args.out} ({len(traj.states)} snapshots)")
     return EXIT_OK
 
 
@@ -267,20 +268,31 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_render(args) -> int:
-    """Large-width render; widths here are unbounded (rendering only)."""
-    rng = execution_rng(args.seed)
+def render_start(seed: int, w_o: int, w_e: int) -> tuple[int, int, int, int]:
+    """Initial (r_o, r_e, s_o, s_e) of a render.  A ring wider than 62 cells
+    starts from a 63-bit draw widened with 48-bit draws, the organism's
+    before the environment's, so organism rows do not depend on ``w_e``."""
+    rng = execution_rng(seed)
     canon = canonical_rules()
-    w_o = args.wo
-    w_e = args.we or w_o
     r_o = canon[int(rng.integers(0, 88))]
     r_e = canon[int(rng.integers(0, 88))]
-    s_o = int(rng.integers(0, 2**63)) % (1 << w_o) if w_o > 62 else int(rng.integers(0, 1 << w_o))
-    s_e = int(rng.integers(0, 2**63)) % (1 << w_e) if w_e > 62 else int(rng.integers(0, 1 << w_e))
-    if w_o > 62:  # widen sparse draws for big rings
-        for _ in range(w_o // 48):
-            s_o = (s_o << 48) | int(rng.integers(0, 1 << 48))
-        s_o %= 1 << w_o
+    s_o, s_e = (int(rng.integers(0, 2**63 if w > 62 else 1 << w)) for w in (w_o, w_e))
+    return r_o, r_e, _widen(rng, s_o, w_o), _widen(rng, s_e, w_e)
+
+
+def _widen(rng, bits: int, width: int) -> int:
+    if width > 62:
+        for _ in range(width // 48):
+            bits = (bits << 48) | int(rng.integers(0, 1 << 48))
+        bits %= 1 << width
+    return bits
+
+
+def cmd_render(args) -> int:
+    """Large-width render; widths here are unbounded (rendering only)."""
+    w_o = args.wo
+    w_e = 8 if args.variant is Variant.CASE_II else args.we or w_o
+    r_o, r_e, s_o, s_e = render_start(args.seed, w_o, w_e)
     rows = [(s_o, w_o)]
     for _ in range(args.steps):
         if args.variant is Variant.CASE_I:

@@ -17,19 +17,19 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import linear_regression
 
 import numpy as np
 
 from .eca import BitState
 from .variants import (
-    SystemSnapshot,
     Trajectory,
     Variant,
     VariantConfig,
     execution_rng,
-    system_step,
+    follow,
+    run_trajectory,
 )
 
 EXTINCT = "extinct"
@@ -187,35 +187,33 @@ def compressibility(states: list[BitState], norm_bits: int) -> tuple[int, float]
 
 
 def lyapunov(config: VariantConfig, perturb_bit: int = 0, horizon: int = 16,
-             rng_seed: int | None = None) -> float | str:
+             rng_seed: int | None = None, base: Trajectory | None = None) -> float | str:
     """Exponential growth rate of the Hamming distance to a run perturbed in
     one initial organism bit, or "extinct" when the defect dies at t = 1.
 
     The perturbed organism shares the literal environment sequence (Case
     I/II) or the random stream (Case III, common random numbers) and
-    re-derives its own rule wherever the update depends on s_o.
+    re-derives its own rule wherever the update depends on s_o.  ``base`` is
+    the unperturbed run of ``config`` (``run_trajectory(config)``); only the
+    perturbed copy is stepped alongside it.  Without it, a base of at most
+    ``horizon`` steps is run first, in Case III on the stream seeded
+    ``rng_seed`` (default: ``config.seed``).
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
     w_o = config.w_o
     if not 0 <= perturb_bit < w_o:
         raise ValueError("perturb_bit out of range")
-
-    base = SystemSnapshot(0, config.s_o, config.r_o, config.s_e)
-    pert_s = BitState(config.s_o.bits ^ (1 << (w_o - 1 - perturb_bit)), w_o)
-    pert = SystemSnapshot(0, pert_s, config.r_o, config.s_e)
-
-    rng_a = rng_b = None
-    if config.variant is Variant.CASE_III:
-        seed = config.seed if rng_seed is None else rng_seed
-        rng_a = execution_rng(seed)
-        rng_b = execution_rng(seed)
+    if base is None:
+        if rng_seed is not None and config.variant is Variant.CASE_III:
+            config = replace(config, seed=rng_seed)
+        base = run_trajectory(config, cap=horizon)
+    elif rng_seed is not None or base.config != config:
+        raise ValueError("base must be the run of config, on its own stream")
 
     ys = []
-    for _ in range(horizon):
-        base = system_step(config, base, rng_a)
-        pert = system_step(config, pert, rng_b)
-        y = (base.s_o.bits ^ pert.s_o.bits).bit_count()
+    for a, b in follow(base, config.s_o.bits ^ (1 << (w_o - 1 - perturb_bit)), horizon):
+        y = (a ^ b).bit_count()
         ys.append(y)
         if y == 0 or y == w_o:
             break
@@ -238,7 +236,8 @@ def fit_exponent(ys: list[int]) -> float:
 def lyapunov_mean(config: VariantConfig, horizon: int = 16) -> float | str:
     """k averaged over all w_o perturbation positions (extinct ones skipped);
     "extinct" when every position is extinct."""
-    vals = [lyapunov(config, b, horizon) for b in range(config.w_o)]
+    base = run_trajectory(config, cap=horizon)
+    vals = [lyapunov(config, b, horizon, base=base) for b in range(config.w_o)]
     finite = [v for v in vals if v != EXTINCT]
     if not finite:
         return EXTINCT

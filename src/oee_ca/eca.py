@@ -19,6 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
+import numpy as np
+
 TRIPLETS = ((1, 1, 1), (1, 1, 0), (1, 0, 1), (1, 0, 0),
             (0, 1, 1), (0, 1, 0), (0, 0, 1), (0, 0, 0))
 
@@ -123,6 +125,20 @@ def step_bits(rule_number: int, bits: int, width: int) -> int:
             term = (left if v & 4 else ~left) & (c if v & 2 else ~c) & (right if v & 1 else ~right)
             out |= term
     return out & mask
+
+
+def neighborhood_masks(width: int) -> list[np.ndarray]:
+    """``masks[v][s]``: the cells of state ``s`` whose neighborhood (l, c, r)
+    reads as ``v``, packed like a state, for all ``2**width`` states at once.
+
+    These are the terms ``step_bits`` ORs together, so a rule's step table
+    is the union of ``masks[v]`` over its set bits ``v``.
+    """
+    c = np.arange(1 << width, dtype=np.uint32)
+    full = np.uint32((1 << width) - 1)
+    left, right = _rotate_right_cells(c, width), _rotate_left_cells(c, width)
+    pick = lambda x, on: x if on else x ^ full
+    return [pick(left, v & 4) & pick(c, v & 2) & pick(right, v & 1) for v in range(8)]
 
 
 @lru_cache(maxsize=None)

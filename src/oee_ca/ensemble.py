@@ -205,17 +205,17 @@ def execute_tuple(plan: SamplePlan, index: int, tup: tuple, norm_bits: int) -> E
                                innovation_I=None, compressed_bits=None,
                                norm_bits=norm_bits, C=None, k=None)
 
-    states = [s.s_o for s in traj.snapshots]
-    rules = traj.rule_sequence()
-    window_end = min(max(rep.t_r, 1), len(states) - 1)
+    rules = traj.rules
+    window_end = min(max(rep.t_r, 1), len(traj.states) - 1)
+    # the INN window; t_r <= window_end, so it also holds the LZW window
+    states = [BitState(s, plan.w_o) for s in traj.states[:window_end + 1]]
     # a single-state window is trivially reproducible (identity rule)
-    inn = (window_end >= 1
-           and is_eca_reproducible(states[:window_end + 1]) is None)
+    inn = window_end >= 1 and is_eca_reproducible(states) is None
     n_rt = sum(1 for a, b in zip(rules[:rep.t_r + 1], rules[1:rep.t_r + 1]) if a != b)
     inno = n_rt / (1 << plan.w_o)
     compressed, c_val = cx.compressibility(states[:rep.t_r + 1], norm_bits)
     horizon = max(2, min(rep.t_r, rep.t_P))
-    k = cx.lyapunov(config, perturb_bit=0, horizon=horizon)
+    k = cx.lyapunov(config, perturb_bit=0, horizon=horizon, base=traj)
     att = None
     if plan.variant.deterministic:
         cyc = detect_cycle(traj)

@@ -11,11 +11,26 @@ Variant summary (rule evolution of the organism ``o``):
 
 The stepping order is rule-first: r_o(t+1) is derived from time-t quantities
 and immediately applied to s_o(t).
+
+One packed loop runs every trajectory.  A ``Trajectory`` holds plain int
+sequences: organism states, rules and, with an environment, environment
+states.  A deterministic run stops at the first repeat of the packed key
+``(s_o << (8 + w_e)) | (r_o << w_e) | s_e``.  The loop's lookups (the
+organism step under every rule, the environment step and the Case I flip
+mask) are tables built with numpy over all states at once and cached per
+width, as long as a table has at most ``TABLE_BUDGET`` entries; above it the
+same loop computes each entry per step with ``step_bits`` or
+``case1_update_bits``.  Case III draws its flip masks a block of steps at a
+time.  ``follow`` steps a perturbed copy of the organism alongside a finished
+run, for the Lyapunov exponent.  ``SystemSnapshot`` and ``system_step`` are
+the single-step API and the reference the tests hold the loop to.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -27,11 +42,15 @@ from .eca import (
     BitState,
     RuleTable,
     count_table,
+    neighborhood_masks,
     rule_from_number,
     step_bits,
-    step_table,
     triplet_counts_bits,
 )
+
+# Largest lookup table, in entries, that the stepping loop builds; a lookup
+# whose table would be larger is computed per step instead.
+TABLE_BUDGET = 1 << 20
 
 
 class Variant(enum.Enum):
@@ -104,20 +123,27 @@ class SystemSnapshot:
 
 @dataclass
 class Trajectory:
+    """A run as packed sequences: ``states[t]``, ``rules[t]`` and (Case I/II)
+    ``envs[t]`` are s_o, r_o and s_e at step t."""
+
     config: VariantConfig
-    snapshots: list[SystemSnapshot]
+    states: list[int]
+    rules: list[int]
+    envs: list[int] | None = None
     cap_hit: bool = False
     # deterministic variants: time at which the repeated snapshot first occurred
     first_seen: int | None = None
     repeat_time: int | None = None
     # Case III: first step with a homogeneous organism state
     convergence_time: int | None = None
+    # Case III: the run's flip-mask stream, kept so a follower can go past the end
+    flips: FlipMasks | None = field(default=None, repr=False, compare=False)
 
     def state_sequence(self) -> list[int]:
-        return [s.s_o.bits for s in self.snapshots]
+        return self.states
 
     def rule_sequence(self) -> list[int]:
-        return [s.r_o for s in self.snapshots]
+        return self.rules
 
 
 # --- rule updates -----------------------------------------------------------
@@ -143,26 +169,6 @@ def case1_update_bits(s_o_bits: int, w_o: int, r_o: int, s_e_bits: int, w_e: int
         if co[i] and ce[i] and co[i] * w_e >= ce[i] * w_o:
             out ^= 1 << (7 - i)
     return out
-
-
-@lru_cache(maxsize=64)
-def _case1_flip_table(w_o: int, w_e: int) -> list[tuple[int, ...]]:
-    """flip mask for every (s_o, s_e) pair; hot-loop path for narrow widths."""
-    co_tab = count_table(w_o)
-    ce_tab = count_table(w_e)
-    table = []
-    for so in range(1 << w_o):
-        co = co_tab[so]
-        row = []
-        for se in range(1 << w_e):
-            ce = ce_tab[se]
-            mask = 0
-            for i in range(8):
-                if co[i] and ce[i] and co[i] * w_e >= ce[i] * w_o:
-                    mask |= 1 << (7 - i)
-            row.append(mask)
-        table.append(tuple(row))
-    return table
 
 
 def case1_rule_update(s_o: BitState, r_o: RuleTable, s_e: BitState) -> RuleTable:
@@ -199,6 +205,117 @@ def execution_rng(master_seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# --- lookup tables ----------------------------------------------------------
+
+def _packed(values: np.ndarray, width: int):
+    """A table of ``width``-bit entries in compact storage: bytes up to 8
+    bits, else an array of 16- or 32-bit items."""
+    if width <= 8:
+        return values.astype(np.uint8).tobytes()
+    table = array("H" if width <= 16 else "I")
+    table.frombytes(values.astype(np.uint16 if width <= 16 else np.uint32).tobytes())
+    return table
+
+
+class _Computed:
+    """Stand-in for a table over the budget: entry ``i`` is ``fn(i)``,
+    computed on every access."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, i):
+        return self.fn(i)
+
+
+def _step_array(masks: list[np.ndarray], rule: int) -> np.ndarray:
+    """Every state's successor under ``rule``: the union of the cells whose
+    neighborhood has its rule bit set."""
+    out = np.zeros_like(masks[0])
+    for v in range(8):
+        if rule >> v & 1:
+            out |= masks[v]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _step_tables(width: int):
+    """Step tables of one width by rule, each built on first use and kept
+    while the width's kept tables total at most ``TABLE_BUDGET`` entries."""
+    @lru_cache(maxsize=max(1, TABLE_BUDGET >> width))
+    def table(rule: int):
+        return _packed(_step_array(neighborhood_masks(width), rule), width)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _organism_tables(width: int) -> list:
+    return [_step_tables(width)(rule) for rule in range(256)]
+
+
+def organism_steps(width: int) -> list:
+    """``steps[rule][s]``: state ``s`` of ``width`` cells after one step of
+    ``rule``, for all 256 rules."""
+    if 256 << width <= TABLE_BUDGET:
+        return _organism_tables(width)
+    return [_Computed(lambda s, r=r: step_bits(r, s, width)) for r in range(256)]
+
+
+def environment_steps(rule: int, width: int):
+    """``steps[s]``: state ``s`` of ``width`` cells after one step of ``rule``."""
+    if 1 << width <= TABLE_BUDGET:
+        return _step_tables(width)(rule)
+    return _Computed(lambda s: step_bits(rule, s, width))
+
+
+@lru_cache(maxsize=8)
+def _case1_flip_table(w_o: int, w_e: int) -> list[bytes]:
+    """``flip[s_o][s_e]``, built one rule bit at a time: bit 7 - i is set when
+    triplet S3[i] occurs in both states and ``co * w_e >= ce * w_o``."""
+    def counts(width):  # counts[i][s]: occurrences of S3[i] (value 7 - i) in s
+        masks = neighborhood_masks(width)
+        return [sum((masks[7 - i] >> p) & 1 for p in range(width)).astype(np.int32)
+                for i in range(8)]
+    co, ce = counts(w_o), counts(w_e)
+    flip = np.zeros((1 << w_o, 1 << w_e), dtype=np.uint8)
+    for i in range(8):
+        a, b = co[i][:, None], ce[i][None, :]
+        both = (a > 0) & (b > 0) & (a * w_e >= b * w_o)
+        np.bitwise_or(flip, np.uint8(1 << (7 - i)), out=flip, where=both)
+    return [row.tobytes() for row in flip]
+
+
+def flip_masks(w_o: int, w_e: int):
+    """``flip[s_o][s_e]``: the Case I mask XORed into the rule, i.e.
+    ``case1_update_bits(s_o, w_o, 0, s_e, w_e)``."""
+    if 1 << (w_o + w_e) <= TABLE_BUDGET:
+        return _case1_flip_table(w_o, w_e)
+    return _Computed(lambda so: _Computed(
+        lambda se: case1_update_bits(so, w_o, 0, se, w_e)))
+
+
+class FlipMasks:
+    """Case III's rule flips: ``masks[t]`` is XORed into the rule at step
+    t + 1.  They come from ``execution_rng(seed)`` a block of steps at a time:
+    ``rng.random(8 * n)`` yields the same doubles as n consecutive
+    ``rng.random(8)`` calls of ``case3_update_bits``, and draw j of a step
+    flips rule bit 7 - j when it is below mu.  Draws past the end of a run
+    stay in ``masks`` for whoever continues it."""
+
+    def __init__(self, seed: int, mu: float):
+        self._rng = execution_rng(seed)
+        self._mu = mu
+        self.masks = bytearray()
+
+    def more(self) -> None:
+        """Draw the next block; blocks double from 16 steps up to 4096."""
+        n = min(max(16, len(self.masks)), 4096)
+        draws = self._rng.random(8 * n).reshape(n, 8) < self._mu
+        self.masks += np.packbits(draws, axis=1).tobytes()
+
+
 # --- coupled stepping -------------------------------------------------------
 
 def system_step(config: VariantConfig, snap: SystemSnapshot,
@@ -231,7 +348,7 @@ def default_step_cap(config: VariantConfig) -> int:
 
 
 def run_trajectory(config: VariantConfig, cap: int | None = None) -> Trajectory:
-    """Iterate system_step until the variant's stop condition or ``cap``.
+    """Step the system until the variant's stop condition or ``cap`` steps.
 
     Deterministic variants stop at the first repeated full-system snapshot;
     Case III stops at the first homogeneous organism state.
@@ -240,64 +357,113 @@ def run_trajectory(config: VariantConfig, cap: int | None = None) -> Trajectory:
         cap = default_step_cap(config)
     if cap < 1:
         raise ValueError("cap must be >= 1")
-
-    snap = SystemSnapshot(0, config.s_o, config.r_o, config.s_e)
     if config.variant is Variant.CASE_III:
-        return _run_case3(config, snap, cap)
-    return _run_deterministic(config, snap, cap)
+        return _run_case3(config, cap)
+    return _run_deterministic(config, cap)
 
 
-def _run_deterministic(config: VariantConfig, snap: SystemSnapshot, cap: int) -> Trajectory:
-    w_o = config.w_o
+def _run_deterministic(config: VariantConfig, cap: int) -> Trajectory:
     variant = config.variant
-    use_tables = (config.w_e or 0) <= 12 and w_o <= 12
+    case1, case2 = variant is Variant.CASE_I, variant is Variant.CASE_II
+    coupled = variant.has_environment
+    w_o, w_e = config.w_o, config.w_e or 0
+    o_step = organism_steps(w_o)
+    if coupled:
+        e_step = environment_steps(config.r_e, w_e)
+    if case1:
+        flip = flip_masks(w_o, w_e)
 
-    snapshots = [snap]
-    seen = {snap.key(): 0}
-
-    if use_tables:
-        flip = (_case1_flip_table(w_o, config.w_e) if variant is Variant.CASE_I else None)
-        o_tables = [step_table(r, w_o) for r in range(256)]
-        e_table = (step_table(config.r_e, config.w_e) if variant.has_environment else None)
-        so, ro = snap.s_o.bits, snap.r_o
-        se = snap.s_e.bits if snap.s_e is not None else None
-        w_e = config.w_e
-        for t in range(1, cap + 1):
-            if variant is Variant.CASE_I:
-                ro ^= flip[so][se]
-            elif variant is Variant.CASE_II:
-                ro = se
-            so = o_tables[ro][so]
-            if e_table is not None:
-                se = e_table[se]
-            key = (so, ro, se)
-            snapshots.append(SystemSnapshot(
-                t, BitState(so, w_o), ro,
-                None if se is None else BitState(se, w_e)))
-            first = seen.get(key)
-            if first is not None:
-                return Trajectory(config, snapshots, first_seen=first, repeat_time=t)
-            seen[key] = t
-        return Trajectory(config, snapshots, cap_hit=True)
-
+    so, ro = config.s_o.bits, config.r_o
+    se = config.s_e.bits if coupled else 0
+    states, rules = [so], [ro]
+    envs = [se] if coupled else None
+    shift = 8 + w_e
+    seen = {(so << shift) | (ro << w_e) | se: 0}
     for t in range(1, cap + 1):
-        snap = system_step(config, snap)
-        snapshots.append(snap)
-        first = seen.get(snap.key())
-        if first is not None:
-            return Trajectory(config, snapshots, first_seen=first, repeat_time=t)
-        seen[snap.key()] = t
-    return Trajectory(config, snapshots, cap_hit=True)
+        if case1:
+            ro ^= flip[so][se]
+        elif case2:
+            ro = se
+        so = o_step[ro][so]
+        states.append(so)
+        rules.append(ro)
+        if coupled:
+            se = e_step[se]
+            envs.append(se)
+        first = seen.setdefault((so << shift) | (ro << w_e) | se, t)
+        if first != t:
+            return Trajectory(config, states, rules, envs, first_seen=first, repeat_time=t)
+    return Trajectory(config, states, rules, envs, cap_hit=True)
 
 
-def _run_case3(config: VariantConfig, snap: SystemSnapshot, cap: int) -> Trajectory:
-    rng = execution_rng(config.seed)
-    snapshots = [snap]
-    if snap.s_o.is_homogeneous():
-        return Trajectory(config, snapshots, convergence_time=0)
-    for t in range(1, cap + 1):
-        snap = system_step(config, snap, rng)
-        snapshots.append(snap)
-        if snap.s_o.is_homogeneous():
-            return Trajectory(config, snapshots, convergence_time=t)
-    return Trajectory(config, snapshots, cap_hit=True)
+def _run_case3(config: VariantConfig, cap: int) -> Trajectory:
+    o_step = organism_steps(config.w_o)
+    full = (1 << config.w_o) - 1
+    flips = FlipMasks(config.seed, config.mu)
+    so, ro = config.s_o.bits, config.r_o
+    states, rules = [so], [ro]
+    if so == 0 or so == full:
+        return Trajectory(config, states, rules, convergence_time=0, flips=flips)
+    t = 0
+    while t < cap:
+        flips.more()
+        for mask in flips.masks[t:cap]:
+            t += 1
+            ro ^= mask
+            so = o_step[ro][so]
+            states.append(so)
+            rules.append(ro)
+            if so == 0 or so == full:
+                return Trajectory(config, states, rules, convergence_time=t, flips=flips)
+    return Trajectory(config, states, rules, cap_hit=True, flips=flips)
+
+
+def _continued(traj: Trajectory, horizon: int):
+    """``traj``'s (states, rules, envs) covering steps 0..horizon: a
+    deterministic run continues around its cycle, a Case III run on its
+    flip-mask stream."""
+    n = len(traj.states) - 1
+    if horizon <= n:
+        return traj.states, traj.rules, traj.envs
+    if traj.config.variant.deterministic:
+        if traj.repeat_time is None:
+            raise ValueError("a censored trajectory cannot be continued")
+        P, L = traj.first_seen, traj.repeat_time - traj.first_seen
+        tail = [P + (t - P) % L for t in range(n + 1, horizon + 1)]
+        return tuple(None if seq is None else seq + [seq[i] for i in tail]
+                     for seq in (traj.states, traj.rules, traj.envs))
+    o_step = organism_steps(traj.config.w_o)
+    states, rules = list(traj.states), list(traj.rules)
+    so, ro = states[-1], rules[-1]
+    while len(traj.flips.masks) < horizon:
+        traj.flips.more()
+    for mask in traj.flips.masks[n:horizon]:
+        ro ^= mask
+        so = o_step[ro][so]
+        states.append(so)
+        rules.append(ro)
+    return states, rules, None
+
+
+def follow(traj: Trajectory, s_o: int, horizon: int) -> Iterator[tuple[int, int]]:
+    """``(base state, copy state)`` at steps 1..horizon, for a copy of the
+    organism started from ``s_o`` instead of the run's initial state.
+
+    The copy shares the run's environment sequence (Case I, where it
+    re-derives its own rule from its own states) or its rule sequence (the
+    other variants: Case III by common random numbers).
+    """
+    config = traj.config
+    states, rules, envs = _continued(traj, horizon)
+    o_step = organism_steps(config.w_o)
+    if config.variant is Variant.CASE_I:
+        flip = flip_masks(config.w_o, config.w_e)
+        ro = config.r_o
+        for t in range(1, horizon + 1):
+            ro ^= flip[s_o][envs[t - 1]]
+            s_o = o_step[ro][s_o]
+            yield states[t], s_o
+    else:
+        for t in range(1, horizon + 1):
+            s_o = o_step[rules[t]][s_o]
+            yield states[t], s_o

@@ -5,11 +5,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from oee_ca.eca import step_bits
+from oee_ca.complexity import EXTINCT, fit_exponent
+from oee_ca.eca import BitState, step_bits
 from oee_ca.ensemble import SamplePlan, config_for_tuple, draw_plan
 from oee_ca.innovation import is_eca_reproducible
 from oee_ca.recurrence import build_report
-from oee_ca.variants import execution_rng, run_trajectory
+from oee_ca.variants import (
+    SystemSnapshot,
+    Trajectory,
+    Variant,
+    VariantConfig,
+    default_step_cap,
+    execution_rng,
+    run_trajectory,
+    system_step,
+)
 
 
 @dataclass(frozen=True)
@@ -34,9 +44,9 @@ def light_stats(plan: SamplePlan, tuples=None) -> LightStats:
             n_cens += 1
             continue
         n += 1
-        states = [s.s_o for s in traj.snapshots]
-        end = min(max(rep.t_r, 1), len(states) - 1)
-        inn = end >= 1 and is_eca_reproducible(states[:end + 1]) is None
+        end = min(max(rep.t_r, 1), len(traj.states) - 1)
+        inn = end >= 1 and is_eca_reproducible(
+            [BitState(s, plan.w_o) for s in traj.states[:end + 1]]) is None
         n_inn += inn
         n_ue += bool(rep.ue)
         n_oee += bool(rep.ue and inn)
@@ -44,6 +54,73 @@ def light_stats(plan: SamplePlan, tuples=None) -> LightStats:
         raise ValueError("all executions censored")
     return LightStats(100.0 * n_oee / n, 100.0 * n_inn / n, 100.0 * n_ue / n,
                       n, n_cens)
+
+
+def scalar_trajectory(config: VariantConfig, cap: int | None = None) -> Trajectory:
+    """``run_trajectory`` one ``system_step`` snapshot at a time, with a
+    tuple key per snapshot (oracle of the packed loop)."""
+    if cap is None:
+        cap = default_step_cap(config)
+    snap = SystemSnapshot(0, config.s_o, config.r_o, config.s_e)
+    snapshots = [snap]
+    end = {}  # the stop condition's fields; empty when the cap is hit
+    if config.variant is Variant.CASE_III:
+        rng = execution_rng(config.seed)
+        if snap.s_o.is_homogeneous():
+            end = dict(convergence_time=0)
+        else:
+            for t in range(1, cap + 1):
+                snap = system_step(config, snap, rng)
+                snapshots.append(snap)
+                if snap.s_o.is_homogeneous():
+                    end = dict(convergence_time=t)
+                    break
+    else:
+        seen = {snap.key(): 0}
+        for t in range(1, cap + 1):
+            snap = system_step(config, snap)
+            snapshots.append(snap)
+            first = seen.get(snap.key())
+            if first is not None:
+                end = dict(first_seen=first, repeat_time=t)
+                break
+            seen[snap.key()] = t
+    envs = ([s.s_e.bits for s in snapshots] if config.variant.has_environment else None)
+    return Trajectory(config, [s.s_o.bits for s in snapshots], [s.r_o for s in snapshots],
+                      envs, cap_hit=not end, **end)
+
+
+def scalar_lyapunov(config: VariantConfig, perturb_bit: int = 0, horizon: int = 16,
+                    rng_seed: int | None = None, base=None) -> float | str:
+    """``lyapunov`` re-simulating the base run beside the perturbed one with
+    ``system_step`` (oracle; ``base`` is accepted and ignored)."""
+    if horizon < 2:
+        raise ValueError("horizon must be >= 2")
+    w_o = config.w_o
+    if not 0 <= perturb_bit < w_o:
+        raise ValueError("perturb_bit out of range")
+
+    base = SystemSnapshot(0, config.s_o, config.r_o, config.s_e)
+    pert_s = BitState(config.s_o.bits ^ (1 << (w_o - 1 - perturb_bit)), w_o)
+    pert = SystemSnapshot(0, pert_s, config.r_o, config.s_e)
+
+    rng_a = rng_b = None
+    if config.variant is Variant.CASE_III:
+        seed = config.seed if rng_seed is None else rng_seed
+        rng_a = execution_rng(seed)
+        rng_b = execution_rng(seed)
+
+    ys = []
+    for _ in range(horizon):
+        base = system_step(config, base, rng_a)
+        pert = system_step(config, pert, rng_b)
+        y = (base.s_o.bits ^ pert.s_o.bits).bit_count()
+        ys.append(y)
+        if y == 0 or y == w_o:
+            break
+    if ys[0] == 0:
+        return EXTINCT
+    return fit_exponent(ys)
 
 
 def naive_cycle(step_fn, initial) -> tuple[int, int]:

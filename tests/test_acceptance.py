@@ -241,7 +241,7 @@ def test_criterion_12_oracle_equivalence():
     for i, tup in enumerate(draw_plan(plan)):
         traj = run_trajectory(config_for_tuple(plan, i, tup))
         rep = build_report(traj)
-        states = [s.s_o for s in traj.snapshots][:max(rep.t_r, 1) + 1]
+        states = [BitState(s, 4) for s in traj.states[:max(rep.t_r, 1) + 1]]
         if (is_eca_reproducible(states) is not None) != cf4.contains(states):
             mismatches4 += 1
     ok = mismatches == 0 and mismatches4 == 0

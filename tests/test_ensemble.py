@@ -287,3 +287,29 @@ def test_report_round_trips_to_dict(small_case1_records):
     d = aggregate(records).to_dict()
     assert isinstance(d["t_r_ratio_box"], dict)
     assert set(d["t_r_ratio_box"]) == set(vars(BoxStats(0, 0, 0, 0, 0, 0, 0)))
+
+
+# --- packed pipeline against the all-scalar one -----------------------------
+
+@pytest.mark.parametrize("plan", [
+    SamplePlan(Variant.CASE_I, 4, 4, sample_count=300, master_seed=5),
+    SamplePlan(Variant.CASE_I, 5, 12, sample_count=200, master_seed=6),
+    SamplePlan(Variant.CASE_II, 4, sample_count=300, master_seed=7),
+    SamplePlan(Variant.CASE_III, 5, mu=0.5, sample_count=300, master_seed=8),
+    SamplePlan(Variant.CASE_III, 4, mu=0.05, sample_count=200, master_seed=9, step_cap=30),
+    SamplePlan(Variant.ISOLATED, 5, sample_count=300, master_seed=10),
+], ids=["case1-4x4", "case1-5x12", "case2", "case3", "case3-capped", "eca"])
+def test_execute_tuple_matches_all_scalar_execution(plan, monkeypatch):
+    """Records from the packed loop and the base-reusing Lyapunov equal those
+    from snapshot stepping and a re-simulated Lyapunov base."""
+    import oee_ca.complexity as cx
+    import oee_ca.ensemble as ens
+    from helpers import scalar_lyapunov, scalar_trajectory
+
+    tuples = draw_plan(plan)
+    packed = [ens.execute_tuple(plan, i, tup, 1000) for i, tup in enumerate(tuples)]
+    monkeypatch.setattr(ens, "run_trajectory", scalar_trajectory)
+    monkeypatch.setattr(cx, "lyapunov", scalar_lyapunov)
+    scalar = [ens.execute_tuple(plan, i, tup, 1000) for i, tup in enumerate(tuples)]
+    assert packed == scalar
+    assert any(not r.censored for r in packed)

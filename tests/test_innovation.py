@@ -77,7 +77,7 @@ def test_reproducible_monotone_on_subwindows(r_o, r_e, so, se, data):
     config = VariantConfig(Variant.CASE_I, BitState(so, 4), r_o,
                            s_e=BitState(se, 4), r_e=r_e)
     traj = run_trajectory(config)
-    window = [s.s_o for s in traj.snapshots]
+    window = [BitState(s, 4) for s in traj.states]
     if is_eca_reproducible(window) is not None and len(window) > 2:
         lo = data.draw(st.integers(0, len(window) - 2))
         hi = data.draw(st.integers(lo + 2, len(window)))

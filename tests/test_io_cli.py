@@ -1,12 +1,14 @@
 """File formats (CSV, JSON, SVG, PGM, config) and the command-line interface."""
 
 import dataclasses
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from oee_ca.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from oee_ca.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main, render_start
+from oee_ca.eca import BitState
 from oee_ca.ensemble import SamplePlan, aggregate, run_ensemble
 from oee_ca.io_formats import (
     CSV_COLUMNS,
@@ -19,7 +21,7 @@ from oee_ca.io_formats import (
     write_records_csv,
     write_report_json,
 )
-from oee_ca.variants import Variant
+from oee_ca.variants import SystemSnapshot, Variant, VariantConfig, system_step
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +223,65 @@ def test_cli_render_dimensions(tmp_path):
                  "--steps", "40", "--seed", "7", "--out", out]) == EXIT_OK
     head = open(out, "rb").read(64).split(b"\n")
     assert head[0] == b"P5" and head[2] == b"101 41"
+
+
+def read_pgm_rows(path: str) -> list[int]:
+    data = open(path, "rb").read()
+    _, _, dims, _, pixels = data.split(b"\n", 4)
+    width, height = map(int, dims.split())
+    return [int("".join("1" if b else "0" for b in pixels[i * width:(i + 1) * width]), 2)
+            for i in range(height)]
+
+
+def test_cli_render_case2_uses_an_8_cell_environment(tmp_path):
+    """The environment state is the next rule, so Case II fixes w_e = 8 at
+    any organism width; rows equal system_step's."""
+    out = str(tmp_path / "render.pgm")
+    assert main(["render", "--variant", "case2", "--wo", "20", "--steps", "30",
+                 "--seed", "4", "--out", out]) == EXIT_OK
+    r_o, r_e, s_o, s_e = render_start(4, 20, 8)
+    config = VariantConfig(Variant.CASE_II, BitState(s_o, 20), r_o,
+                           s_e=BitState(s_e, 8), r_e=r_e)
+    snap = SystemSnapshot(0, config.s_o, r_o, config.s_e)
+    want = [s_o]
+    for _ in range(30):
+        snap = system_step(config, snap)
+        want.append(snap.s_o.bits)
+    assert read_pgm_rows(out) == want
+
+
+def test_render_start_widens_wide_environments():
+    """A ring wider than 62 cells has draws in its leading cells too, and
+    the environment's widening comes after the organism's."""
+    assert all(render_start(seed, 8, 100)[3] >> 63 for seed in range(5))
+    assert all(render_start(seed, 101, 8)[3] < 1 << 8 for seed in range(5))
+    for seed in range(5):
+        assert render_start(seed, 101, 100)[:3] == render_start(seed, 101, 8)[:3]
+        assert render_start(seed, 8, 100)[:3] == render_start(seed, 8, 8)[:3]
+
+
+# Digests of the trajectory CSV (lines not starting with "#") and of the PGM
+# written by `run`, recorded with the snapshot-per-step loop.
+RUN_GOLDEN = {
+    "case1": (["--variant", "case1", "--wo", "6", "--we", "13", "--seed", "5"], 125,
+              "65a315731ca0d4cbfbb78cb1793701489502c6642d4932f4d45da8d21e6bc30d",
+              "8f8a836f49a4ca6d97ae189e45b46f9b72a815940292fbe6d269a29cfb617526"),
+    "case3": (["--variant", "case3", "--wo", "9", "--mu", "0.1", "--seed", "1"], 176,
+              "bcb785f884dbd6152355952c645ba184010521ccd0e0b21bc6777a1606160c43",
+              "6e720ff3d5849c77907e5f39a3e4188dc3cf84b43f563566464e5e329120867c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_GOLDEN))
+def test_cli_run_output_is_byte_identical(name, tmp_path):
+    argv, n_lines, csv_digest, pgm_digest = RUN_GOLDEN[name]
+    out, pgm = str(tmp_path / "traj.csv"), str(tmp_path / "traj.pgm")
+    assert main(["run", *argv, "--out", out, "--pgm", pgm]) == EXIT_OK
+    lines = open(out, "rb").readlines()
+    assert len(lines) == n_lines
+    body = b"".join(line for line in lines if not line.startswith(b"#"))
+    assert hashlib.sha256(body).hexdigest() == csv_digest
+    assert hashlib.sha256(open(pgm, "rb").read()).hexdigest() == pgm_digest
 
 
 def test_cli_render_case3_is_usage_error(tmp_path, capsys):

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oee_ca.eca import BitState, rule_from_number
+from helpers import scalar_lyapunov, scalar_trajectory
+
+from oee_ca import complexity as cx
+from oee_ca.eca import BitState, rule_from_number, step_bits
 from oee_ca.variants import (
+    TABLE_BUDGET,
     SystemSnapshot,
     Variant,
     VariantConfig,
@@ -15,6 +19,7 @@ from oee_ca.variants import (
     case3_rule_update,
     default_step_cap,
     execution_rng,
+    follow,
     run_trajectory,
     system_step,
 )
@@ -186,8 +191,8 @@ def test_system_step_rule_first_ordering_case1():
 def test_environment_rule_constant():
     config = case1_config(s_o="0101", r_o=30, s_e="011010", r_e=110)
     traj = run_trajectory(config, cap=500)
-    widths = {(s.s_o.width, s.s_e.width) for s in traj.snapshots}
-    assert widths == {(4, 6)}
+    assert len(traj.envs) == len(traj.states)
+    assert all(b == step_bits(110, a, 6) for a, b in zip(traj.envs, traj.envs[1:]))
 
 
 # --- run_trajectory ---------------------------------------------------------
@@ -246,24 +251,26 @@ def test_replay_determinism_case1(r_o, r_e, so, se):
                            s_e=BitState(se, 6), r_e=r_e)
     a = run_trajectory(config)
     b = run_trajectory(config)
-    assert a.snapshots == b.snapshots
+    assert (a.states, a.rules, a.envs) == (b.states, b.rules, b.envs)
     assert (a.first_seen, a.repeat_time) == (b.first_seen, b.repeat_time)
 
 
 def test_replay_determinism_case3_same_seed():
     config = VariantConfig(Variant.CASE_III, BitState.from_string("01011"), 30,
                            mu=0.5, seed=42)
-    assert run_trajectory(config).snapshots == run_trajectory(config).snapshots
+    a, b = run_trajectory(config), run_trajectory(config)
+    assert (a.states, a.rules, a.convergence_time) == (b.states, b.rules, b.convergence_time)
 
 
 def test_table_and_generic_paths_agree():
-    """The table-driven fast loop equals snapshot-by-snapshot stepping."""
+    """The table-driven packed loop equals snapshot-by-snapshot stepping."""
     config = case1_config(s_o="1010", r_o=45, s_e="110010", r_e=30)
     fast = run_trajectory(config)
     snap = SystemSnapshot(0, config.s_o, config.r_o, config.s_e)
-    for got in fast.snapshots[1:]:
+    for t in range(1, len(fast.states)):
         snap = system_step(config, snap)
-        assert snap == got
+        assert (snap.s_o.bits, snap.r_o, snap.s_e.bits) == (
+            fast.states[t], fast.rules[t], fast.envs[t])
 
 
 @given(st.integers(0, 255), st.integers(3, 8))
@@ -273,3 +280,106 @@ def test_homogeneous_absorption(rule, w):
     full = (1 << w) - 1
     assert step_bits(rule, 0, w) in (0, full)
     assert step_bits(rule, full, w) in (0, full)
+
+
+# --- the packed loop against the snapshot oracle -------------------------------
+
+rule_numbers = st.integers(0, 255)
+
+
+def packed_states(w):
+    return st.integers(0, (1 << w) - 1)
+
+
+def drawn_case1(data, w_o, w_e):
+    return VariantConfig(Variant.CASE_I, BitState(data.draw(packed_states(w_o)), w_o),
+                         data.draw(rule_numbers), r_e=data.draw(rule_numbers),
+                         s_e=BitState(data.draw(packed_states(w_e)), w_e))
+
+
+def assert_same_run(config, cap=None, horizons=(2, 5, 17)):
+    """Packed run equals the snapshot run; Lyapunov from the packed run (as
+    base and without one) equals the re-simulating oracle."""
+    traj = run_trajectory(config, cap)
+    assert traj == scalar_trajectory(config, cap)
+    n = len(traj.states) - 1
+    for h in horizons:
+        want = scalar_lyapunov(config, 0, h)
+        assert cx.lyapunov(config, 0, h) == want
+        if not traj.cap_hit or h <= n:
+            assert cx.lyapunov(config, 0, h, base=traj) == want
+
+
+@pytest.mark.parametrize("w_o, w_e", [(4, 6), (6, 13)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_packed_case1_tables_match_oracle(w_o, w_e, data):
+    assert (1 << (w_o + w_e)) <= TABLE_BUDGET
+    config = drawn_case1(data, w_o, w_e)
+    assert_same_run(config, cap=3000)
+
+
+@pytest.mark.parametrize("w_o, w_e", [(12, 9), (13, 21)])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_packed_case1_above_budget_matches_oracle(w_o, w_e, data):
+    """(12, 9): organism tables at the budget, flip masks computed per step;
+    (13, 21): every lookup computed per step."""
+    assert (1 << (w_o + w_e)) > TABLE_BUDGET
+    config = drawn_case1(data, w_o, w_e)
+    assert_same_run(config, cap=data.draw(st.integers(1, 60)), horizons=(2, 9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule_numbers, rule_numbers, st.integers(3, 9), st.data())
+def test_packed_case2_and_eca_match_oracle(r_o, r_e, w_o, data):
+    so = BitState(data.draw(packed_states(w_o)), w_o)
+    assert_same_run(VariantConfig(Variant.CASE_II, so, r_o,
+                                  s_e=BitState(data.draw(packed_states(8)), 8), r_e=r_e))
+    assert_same_run(VariantConfig(Variant.ISOLATED, so, r_o))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rule_numbers, st.integers(3, 13), st.sampled_from([0.0, 0.5]),
+       st.integers(0, 2**64 - 1), st.sampled_from([1, 2, 15, 16, 17, 40, None]), st.data())
+def test_packed_case3_matches_oracle(r_o, w_o, mu, seed, cap, data):
+    """Block-drawn flip masks equal one rng.random(8) per step, through cap
+    hits and block boundaries; Lyapunov continues on the same stream."""
+    config = VariantConfig(Variant.CASE_III, BitState(data.draw(packed_states(w_o)), w_o),
+                           r_o, mu=mu, seed=seed)
+    # with mu = 0 a run may never converge: keep the oracle's default 10**6 steps out
+    assert_same_run(config, cap=cap if mu else cap or 200)
+
+
+@pytest.mark.parametrize("s_o, r_o, t_r", [("0000", 90, 0), ("1111", 30, 0), ("0101", 0, 1)])
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_packed_case3_short_runs_continue_for_lyapunov(s_o, r_o, t_r, mu):
+    """t_r <= 1 is shorter than the smallest horizon (2): the follower draws
+    the next masks of the run's stream."""
+    config = VariantConfig(Variant.CASE_III, BitState.from_string(s_o), r_o, mu=mu, seed=7)
+    traj = run_trajectory(config)
+    if mu == 0.0 or r_o != 0:
+        assert traj.convergence_time == t_r
+    assert_same_run(config, horizons=(2, 3, 10))
+
+
+def test_follow_continues_a_deterministic_run_around_its_cycle():
+    config = VariantConfig(Variant.ISOLATED, BitState.from_string("0110"), 204)
+    traj = run_trajectory(config)
+    assert traj.repeat_time == 1
+    assert [a for a, _ in follow(traj, 0b0110, 6)] == [0b0110] * 6
+
+
+def test_follow_rejects_censored_runs_past_their_end():
+    config = case1_config(s_o="1010", r_o=45, s_e="110010", r_e=30)
+    traj = run_trajectory(config, cap=1)
+    assert traj.cap_hit
+    with pytest.raises(ValueError):
+        list(follow(traj, 0, 2))
+
+
+def test_lyapunov_rejects_a_foreign_base():
+    a = case1_config(s_o="1010", r_o=45, s_e="110010", r_e=30)
+    b = case1_config(s_o="1011", r_o=45, s_e="110010", r_e=30)
+    with pytest.raises(ValueError):
+        cx.lyapunov(a, 0, 4, base=run_trajectory(b))
