@@ -14,6 +14,7 @@ most significant bit.
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -127,28 +128,47 @@ def step_bits(rule_number: int, bits: int, width: int) -> int:
     return out & mask
 
 
-def neighborhood_masks(width: int) -> list[np.ndarray]:
+@lru_cache(maxsize=None)
+def neighborhood_masks(width: int) -> tuple[np.ndarray, ...]:
     """``masks[v][s]``: the cells of state ``s`` whose neighborhood (l, c, r)
-    reads as ``v``, packed like a state, for all ``2**width`` states at once.
+    reads as ``v``, packed like a state, for all ``2**width`` states at once
+    (read-only, cached per width).
 
     These are the terms ``step_bits`` ORs together, so a rule's step table
-    is the union of ``masks[v]`` over its set bits ``v``.
+    is the union of ``masks[v]`` over its set bits ``v``, and the count of
+    triplet ``v`` in ``s`` is the number of set bits of ``masks[v][s]``.
     """
     c = np.arange(1 << width, dtype=np.uint32)
     full = np.uint32((1 << width) - 1)
     left, right = _rotate_right_cells(c, width), _rotate_left_cells(c, width)
     pick = lambda x, on: x if on else x ^ full
-    return [pick(left, v & 4) & pick(c, v & 2) & pick(right, v & 1) for v in range(8)]
+    masks = tuple(pick(left, v & 4) & pick(c, v & 2) & pick(right, v & 1)
+                  for v in range(8))
+    for m in masks:
+        m.flags.writeable = False
+    return masks
+
+
+def _compact(values: np.ndarray, width: int):
+    """A table of ``width``-bit entries in compact storage: bytes up to 8
+    bits, else an array of 16- or 32-bit items."""
+    if width <= 8:
+        return values.astype(np.uint8).tobytes()
+    table = array("H" if width <= 16 else "I")
+    table.frombytes(values.astype(np.uint16 if width <= 16 else np.uint32).tobytes())
+    return table
 
 
 @lru_cache(maxsize=None)
-def _step_table(rule_number: int, width: int) -> tuple[int, ...]:
-    return tuple(step_bits(rule_number, s, width) for s in range(1 << width))
-
-
-def step_table(rule_number: int, width: int) -> tuple[int, ...]:
-    """state -> next-state lookup table for narrow widths (hot-loop path)."""
-    return _step_table(rule_number, width)
+def step_table(rule_number: int, width: int):
+    """``table[s]``: state ``s`` after one step of the rule, for all
+    ``2**width`` states (compact storage, cached per rule and width)."""
+    masks = neighborhood_masks(width)
+    out = np.zeros_like(masks[0])
+    for v in range(8):
+        if rule_number >> v & 1:
+            out |= masks[v]
+    return _compact(out, width)
 
 
 def step(rule: RuleTable, state: BitState) -> BitState:
@@ -170,12 +190,20 @@ def triplet_counts_bits(bits: int, width: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _count_table(width: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(triplet_counts_bits(s, width) for s in range(1 << width))
+def count_array(width: int) -> np.ndarray:
+    """``counts[i][s]``: occurrences of triplet S3[i] in state ``s``, for all
+    ``2**width`` states (read-only, cached per width)."""
+    masks = neighborhood_masks(width)
+    bits = lambda m: np.unpackbits(m.view(np.uint8).reshape(-1, 4), axis=1)
+    counts = np.stack([bits(masks[7 - i]).sum(axis=1, dtype=np.uint8) for i in range(8)])
+    counts.flags.writeable = False
+    return counts
 
 
+@lru_cache(maxsize=None)
 def count_table(width: int) -> tuple[tuple[int, ...], ...]:
-    return _count_table(width)
+    """``count_table(width)[s]`` is ``triplet_counts_bits(s, width)``."""
+    return tuple(map(tuple, count_array(width).T.tolist()))
 
 
 def triplet_counts(state: BitState) -> tuple[int, ...]:

@@ -17,9 +17,11 @@ sequences: organism states, rules and, with an environment, environment
 states.  A deterministic run stops at the first repeat of the packed key
 ``(s_o << (8 + w_e)) | (r_o << w_e) | s_e``.  The loop's lookups (the
 organism step under every rule, the environment step and the Case I flip
-mask) are tables built with numpy over all states at once and cached per
-width, as long as a table has at most ``TABLE_BUDGET`` entries; above it the
-same loop computes each entry per step with ``step_bits`` or
+mask) are tables built with numpy over all states at once (``step_table``,
+``count_array``) and cached, as long as the tables of one kind and width fit
+in ``TABLE_BUDGET`` entries: the organism's 256 step tables, the environment
+tables of all ``ENVIRONMENT_RULES`` rules a plan can draw, one flip table.
+Above it the same loop computes each entry per step with ``step_bits`` or
 ``case1_update_bits``.  Case III draws its flip masks a block of steps at a
 time.  ``follow`` steps a perturbed copy of the organism alongside a finished
 run, for the Lyapunov exponent.  ``SystemSnapshot`` and ``system_step`` are
@@ -29,7 +31,6 @@ the single-step API and the reference the tests hold the loop to.
 from __future__ import annotations
 
 import enum
-from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -41,16 +42,24 @@ from .eca import (
     SIM_MIN_WIDTH,
     BitState,
     RuleTable,
+    canonical_rules,
+    count_array,
     count_table,
-    neighborhood_masks,
     rule_from_number,
     step_bits,
+    step_table,
     triplet_counts_bits,
 )
 
-# Largest lookup table, in entries, that the stepping loop builds; a lookup
-# whose table would be larger is computed per step instead.
+# Most entries the stepping loop keeps in the lookup tables of one kind and
+# width: the organism's 256 step tables, the step tables of every rule an
+# environment is drawn from, or one Case I flip table.  A lookup whose tables
+# would exceed it is computed per step instead.
 TABLE_BUDGET = 1 << 20
+
+# Environment rules an ensemble draws r_e from (the canonical orbit
+# representatives); their step tables at one width share the budget.
+ENVIRONMENT_RULES = len(canonical_rules())
 
 
 class Variant(enum.Enum):
@@ -207,16 +216,6 @@ def execution_rng(master_seed: int, index: int = 0) -> np.random.Generator:
 
 # --- lookup tables ----------------------------------------------------------
 
-def _packed(values: np.ndarray, width: int):
-    """A table of ``width``-bit entries in compact storage: bytes up to 8
-    bits, else an array of 16- or 32-bit items."""
-    if width <= 8:
-        return values.astype(np.uint8).tobytes()
-    table = array("H" if width <= 16 else "I")
-    table.frombytes(values.astype(np.uint16 if width <= 16 else np.uint32).tobytes())
-    return table
-
-
 class _Computed:
     """Stand-in for a table over the budget: entry ``i`` is ``fn(i)``,
     computed on every access."""
@@ -230,29 +229,9 @@ class _Computed:
         return self.fn(i)
 
 
-def _step_array(masks: list[np.ndarray], rule: int) -> np.ndarray:
-    """Every state's successor under ``rule``: the union of the cells whose
-    neighborhood has its rule bit set."""
-    out = np.zeros_like(masks[0])
-    for v in range(8):
-        if rule >> v & 1:
-            out |= masks[v]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _step_tables(width: int):
-    """Step tables of one width by rule, each built on first use and kept
-    while the width's kept tables total at most ``TABLE_BUDGET`` entries."""
-    @lru_cache(maxsize=max(1, TABLE_BUDGET >> width))
-    def table(rule: int):
-        return _packed(_step_array(neighborhood_masks(width), rule), width)
-    return table
-
-
 @lru_cache(maxsize=None)
 def _organism_tables(width: int) -> list:
-    return [_step_tables(width)(rule) for rule in range(256)]
+    return [step_table(rule, width) for rule in range(256)]
 
 
 def organism_steps(width: int) -> list:
@@ -265,8 +244,8 @@ def organism_steps(width: int) -> list:
 
 def environment_steps(rule: int, width: int):
     """``steps[s]``: state ``s`` of ``width`` cells after one step of ``rule``."""
-    if 1 << width <= TABLE_BUDGET:
-        return _step_tables(width)(rule)
+    if ENVIRONMENT_RULES << width <= TABLE_BUDGET:
+        return step_table(rule, width)
     return _Computed(lambda s: step_bits(rule, s, width))
 
 
@@ -274,11 +253,7 @@ def environment_steps(rule: int, width: int):
 def _case1_flip_table(w_o: int, w_e: int) -> list[bytes]:
     """``flip[s_o][s_e]``, built one rule bit at a time: bit 7 - i is set when
     triplet S3[i] occurs in both states and ``co * w_e >= ce * w_o``."""
-    def counts(width):  # counts[i][s]: occurrences of S3[i] (value 7 - i) in s
-        masks = neighborhood_masks(width)
-        return [sum((masks[7 - i] >> p) & 1 for p in range(width)).astype(np.int32)
-                for i in range(8)]
-    co, ce = counts(w_o), counts(w_e)
+    co, ce = count_array(w_o).astype(np.int32), count_array(w_e).astype(np.int32)
     flip = np.zeros((1 << w_o, 1 << w_e), dtype=np.uint8)
     for i in range(8):
         a, b = co[i][:, None], ce[i][None, :]

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from oee_ca.complexity import EXTINCT, fit_exponent
-from oee_ca.eca import BitState, step_bits
+from oee_ca.eca import BitState, step_bits, triplet_counts_bits
 from oee_ca.ensemble import SamplePlan, config_for_tuple, draw_plan
 from oee_ca.innovation import is_eca_reproducible
 from oee_ca.recurrence import build_report
@@ -121,6 +121,16 @@ def scalar_lyapunov(config: VariantConfig, perturb_bit: int = 0, horizon: int = 
     if ys[0] == 0:
         return EXTINCT
     return fit_exponent(ys)
+
+
+def scalar_step_table(rule_number: int, width: int) -> tuple[int, ...]:
+    """``step_table`` one ``step_bits`` call per state (oracle)."""
+    return tuple(step_bits(rule_number, s, width) for s in range(1 << width))
+
+
+def scalar_count_table(width: int) -> tuple[tuple[int, ...], ...]:
+    """``count_table`` one ``triplet_counts_bits`` call per state (oracle)."""
+    return tuple(triplet_counts_bits(s, width) for s in range(1 << width))
 
 
 def naive_cycle(step_fn, initial) -> tuple[int, int]:

@@ -1,8 +1,11 @@
 """Core ECA primitives: rule tables, stepping, equivalence orbits, classes."""
 
-import pytest
-from hypothesis import given, strategies as st
+from array import array
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import scalar_count_table, scalar_step_table
 from oee_ca.eca import (
     BitState,
     ConfigurationError,
@@ -11,11 +14,14 @@ from oee_ca.eca import (
     canonical_rule,
     canonical_rules,
     complement_rule,
+    count_table,
     load_class_table,
     mirror_rule,
     rule_from_number,
     rule_to_number,
+    neighborhood_masks,
     step,
+    step_table,
     triplet_counts,
     triplet_frequencies,
     wolfram_class,
@@ -141,6 +147,36 @@ def test_step_rejects_narrow_state():
 
 
 # --- triplet statistics -----------------------------------------------------
+
+def assert_step_table(rule, width):
+    table = step_table(rule, width)
+    assert isinstance(table, bytes if width <= 8 else array)
+    assert width <= 8 or table.itemsize == (2 if width <= 16 else 4)
+    assert tuple(table) == scalar_step_table(rule, width)
+
+
+@pytest.mark.parametrize("width", [3, 4, 8, 9, 13])
+@settings(max_examples=12, deadline=None)
+@given(rule=rules)
+def test_step_table_matches_scalar(width, rule):
+    assert_step_table(rule, width)
+
+
+def test_step_table_beyond_16_cells():
+    assert_step_table(110, 17)
+
+
+@pytest.mark.parametrize("width", [3, 4, 5, 8, 11, 13])
+def test_count_table_matches_scalar(width):
+    assert count_table(width) == scalar_count_table(width)
+
+
+def test_neighborhood_masks_cached_and_read_only():
+    masks = neighborhood_masks(5)
+    assert masks is neighborhood_masks(5)
+    with pytest.raises(ValueError):
+        masks[0][0] = 1
+
 
 def test_triplet_frequencies_all_zero():
     freqs = triplet_frequencies(BitState(0, 5))

@@ -1,5 +1,7 @@
 """Rule-update mechanisms and the coupled stepping loop."""
 
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import scalar_lyapunov, scalar_trajectory
 
 from oee_ca import complexity as cx
-from oee_ca.eca import BitState, rule_from_number, step_bits
+from oee_ca.eca import BitState, rule_from_number, step_bits, step_table
 from oee_ca.variants import (
     TABLE_BUDGET,
     SystemSnapshot,
@@ -18,8 +20,10 @@ from oee_ca.variants import (
     case2_rule_update,
     case3_rule_update,
     default_step_cap,
+    environment_steps,
     execution_rng,
     follow,
+    organism_steps,
     run_trajectory,
     system_step,
 )
@@ -328,6 +332,20 @@ def test_packed_case1_above_budget_matches_oracle(w_o, w_e, data):
     assert (1 << (w_o + w_e)) > TABLE_BUDGET
     config = drawn_case1(data, w_o, w_e)
     assert_same_run(config, cap=data.draw(st.integers(1, 60)), horizons=(2, 9))
+
+
+def test_tables_chosen_by_budget():
+    """The organism's 256 tables fit up to 12 cells, the environment tables
+    of the 88 drawable rules up to 13; wider lookups are computed, with the
+    same entries."""
+    assert organism_steps(12)[30] is step_table(30, 12)
+    assert environment_steps(30, 13) is step_table(30, 13)
+    assert not isinstance(organism_steps(13)[30], (bytes, array))
+    wide = environment_steps(30, 14)
+    assert not isinstance(wide, (bytes, array))
+    for s in (0, 1, 0x2A5C, (1 << 14) - 1):
+        assert organism_steps(13)[30][s & 0x1FFF] == step_bits(30, s & 0x1FFF, 13)
+        assert wide[s] == step_bits(30, s, 14)
 
 
 @settings(max_examples=60, deadline=None)
