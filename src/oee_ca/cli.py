@@ -13,11 +13,15 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from . import complexity as cx
 from . import ensemble as ens
 from . import io_formats as iof
 from .eca import (
+    SIM_MAX_WIDTH,
+    SIM_MIN_WIDTH,
     BitState,
     ConfigurationError,
     canonical_rules,
@@ -44,6 +48,17 @@ def _variant(name: str) -> Variant:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"unknown variant {name!r} (choose from case1, case2, case3, eca)")
+
+
+def _int_at_least(least: int):
+    """An argparse type for integers of at least ``least``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    parse.__name__ = "int"   # argparse names the type in "invalid int value"
+    return parse
 
 
 def _render_variant(name: str) -> Variant:
@@ -83,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     em.add_argument("--ratio", choices=ens.CASE1_RATIOS,
                     help="environment/organism width ratio (Case I)")
     em.add_argument("--mu", type=float, default=0.5)
-    em.add_argument("--samples", type=int, required=True)
+    em.add_argument("--samples", type=_int_at_least(1), required=True)
     em.add_argument("--seed", type=int, default=0)
     em.add_argument("--cap", type=int)
     em.add_argument("--workers", type=int,
@@ -116,9 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     rd = sub.add_parser("render", help="render a large-width run to PGM")
     rd.add_argument("--variant", type=_render_variant, default=Variant.CASE_I)
-    rd.add_argument("--wo", type=int, required=True)
-    rd.add_argument("--we", type=int)
-    rd.add_argument("--steps", type=int, default=400)
+    rd.add_argument("--wo", type=_int_at_least(1), required=True)
+    rd.add_argument("--we", type=_int_at_least(1))
+    rd.add_argument("--steps", type=_int_at_least(0), default=400)
     rd.add_argument("--seed", type=int, default=0)
     rd.add_argument("--out", default="render.pgm")
     return parser
@@ -154,23 +169,35 @@ def _config_echo(args) -> dict:
             for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _draw_state(rng, width: int) -> BitState:
+    """A uniform ``width``-cell state: one int64 draw up to 63 cells, one
+    uint64 draw at 64."""
+    if width < 64:
+        return BitState(int(rng.integers(0, 1 << width)), width)
+    return BitState(int(rng.integers(0, 1 << 64, dtype=np.uint64)), width)
+
+
 def _random_config(args) -> VariantConfig:
+    variant = args.variant
+    w_e = 8 if variant is Variant.CASE_II else args.we
+    if not SIM_MIN_WIDTH <= args.wo <= SIM_MAX_WIDTH:
+        raise ValueError(f"organism width must be in [{SIM_MIN_WIDTH}, {SIM_MAX_WIDTH}]")
+    if variant.has_environment and w_e is not None and not 1 <= w_e <= SIM_MAX_WIDTH:
+        raise ValueError(f"environment width must be in [1, {SIM_MAX_WIDTH}]")
     rng = execution_rng(args.seed)
     canon = canonical_rules()
     r_o = args.rule_o if args.rule_o is not None else canon[int(rng.integers(0, 88))]
     r_e = args.rule_e if args.rule_e is not None else canon[int(rng.integers(0, 88))]
     s_o = (BitState.from_string(args.state_o) if args.state_o
-           else BitState(int(rng.integers(0, 1 << args.wo)), args.wo))
-    variant = args.variant
+           else _draw_state(rng, args.wo))
     if variant is Variant.CASE_III:
         return VariantConfig(variant, s_o, r_o, mu=args.mu, seed=args.seed)
     if variant is Variant.ISOLATED:
         return VariantConfig(variant, s_o, r_o)
-    w_e = 8 if variant is Variant.CASE_II else args.we
     if w_e is None:
         raise ValueError("this variant requires --we")
     s_e = (BitState.from_string(args.state_e) if args.state_e
-           else BitState(int(rng.integers(0, 1 << w_e)), w_e))
+           else _draw_state(rng, w_e))
     return VariantConfig(variant, s_o, r_o, s_e=s_e, r_e=r_e)
 
 

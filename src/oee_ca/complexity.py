@@ -1,9 +1,13 @@
 """LZW compressibility and Lyapunov exponents for organism trajectories.
 
 Compressed size is counted in variable-width code bits: each emitted code
-costs ceil(log2(dictionary size at emission time)).  The dictionary grows by
-one entry per emission, so the size is a function of the phrase count alone;
-the LZW pass only counts phrases, walking an integer trie over 0/1 bytes.
+costs ceil(log2(dictionary size at emission time)), as in Welch's LZW
+(IEEE Computer 17(6), 1984).  The dictionary grows by one entry per
+emission, so the size is a function of the phrase count alone, in closed
+form; the LZW pass only counts phrases, walking an integer trie over 0/1
+bytes.  A window of packed organism states is serialized row-major, each
+state MSB first, by joining rows of a per-width table of 0/1 bytes while the
+table fits in ``TABLE_BUDGET`` cells, else rows formatted per state.
 The compressibility C of a trajectory is its compressed bit count divided by
 an ensemble-maximum normalization constant taken over random fixed-rule ECA
 of the full-system width; large C means low complexity.  The constant's
@@ -18,15 +22,17 @@ import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from statistics import linear_regression
 
 import numpy as np
 
-from .eca import BitState
 from .variants import (
+    TABLE_BUDGET,
     Trajectory,
     Variant,
     VariantConfig,
+    _Computed,
     execution_rng,
     follow,
     run_trajectory,
@@ -43,14 +49,31 @@ class ComplexityReport:
     k: float | str  # per-step exponential rate, or the "extinct" sentinel
 
 
-def serialize_trajectory(states: list[BitState]) -> str:
-    """Row-major concatenation of cell bits, one row per time step."""
+_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+@lru_cache(maxsize=None)
+def _row_table(width: int) -> list[bytes]:
+    cells = np.arange(1 << width, dtype=np.uint32)[:, None]
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
+    return [row.tobytes() for row in ((cells >> shifts) & 1).astype(np.uint8)]
+
+
+def state_rows(width: int):
+    """``rows[s]``: the cells of the ``width``-cell state ``s`` as 0/1 bytes,
+    leftmost cell first."""
+    if width << width <= TABLE_BUDGET:
+        return _row_table(width)
+    fmt = f"0{width}b"
+    return _Computed(lambda s: format(s, fmt).encode().translate(_TO_BITS))
+
+
+def serialize_states(states: list[int], width: int) -> bytes:
+    """Row-major 0/1 bytes of packed states, one row per time step."""
     if not states:
         raise ValueError("need at least one state")
-    return "".join(s.to_string() for s in states)
-
-
-_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+    rows = state_rows(width)
+    return b"".join([rows[s] for s in states])
 
 
 def lzw_phrase_count(bits: bytes) -> int:
@@ -82,9 +105,12 @@ def lzw_size_bits(phrases: int) -> int:
     """Compressed size of an LZW output of ``phrases`` codes.
 
     The k-th code (from 0) is emitted while the dictionary holds 2 + k
-    entries, so it costs ceil(log2(2 + k)) = (k + 1).bit_length() bits.
+    entries, so it costs ceil(log2(2 + k)) = (k + 1).bit_length() bits.  The
+    sum of ``j.bit_length()`` over j = 1..m is ``(m + 1) * L - 2**L + 1``
+    with ``L = m.bit_length()`` (0 for m = 0).
     """
-    return sum(j.bit_length() for j in range(1, phrases + 1))
+    n = phrases.bit_length()
+    return (phrases + 1) * n - (1 << n) + 1
 
 
 def lzw_compress_bits(symbols: str) -> int:
@@ -178,11 +204,11 @@ def fixed_rule_runs(w: int, samples: int, steps: int, seed: int) -> Iterator[byt
             yield rows[:, 1:w + 1, i].tobytes()
 
 
-def compressibility(states: list[BitState], norm_bits: int) -> tuple[int, float]:
-    """(compressed_bits, C) for a state trajectory."""
+def compressibility(states: list[int], width: int, norm_bits: int) -> tuple[int, float]:
+    """(compressed_bits, C) for a window of packed ``width``-cell states."""
     if norm_bits <= 0:
         raise ValueError("norm_bits must be positive")
-    bits = lzw_compress_bits(serialize_trajectory(states))
+    bits = lzw_size_bits(lzw_phrase_count(serialize_states(states, width)))
     return bits, bits / norm_bits
 
 

@@ -15,6 +15,7 @@ state-space sizes; the state-space product is implemented.)
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
@@ -24,7 +25,7 @@ from scipy import stats
 
 from . import complexity as cx
 from .eca import BitState, canonical_rules, wolfram_class
-from .innovation import innovation_metric, is_eca_reproducible
+from .innovation import is_eca_reproducible
 from .recurrence import build_report, detect_cycle, poincare_time
 from .variants import Trajectory, Variant, VariantConfig, execution_rng, run_trajectory
 
@@ -55,6 +56,8 @@ class SamplePlan:
     norm_seed: int = 0
 
     def __post_init__(self):
+        if self.sample_count < 1:
+            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
         if self.variant is Variant.CASE_II:
             if self.w_e not in (None, 8):
                 raise ValueError("Case II fixes w_e = 8")
@@ -185,6 +188,15 @@ def _case3_seed(master_seed: int, index: int) -> int:
     return (master_seed * 0x9E3779B97F4A7C15 + index + 1) & (2**64 - 1)
 
 
+def innovation_window(traj: Trajectory, t_r: int) -> tuple[list[int], bool]:
+    """The INN window of a finished run, organism states 0..max(t_r, 1)
+    within the run, and its INN flag: no fixed ECA rule reproduces the
+    window.  A single-state window is trivially reproducible (identity
+    rule)."""
+    window = traj.states[:max(t_r, 1) + 1]
+    return window, len(window) > 1 and is_eca_reproducible(window, traj.config.w_o) is None
+
+
 def execute_tuple(plan: SamplePlan, index: int, tup: tuple, norm_bits: int) -> ExecutionRecord:
     """Run one sampled tuple through trajectory, recurrence, innovation and
     complexity analysis."""
@@ -205,15 +217,13 @@ def execute_tuple(plan: SamplePlan, index: int, tup: tuple, norm_bits: int) -> E
                                innovation_I=None, compressed_bits=None,
                                norm_bits=norm_bits, C=None, k=None)
 
-    rules = traj.rules
-    window_end = min(max(rep.t_r, 1), len(traj.states) - 1)
-    # the INN window; t_r <= window_end, so it also holds the LZW window
-    states = [BitState(s, plan.w_o) for s in traj.states[:window_end + 1]]
-    # a single-state window is trivially reproducible (identity rule)
-    inn = window_end >= 1 and is_eca_reproducible(states) is None
-    n_rt = sum(1 for a, b in zip(rules[:rep.t_r + 1], rules[1:rep.t_r + 1]) if a != b)
+    rules, t_r = traj.rules, rep.t_r
+    # the INN window 0..max(t_r, 1) is also the LZW window 0..t_r: t_r is at
+    # most the run's last step, and only a one-state run has t_r = 0
+    window, inn = innovation_window(traj, t_r)
+    n_rt = sum(map(operator.ne, rules[:t_r], rules[1:t_r + 1]))
     inno = n_rt / (1 << plan.w_o)
-    compressed, c_val = cx.compressibility(states[:rep.t_r + 1], norm_bits)
+    compressed, c_val = cx.compressibility(window, plan.w_o, norm_bits)
     horizon = max(2, min(rep.t_r, rep.t_P))
     k = cx.lyapunov(config, perturb_bit=0, horizon=horizon, base=traj)
     att = None

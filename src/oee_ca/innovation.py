@@ -5,52 +5,105 @@ consistent with every consecutive transition: isolated trajectories are
 deterministic, so contiguous containment in the counterfactual set reduces
 to single-rule consistency.  The brute-force enumeration below is kept as an
 independent oracle for that reduction.
+
+Windows are packed organism states (ints), as ``Trajectory`` holds them.  A
+transition a -> b pins rule bit v to 1 when some cell of ``a`` with
+neighborhood v is 1 in ``b``, and to 0 when one is 0; the pins of every
+transition of one width come from one table built with numpy from
+``neighborhood_masks`` while it fits in ``TABLE_BUDGET`` entries, and are
+computed from the state's rotations per transition above it.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .eca import BitState, step_table
+import numpy as np
+
+from .eca import (
+    BitState,
+    _rotate_left_cells,
+    _rotate_right_cells,
+    neighborhood_masks,
+    step_table,
+)
+from .variants import TABLE_BUDGET, _Computed
 
 ORACLE_MAGIC = b"OEEC"
 ORACLE_VERSION = 1
 
 
-def is_eca_reproducible(states: list[BitState]) -> int | None:
-    """Smallest rule number generating every consecutive transition, else None.
+@lru_cache(maxsize=None)
+def _pin_table(width: int):
+    """``pins[a << width | b]`` for all pairs of ``width``-cell states."""
+    masks = neighborhood_masks(width)
+    b = np.arange(1 << width, dtype=np.uint32)[None, :]
+    nb = b ^ np.uint32((1 << width) - 1)
+    pins = np.zeros((1 << width, 1 << width), dtype=np.uint16)
+    for v in range(8):
+        m = masks[v][:, None]
+        pins |= ((m & b) != 0).astype(np.uint16) << v
+        pins |= ((m & nb) != 0).astype(np.uint16) << (v + 8)
+    return array("H", pins.tobytes())
 
-    Works by constraint propagation: each (neighborhood -> next cell) pair
-    pins one bit of the rule table; a contradiction means no rule exists.
-    Unconstrained bits resolve to 0, which yields the smallest witness.
+
+def _pins(a: int, b: int, width: int) -> int:
+    """The pins of one transition, from the rotations ``step_bits`` uses."""
+    full = (1 << width) - 1
+    left = _rotate_right_cells(a, width)
+    right = _rotate_left_cells(a, width)
+    nb = b ^ full
+    out = 0
+    for v in range(8):
+        m = ((left if v & 4 else ~left) & (a if v & 2 else ~a)
+             & (right if v & 1 else ~right) & full)
+        if m & b:
+            out |= 1 << v
+        if m & nb:
+            out |= 256 << v
+    return out
+
+
+def transition_pins(width: int):
+    """``pins[a << width | b]``: the rule bits the transition a -> b pins,
+    ``ones | zeros << 8``.  Bit v of ``ones`` (of ``zeros``) is set when
+    some cell whose neighborhood in ``a`` reads v is 1 (is 0) in ``b``, i.e.
+    when ``b & m`` is nonzero (``m & ~b`` is) for ``m = masks[v][a]``."""
+    if 1 << 2 * width <= TABLE_BUDGET:
+        return _pin_table(width)
+    mask = (1 << width) - 1
+    return _Computed(lambda key: _pins(key >> width, key & mask, width))
+
+
+def is_eca_reproducible(states: list[int], width: int) -> int | None:
+    """Smallest rule number generating every consecutive transition of the
+    packed ``width``-cell states, else None.
+
+    Works by constraint propagation: each transition pins rule bits to 1
+    (``ones``) or to 0 (``zeros``); a bit pinned both ways means no rule
+    exists.  Unpinned bits resolve to 0, which yields the smallest witness,
+    ``ones``.
     """
     if len(states) < 2:
         raise ValueError("need at least 2 states")
-    width = states[0].width
-    if any(s.width != width for s in states):
-        raise ValueError("states must share one width")
-
-    required: dict[int, int] = {}  # neighborhood value -> output bit
+    if min(states) < 0 or max(states) >> width:
+        raise ValueError(f"states must fit in {width} cells")
+    pins = transition_pins(width)
+    acc = 0
     for a, b in zip(states, states[1:]):
-        for p in range(width):
-            v = (a.cell(p - 1) << 2) | (a.cell(p) << 1) | a.cell(p + 1)
-            out = b.cell(p)
-            prev = required.get(v)
-            if prev is None:
-                required[v] = out
-            elif prev != out:
-                return None
-    rule = 0
-    for v, out in required.items():
-        rule |= out << v
-    return rule
+        acc |= pins[a << width | b]
+        if acc & (acc >> 8) & 0xFF:
+            return None
+    return acc & 0xFF
 
 
-def inn_flag(states: list[BitState]) -> bool:
+def inn_flag(states: list[int], width: int) -> bool:
     """Innovation: the window is inconsistent with every fixed ECA rule."""
-    return is_eca_reproducible(states) is None
+    return is_eca_reproducible(states, width) is None
 
 
 def innovation_metric(rules: list[int], w_o: int) -> float:

@@ -10,7 +10,9 @@ repetition.  Unbounded evolution compares these against the Poincare bound
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .variants import Trajectory, Variant
 
@@ -51,20 +53,26 @@ def detect_cycle(traj: Trajectory) -> CycleInfo | None:
     return CycleInfo(traj.first_seen, traj.repeat_time - traj.first_seen)
 
 
-def projected_recurrence(sequence, cycle: CycleInfo) -> tuple[int, int, int]:
+@lru_cache(maxsize=4096)
+def _proper_divisors(n: int) -> tuple[int, ...]:
+    """The divisors of ``n`` below ``n``, ascending."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return tuple(d for d in sorted({*small, *(n // d for d in small)}) if d < n)
+
+
+def projected_recurrence(sequence: list, cycle: CycleInfo) -> tuple[int, int, int]:
     """(p, lam, t_rec) of a projected sequence of a trajectory with known
     full-system cycle.  ``sequence`` must cover indices 0 .. P+L."""
     P, L = cycle.pre_period, cycle.period
     if len(sequence) < P + L + 1:
         raise ValueError("sequence must cover the pre-period plus one full cycle")
 
-    def divisors(n):
-        ds = [d for d in range(1, int(n**0.5) + 1) if n % d == 0]
-        return sorted(set(ds + [n // d for d in ds]))
-
+    # the smallest d dividing L with sequence[t + d] == sequence[t] over one
+    # cycle; d == L always holds, since the full system repeats with period L
     lam = L
-    for d in divisors(L):
-        if all(sequence[t + d] == sequence[t] for t in range(P, P + L - d)):
+    first = sequence[P]
+    for d in _proper_divisors(L):
+        if sequence[P + d] == first and sequence[P + d:P + L] == sequence[P:P + L - d]:
             lam = d
             break
 

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 from oee_ca.complexity import EXTINCT, fit_exponent
 from oee_ca.eca import BitState, step_bits, triplet_counts_bits
-from oee_ca.ensemble import SamplePlan, config_for_tuple, draw_plan
-from oee_ca.innovation import is_eca_reproducible
-from oee_ca.recurrence import build_report
+from oee_ca.ensemble import SamplePlan, config_for_tuple, draw_plan, innovation_window
+from oee_ca.recurrence import CycleInfo, build_report
 from oee_ca.variants import (
     SystemSnapshot,
     Trajectory,
@@ -44,9 +43,7 @@ def light_stats(plan: SamplePlan, tuples=None) -> LightStats:
             n_cens += 1
             continue
         n += 1
-        end = min(max(rep.t_r, 1), len(traj.states) - 1)
-        inn = end >= 1 and is_eca_reproducible(
-            [BitState(s, plan.w_o) for s in traj.states[:end + 1]]) is None
+        _, inn = innovation_window(traj, rep.t_r)
         n_inn += inn
         n_ue += bool(rep.ue)
         n_oee += bool(rep.ue and inn)
@@ -121,6 +118,69 @@ def scalar_lyapunov(config: VariantConfig, perturb_bit: int = 0, horizon: int = 
     if ys[0] == 0:
         return EXTINCT
     return fit_exponent(ys)
+
+
+def scalar_is_eca_reproducible(states: list[int], width: int) -> int | None:
+    """``is_eca_reproducible`` three ``BitState.cell`` reads per cell, each
+    (neighborhood -> next cell) pair pinning one rule bit (oracle)."""
+    states = [BitState(s, width) for s in states]
+    if len(states) < 2:
+        raise ValueError("need at least 2 states")
+    required: dict[int, int] = {}  # neighborhood value -> output bit
+    for a, b in zip(states, states[1:]):
+        for p in range(width):
+            v = (a.cell(p - 1) << 2) | (a.cell(p) << 1) | a.cell(p + 1)
+            out = b.cell(p)
+            prev = required.get(v)
+            if prev is None:
+                required[v] = out
+            elif prev != out:
+                return None
+    rule = 0
+    for v, out in required.items():
+        rule |= out << v
+    return rule
+
+
+def serialize_trajectory(states: list[BitState]) -> str:
+    """Row-major concatenation of cell bits, one row per time step (oracle
+    of ``serialize_states``)."""
+    if not states:
+        raise ValueError("need at least one state")
+    return "".join(s.to_string() for s in states)
+
+
+def scalar_compressibility(states: list[int], width: int,
+                           norm_bits: int) -> tuple[int, float]:
+    """``compressibility`` through ``BitState.to_string`` and the
+    string-keyed LZW (oracle)."""
+    if norm_bits <= 0:
+        raise ValueError("norm_bits must be positive")
+    symbols = serialize_trajectory([BitState(s, width) for s in states])
+    bits = sum(code_width for _, code_width in lzw_compress(symbols))
+    return bits, bits / norm_bits
+
+
+def scalar_projected_recurrence(sequence, cycle: CycleInfo) -> tuple[int, int, int]:
+    """``projected_recurrence`` with one generator per divisor (oracle)."""
+    P, L = cycle.pre_period, cycle.period
+    if len(sequence) < P + L + 1:
+        raise ValueError("sequence must cover the pre-period plus one full cycle")
+
+    def divisors(n):
+        ds = [d for d in range(1, int(n**0.5) + 1) if n % d == 0]
+        return sorted(set(ds + [n // d for d in ds]))
+
+    lam = L
+    for d in divisors(L):
+        if all(sequence[t + d] == sequence[t] for t in range(P, P + L - d)):
+            lam = d
+            break
+
+    p = P
+    while p > 0 and sequence[p - 1 + lam] == sequence[p - 1]:
+        p -= 1
+    return p, lam, p + lam
 
 
 def scalar_step_table(rule_number: int, width: int) -> tuple[int, ...]:

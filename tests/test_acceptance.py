@@ -230,7 +230,7 @@ def test_criterion_12_oracle_equivalence():
                     windows.add(tuple(seq[:max(t_r, 1) + 1]))
     cf3 = brute_force_counterfactual(3)
     mismatches = sum(
-        (is_eca_reproducible([BitState(b, 3) for b in w]) is not None)
+        (is_eca_reproducible(list(w), 3) is not None)
         != cf3.contains([BitState(b, 3) for b in w])
         for w in windows)
 
@@ -241,8 +241,9 @@ def test_criterion_12_oracle_equivalence():
     for i, tup in enumerate(draw_plan(plan)):
         traj = run_trajectory(config_for_tuple(plan, i, tup))
         rep = build_report(traj)
-        states = [BitState(s, 4) for s in traj.states[:max(rep.t_r, 1) + 1]]
-        if (is_eca_reproducible(states) is not None) != cf4.contains(states):
+        window = traj.states[:max(rep.t_r, 1) + 1]
+        if ((is_eca_reproducible(window, 4) is not None)
+                != cf4.contains([BitState(s, 4) for s in window])):
             mismatches4 += 1
     ok = mismatches == 0 and mismatches4 == 0
     assert verdict(12, "oracle equivalence", ok,

@@ -5,7 +5,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import lzw_compress, lzw_decompress, scalar_normalization_constant
+from helpers import (
+    lzw_compress,
+    lzw_decompress,
+    scalar_compressibility,
+    scalar_normalization_constant,
+    serialize_trajectory,
+)
 from oee_ca.complexity import (
     EXTINCT,
     NORM_MAX_WIDTH,
@@ -16,11 +22,13 @@ from oee_ca.complexity import (
     lyapunov_mean,
     lzw_compress_bits,
     lzw_phrase_count,
+    lzw_size_bits,
     normalization_constant,
-    serialize_trajectory,
+    serialize_states,
+    state_rows,
 )
 from oee_ca.eca import BitState, step_bits
-from oee_ca.variants import Variant, VariantConfig, execution_rng
+from oee_ca.variants import TABLE_BUDGET, Variant, VariantConfig, execution_rng
 
 
 # --- serialization ----------------------------------------------------------
@@ -40,9 +48,46 @@ def test_serialize_length(width, steps, data):
 def test_serialize_empty_rejected():
     with pytest.raises(ValueError):
         serialize_trajectory([])
+    with pytest.raises(ValueError):
+        serialize_states([], 4)
+
+
+TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([*range(3, 18), 40, 64]), st.data())
+def test_serialize_states_matches_oracle(width, data):
+    """Rows from the table (up to 16 cells) or formatted per state (17 and
+    more) equal the ``BitState.to_string`` serialization as 0/1 bytes."""
+    states = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=20))
+    want = serialize_trajectory([BitState(s, width) for s in states])
+    assert serialize_states(states, width) == want.encode().translate(TO_BITS)
+
+
+def test_state_rows_chosen_by_budget():
+    """A table of 0/1 rows while its cells fit the budget: 16 cells, not 17."""
+    assert 16 << 16 <= TABLE_BUDGET < 17 << 17
+    assert isinstance(state_rows(16), list)
+    assert not isinstance(state_rows(17), list)
 
 
 # --- LZW --------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**5))
+def test_lzw_size_bits_closed_form(m):
+    assert lzw_size_bits(m) == sum(j.bit_length() for j in range(1, m + 1))
+
+
+@given(st.integers(0, 2**200))
+def test_lzw_size_bits_large(m):
+    """Against the sum grouped by bit length: L-bit codes j run from
+    2**(L-1) to min(m, 2**L - 1)."""
+    want = sum(n * (min(m, (1 << n) - 1) - (1 << (n - 1)) + 1)
+               for n in range(1, m.bit_length() + 1))
+    assert lzw_size_bits(m) == want
+
 
 def test_lzw_single_symbol_costs_one_bit():
     assert lzw_compress_bits("0") == 1
@@ -186,23 +231,30 @@ def test_fixed_rule_runs_independent_of_chunking(w, monkeypatch):
 # --- compressibility --------------------------------------------------------
 
 def test_compressibility_linearity():
-    states = [BitState(0b0110, 4)] * 8
-    bits, c1 = compressibility(states, 100)
-    _, c2 = compressibility(states, 200)
+    states = [0b0110] * 8
+    bits, c1 = compressibility(states, 4, 100)
+    _, c2 = compressibility(states, 4, 200)
     assert c1 == bits / 100 and math.isclose(c2, c1 / 2)
 
 
 def test_compressibility_constant_below_random():
     rng = execution_rng(8)
-    const = [BitState(0, 6)] * 64
-    rand = [BitState(int(rng.integers(0, 64)), 6) for _ in range(64)]
+    const = [0] * 64
+    rand = [int(rng.integers(0, 64)) for _ in range(64)]
     norm = 1000
-    assert compressibility(const, norm)[1] < compressibility(rand, norm)[1]
+    assert compressibility(const, 6, norm)[1] < compressibility(rand, 6, norm)[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4, 6, 9, 17]), st.data())
+def test_compressibility_matches_oracle(width, data):
+    states = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=40))
+    assert compressibility(states, width, 777) == scalar_compressibility(states, width, 777)
 
 
 def test_compressibility_rejects_bad_norm():
     with pytest.raises(ValueError):
-        compressibility([BitState(0, 4)], 0)
+        compressibility([0], 4, 0)
 
 
 # --- Lyapunov ---------------------------------------------------------------

@@ -62,6 +62,12 @@ def test_case3_plan_defaults_mu():
         SamplePlan(Variant.CASE_III, 3, w_e=3, sample_count=10)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_plan_requires_samples(count):
+    with pytest.raises(ValueError, match="sample_count must be >= 1"):
+        SamplePlan(Variant.ISOLATED, 4, sample_count=count)
+
+
 def test_case1_plan_requires_we():
     with pytest.raises(ValueError):
         SamplePlan(Variant.CASE_I, 3, sample_count=10)
@@ -300,16 +306,57 @@ def test_report_round_trips_to_dict(small_case1_records):
     SamplePlan(Variant.ISOLATED, 5, sample_count=300, master_seed=10),
 ], ids=["case1-4x4", "case1-5x12", "case2", "case3", "case3-capped", "eca"])
 def test_execute_tuple_matches_all_scalar_execution(plan, monkeypatch):
-    """Records from the packed loop and the base-reusing Lyapunov equal those
-    from snapshot stepping and a re-simulated Lyapunov base."""
+    """Records from the packed loop, the base-reusing Lyapunov and the packed
+    INN, LZW input and recurrence equal those from snapshot stepping, a
+    re-simulated Lyapunov base, ``BitState`` INN and LZW input and the
+    generator recurrence."""
     import oee_ca.complexity as cx
     import oee_ca.ensemble as ens
-    from helpers import scalar_lyapunov, scalar_trajectory
+    import oee_ca.recurrence as rec
+    from helpers import (
+        scalar_compressibility,
+        scalar_is_eca_reproducible,
+        scalar_lyapunov,
+        scalar_projected_recurrence,
+        scalar_trajectory,
+    )
 
     tuples = draw_plan(plan)
     packed = [ens.execute_tuple(plan, i, tup, 1000) for i, tup in enumerate(tuples)]
     monkeypatch.setattr(ens, "run_trajectory", scalar_trajectory)
     monkeypatch.setattr(cx, "lyapunov", scalar_lyapunov)
+    monkeypatch.setattr(ens, "is_eca_reproducible", scalar_is_eca_reproducible)
+    monkeypatch.setattr(cx, "compressibility", scalar_compressibility)
+    monkeypatch.setattr(rec, "projected_recurrence", scalar_projected_recurrence)
     scalar = [ens.execute_tuple(plan, i, tup, 1000) for i, tup in enumerate(tuples)]
     assert packed == scalar
     assert any(not r.censored for r in packed)
+
+
+@pytest.mark.parametrize("plan", [
+    SamplePlan(Variant.CASE_I, 4, 4, sample_count=300, master_seed=11),
+    SamplePlan(Variant.CASE_III, 5, mu=0.5, sample_count=200, master_seed=12),
+], ids=["case1-4x4", "case3"])
+def test_record_windows_follow_their_definitions(plan):
+    """n_r counts rule changes over steps 0..t_r, INN tests the organism
+    states 0..max(t_r, 1) and LZW compresses the states 0..t_r, each taken
+    from the run directly and checked with the ``BitState`` oracles."""
+    from helpers import scalar_compressibility, scalar_is_eca_reproducible
+    from oee_ca.ensemble import execute_tuple
+    from oee_ca.variants import run_trajectory
+
+    checked = 0
+    for i, tup in enumerate(draw_plan(plan)):
+        rec = execute_tuple(plan, i, tup, 1000)
+        if rec.censored:
+            continue
+        traj = run_trajectory(config_for_tuple(plan, i, tup), plan.step_cap)
+        states, rules, t_r = traj.states, traj.rules, rec.t_r
+        assert rec.n_rule_transitions == sum(rules[t] != rules[t + 1] for t in range(t_r))
+        window = states[:max(t_r, 1) + 1]
+        assert rec.inn == (len(window) > 1
+                           and scalar_is_eca_reproducible(window, plan.w_o) is None)
+        assert rec.compressed_bits == scalar_compressibility(states[:t_r + 1], plan.w_o, 1000)[0]
+        checked += t_r < len(states) - 1
+    # a Case I run can outlast t_r, so its windows must stop inside the run
+    assert checked or not plan.variant.deterministic

@@ -1,18 +1,24 @@
 """Innovation predicate, metric, and the brute-force counterfactual oracle."""
 
+from array import array
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oee_ca.eca import BitState, rule_from_number, step
+from helpers import scalar_is_eca_reproducible
+from oee_ca.eca import BitState, rule_from_number, step, step_bits
 from oee_ca.innovation import (
+    _pins,
     brute_force_counterfactual,
     inn_flag,
     innovation_metric,
     is_eca_reproducible,
     load_oracle_cache,
     save_oracle_cache,
+    transition_pins,
 )
-from oee_ca.variants import Variant, VariantConfig, run_trajectory
+from oee_ca.variants import TABLE_BUDGET, Variant, VariantConfig, run_trajectory
 
 
 def states_of(width, packed):
@@ -27,46 +33,49 @@ def test_fixed_rule_trajectory_is_reproducible(rule, width, data):
     seq = [BitState(init, width)]
     for _ in range(10):
         seq.append(step(rule_from_number(rule), seq[-1]))
-    witness = is_eca_reproducible(seq)
+    packed = [s.bits for s in seq]
+    witness = is_eca_reproducible(packed, width)
     assert witness is not None
     # the returned witness itself generates the sequence
     for a, b in zip(seq, seq[1:]):
         assert step(rule_from_number(witness), a) == b
-    assert not inn_flag(seq)
+    assert not inn_flag(packed, width)
 
 
 def test_contradictory_window():
     # 000 -> 010: cells 0 and 1 both see neighborhood 000 yet differ next step
-    assert is_eca_reproducible(states_of(3, [0b000, 0b010])) is None
-    assert inn_flag(states_of(3, [0b000, 0b010]))
+    assert is_eca_reproducible([0b000, 0b010], 3) is None
+    assert inn_flag([0b000, 0b010], 3)
 
 
 def test_alternating_homogeneous_is_reproducible():
-    seq = states_of(4, [0b0000, 0b1111, 0b0000, 0b1111])
-    witness = is_eca_reproducible(seq)
+    seq = [0b0000, 0b1111, 0b0000, 0b1111]
+    witness = is_eca_reproducible(seq, 4)
     assert witness is not None  # e.g. any rule with 000->1, 111->0
-    assert not inn_flag(seq)
+    assert not inn_flag(seq, 4)
 
 
 def test_constant_window_is_reproducible():
-    seq = states_of(4, [0b0110] * 5)
-    witness = is_eca_reproducible(seq)
+    seq = [0b0110] * 5
+    witness = is_eca_reproducible(seq, 4)
     assert witness is not None  # rule 204 (identity) is one valid witness
     for a, b in zip(seq, seq[1:]):
-        assert step(rule_from_number(witness), a) == b
-    assert not inn_flag(seq)
+        assert step_bits(witness, a, 4) == b
+    assert not inn_flag(seq, 4)
 
 
 def test_smallest_witness_returned():
     # all-zero constant run is explained by rule 0 (smallest witness)
-    assert is_eca_reproducible(states_of(3, [0, 0, 0])) == 0
+    assert is_eca_reproducible([0, 0, 0], 3) == 0
 
 
 def test_reproducible_validation():
     with pytest.raises(ValueError):
-        is_eca_reproducible(states_of(3, [1]))
+        is_eca_reproducible([1], 3)
     with pytest.raises(ValueError):
-        is_eca_reproducible([BitState(0, 3), BitState(0, 4)])
+        is_eca_reproducible([0, 0b1000], 3)   # a 4-cell state in a 3-cell window
+    with pytest.raises(ValueError):
+        is_eca_reproducible([0, -1], 3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -77,11 +86,61 @@ def test_reproducible_monotone_on_subwindows(r_o, r_e, so, se, data):
     config = VariantConfig(Variant.CASE_I, BitState(so, 4), r_o,
                            s_e=BitState(se, 4), r_e=r_e)
     traj = run_trajectory(config)
-    window = [BitState(s, 4) for s in traj.states]
-    if is_eca_reproducible(window) is not None and len(window) > 2:
+    window = traj.states
+    if is_eca_reproducible(window, 4) is not None and len(window) > 2:
         lo = data.draw(st.integers(0, len(window) - 2))
         hi = data.draw(st.integers(lo + 2, len(window)))
-        assert is_eca_reproducible(window[lo:hi]) is not None
+        assert is_eca_reproducible(window[lo:hi], 4) is not None
+
+
+@st.composite
+def windows(draw, width):
+    """A window of 2..12 packed states: a fixed-rule run, optionally with one
+    state replaced, or states drawn at random."""
+    n = draw(st.integers(2, 12))
+    state = st.integers(0, (1 << width) - 1)
+    if draw(st.booleans()):
+        return [draw(state) for _ in range(n)]
+    rule, seq = draw(st.integers(0, 255)), [draw(state)]
+    for _ in range(n - 1):
+        seq.append(step_bits(rule, seq[-1], width))
+    if draw(st.booleans()):
+        seq[draw(st.integers(0, n - 1))] = draw(state)
+    return seq
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_inn_matches_bitstate_oracle(data):
+    """Widths 3..10 read the pin table; 11..13, 16 and 40 compute pins."""
+    width = data.draw(st.sampled_from([*range(3, 14), 16, 40]))
+    window = data.draw(windows(width))
+    assert is_eca_reproducible(window, width) == scalar_is_eca_reproducible(window, width)
+
+
+@lru_cache(maxsize=None)
+def counterfactual(width):
+    return brute_force_counterfactual(width)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 5), st.data())
+def test_packed_inn_matches_counterfactual_set(width, data):
+    window = data.draw(windows(width))
+    assert ((is_eca_reproducible(window, width) is not None)
+            == counterfactual(width).contains(states_of(width, window)))
+
+
+def test_pins_chosen_by_budget():
+    """The pin table covers every pair of states up to 10 cells; wider pins
+    are computed, and the table's entries equal the computed ones."""
+    assert 1 << 20 <= TABLE_BUDGET < 1 << 22
+    assert isinstance(transition_pins(10), array)
+    assert not isinstance(transition_pins(11), array)
+    for width in (3, 6):
+        table = transition_pins(width)
+        assert list(table) == [_pins(k >> width, k & ((1 << width) - 1), width)
+                               for k in range(1 << 2 * width)]
 
 
 # --- innovation_metric ------------------------------------------------------
@@ -131,9 +190,8 @@ def test_oracle_equivalence_random_windows(width, data):
     """inn_flag <=> NOT contained in the counterfactual set."""
     cf = brute_force_counterfactual(width)
     n = data.draw(st.integers(2, 6))
-    window = [BitState(data.draw(st.integers(0, (1 << width) - 1)), width)
-              for _ in range(n)]
-    assert (is_eca_reproducible(window) is not None) == cf.contains(window)
+    window = [data.draw(st.integers(0, (1 << width) - 1)) for _ in range(n)]
+    assert (is_eca_reproducible(window, width) is not None) == cf.contains(states_of(width, window))
 
 
 # --- oracle cache file ------------------------------------------------------

@@ -293,6 +293,53 @@ def test_cli_render_case3_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("widths", [["--wo", "64", "--we", "4"], ["--wo", "4", "--we", "64"]])
+def test_cli_run_draws_64_cell_states(widths, tmp_path):
+    """A 64-cell state is drawn over its whole range: the leftmost cell is
+    set for some seeds."""
+    top = set()
+    for seed in range(4):
+        out = str(tmp_path / f"traj{seed}.csv")
+        assert main(["run", "--variant", "case1", *widths, "--cap", "5",
+                     "--seed", str(seed), "--out", out]) == EXIT_OK
+        row = [l for l in open(out) if not l.startswith("#")][1].strip().split(",")
+        wide = row[1] if widths[1] == "64" else row[3]
+        assert len(wide) == 64
+        top.add(wide[0])
+    assert top == {"0", "1"}
+
+
+@pytest.mark.parametrize("widths, message", [
+    (["--wo", "70", "--we", "4"], "organism width must be in [3, 64]"),
+    (["--wo", "4", "--we", "70"], "environment width must be in [1, 64]"),
+])
+def test_cli_run_width_above_64_reports_range(widths, message, tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    assert main(["run", "--variant", "case1", *widths, "--out", str(out)]) == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--wo", "0"], ["--wo", "5", "--we", "0"],
+                                   ["--wo", "5", "--steps", "-1"]])
+def test_cli_render_empty_sizes_are_usage_errors(flags, tmp_path, capsys):
+    out = tmp_path / "render.pgm"
+    with pytest.raises(SystemExit) as exc:
+        main(["render", *flags, "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert "must be >=" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cli_ensemble_without_samples_is_usage_error(samples, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ensemble", "--variant", "eca", "--wo", "4", "--samples", samples,
+              "--out", str(tmp_path / "r.csv"), "--report", str(tmp_path / "rep.json")])
+    assert exc.value.code == EXIT_USAGE
+    assert "--samples: must be >= 1" in capsys.readouterr().err
+
+
 def test_cli_norm_width_out_of_range_exits_3(tmp_path, capsys):
     code = main(["ensemble", "--variant", "case1", "--wo", "40", "--we", "30",
                  "--samples", "2", "--out", str(tmp_path / "r.csv"),

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import naive_cycle
+from helpers import naive_cycle, scalar_projected_recurrence
 
 from oee_ca.eca import BitState, step_table
 from oee_ca.recurrence import (
@@ -129,6 +129,35 @@ def test_projected_pre_period_shrinks():
 def test_projected_requires_full_window():
     with pytest.raises(ValueError):
         projected_recurrence([1, 2], CycleInfo(1, 2))
+
+
+@st.composite
+def projected_sequences(draw):
+    """(sequence, P, L): a pre-period of P values, then a cycle of L values
+    that is itself periodic with some period dividing L (or random), over a
+    small alphabet, covering at least indices 0..P+L."""
+    symbols = st.integers(0, 2)
+    P, L = draw(st.integers(0, 30)), draw(st.integers(1, 60))
+    pre = draw(st.lists(symbols, min_size=P, max_size=P))
+    if draw(st.booleans()):
+        lam = draw(st.sampled_from([d for d in range(1, L + 1) if L % d == 0]))
+        unit = draw(st.lists(symbols, min_size=lam, max_size=lam))
+        cycle = unit * (L // lam)
+    else:
+        cycle = draw(st.lists(symbols, min_size=L, max_size=L))
+    if P and draw(st.booleans()):   # the cycle reaches back into the pre-period
+        k = draw(st.integers(1, min(P, L)))
+        pre[P - k:] = cycle[L - k:]
+    tail = draw(st.integers(1, 5))
+    return pre + (cycle * (tail // L + 2))[:L + tail], P, L
+
+
+@settings(max_examples=300, deadline=None)
+@given(projected_sequences())
+def test_projected_recurrence_matches_generator_oracle(case):
+    seq, P, L = case
+    cycle = CycleInfo(P, L)
+    assert projected_recurrence(seq, cycle) == scalar_projected_recurrence(seq, cycle)
 
 
 @settings(max_examples=40, deadline=None)
