@@ -5,6 +5,9 @@ Subcommands: run (single trajectory), ensemble (sampled plan -> records CSV
 analyze (report + SVG plots from a records CSV), render (large-width PGM).
 
 Exit codes: 0 success, 2 usage error, 3 data/format error.
+
+Only ensemble and analyze import ``ensemble``, which loads scipy (about 1 s),
+so the other subcommands start without it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from . import complexity as cx
-from . import ensemble as ens
 from . import io_formats as iof
 from .eca import (
     SIM_MAX_WIDTH,
@@ -30,6 +32,7 @@ from .eca import (
 )
 from .innovation import brute_force_counterfactual, load_oracle_cache
 from .variants import (
+    CASE1_RATIOS,
     Variant,
     VariantConfig,
     case1_update_bits,
@@ -95,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     em.add_argument("--variant", type=_variant, required=True)
     em.add_argument("--wo", type=int, required=True)
     em.add_argument("--we", type=int)
-    em.add_argument("--ratio", choices=ens.CASE1_RATIOS,
+    em.add_argument("--ratio", choices=CASE1_RATIOS,
                     help="environment/organism width ratio (Case I)")
     em.add_argument("--mu", type=float, default=0.5)
     em.add_argument("--samples", type=_int_at_least(1), required=True)
@@ -177,6 +180,12 @@ def _draw_state(rng, width: int) -> BitState:
     return BitState(int(rng.integers(0, 1 << 64, dtype=np.uint64)), width)
 
 
+def _given_state(text: str, flag: str, width: int) -> BitState:
+    if len(text) != width:
+        raise ValueError(f"{flag} has {len(text)} cells, expected {width}")
+    return BitState.from_string(text)
+
+
 def _random_config(args) -> VariantConfig:
     variant = args.variant
     w_e = 8 if variant is Variant.CASE_II else args.we
@@ -188,7 +197,7 @@ def _random_config(args) -> VariantConfig:
     canon = canonical_rules()
     r_o = args.rule_o if args.rule_o is not None else canon[int(rng.integers(0, 88))]
     r_e = args.rule_e if args.rule_e is not None else canon[int(rng.integers(0, 88))]
-    s_o = (BitState.from_string(args.state_o) if args.state_o
+    s_o = (_given_state(args.state_o, "--state-o", args.wo) if args.state_o
            else _draw_state(rng, args.wo))
     if variant is Variant.CASE_III:
         return VariantConfig(variant, s_o, r_o, mu=args.mu, seed=args.seed)
@@ -196,7 +205,7 @@ def _random_config(args) -> VariantConfig:
         return VariantConfig(variant, s_o, r_o)
     if w_e is None:
         raise ValueError("this variant requires --we")
-    s_e = (BitState.from_string(args.state_e) if args.state_e
+    s_e = (_given_state(args.state_e, "--state-e", w_e) if args.state_e
            else _draw_state(rng, w_e))
     return VariantConfig(variant, s_o, r_o, s_e=s_e, r_e=r_e)
 
@@ -226,6 +235,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
+    from . import ensemble as ens
+
     w_e = args.we
     if args.variant is Variant.CASE_I and w_e is None:
         if args.ratio is None:
@@ -274,6 +285,8 @@ def cmd_norm(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import ensemble as ens
+
     records = iof.read_records_csv(args.records)
     report = ens.aggregate(records)
     iof.write_report_json(report, args.report, config_echo=_config_echo(args))

@@ -7,23 +7,24 @@ emission, so the size is a function of the phrase count alone, in closed
 form; the LZW pass only counts phrases, walking an integer trie over 0/1
 bytes.  A window of packed organism states is serialized row-major, each
 state MSB first, by joining rows of a per-width table of 0/1 bytes while the
-table fits in ``TABLE_BUDGET`` cells, else rows formatted per state.
+table fits in ``TABLE_BUDGET`` cells, else by unpacking the whole window with
+numpy.
 The compressibility C of a trajectory is its compressed bit count divided by
 an ensemble-maximum normalization constant taken over random fixed-rule ECA
 of the full-system width; large C means low complexity.  The constant's
-sample runs are stepped together with numpy, a chunk of samples at a time;
-with the ensemble's defaults (1000 samples x 1024 steps) norm(8) takes
-about 1 s.
+sample runs are stepped one at a time to their first repeated state; a run
+is walked by LZW only when a bound on the phrase count of an eventually
+periodic string leaves room to beat the largest count so far.  With the
+ensemble's defaults (1000 samples x 1024 steps) norm(8) takes about 0.1 s
+and norm(19) about 0.9 s on one core of a 2-vCPU host.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from statistics import linear_regression
 
 import numpy as np
 
@@ -32,9 +33,9 @@ from .variants import (
     Trajectory,
     Variant,
     VariantConfig,
-    _Computed,
     execution_rng,
     follow,
+    organism_steps,
     run_trajectory,
 )
 
@@ -59,21 +60,25 @@ def _row_table(width: int) -> list[bytes]:
     return [row.tobytes() for row in ((cells >> shifts) & 1).astype(np.uint8)]
 
 
-def state_rows(width: int):
+def state_rows(width: int) -> list[bytes] | None:
     """``rows[s]``: the cells of the ``width``-cell state ``s`` as 0/1 bytes,
-    leftmost cell first."""
-    if width << width <= TABLE_BUDGET:
-        return _row_table(width)
-    fmt = f"0{width}b"
-    return _Computed(lambda s: format(s, fmt).encode().translate(_TO_BITS))
+    leftmost cell first; None when the table would exceed ``TABLE_BUDGET``
+    cells."""
+    return _row_table(width) if width << width <= TABLE_BUDGET else None
 
 
 def serialize_states(states: list[int], width: int) -> bytes:
-    """Row-major 0/1 bytes of packed states, one row per time step."""
+    """Row-major 0/1 bytes of packed states of at most 64 cells, one row per
+    time step."""
     if not states:
         raise ValueError("need at least one state")
     rows = state_rows(width)
-    return b"".join([rows[s] for s in states])
+    if rows is not None:
+        return b"".join([rows[s] for s in states])
+    if width > 64:
+        raise ValueError(f"cannot serialize states wider than 64 cells, got {width}")
+    packed = np.array(states, dtype=">u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(packed, axis=1)[:, 64 - width:].tobytes()
 
 
 def lzw_phrase_count(bits: bytes) -> int:
@@ -122,11 +127,6 @@ def lzw_compress_bits(symbols: str) -> int:
 
 _NORM_MEMO: dict[tuple[int, int, int, int], int] = {}
 NORM_MAX_WIDTH = 63          # initial states are drawn as int64 values
-# Samples stepped together share one buffer of about this many bytes, or of
-# eight runs when runs are longer: each step costs the same numpy calls for
-# any chunk size, so a chunk of one would step long runs slower than Python.
-_NORM_CHUNK_BYTES = 1 << 20
-_NORM_MIN_CHUNK = 8
 
 
 def normalization_constant(w: int, samples: int = 10_000, steps: int = 65_536,
@@ -137,9 +137,18 @@ def normalization_constant(w: int, samples: int = 10_000, steps: int = 65_536,
     is capped at min(steps, 2**(2w)).  Memoized per parameter tuple,
     optionally backed by a text cache file of
     ``<w> <samples> <steps> <seed> <max_bits>`` lines.
+
+    Sample i draws ``rng.integers(0, 256)`` (its rule), then
+    ``rng.integers(0, 1 << w)`` (its initial state), from
+    ``execution_rng(seed)``, and is stepped only to its first repeated state
+    (``fixed_rule_run``).  LZW walks its run, the cycle repeated out to the
+    full length, only when ``lzw_phrase_bound`` leaves room for more phrases
+    than the largest count so far.
     """
     if not 1 <= w <= NORM_MAX_WIDTH:
         raise ValueError(f"normalization width must be in 1..{NORM_MAX_WIDTH}, got {w}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     key = (w, samples, steps, seed)
     if key in _NORM_MEMO:
         return _NORM_MEMO[key]
@@ -152,8 +161,20 @@ def normalization_constant(w: int, samples: int = 10_000, steps: int = 65_536,
                     return _NORM_MEMO[key]
 
     run_steps = min(steps, 1 << min(2 * w, 62))
-    most = max(map(lzw_phrase_count, fixed_rule_runs(w, samples, run_steps, seed)),
-               default=0)
+    n = (run_steps + 1) * w
+    rng = execution_rng(seed)
+    tables = organism_steps(w)
+    most = 0
+    for _ in range(samples):
+        rule = int(rng.integers(0, 256))
+        states, first = fixed_rule_run(tables[rule], int(rng.integers(0, 1 << w)), run_steps)
+        if lzw_phrase_bound(n, len(states) * w) <= most:
+            continue
+        bits = serialize_states(states, w)
+        if first is not None:
+            head, cycle = bits[:first * w], bits[first * w:]
+            bits = (head + cycle * ((n - len(head)) // len(cycle) + 1))[:n]
+        most = max(most, lzw_phrase_count(bits))
     # the size grows with the phrase count, so the largest count sets the max
     best = lzw_size_bits(most)
     _NORM_MEMO[key] = best
@@ -163,45 +184,76 @@ def normalization_constant(w: int, samples: int = 10_000, steps: int = 65_536,
     return best
 
 
-def fixed_rule_runs(w: int, samples: int, steps: int, seed: int) -> Iterator[bytes]:
-    """Runs of ``samples`` random fixed-rule ECA of width ``w``, ``steps``
-    updates each, serialized row-major as one 0/1 byte per cell: the rows
-    ``step_bits`` gives, each state printed MSB first.
+def fixed_rule_run(step, state: int, steps: int) -> tuple[list[int], int | None]:
+    """A fixed-rule run from ``state`` of at most ``steps`` updates, stopped
+    at its first repeated state: ``(states, first)``.
 
-    Sample i draws ``rng.integers(0, 256)`` (its rule), then
-    ``rng.integers(0, 1 << w)`` (its initial state), from
-    ``execution_rng(seed)``.  A chunk of samples is stepped together in one
-    reused buffer, so memory stays bounded at any width.
+    ``states`` are the distinct states in step order, ``step`` a table of the
+    rule (``organism_steps(width)[rule]``).  The state after ``states[-1]``
+    is ``states[first]``, so from step ``first`` on the run cycles with
+    period ``len(states) - first``; ``first`` is None when no state repeats
+    within ``steps`` updates, and ``states`` is then the whole run.
     """
-    rng = execution_rng(seed)
-    chunk = max(1, min(samples, max(_NORM_MIN_CHUNK,
-                                    _NORM_CHUNK_BYTES // ((steps + 1) * (w + 2)))))
-    # cells 1..w of each row; cells 0 and w + 1 are the periodic halo
-    buf = np.empty((steps + 1, w + 2, chunk), dtype=np.uint8)
-    idx_buf = np.empty((w, chunk), dtype=np.intp)
-    shifts = np.arange(w - 1, -1, -1, dtype=np.uint64)[:, None]
-    for start in range(0, samples, chunk):
-        n = min(chunk, samples - start)
-        draws = [(int(rng.integers(0, 256)), int(rng.integers(0, 1 << w))) for _ in range(n)]
-        rules = np.array([r for r, _ in draws], dtype=np.int64)
-        states = np.array([s for _, s in draws], dtype=np.uint64)
-        # lut[8i + v]: rule i's output for the neighborhood (l, c, r) read as v
-        lut = ((rules[:, None] >> np.arange(8)) & 1).astype(np.uint8).ravel()
-        base = 8 * np.arange(n, dtype=np.intp)
-        rows, idx = buf[:, :, :n], idx_buf[:, :n]
-        rows[0, 1:w + 1] = (states >> shifts) & np.uint64(1)
-        for t in range(steps):
-            cur = rows[t]
-            cur[0] = cur[w]
-            cur[w + 1] = cur[1]
-            np.multiply(cur[:w], 4, out=idx)
-            idx += base
-            idx += cur[1:w + 1]
-            idx += cur[1:w + 1]
-            idx += cur[2:]
-            np.take(lut, idx, out=rows[t + 1, 1:w + 1], mode="clip")
-        for i in range(n):
-            yield rows[:, 1:w + 1, i].tobytes()
+    states = [state]
+    seen = {state: 0}
+    for t in range(1, steps + 1):
+        state = step[state]
+        first = seen.setdefault(state, t)
+        if first != t:
+            return states, first
+        states.append(state)
+    return states, None
+
+
+def lzw_phrase_bound(n: int, span: int) -> int:
+    """An upper bound on ``lzw_phrase_count`` of an ``n``-symbol 0/1 string
+    whose every substring starts within its first ``span`` symbols too.
+
+    That holds for a string of period q from symbol p on with p + q <= span:
+    a substring starting at i >= p + q equals the one starting at i - q.  A
+    fixed-rule run that repeats at step t, serialized at w symbols per row,
+    is one with span = t * w.  So the string has at most
+    cap(l) = min(2**l, span) distinct substrings of each length l.
+
+    LZW emitting c codes adds c - 1 dictionary entries.  Each is an emitted
+    phrase followed by the next symbol: a substring of length >= 2, the
+    entries distinct, their lengths summing to at most
+    (n - 1) + (c - 1) = n + c - 2, as the phrases but the last cover at most
+    n - 1 symbols.  Hence c - 1 <= G(n + c - 2), where G(m) is the largest
+    number of distinct strings of lengths >= 2 within cap(l) per length and
+    total length <= m; taking the shortest lengths first attains it.  G is
+    non-decreasing, so from any upper bound c0 on c, c <= G(n + c - 2) + 1
+    <= G(n + c0 - 2) + 1 is another.  Starting from c0 = n (a phrase is at
+    least one symbol; G(2n - 2) + 1 <= n too), the iterates do not
+    increase, and the first one that repeats is returned.
+    """
+    c = n
+    while True:
+        bound = _most_strings(n + c - 2, span) + 1
+        if bound >= c:
+            return c
+        c = bound
+
+
+def _most_strings(budget: int, span: int) -> int:
+    """G(budget): the most distinct 0/1 strings of lengths >= 2, at most
+    min(2**l, span) of each length l, whose lengths sum to at most
+    ``budget``, taken shortest first."""
+    count, length = 0, 2
+    while 1 << length < span:
+        k = min(1 << length, budget // length)
+        count += k
+        budget -= k * length
+        if k < 1 << length:
+            return count
+        length += 1
+    # every longer length holds span strings: lengths ``length`` to ``top``
+    # fit whole while span * (the sum of those lengths) <= budget
+    below = length * (length - 1) // 2
+    top = (math.isqrt(8 * (budget // span + below) + 1) - 1) // 2
+    count += span * (top - length + 1)
+    budget -= span * (top * (top + 1) // 2 - below)
+    return count + budget // (top + 1)
 
 
 def compressibility(states: list[int], width: int, norm_bits: int) -> tuple[int, float]:
@@ -250,13 +302,21 @@ def lyapunov(config: VariantConfig, perturb_bit: int = 0, horizon: int = 16,
 
 def fit_exponent(ys: list[int]) -> float:
     """Least-squares slope of ln y(t) on t over {t >= 1 : y(t) > 0}."""
-    pts = [(t, math.log(y)) for t, y in enumerate(ys, start=1) if y > 0]
-    if len(pts) < 2:
+    xs = [t for t, y in enumerate(ys, start=1) if y > 0]
+    lys = [math.log(y) for y in ys if y > 0]
+    n = len(xs)
+    if n < 2:
         # a single usable point: slope of the line through (0, ln y(0)=0)
-        t, ly = pts[0]
-        return ly / t
-    xs, lys = zip(*pts)
-    return linear_regression(xs, lys).slope
+        return lys[0] / xs[0]
+    # statistics.linear_regression's arithmetic as of Python 3.11 (exactly
+    # rounded sums, then sxy / sxx); later versions sum differently, and k
+    # must not change with the Python version
+    xbar = math.fsum(xs) / n
+    ybar = math.fsum(lys) / n
+    dx = [x - xbar for x in xs]
+    sxy = math.fsum([d * (ly - ybar) for d, ly in zip(dx, lys)])
+    sxx = math.fsum([d * d for d in dx])
+    return sxy / sxx
 
 
 def lyapunov_mean(config: VariantConfig, horizon: int = 16) -> float | str:

@@ -27,9 +27,14 @@ from . import complexity as cx
 from .eca import BitState, canonical_rules, wolfram_class
 from .innovation import is_eca_reproducible
 from .recurrence import build_report, detect_cycle, poincare_time
-from .variants import Trajectory, Variant, VariantConfig, execution_rng, run_trajectory
-
-CASE1_RATIOS = ("1/2", "1", "3/2", "2", "5/2")
+from .variants import (
+    CASE1_RATIOS,
+    Trajectory,
+    Variant,
+    VariantConfig,
+    execution_rng,
+    run_trajectory,
+)
 
 
 class EmptyReportError(ValueError):

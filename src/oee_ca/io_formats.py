@@ -10,10 +10,13 @@ from __future__ import annotations
 import csv
 import json
 import os
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .ensemble import EnsembleReport, ExecutionRecord
 from .variants import Variant
+
+if TYPE_CHECKING:
+    from .ensemble import EnsembleReport, ExecutionRecord
 
 CSV_COLUMNS = [
     "variant", "w_o", "w_e", "mu", "seed", "init_rule_o", "rule_e",
@@ -88,6 +91,10 @@ def _parse_flag(value: str) -> bool | None:
 
 
 def read_records_csv(path: str) -> list[ExecutionRecord]:
+    # imported here: ``ensemble`` loads scipy, which writing a PGM or reading
+    # a config file does not need
+    from .ensemble import ExecutionRecord
+
     records = []
     with open(path, newline="") as fh:
         rows = csv.reader(line for line in fh if not line.startswith("#"))

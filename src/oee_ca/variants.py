@@ -57,6 +57,9 @@ from .eca import (
 # would exceed it is computed per step instead.
 TABLE_BUDGET = 1 << 20
 
+# Environment/organism width ratios a Case I ensemble is drawn at.
+CASE1_RATIOS = ("1/2", "1", "3/2", "2", "5/2")
+
 # Environment rules an ensemble draws r_e from (the canonical orbit
 # representatives); their step tables at one width share the budget.
 ENVIRONMENT_RULES = len(canonical_rules())

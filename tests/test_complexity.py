@@ -1,9 +1,10 @@
 """LZW compressibility, normalization, and Lyapunov exponents."""
 
 import math
+from statistics import linear_regression
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     lzw_compress,
@@ -16,11 +17,12 @@ from oee_ca.complexity import (
     EXTINCT,
     NORM_MAX_WIDTH,
     compressibility,
-    fixed_rule_runs,
     fit_exponent,
+    fixed_rule_run,
     lyapunov,
     lyapunov_mean,
     lzw_compress_bits,
+    lzw_phrase_bound,
     lzw_phrase_count,
     lzw_size_bits,
     normalization_constant,
@@ -28,7 +30,13 @@ from oee_ca.complexity import (
     state_rows,
 )
 from oee_ca.eca import BitState, step_bits
-from oee_ca.variants import TABLE_BUDGET, Variant, VariantConfig, execution_rng
+from oee_ca.variants import (
+    TABLE_BUDGET,
+    Variant,
+    VariantConfig,
+    execution_rng,
+    organism_steps,
+)
 
 
 # --- serialization ----------------------------------------------------------
@@ -52,13 +60,18 @@ def test_serialize_empty_rejected():
         serialize_states([], 4)
 
 
+def test_serialize_states_rejects_more_than_64_cells():
+    with pytest.raises(ValueError, match="64 cells"):
+        serialize_states([1], 65)
+
+
 TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([*range(3, 18), 40, 64]), st.data())
 def test_serialize_states_matches_oracle(width, data):
-    """Rows from the table (up to 16 cells) or formatted per state (17 and
+    """Rows from the table (up to 16 cells) or unpacked with numpy (17 and
     more) equal the ``BitState.to_string`` serialization as 0/1 bytes."""
     states = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=20))
     want = serialize_trajectory([BitState(s, width) for s in states])
@@ -69,7 +82,7 @@ def test_state_rows_chosen_by_budget():
     """A table of 0/1 rows while its cells fit the budget: 16 cells, not 17."""
     assert 16 << 16 <= TABLE_BUDGET < 17 << 17
     assert isinstance(state_rows(16), list)
-    assert not isinstance(state_rows(17), list)
+    assert state_rows(17) is None
 
 
 # --- LZW --------------------------------------------------------------------
@@ -204,28 +217,59 @@ def test_norm_constant_rejects_width(w):
         normalization_constant(w, samples=2, steps=4)
 
 
+def test_norm_constant_rejects_negative_steps():
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        normalization_constant(4, samples=2, steps=-1)
+
+
 @pytest.mark.parametrize("w", [1, 2, 3, 7, 40, 63])
 def test_fixed_rule_runs_match_step_bits(w):
+    """A run holds the ``step_bits`` states up to its first repeat, and the
+    state after its last one is the one at ``first``."""
     rng = execution_rng(w)
-    to_bits = bytes.maketrans(b"01", b"\x00\x01")
-    runs = list(fixed_rule_runs(w, 5, 9, seed=w))
-    assert len(runs) == 5
-    for run in runs:
+    tables = organism_steps(w)
+    for steps in (0, 1, 9, 300):
         rule, bits = int(rng.integers(0, 256)), int(rng.integers(0, 1 << w))
         rows = [bits]
-        for _ in range(9):
+        for _ in range(steps):
             rows.append(step_bits(rule, rows[-1], w))
-        expected = "".join(format(r, f"0{w}b") for r in rows)
-        assert run == expected.encode().translate(to_bits)
+        states, first = fixed_rule_run(tables[rule], bits, steps)
+        assert states == rows[:len(states)]
+        assert len(set(states)) == len(states)
+        if first is None:
+            assert len(states) == steps + 1
+        else:
+            assert rows[len(states)] == states[first]
 
 
-@pytest.mark.parametrize("w", [3, 13])
-def test_fixed_rule_runs_independent_of_chunking(w, monkeypatch):
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="01", max_size=40), st.text(alphabet="01", min_size=1, max_size=40),
+       st.integers(1, 600))
+@example("", "0", 1)
+@example("", "0", 500)
+@example("", "1", 37)
+@example("0", "1", 1)
+@example("", "01101", 400)
+@example("1101", "0", 300)
+def test_lzw_phrase_bound_holds_on_eventually_periodic_strings(head, cycle, n):
+    """``head`` then ``cycle`` repeated, cut to ``n`` symbols: no string of
+    that shape has more phrases than the bound for span len(head + cycle)."""
+    s = (head + cycle * (n // len(cycle) + 1))[:n]
+    bound = lzw_phrase_bound(n, len(head) + len(cycle))
+    assert lzw_phrase_count(s.encode().translate(TO_BITS)) <= bound <= n
+
+
+@pytest.mark.parametrize("key", [(8, 200, 256, 4), (8, 200, 256, 5), (17, 60, 200, 4)])
+def test_norm_constant_skips_walks_and_matches_scalar_oracle(key, monkeypatch):
+    """Plans where the bound rules samples out: fewer runs are walked than
+    drawn, and the constant equals the oracle's, which walks every run."""
     from oee_ca import complexity as cx
-    whole = list(fixed_rule_runs(w, 12, 40, seed=3))
-    # chunks of 5, 5 and 2 samples
-    monkeypatch.setattr(cx, "_NORM_CHUNK_BYTES", 5 * 41 * (w + 2))
-    assert list(fixed_rule_runs(w, 12, 40, seed=3)) == whole
+    walked = []
+    count = cx.lzw_phrase_count
+    monkeypatch.setattr(cx, "lzw_phrase_count", lambda bits: walked.append(1) or count(bits))
+    cx._NORM_MEMO.pop(key, None)
+    assert normalization_constant(*key) == scalar_normalization_constant(*key)
+    assert 0 < len(walked) < key[1]
 
 
 # --- compressibility --------------------------------------------------------
@@ -312,6 +356,17 @@ def test_fit_exponent_recovers_exact_growth():
     k = 0.4
     ys = [math.exp(k * t) for t in range(1, 8)]
     assert math.isclose(fit_exponent(ys), k, rel_tol=1e-9)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 64), min_size=2, max_size=16))
+def test_fit_exponent_matches_linear_regression(ys):
+    """The inline fit is the stdlib's slope; abs_tol covers slopes that are 0
+    up to rounding, where summation orders of other Python versions differ."""
+    pts = [(t, math.log(y)) for t, y in enumerate(ys, start=1) if y > 0]
+    if len(pts) >= 2:
+        want = linear_regression(*zip(*pts)).slope
+        assert math.isclose(fit_exponent(ys), want, rel_tol=1e-12, abs_tol=1e-15)
 
 
 def test_fit_exponent_single_point():

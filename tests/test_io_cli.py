@@ -3,6 +3,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -318,6 +321,49 @@ def test_cli_run_width_above_64_reports_range(widths, message, tmp_path, capsys)
     assert main(["run", "--variant", "case1", *widths, "--out", str(out)]) == EXIT_DATA
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--variant", "eca", "--wo", "4", "--state-o", "0110110", "--rule-o", "30"],
+     "--state-o has 7 cells, expected 4"),
+    (["--variant", "case1", "--wo", "4", "--we", "6", "--state-e", "0110"],
+     "--state-e has 4 cells, expected 6"),
+    (["--variant", "case2", "--wo", "4", "--state-e", "0110"],
+     "--state-e has 4 cells, expected 8"),
+])
+def test_cli_run_state_width_mismatch_exits_3(argv, message, tmp_path, capsys):
+    out = tmp_path / "traj.csv"
+    assert main(["run", *argv, "--cap", "3", "--out", str(out)]) == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_with_given_states_is_byte_identical(tmp_path):
+    """States of the declared widths step as before (digest recorded before
+    the width check was added)."""
+    out = str(tmp_path / "traj.csv")
+    assert main(["run", "--variant", "case1", "--wo", "4", "--we", "6",
+                 "--state-o", "0110", "--state-e", "101100", "--rule-o", "30",
+                 "--rule-e", "110", "--cap", "40", "--out", out]) == EXIT_OK
+    body = b"".join(line for line in open(out, "rb") if not line.startswith(b"#"))
+    assert body.startswith(b"t,s_o,r_o,s_e\n0,0110,30,101100\n")
+    assert (hashlib.sha256(body).hexdigest()
+            == "b8a293828c40925a82bf2810b240ca00833d46cd9150110c980da5c8c7ef1788")
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    """Only the subcommands that aggregate load scipy; a run does not."""
+    code = ("import sys; from oee_ca.cli import main; "
+            "assert 'scipy' not in sys.modules; "
+            "assert main(['run', '--variant', 'eca', '--wo', '4', '--cap', '2', "
+            "'--out', sys.argv[1]]) == 0; "
+            "assert 'scipy' not in sys.modules")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = tmp_path / "traj.csv"
+    result = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert out.exists()
 
 
 @pytest.mark.parametrize("flags", [["--wo", "0"], ["--wo", "5", "--we", "0"],
