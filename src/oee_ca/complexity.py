@@ -15,8 +15,10 @@ of the full-system width; large C means low complexity.  The constant's
 sample runs are stepped one at a time to their first repeated state; a run
 is walked by LZW only when a bound on the phrase count of an eventually
 periodic string leaves room to beat the largest count so far.  With the
-ensemble's defaults (1000 samples x 1024 steps) norm(8) takes about 0.1 s
-and norm(19) about 0.9 s on one core of a 2-vCPU host.
+defaults (``NORM_SAMPLES`` x ``NORM_STEPS``, 1000 x 1024) norm(8) takes about
+0.06 s and norm(19) about 0.6 s of CPU time on a 2-vCPU host; above 12 cells
+the runs step through the window-table kernel (``eca.stepper``), and at 19
+cells the LZW walks are most of the time.
 """
 
 from __future__ import annotations
@@ -127,9 +129,13 @@ def lzw_compress_bits(symbols: str) -> int:
 
 _NORM_MEMO: dict[tuple[int, int, int, int], int] = {}
 NORM_MAX_WIDTH = 63          # initial states are drawn as int64 values
+# the default sample plan of the constant, for the library, an ensemble and
+# `oee-ca norm` alike, so a cache line one writes is the one the others read
+NORM_SAMPLES = 1000
+NORM_STEPS = 1024
 
 
-def normalization_constant(w: int, samples: int = 10_000, steps: int = 65_536,
+def normalization_constant(w: int, samples: int = NORM_SAMPLES, steps: int = NORM_STEPS,
                            seed: int = 0, cache_path: str | None = None) -> int:
     """Maximum compressed size over random fixed-rule ECA of width ``w``.
 

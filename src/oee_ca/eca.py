@@ -9,6 +9,11 @@ the 3-bit value ``v``.  The ordered triplet list
 indexes rule tables MSB-first, so ``outputs[0]`` answers triplet 111.
 States are periodic rings of cells stored bit-packed, leftmost cell in the
 most significant bit.
+
+One kernel steps a state of any width (``stepper``): the ring, extended by
+one wrap cell on each side, is read eight cells at a time through a 10-cell
+window, whose next values come from a table of all 1024 windows per rule
+(``window_tables``, 256 KB for all 256 rules, built once with numpy).
 """
 
 from __future__ import annotations
@@ -112,20 +117,51 @@ def _rotate_right_cells(bits: int, width: int) -> int:
     return (bits >> 1) | ((bits & 1) << (width - 1)) if width > 1 else bits
 
 
+@lru_cache(maxsize=1)
+def window_tables() -> list[bytes]:
+    """``tables[rule][x]``: the next values of the 8 middle cells of the
+    10-cell window ``x`` (leftmost cell in bit 9): bit ``i`` is rule bit
+    ``(x >> i) & 7``."""
+    x = np.arange(1024, dtype=np.uint16)
+    tables = []
+    # 32 rules at a time keeps each temporary under malloc's 128 KB mmap
+    # threshold: freeing a larger one raises the threshold, and later
+    # temporaries then stay resident in the heap
+    for first in range(0, 256, 32):
+        rules = np.arange(first, first + 32, dtype=np.uint16)[:, None]
+        out = np.zeros((32, 1024), dtype=np.uint8)
+        for i in range(8):
+            out |= ((rules >> ((x >> i) & 7)) & 1).astype(np.uint8) << i
+        tables += [row.tobytes() for row in out]
+    return tables
+
+
+@lru_cache(maxsize=None)
+def stepper(rule_number: int, width: int):
+    """``step(bits)``: one synchronous update of a ``width``-cell state under
+    the rule, periodic boundaries (cached per rule and width).
+
+    The state is extended by one wrap cell on each side, so bit ``i + 1`` of
+    ``e`` is cell bit ``i`` and cell bit ``i``'s neighborhood is bits
+    ``i..i + 2`` of ``e``; the window table then gives 8 cells per lookup.
+    """
+    table = window_tables()[rule_number]
+    top, low, mask = width + 1, width - 1, (1 << width) - 1
+    shifts = tuple(range(8, width, 8))
+
+    def step(bits: int) -> int:
+        e = (bits & 1) << top | bits << 1 | bits >> low
+        out = table[e & 1023]
+        for k in shifts:
+            out |= table[e >> k & 1023] << k
+        return out & mask
+
+    return step
+
+
 def step_bits(rule_number: int, bits: int, width: int) -> int:
     """One synchronous update of a packed state, periodic boundaries."""
-    mask = (1 << width) - 1
-    c = bits
-    # cell p's left neighbor is cell p-1: every position takes the value one
-    # step to its left, i.e. the cell array rotated right.
-    left = _rotate_right_cells(bits, width)
-    right = _rotate_left_cells(bits, width)
-    out = 0
-    for v in range(8):
-        if (rule_number >> v) & 1:
-            term = (left if v & 4 else ~left) & (c if v & 2 else ~c) & (right if v & 1 else ~right)
-            out |= term
-    return out & mask
+    return stepper(rule_number, width)(bits)
 
 
 @lru_cache(maxsize=None)
@@ -134,9 +170,9 @@ def neighborhood_masks(width: int) -> tuple[np.ndarray, ...]:
     reads as ``v``, packed like a state, for all ``2**width`` states at once
     (read-only, cached per width).
 
-    These are the terms ``step_bits`` ORs together, so a rule's step table
-    is the union of ``masks[v]`` over its set bits ``v``, and the count of
-    triplet ``v`` in ``s`` is the number of set bits of ``masks[v][s]``.
+    A rule's step table is the union of ``masks[v]`` over its set bits
+    ``v``, and the count of triplet ``v`` in ``s`` is the number of set bits
+    of ``masks[v][s]``.
     """
     c = np.arange(1 << width, dtype=np.uint32)
     full = np.uint32((1 << width) - 1)

@@ -56,8 +56,8 @@ class SamplePlan:
     sample_count: int = 1000
     master_seed: int = 0
     step_cap: int | None = None
-    norm_samples: int = 1000
-    norm_steps: int = 1024
+    norm_samples: int = cx.NORM_SAMPLES
+    norm_steps: int = cx.NORM_STEPS
     norm_seed: int = 0
 
     def __post_init__(self):

@@ -52,7 +52,8 @@ def _pin_table(width: int):
 
 
 def _pins(a: int, b: int, width: int) -> int:
-    """The pins of one transition, from the rotations ``step_bits`` uses."""
+    """The pins of one transition, from ``a``'s left and right neighbors
+    (``a`` rotated one cell each way), as ``neighborhood_masks`` builds them."""
     full = (1 << width) - 1
     left = _rotate_right_cells(a, width)
     right = _rotate_left_cells(a, width)

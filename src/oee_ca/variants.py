@@ -21,7 +21,8 @@ mask) are tables built with numpy over all states at once (``step_table``,
 ``count_array``) and cached, as long as the tables of one kind and width fit
 in ``TABLE_BUDGET`` entries: the organism's 256 step tables, the environment
 tables of all ``ENVIRONMENT_RULES`` rules a plan can draw, one flip table.
-Above it the same loop computes each entry per step with ``step_bits`` or
+Above it the same loop computes each entry per step: a step with the
+window-table kernel (``eca.stepper``), a flip mask with
 ``case1_update_bits``.  Case III draws its flip masks a block of steps at a
 time.  ``follow`` steps a perturbed copy of the organism alongside a finished
 run, for the Lyapunov exponent.  ``SystemSnapshot`` and ``system_step`` are
@@ -48,6 +49,7 @@ from .eca import (
     rule_from_number,
     step_bits,
     step_table,
+    stepper,
     triplet_counts_bits,
 )
 
@@ -233,23 +235,19 @@ class _Computed:
 
 
 @lru_cache(maxsize=None)
-def _organism_tables(width: int) -> list:
-    return [step_table(rule, width) for rule in range(256)]
-
-
 def organism_steps(width: int) -> list:
     """``steps[rule][s]``: state ``s`` of ``width`` cells after one step of
-    ``rule``, for all 256 rules."""
+    ``rule``, for all 256 rules (cached per width)."""
     if 256 << width <= TABLE_BUDGET:
-        return _organism_tables(width)
-    return [_Computed(lambda s, r=r: step_bits(r, s, width)) for r in range(256)]
+        return [step_table(rule, width) for rule in range(256)]
+    return [_Computed(stepper(rule, width)) for rule in range(256)]
 
 
 def environment_steps(rule: int, width: int):
     """``steps[s]``: state ``s`` of ``width`` cells after one step of ``rule``."""
     if ENVIRONMENT_RULES << width <= TABLE_BUDGET:
         return step_table(rule, width)
-    return _Computed(lambda s: step_bits(rule, s, width))
+    return _Computed(stepper(rule, width))
 
 
 @lru_cache(maxsize=8)

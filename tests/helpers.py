@@ -6,7 +6,12 @@ import math
 from dataclasses import dataclass
 
 from oee_ca.complexity import EXTINCT, fit_exponent
-from oee_ca.eca import BitState, step_bits, triplet_counts_bits
+from oee_ca.eca import (
+    BitState,
+    _rotate_left_cells,
+    _rotate_right_cells,
+    triplet_counts_bits,
+)
 from oee_ca.ensemble import SamplePlan, config_for_tuple, draw_plan, innovation_window
 from oee_ca.recurrence import CycleInfo, build_report
 from oee_ca.variants import (
@@ -183,9 +188,26 @@ def scalar_projected_recurrence(sequence, cycle: CycleInfo) -> tuple[int, int, i
     return p, lam, p + lam
 
 
+def naive_step_bits(rule_number: int, bits: int, width: int) -> int:
+    """``step_bits`` as the OR over the rule's set bits ``v`` of the cells
+    whose (left, center, right) neighborhood reads as ``v`` (oracle)."""
+    mask = (1 << width) - 1
+    c = bits
+    # cell p's left neighbor is cell p-1: every position takes the value one
+    # step to its left, i.e. the cell array rotated right.
+    left = _rotate_right_cells(bits, width)
+    right = _rotate_left_cells(bits, width)
+    out = 0
+    for v in range(8):
+        if (rule_number >> v) & 1:
+            term = (left if v & 4 else ~left) & (c if v & 2 else ~c) & (right if v & 1 else ~right)
+            out |= term
+    return out & mask
+
+
 def scalar_step_table(rule_number: int, width: int) -> tuple[int, ...]:
-    """``step_table`` one ``step_bits`` call per state (oracle)."""
-    return tuple(step_bits(rule_number, s, width) for s in range(1 << width))
+    """``step_table`` one ``naive_step_bits`` call per state (oracle)."""
+    return tuple(naive_step_bits(rule_number, s, width) for s in range(1 << width))
 
 
 def scalar_count_table(width: int) -> tuple[tuple[int, ...], ...]:
@@ -251,7 +273,8 @@ def lzw_decompress(codes: list[tuple[int, int]]) -> str:
 
 def scalar_normalization_constant(w: int, samples: int, steps: int, seed: int) -> int:
     """The normalization constant one sample and one step at a time:
-    ``step_bits`` per step, ``format`` per row and the string LZW (oracle)."""
+    ``naive_step_bits`` per step, ``format`` per row and the string LZW
+    (oracle)."""
     run_steps = min(steps, 1 << min(2 * w, 62))
     rng = execution_rng(seed)
     best = 0
@@ -261,7 +284,7 @@ def scalar_normalization_constant(w: int, samples: int, steps: int, seed: int) -
         rows = [format(bits, f"0{w}b")]
         cur = bits
         for _ in range(run_steps):
-            cur = step_bits(rule, cur, w)
+            cur = naive_step_bits(rule, cur, w)
             rows.append(format(cur, f"0{w}b"))
         best = max(best, sum(width for _, width in lzw_compress("".join(rows))))
     return best

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (
     lzw_compress,
     lzw_decompress,
+    naive_step_bits,
     scalar_compressibility,
     scalar_normalization_constant,
     serialize_trajectory,
@@ -29,7 +30,7 @@ from oee_ca.complexity import (
     serialize_states,
     state_rows,
 )
-from oee_ca.eca import BitState, step_bits
+from oee_ca.eca import BitState
 from oee_ca.variants import (
     TABLE_BUDGET,
     Variant,
@@ -196,7 +197,7 @@ def test_norm_constant_cache_file(tmp_path):
                                   cache_path=path) == val
 
 
-@pytest.mark.parametrize("w", [1, 2, 3, 5, 13, 63])
+@pytest.mark.parametrize("w", [1, 2, 3, 5, 13, 17, 21, 33, 63])
 def test_norm_constant_matches_scalar_oracle(w):
     from oee_ca import complexity as cx
     for seed in (0, 1, 7):
@@ -207,8 +208,10 @@ def test_norm_constant_matches_scalar_oracle(w):
 
 @pytest.mark.parametrize("w, expected", [(6, 6097), (8, 8697), (19, 23577)])
 def test_norm_constant_defaults_pinned(w, expected):
-    """The CLI's default settings: 1000 samples x 1024 steps, seed 0."""
+    """The default settings of the library and the CLI: 1000 samples x 1024
+    steps, seed 0."""
     assert normalization_constant(w, samples=1000, steps=1024, seed=0) == expected
+    assert normalization_constant(w) == expected
 
 
 @pytest.mark.parametrize("w", [0, -1, NORM_MAX_WIDTH + 1, 70])
@@ -224,15 +227,15 @@ def test_norm_constant_rejects_negative_steps():
 
 @pytest.mark.parametrize("w", [1, 2, 3, 7, 40, 63])
 def test_fixed_rule_runs_match_step_bits(w):
-    """A run holds the ``step_bits`` states up to its first repeat, and the
-    state after its last one is the one at ``first``."""
+    """A run holds the ``naive_step_bits`` states up to its first repeat, and
+    the state after its last one is the one at ``first``."""
     rng = execution_rng(w)
     tables = organism_steps(w)
     for steps in (0, 1, 9, 300):
         rule, bits = int(rng.integers(0, 256)), int(rng.integers(0, 1 << w))
         rows = [bits]
         for _ in range(steps):
-            rows.append(step_bits(rule, rows[-1], w))
+            rows.append(naive_step_bits(rule, rows[-1], w))
         states, first = fixed_rule_run(tables[rule], bits, steps)
         assert states == rows[:len(states)]
         assert len(set(states)) == len(states)

@@ -5,7 +5,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import scalar_count_table, scalar_step_table
+from helpers import naive_step_bits, scalar_count_table, scalar_step_table
 from oee_ca.eca import (
     BitState,
     ConfigurationError,
@@ -21,7 +21,9 @@ from oee_ca.eca import (
     rule_to_number,
     neighborhood_masks,
     step,
+    step_bits,
     step_table,
+    window_tables,
     triplet_counts,
     triplet_frequencies,
     wolfram_class,
@@ -144,6 +146,38 @@ def test_step_mirror_duality(n, s):
 def test_step_rejects_narrow_state():
     with pytest.raises(ValueError):
         step(rule_from_number(30), BitState(1, 2))
+
+
+# every chunk boundary of the 8-cell window reads, and widths beyond 64
+KERNEL_WIDTHS = (1, 2, 3, 7, 8, 9, 10, 16, 17, 24, 25, 63, 64, 65, 101, 128)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule=rules, width=st.sampled_from(KERNEL_WIDTHS), data=st.data())
+def test_step_bits_matches_naive_oracle(rule, width, data):
+    bits = data.draw(st.integers(0, (1 << width) - 1))
+    assert step_bits(rule, bits, width) == naive_step_bits(rule, bits, width)
+
+
+@pytest.mark.parametrize("width", KERNEL_WIDTHS)
+def test_step_bits_matches_naive_oracle_for_every_rule(width):
+    """All 256 rules on the homogeneous states, the states with one cell
+    set at either wrap edge, and two alternating patterns."""
+    full = (1 << width) - 1
+    alternating = int("10" * width, 2) >> width
+    edge_states = (0, full, 1, 1 << (width - 1), alternating, full ^ alternating)
+    for rule in range(256):
+        for bits in edge_states:
+            assert step_bits(rule, bits, width) == naive_step_bits(rule, bits, width)
+
+
+def test_window_tables_read_rule_bits():
+    """Bit i of entry x is rule bit (x >> i) & 7, for all 256 rules."""
+    tables = window_tables()
+    assert len(tables) == 256 and all(len(t) == 1024 for t in tables)
+    for rule in (0, 30, 110, 255):
+        for x in range(1024):
+            assert tables[rule][x] == sum((rule >> ((x >> i) & 7) & 1) << i for i in range(8))
 
 
 # --- triplet statistics -----------------------------------------------------

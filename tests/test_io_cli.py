@@ -10,6 +10,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from oee_ca import complexity as cx
 from oee_ca.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main, render_start
 from oee_ca.eca import BitState
 from oee_ca.ensemble import SamplePlan, aggregate, run_ensemble
@@ -220,6 +221,22 @@ def test_cli_norm(tmp_path):
     assert open(cache).read().startswith("4 5 16 0 ")
 
 
+def test_cli_norm_defaults_are_the_ensemble_defaults(tmp_path):
+    """A default `norm --cache` line is the one a default `ensemble
+    --norm-cache` reads: the file is left as it was."""
+    cache = str(tmp_path / "norm.txt")
+    cx._NORM_MEMO.clear()   # each command computes or reads the file afresh
+    assert main(["norm", "--width", "8", "--cache", cache]) == EXIT_OK
+    written = open(cache).read()
+    assert written.count("\n") == 1
+    cx._NORM_MEMO.clear()
+    assert main(["ensemble", "--variant", "case1", "--wo", "4", "--we", "4",
+                 "--samples", "20", "--norm-cache", cache,
+                 "--out", str(tmp_path / "r.csv"),
+                 "--report", str(tmp_path / "rep.json")]) == EXIT_OK
+    assert open(cache).read() == written
+
+
 def test_cli_render_dimensions(tmp_path):
     out = str(tmp_path / "render.pgm")
     assert main(["render", "--variant", "case1", "--wo", "101", "--we", "101",
@@ -285,6 +302,32 @@ def test_cli_run_output_is_byte_identical(name, tmp_path):
     body = b"".join(line for line in lines if not line.startswith(b"#"))
     assert hashlib.sha256(body).hexdigest() == csv_digest
     assert hashlib.sha256(open(pgm, "rb").read()).hexdigest() == pgm_digest
+
+
+# Digests of the PGM written by `render`, recorded with the 8-term
+# `step_bits` loop that `tests/helpers.naive_step_bits` keeps: the README
+# example (101-cell rings), Case II's 8-cell environment, an 80-cell
+# environment and a 150-cell fixed-rule organism.
+RENDER_GOLDEN = {
+    "readme": (["--variant", "case1", "--wo", "101", "--we", "101", "--steps", "400",
+                "--seed", "3"],
+               "fca2cf89a4785e43554c611fda3e6e0fadd494b28cb406477d26006eca56a822"),
+    "case2": (["--variant", "case2", "--wo", "20", "--steps", "30", "--seed", "4"],
+              "62d1404b67ac658c525f1567c7021324f10d1c497de6607a85d540219095abeb"),
+    "wide_environment": (["--variant", "case1", "--wo", "12", "--we", "80", "--steps", "120",
+                          "--seed", "6"],
+                         "051964906ab68a01e9702397e536d377f84acdae8c7969d25f07e5752b8bc69e"),
+    "eca": (["--variant", "eca", "--wo", "150", "--steps", "60", "--seed", "2"],
+            "87439036d78c6c2514a7c01ae4b7fa674a3464ee5bff7767807c1611df11b9d7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_GOLDEN))
+def test_cli_render_output_is_byte_identical(name, tmp_path):
+    argv, digest = RENDER_GOLDEN[name]
+    out = str(tmp_path / "render.pgm")
+    assert main(["render", *argv, "--out", out]) == EXIT_OK
+    assert hashlib.sha256(open(out, "rb").read()).hexdigest() == digest
 
 
 def test_cli_render_case3_is_usage_error(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import scalar_lyapunov, scalar_trajectory
+from helpers import naive_step_bits, scalar_lyapunov, scalar_trajectory
 
 from oee_ca import complexity as cx
 from oee_ca.eca import BitState, rule_from_number, step_bits, step_table
@@ -344,8 +344,18 @@ def test_tables_chosen_by_budget():
     wide = environment_steps(30, 14)
     assert not isinstance(wide, (bytes, array))
     for s in (0, 1, 0x2A5C, (1 << 14) - 1):
-        assert organism_steps(13)[30][s & 0x1FFF] == step_bits(30, s & 0x1FFF, 13)
-        assert wide[s] == step_bits(30, s, 14)
+        assert organism_steps(13)[30][s & 0x1FFF] == naive_step_bits(30, s & 0x1FFF, 13)
+        assert wide[s] == naive_step_bits(30, s, 14)
+
+
+@pytest.mark.parametrize("rule", [*range(1, 256, 16), 30, 110])
+def test_computed_steps_equal_step_tables(rule):
+    """Above the budget the organism (13 cells) and environment (14 cells)
+    steps go through the window kernel; every entry equals the step table
+    built explicitly for that width."""
+    organism, environment = organism_steps(13)[rule], environment_steps(rule, 14)
+    assert [organism[s] for s in range(1 << 13)] == list(step_table(rule, 13))
+    assert [environment[s] for s in range(1 << 14)] == list(step_table(rule, 14))
 
 
 @settings(max_examples=60, deadline=None)
