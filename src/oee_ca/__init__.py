@@ -6,28 +6,16 @@ __version__ = "0.1.0"
 
 from .eca import (  # noqa: F401
     BitState,
-    RuleTable,
     WolframClass,
     canonical_rule,
     canonical_rules,
-    complement_rule,
-    mirror_rule,
-    rule_from_number,
-    rule_to_number,
-    step,
-    triplet_frequencies,
     wolfram_class,
 )
 from .variants import (  # noqa: F401
-    SystemSnapshot,
     Trajectory,
     Variant,
     VariantConfig,
-    case1_rule_update,
-    case2_rule_update,
-    case3_rule_update,
     run_trajectory,
-    system_step,
 )
 from .recurrence import (  # noqa: F401
     CycleInfo,
@@ -36,9 +24,4 @@ from .recurrence import (  # noqa: F401
     poincare_time,
     projected_recurrence,
 )
-from .innovation import (  # noqa: F401
-    brute_force_counterfactual,
-    inn_flag,
-    innovation_metric,
-    is_eca_reproducible,
-)
+from .innovation import is_eca_reproducible  # noqa: F401

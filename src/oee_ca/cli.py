@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: run (single trajectory), ensemble (sampled plan -> records CSV
-+ report JSON), oracle (counterfactual cache), norm (normalization cache),
-analyze (report + SVG plots from a records CSV), render (large-width PGM).
++ report JSON), norm (normalization cache), analyze (report + SVG plots from
+a records CSV), render (large-width PGM).
 
 Exit codes: 0 success, 2 usage error, 3 data/format error.
 
@@ -28,14 +28,12 @@ from .eca import (
     ConfigurationError,
     canonical_rules,
     set_default_class_table,
-    step_bits,
 )
-from .innovation import brute_force_counterfactual, load_oracle_cache
 from .variants import (
     CASE1_RATIOS,
     Variant,
     VariantConfig,
-    case1_update_bits,
+    continued,
     execution_rng,
     run_trajectory,
 )
@@ -113,12 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     em.add_argument("--out", default="records.csv")
     em.add_argument("--report", default="report.json")
 
-    orc = sub.add_parser("oracle", help="build or verify the counterfactual cache")
-    orc.add_argument("--width", type=int, required=True)
-    orc.add_argument("--out", default="oracle.bin")
-    orc.add_argument("--verify", action="store_true",
-                     help="check an existing cache against fresh enumeration")
-
     nrm = sub.add_parser("norm", help="build the compressibility normalization cache")
     nrm.add_argument("--width", type=int, required=True,
                      help="full-system width w_o + w_e")
@@ -142,9 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
-
-
 def _apply_config_file(parser, argv, args):
     """Re-parse with the --config file's keys turned into flags, so argparse
     converts and checks their values; flags given on the command line win."""
@@ -157,10 +146,6 @@ def _apply_config_file(parser, argv, args):
         flag = "--" + dest.replace("_", "-")
         if dest == "class_table":  # the one top-level option: it goes first
             before += [flag, value]
-        elif isinstance(getattr(args, dest), bool):
-            if value.lower() not in _TRUE + _FALSE:
-                raise ValueError(f"config key {key!r}: expected true or false, got {value!r}")
-            after += [flag] if value.lower() in _TRUE else []
         else:
             after += [flag, value]
     return parser.parse_args(before + argv + after)
@@ -262,20 +247,6 @@ def cmd_ensemble(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    if args.verify:
-        cached = load_oracle_cache(args.out, expect_width=args.width)
-        fresh = brute_force_counterfactual(args.width)
-        if cached.trajectories != fresh.trajectories:
-            print("oracle cache does not match fresh enumeration", file=sys.stderr)
-            return EXIT_DATA
-        print(f"{args.out}: verified against fresh enumeration")
-        return EXIT_OK
-    brute_force_counterfactual(args.width, cache_path=args.out)
-    print(f"wrote {args.out}")
-    return EXIT_OK
-
-
 def cmd_norm(args) -> int:
     bits = cx.normalization_constant(args.width, args.samples, args.steps,
                                      args.seed, cache_path=args.cache)
@@ -329,21 +300,17 @@ def _widen(rng, bits: int, width: int) -> int:
 
 
 def cmd_render(args) -> int:
-    """Large-width render; widths here are unbounded (rendering only)."""
+    """Large-width render; widths here are unbounded (rendering only).  The
+    run stops at its first repeated configuration and then replays its
+    cycle out to ``--steps``."""
     w_o = args.wo
     w_e = 8 if args.variant is Variant.CASE_II else args.we or w_o
     r_o, r_e, s_o, s_e = render_start(args.seed, w_o, w_e)
-    rows = [(s_o, w_o)]
-    for _ in range(args.steps):
-        if args.variant is Variant.CASE_I:
-            r_o = case1_update_bits(s_o, w_o, r_o, s_e, w_e)
-        elif args.variant is Variant.CASE_II:
-            r_o = s_e
-        s_o = step_bits(r_o, s_o, w_o)
-        if args.variant in (Variant.CASE_I, Variant.CASE_II):
-            s_e = step_bits(r_e, s_e, w_e)
-        rows.append((s_o, w_o))
-    iof.write_pgm(rows, args.out)
+    env = (dict(s_e=BitState(s_e, w_e), r_e=r_e) if args.variant.has_environment
+           else {})
+    config = VariantConfig(args.variant, BitState(s_o, w_o), r_o, **env)
+    states = continued(run_trajectory(config, max(args.steps, 1)), args.steps)[0]
+    iof.write_pgm([(s, w_o) for s in states[:args.steps + 1]], args.out)
     print(f"wrote {args.out} ({args.steps + 1} rows x {w_o} columns)")
     return EXIT_OK
 
@@ -351,7 +318,6 @@ def cmd_render(args) -> int:
 COMMANDS = {
     "run": cmd_run,
     "ensemble": cmd_ensemble,
-    "oracle": cmd_oracle,
     "norm": cmd_norm,
     "analyze": cmd_analyze,
     "render": cmd_render,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -42,17 +42,6 @@ from .variants import (
 )
 
 EXTINCT = "extinct"
-
-
-@dataclass(frozen=True)
-class ComplexityReport:
-    compressed_bits: int
-    norm_bits: int
-    C: float
-    k: float | str  # per-step exponential rate, or the "extinct" sentinel
-
-
-_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @lru_cache(maxsize=None)
@@ -120,13 +109,6 @@ def lzw_size_bits(phrases: int) -> int:
     return (phrases + 1) * n - (1 << n) + 1
 
 
-def lzw_compress_bits(symbols: str) -> int:
-    """LZW compressed size of a '0'/'1' string in variable-width code bits."""
-    if symbols.strip("01"):
-        raise ValueError("LZW input must be a string of '0' and '1'")
-    return lzw_size_bits(lzw_phrase_count(symbols.encode().translate(_TO_BITS)))
-
-
 _NORM_MEMO: dict[tuple[int, int, int, int], int] = {}
 NORM_MAX_WIDTH = 63          # initial states are drawn as int64 values
 # the default sample plan of the constant, for the library, an ensemble and
@@ -142,7 +124,8 @@ def normalization_constant(w: int, samples: int = NORM_SAMPLES, steps: int = NOR
     ``w`` is the full-system width (w_o + w_e), 1 <= w <= 63.  The run length
     is capped at min(steps, 2**(2w)).  Memoized per parameter tuple,
     optionally backed by a text cache file of
-    ``<w> <samples> <steps> <seed> <max_bits>`` lines.
+    ``<w> <samples> <steps> <seed> <max_bits>`` lines; a value the file
+    lacks is appended to it, also when it comes from the memo.
 
     Sample i draws ``rng.integers(0, 256)`` (its rule), then
     ``rng.integers(0, 1 << w)`` (its initial state), from
@@ -156,16 +139,29 @@ def normalization_constant(w: int, samples: int = NORM_SAMPLES, steps: int = NOR
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     key = (w, samples, steps, seed)
-    if key in _NORM_MEMO:
-        return _NORM_MEMO[key]
+    on_file = _cached_norm(cache_path, key)
+    best = _NORM_MEMO.get(key, on_file)
+    if best is None:
+        best = _max_compressed_bits(w, samples, steps, seed)
+    _NORM_MEMO[key] = best
+    if cache_path and on_file is None:
+        with open(cache_path, "a") as fh:
+            fh.write(f"{w} {samples} {steps} {seed} {best}\n")
+    return best
+
+
+def _cached_norm(cache_path: str | None, key: tuple) -> int | None:
+    """The constant a cache file holds for ``key``, else None."""
     if cache_path and os.path.exists(cache_path):
         with open(cache_path) as fh:
             for line in fh:
                 parts = line.split()
                 if len(parts) == 5 and tuple(map(int, parts[:4])) == key:
-                    _NORM_MEMO[key] = int(parts[4])
-                    return _NORM_MEMO[key]
+                    return int(parts[4])
+    return None
 
+
+def _max_compressed_bits(w: int, samples: int, steps: int, seed: int) -> int:
     run_steps = min(steps, 1 << min(2 * w, 62))
     n = (run_steps + 1) * w
     rng = execution_rng(seed)
@@ -182,12 +178,7 @@ def normalization_constant(w: int, samples: int = NORM_SAMPLES, steps: int = NOR
             bits = (head + cycle * ((n - len(head)) // len(cycle) + 1))[:n]
         most = max(most, lzw_phrase_count(bits))
     # the size grows with the phrase count, so the largest count sets the max
-    best = lzw_size_bits(most)
-    _NORM_MEMO[key] = best
-    if cache_path:
-        with open(cache_path, "a") as fh:
-            fh.write(f"{w} {samples} {steps} {seed} {best}\n")
-    return best
+    return lzw_size_bits(most)
 
 
 def fixed_rule_run(step, state: int, steps: int) -> tuple[list[int], int | None]:
@@ -323,14 +314,3 @@ def fit_exponent(ys: list[int]) -> float:
     sxy = math.fsum([d * (ly - ybar) for d, ly in zip(dx, lys)])
     sxx = math.fsum([d * d for d in dx])
     return sxy / sxx
-
-
-def lyapunov_mean(config: VariantConfig, horizon: int = 16) -> float | str:
-    """k averaged over all w_o perturbation positions (extinct ones skipped);
-    "extinct" when every position is extinct."""
-    base = run_trajectory(config, cap=horizon)
-    vals = [lyapunov(config, b, horizon, base=base) for b in range(config.w_o)]
-    finite = [v for v in vals if v != EXTINCT]
-    if not finite:
-        return EXTINCT
-    return float(np.mean(finite))

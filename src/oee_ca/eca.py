@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
@@ -36,35 +35,6 @@ SIM_MAX_WIDTH = 64
 
 class ConfigurationError(Exception):
     """Raised when bundled static data is missing or malformed."""
-
-
-@dataclass(frozen=True)
-class RuleTable:
-    """An ECA rule as the ordered 8-tuple of outputs over S3."""
-
-    outputs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.outputs) != 8 or any(b not in (0, 1) for b in self.outputs):
-            raise ValueError("rule table needs exactly 8 binary outputs")
-
-    @property
-    def number(self) -> int:
-        return rule_to_number(self)
-
-
-def rule_from_number(n: int) -> RuleTable:
-    """Rule table for rule number ``n``; outputs ordered per S3 (MSB first)."""
-    if not 0 <= n <= 255:
-        raise ValueError(f"rule number out of range: {n}")
-    return RuleTable(tuple((n >> (7 - i)) & 1 for i in range(8)))
-
-
-def rule_to_number(table: RuleTable) -> int:
-    n = 0
-    for b in table.outputs:
-        n = (n << 1) | b
-    return n
 
 
 @dataclass(frozen=True)
@@ -207,12 +177,6 @@ def step_table(rule_number: int, width: int):
     return _compact(out, width)
 
 
-def step(rule: RuleTable, state: BitState) -> BitState:
-    if state.width < SIM_MIN_WIDTH:
-        raise ValueError(f"state width must be >= {SIM_MIN_WIDTH} for stepping")
-    return BitState(step_bits(rule.number, state.bits, state.width), state.width)
-
-
 def triplet_counts_bits(bits: int, width: int) -> tuple[int, ...]:
     """Counts of each S3 triplet over the ``width`` periodic windows."""
     counts = [0] * 8
@@ -242,17 +206,6 @@ def count_table(width: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, count_array(width).T.tolist()))
 
 
-def triplet_counts(state: BitState) -> tuple[int, ...]:
-    return triplet_counts_bits(state.bits, state.width)
-
-
-def triplet_frequencies(state: BitState) -> tuple[Fraction, ...]:
-    """Exact normalized triplet frequencies; entries sum to 1."""
-    if state.width < SIM_MIN_WIDTH:
-        raise ValueError("width must be >= 3 for triplet frequencies")
-    return tuple(Fraction(c, state.width) for c in triplet_counts(state))
-
-
 # --- rule equivalence -------------------------------------------------------
 
 def _mirror_number(n: int) -> int:
@@ -268,16 +221,6 @@ def _complement_number(n: int) -> int:
     for v in range(8):
         out |= (1 - ((n >> (~v & 7)) & 1)) << v
     return out
-
-
-def mirror_rule(table: RuleTable) -> RuleTable:
-    """Swap each triplet's output with its left-right reversed triplet's."""
-    return rule_from_number(_mirror_number(table.number))
-
-
-def complement_rule(table: RuleTable) -> RuleTable:
-    """Negate inputs and output of every table entry."""
-    return rule_from_number(_complement_number(table.number))
 
 
 def rule_orbit(n: int) -> frozenset[int]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from scipy import stats
 
 from . import complexity as cx
-from .eca import BitState, canonical_rules, wolfram_class
+from .eca import SIM_MIN_WIDTH, BitState, canonical_rules, wolfram_class
 from .innovation import is_eca_reproducible
 from .recurrence import build_report, detect_cycle, poincare_time
 from .variants import (
@@ -63,6 +63,8 @@ class SamplePlan:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
+        if self.w_o < SIM_MIN_WIDTH:
+            raise ValueError(f"organism width must be >= {SIM_MIN_WIDTH}, got {self.w_o}")
         if self.variant is Variant.CASE_II:
             if self.w_e not in (None, 8):
                 raise ValueError("Case II fixes w_e = 8")
@@ -74,6 +76,9 @@ class SamplePlan:
             raise ValueError(f"{self.variant.value} takes no environment width")
         if self.variant is Variant.CASE_III and self.mu is None:
             object.__setattr__(self, "mu", 0.5)
+        if self.full_width > cx.NORM_MAX_WIDTH:
+            raise ValueError(f"full width w_o + w_e = {self.full_width} exceeds the "
+                             f"normalization width maximum {cx.NORM_MAX_WIDTH}")
 
     @property
     def full_width(self) -> int:
@@ -126,23 +131,6 @@ def draw_plan(plan: SamplePlan) -> list[tuple]:
         seen.add(tup)
         tuples.append(tup)
     return tuples
-
-
-def exhaustive_plan_tuples(plan: SamplePlan) -> list[tuple]:
-    """Every tuple of the plan's space, in lexicographic order."""
-    canon = canonical_rules()
-    out = []
-    if plan.variant in (Variant.ISOLATED, Variant.CASE_III):
-        for r_o in canon:
-            for s_o in range(1 << plan.w_o):
-                out.append((r_o, s_o))
-        return out
-    for r_o in canon:
-        for r_e in canon:
-            for s_o in range(1 << plan.w_o):
-                for s_e in range(1 << plan.w_e):
-                    out.append((r_o, r_e, s_o, s_e))
-    return out
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,11 @@ tables of all ``ENVIRONMENT_RULES`` rules a plan can draw, one flip table.
 Above it the same loop computes each entry per step: a step with the
 window-table kernel (``eca.stepper``), a flip mask with
 ``case1_update_bits``.  Case III draws its flip masks a block of steps at a
-time.  ``follow`` steps a perturbed copy of the organism alongside a finished
-run, for the Lyapunov exponent.  ``SystemSnapshot`` and ``system_step`` are
-the single-step API and the reference the tests hold the loop to.
+time.  ``continued`` extends a finished run past its end, around its cycle
+or on its flip-mask stream: ``oee-ca render`` replays a cycle with it, and
+``follow`` steps a perturbed copy of the organism alongside the run, for the
+Lyapunov exponent.  Widths are not bounded here; the callers that take them
+from outside (``oee-ca run``, ``SamplePlan``) check them.
 """
 
 from __future__ import annotations
@@ -39,15 +41,10 @@ from functools import lru_cache
 import numpy as np
 
 from .eca import (
-    SIM_MAX_WIDTH,
-    SIM_MIN_WIDTH,
     BitState,
-    RuleTable,
     canonical_rules,
     count_array,
     count_table,
-    rule_from_number,
-    step_bits,
     step_table,
     stepper,
     triplet_counts_bits,
@@ -93,8 +90,6 @@ class VariantConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if not SIM_MIN_WIDTH <= self.s_o.width <= SIM_MAX_WIDTH:
-            raise ValueError(f"organism width must be in [{SIM_MIN_WIDTH}, {SIM_MAX_WIDTH}]")
         if not 0 <= self.r_o <= 255:
             raise ValueError("r_o out of range")
         if self.variant.has_environment:
@@ -102,8 +97,6 @@ class VariantConfig:
                 raise ValueError(f"{self.variant.value} requires s_e and r_e")
             if self.variant is Variant.CASE_II and self.s_e.width != 8:
                 raise ValueError("Case II requires an environment of width 8")
-            if self.s_e.width > SIM_MAX_WIDTH:
-                raise ValueError("environment width exceeds simulation maximum")
         else:
             if self.s_e is not None or self.r_e is not None:
                 raise ValueError(f"{self.variant.value} takes no environment CA")
@@ -120,19 +113,6 @@ class VariantConfig:
     @property
     def w_e(self) -> int | None:
         return self.s_e.width if self.s_e is not None else None
-
-
-@dataclass(frozen=True)
-class SystemSnapshot:
-    t: int
-    s_o: BitState
-    r_o: int
-    s_e: BitState | None = None
-
-    def key(self) -> tuple:
-        # r_e is constant along a trajectory, so (s_o, s_e, r_o) identifies
-        # the full system state.
-        return (self.s_o.bits, self.r_o, None if self.s_e is None else self.s_e.bits)
 
 
 @dataclass
@@ -183,34 +163,6 @@ def case1_update_bits(s_o_bits: int, w_o: int, r_o: int, s_e_bits: int, w_e: int
         if co[i] and ce[i] and co[i] * w_e >= ce[i] * w_o:
             out ^= 1 << (7 - i)
     return out
-
-
-def case1_rule_update(s_o: BitState, r_o: RuleTable, s_e: BitState) -> RuleTable:
-    return rule_from_number(
-        case1_update_bits(s_o.bits, s_o.width, r_o.number, s_e.bits, s_e.width))
-
-
-def case2_rule_update(s_e: BitState) -> RuleTable:
-    """The width-8 environment state read MSB-first as a rule number."""
-    if s_e.width != 8:
-        raise ValueError("Case II environment must have width 8")
-    return rule_from_number(s_e.bits)
-
-
-def case3_update_bits(r_o: int, mu: float, rng: np.random.Generator) -> int:
-    # exactly 8 draws per call, consumed in S3 index order (bit 7 downward)
-    draws = rng.random(8)
-    out = r_o
-    for i in range(8):
-        if draws[i] < mu:
-            out ^= 1 << (7 - i)
-    return out
-
-
-def case3_rule_update(r_o: RuleTable, mu: float, rng: np.random.Generator) -> RuleTable:
-    if not 0.0 <= mu < 1.0:
-        raise ValueError("mu must be in [0, 1)")
-    return rule_from_number(case3_update_bits(r_o.number, mu, rng))
 
 
 def execution_rng(master_seed: int, index: int = 0) -> np.random.Generator:
@@ -276,9 +228,9 @@ class FlipMasks:
     """Case III's rule flips: ``masks[t]`` is XORed into the rule at step
     t + 1.  They come from ``execution_rng(seed)`` a block of steps at a time:
     ``rng.random(8 * n)`` yields the same doubles as n consecutive
-    ``rng.random(8)`` calls of ``case3_update_bits``, and draw j of a step
-    flips rule bit 7 - j when it is below mu.  Draws past the end of a run
-    stay in ``masks`` for whoever continues it."""
+    ``rng.random(8)`` calls, one per step, and draw j of a step flips rule
+    bit 7 - j when it is below mu.  Draws past the end of a run stay in
+    ``masks`` for whoever continues it."""
 
     def __init__(self, seed: int, mu: float):
         self._rng = execution_rng(seed)
@@ -293,28 +245,6 @@ class FlipMasks:
 
 
 # --- coupled stepping -------------------------------------------------------
-
-def system_step(config: VariantConfig, snap: SystemSnapshot,
-                rng: np.random.Generator | None = None) -> SystemSnapshot:
-    """Advance the coupled system one step (rule update first, then states)."""
-    w_o = config.w_o
-    variant = config.variant
-    if variant is Variant.CASE_I:
-        r_new = case1_update_bits(snap.s_o.bits, w_o, snap.r_o,
-                                  snap.s_e.bits, snap.s_e.width)
-    elif variant is Variant.CASE_II:
-        r_new = snap.s_e.bits
-    elif variant is Variant.CASE_III:
-        r_new = case3_update_bits(snap.r_o, config.mu, rng)
-    else:
-        r_new = snap.r_o
-    s_o_new = BitState(step_bits(r_new, snap.s_o.bits, w_o), w_o)
-    s_e_new = None
-    if variant.has_environment:
-        w_e = snap.s_e.width
-        s_e_new = BitState(step_bits(config.r_e, snap.s_e.bits, w_e), w_e)
-    return SystemSnapshot(snap.t + 1, s_o_new, r_new, s_e_new)
-
 
 def default_step_cap(config: VariantConfig) -> int:
     if config.variant is Variant.CASE_III:
@@ -394,8 +324,8 @@ def _run_case3(config: VariantConfig, cap: int) -> Trajectory:
     return Trajectory(config, states, rules, cap_hit=True, flips=flips)
 
 
-def _continued(traj: Trajectory, horizon: int):
-    """``traj``'s (states, rules, envs) covering steps 0..horizon: a
+def continued(traj: Trajectory, horizon: int):
+    """``traj``'s (states, rules, envs) covering at least steps 0..horizon: a
     deterministic run continues around its cycle, a Case III run on its
     flip-mask stream."""
     n = len(traj.states) - 1
@@ -430,7 +360,7 @@ def follow(traj: Trajectory, s_o: int, horizon: int) -> Iterator[tuple[int, int]
     other variants: Case III by common random numbers).
     """
     config = traj.config
-    states, rules, envs = _continued(traj, horizon)
+    states, rules, envs = continued(traj, horizon)
     o_step = organism_steps(config.w_o)
     if config.variant is Variant.CASE_I:
         flip = flip_masks(config.w_o, config.w_e)

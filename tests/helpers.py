@@ -5,25 +5,147 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from oee_ca.complexity import EXTINCT, fit_exponent
+import numpy as np
+
+from oee_ca.complexity import EXTINCT, fit_exponent, lyapunov, lzw_phrase_count, lzw_size_bits
 from oee_ca.eca import (
     BitState,
     _rotate_left_cells,
     _rotate_right_cells,
+    canonical_rules,
+    step_bits,
+    step_table,
     triplet_counts_bits,
 )
 from oee_ca.ensemble import SamplePlan, config_for_tuple, draw_plan, innovation_window
 from oee_ca.recurrence import CycleInfo, build_report
 from oee_ca.variants import (
-    SystemSnapshot,
     Trajectory,
     Variant,
     VariantConfig,
+    case1_update_bits,
     default_step_cap,
     execution_rng,
     run_trajectory,
-    system_step,
 )
+
+
+# --- rule tables ----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RuleTable:
+    """An ECA rule as the ordered 8-tuple of outputs over S3 (111 first)."""
+
+    outputs: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.outputs) != 8 or any(b not in (0, 1) for b in self.outputs):
+            raise ValueError("rule table needs exactly 8 binary outputs")
+
+    @property
+    def number(self) -> int:
+        return rule_to_number(self)
+
+
+def rule_from_number(n: int) -> RuleTable:
+    """Rule table for rule number ``n``; outputs ordered per S3 (MSB first)."""
+    if not 0 <= n <= 255:
+        raise ValueError(f"rule number out of range: {n}")
+    return RuleTable(tuple((n >> (7 - i)) & 1 for i in range(8)))
+
+
+def rule_to_number(table: RuleTable) -> int:
+    n = 0
+    for b in table.outputs:
+        n = (n << 1) | b
+    return n
+
+
+# --- one system step at a time ------------------------------------------------
+
+@dataclass(frozen=True)
+class SystemSnapshot:
+    t: int
+    s_o: BitState
+    r_o: int
+    s_e: BitState | None = None
+
+    def key(self) -> tuple:
+        # r_e is constant along a trajectory, so (s_o, s_e, r_o) identifies
+        # the full system state.
+        return (self.s_o.bits, self.r_o, None if self.s_e is None else self.s_e.bits)
+
+
+def case3_update_bits(r_o: int, mu: float, rng: np.random.Generator) -> int:
+    """Case III's rule update: exactly 8 draws per call, consumed in S3 index
+    order (bit 7 downward); draw i flips rule bit 7 - i when below mu."""
+    draws = rng.random(8)
+    out = r_o
+    for i in range(8):
+        if draws[i] < mu:
+            out ^= 1 << (7 - i)
+    return out
+
+
+def system_step(config: VariantConfig, snap: SystemSnapshot,
+                rng: np.random.Generator | None = None) -> SystemSnapshot:
+    """Advance the coupled system one step (rule update first, then states)."""
+    w_o = config.w_o
+    variant = config.variant
+    if variant is Variant.CASE_I:
+        r_new = case1_update_bits(snap.s_o.bits, w_o, snap.r_o,
+                                  snap.s_e.bits, snap.s_e.width)
+    elif variant is Variant.CASE_II:
+        r_new = snap.s_e.bits
+    elif variant is Variant.CASE_III:
+        r_new = case3_update_bits(snap.r_o, config.mu, rng)
+    else:
+        r_new = snap.r_o
+    s_o_new = BitState(step_bits(r_new, snap.s_o.bits, w_o), w_o)
+    s_e_new = None
+    if variant.has_environment:
+        w_e = snap.s_e.width
+        s_e_new = BitState(step_bits(config.r_e, snap.s_e.bits, w_e), w_e)
+    return SystemSnapshot(snap.t + 1, s_o_new, r_new, s_e_new)
+
+
+def render_rows(variant: Variant, w_o: int, w_e: int, steps: int,
+                start: tuple[int, int, int, int]) -> list[int]:
+    """Organism rows 0..steps of ``oee-ca render`` from ``start`` = (r_o,
+    r_e, s_o, s_e), stepped ``steps`` times with ``naive_step_bits`` and
+    no cycle stop (oracle)."""
+    r_o, r_e, s_o, s_e = start
+    rows = [s_o]
+    for _ in range(steps):
+        if variant is Variant.CASE_I:
+            r_o = case1_update_bits(s_o, w_o, r_o, s_e, w_e)
+        elif variant is Variant.CASE_II:
+            r_o = s_e
+        s_o = naive_step_bits(r_o, s_o, w_o)
+        if variant.has_environment:
+            s_e = naive_step_bits(r_e, s_e, w_e)
+        rows.append(s_o)
+    return rows
+
+
+def exhaustive_plan_tuples(plan: SamplePlan) -> list[tuple]:
+    """Every tuple of the plan's space, in lexicographic order."""
+    canon = canonical_rules()
+    if plan.variant in (Variant.ISOLATED, Variant.CASE_III):
+        return [(r_o, s_o) for r_o in canon for s_o in range(1 << plan.w_o)]
+    return [(r_o, r_e, s_o, s_e) for r_o in canon for r_e in canon
+            for s_o in range(1 << plan.w_o) for s_e in range(1 << plan.w_e)]
+
+
+def lyapunov_mean(config: VariantConfig, horizon: int = 16) -> float | str:
+    """k averaged over all w_o perturbation positions (extinct ones skipped);
+    "extinct" when every position is extinct."""
+    base = run_trajectory(config, cap=horizon)
+    vals = [lyapunov(config, b, horizon, base=base) for b in range(config.w_o)]
+    finite = [v for v in vals if v != EXTINCT]
+    if not finite:
+        return EXTINCT
+    return float(np.mean(finite))
 
 
 @dataclass(frozen=True)
@@ -288,3 +410,72 @@ def scalar_normalization_constant(w: int, samples: int, steps: int, seed: int) -
             rows.append(format(cur, f"0{w}b"))
         best = max(best, sum(width for _, width in lzw_compress("".join(rows))))
     return best
+
+
+_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def lzw_compress_bits(symbols: str) -> int:
+    """LZW compressed size of a '0'/'1' string in variable-width code bits,
+    through the phrase-count trie and the closed-form size."""
+    if symbols.strip("01"):
+        raise ValueError("LZW input must be a string of '0' and '1'")
+    return lzw_size_bits(lzw_phrase_count(symbols.encode().translate(_TO_BITS)))
+
+
+# --- brute-force counterfactual set -------------------------------------------
+
+@dataclass
+class CounterfactualSet:
+    """All isolated-ECA trajectories of one width, with containment queries."""
+
+    width: int
+    # trajectories[rule][init] = state sequence up to (and including) the
+    # first repeated state
+    trajectories: list[list[list[int]]]
+
+    def contains(self, states: list[BitState]) -> bool:
+        """Exact contiguous containment in some isolated trajectory.
+
+        Any occurrence of the window's first state inside a rule-r trajectory
+        continues deterministically, so it suffices to iterate each rule's
+        transition map from states[0].
+        """
+        if any(s.width != self.width for s in states):
+            raise ValueError("width mismatch with counterfactual set")
+        packed = [s.bits for s in states]
+        first, rest = packed[0], packed[1:]
+        for rule in range(256):
+            table = step_table(rule, self.width)
+            cur = first
+            for want in rest:
+                cur = table[cur]
+                if cur != want:
+                    break
+            else:
+                return True
+        return False
+
+
+def brute_force_counterfactual(width: int) -> CounterfactualSet:
+    """Enumerate all 256 rules x 2**width initial states (oracle of the
+    single-rule consistency that ``is_eca_reproducible`` decides)."""
+    if not 3 <= width <= 5:
+        raise ValueError("counterfactual enumeration is bounded to widths 3..5")
+    trajectories = []
+    for rule in range(256):
+        table = step_table(rule, width)
+        per_rule = []
+        for init in range(1 << width):
+            seen = {init: 0}
+            seq = [init]
+            cur = init
+            while True:
+                cur = table[cur]
+                seq.append(cur)
+                if cur in seen:
+                    break
+                seen[cur] = len(seq) - 1
+            per_rule.append(seq)
+        trajectories.append(per_rule)
+    return CounterfactualSet(width, trajectories)

@@ -12,18 +12,17 @@ from collections import Counter
 import numpy as np
 
 import conftest
-from helpers import light_stats
+from helpers import brute_force_counterfactual, exhaustive_plan_tuples, light_stats
 
 from oee_ca.ensemble import (
     SamplePlan,
     config_for_tuple,
     draw_plan,
     environment_width,
-    exhaustive_plan_tuples,
     run_ensemble,
 )
 from oee_ca.eca import BitState, WolframClass, canonical_rules, step_table
-from oee_ca.innovation import brute_force_counterfactual, is_eca_reproducible
+from oee_ca.innovation import is_eca_reproducible
 from oee_ca.io_formats import write_records_csv
 from oee_ca.recurrence import CycleInfo, build_report, poincare_time, projected_recurrence
 from oee_ca.variants import (

@@ -8,7 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     lzw_compress,
+    lzw_compress_bits,
     lzw_decompress,
+    lyapunov_mean,
     naive_step_bits,
     scalar_compressibility,
     scalar_normalization_constant,
@@ -21,8 +23,6 @@ from oee_ca.complexity import (
     fit_exponent,
     fixed_rule_run,
     lyapunov,
-    lyapunov_mean,
-    lzw_compress_bits,
     lzw_phrase_bound,
     lzw_phrase_count,
     lzw_size_bits,
@@ -195,6 +195,18 @@ def test_norm_constant_cache_file(tmp_path):
     cx._NORM_MEMO.pop((5, 10, 32, 9))
     assert normalization_constant(5, samples=10, steps=32, seed=9,
                                   cache_path=path) == val
+
+
+def test_norm_constant_memo_hit_still_writes_cache_file(tmp_path):
+    """A memoized constant is appended to a cache file that lacks it, and a
+    file that has it is left as it was."""
+    first, second = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+    val = normalization_constant(4, samples=7, steps=24, seed=5, cache_path=first)
+    assert normalization_constant(4, samples=7, steps=24, seed=5, cache_path=second) == val
+    for path in (first, second):
+        assert open(path).read() == f"4 7 24 5 {val}\n"
+    normalization_constant(4, samples=7, steps=24, seed=5, cache_path=second)
+    assert open(second).read() == f"4 7 24 5 {val}\n"
 
 
 @pytest.mark.parametrize("w", [1, 2, 3, 5, 13, 17, 21, 33, 63])

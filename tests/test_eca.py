@@ -5,29 +5,33 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import naive_step_bits, scalar_count_table, scalar_step_table
+from helpers import (
+    RuleTable,
+    naive_step_bits,
+    rule_from_number,
+    rule_to_number,
+    scalar_count_table,
+    scalar_step_table,
+)
 from oee_ca.eca import (
     BitState,
     ConfigurationError,
-    RuleTable,
     WolframClass,
+    _complement_number,
+    _mirror_number,
     canonical_rule,
     canonical_rules,
-    complement_rule,
     count_table,
     load_class_table,
-    mirror_rule,
-    rule_from_number,
-    rule_to_number,
     neighborhood_masks,
-    step,
     step_bits,
     step_table,
+    triplet_counts_bits,
     window_tables,
-    triplet_counts,
-    triplet_frequencies,
     wolfram_class,
 )
+from oee_ca.ensemble import SamplePlan
+from oee_ca.variants import Variant
 
 rules = st.integers(0, 255)
 widths = st.integers(3, 12)
@@ -99,53 +103,56 @@ def test_homogeneous():
 
 # --- stepping ---------------------------------------------------------------
 
+def step(rule: int, state: BitState) -> BitState:
+    return BitState(step_bits(rule, state.bits, state.width), state.width)
+
+
 def test_step_rule_0_annihilates():
-    rule = rule_from_number(0)
     for bits in range(32):
-        assert step(rule, BitState(bits, 5)).bits == 0
+        assert step(0, BitState(bits, 5)).bits == 0
 
 
 @given(states())
 def test_step_rule_204_identity(s):
-    assert step(rule_from_number(204), s) == s
+    assert step(204, s) == s
 
 
 def test_step_rule_30_pinned():
-    out = step(rule_from_number(30), BitState.from_string("00100"))
+    out = step(30, BitState.from_string("00100"))
     assert out.to_string() == "01110"
 
 
 @given(rules, states())
 def test_step_shift_equivariance(n, s):
     """Rotating the input rotates the output identically."""
-    rule = rule_from_number(n)
     rotated = BitState.from_cells(s.cells[1:] + s.cells[:1])
-    out_rot = step(rule, rotated)
-    out = step(rule, s)
+    out_rot = step(n, rotated)
+    out = step(n, s)
     assert out_rot == BitState.from_cells(out.cells[1:] + out.cells[:1])
 
 
 @given(rules, states())
 def test_step_complement_duality(n, s):
-    rule = rule_from_number(n)
     comp = BitState.from_cells(tuple(1 - c for c in s.cells))
-    lhs = step(complement_rule(rule), comp)
-    rhs = BitState.from_cells(tuple(1 - c for c in step(rule, s).cells))
+    lhs = step(_complement_number(n), comp)
+    rhs = BitState.from_cells(tuple(1 - c for c in step(n, s).cells))
     assert lhs == rhs
 
 
 @given(rules, states())
 def test_step_mirror_duality(n, s):
-    rule = rule_from_number(n)
     rev = BitState.from_cells(s.cells[::-1])
-    lhs = step(mirror_rule(rule), rev)
-    rhs = BitState.from_cells(step(rule, s).cells[::-1])
+    lhs = step(_mirror_number(n), rev)
+    rhs = BitState.from_cells(step(n, s).cells[::-1])
     assert lhs == rhs
 
 
 def test_step_rejects_narrow_state():
+    """The kernel steps any width (``render`` draws 1- and 2-cell rings);
+    an ensemble plan, whose analysis needs 3 cells, rejects narrower
+    organisms."""
     with pytest.raises(ValueError):
-        step(rule_from_number(30), BitState(1, 2))
+        SamplePlan(Variant.ISOLATED, 2)
 
 
 # every chunk boundary of the 8-cell window reads, and widths beyond 64
@@ -213,25 +220,24 @@ def test_neighborhood_masks_cached_and_read_only():
 
 
 def test_triplet_frequencies_all_zero():
-    freqs = triplet_frequencies(BitState(0, 5))
-    assert freqs[7] == 1  # triplet 000
-    assert sum(freqs) == 1
-    assert all(f == 0 for f in freqs[:7])
+    counts = triplet_counts_bits(0, 5)
+    assert counts[7] == 5  # triplet 000 in every window
+    assert sum(counts) == 5
+    assert all(c == 0 for c in counts[:7])
 
 
 def test_triplet_frequencies_0101():
-    freqs = triplet_frequencies(BitState.from_string("0101"))
+    counts = triplet_counts_bits(0b0101, 4)
     # periodic 0101: windows are 101, 010, 101, 010
-    from fractions import Fraction
-    assert freqs[2] == Fraction(1, 2)  # 101
-    assert freqs[5] == Fraction(1, 2)  # 010
-    assert sum(freqs) == 1
+    assert counts[2] == 2  # 101, half the windows
+    assert counts[5] == 2  # 010
+    assert sum(counts) == 4
 
 
 @given(states())
 def test_triplet_frequencies_sum_to_one(s):
-    assert sum(triplet_frequencies(s)) == 1
-    assert sum(triplet_counts(s)) == s.width
+    """One triplet per cell, so the normalized frequencies sum to 1."""
+    assert sum(triplet_counts_bits(s.bits, s.width)) == s.width
 
 
 # --- equivalence orbits -----------------------------------------------------
@@ -251,16 +257,14 @@ def test_canonical_255_is_0():
 
 @given(rules)
 def test_orbit_members_share_canonical(n):
-    for m in (mirror_rule(rule_from_number(n)).number,
-              complement_rule(rule_from_number(n)).number):
+    for m in (_mirror_number(n), _complement_number(n)):
         assert canonical_rule(m) == canonical_rule(n)
 
 
 @given(rules)
 def test_mirror_complement_involutions(n):
-    rule = rule_from_number(n)
-    assert mirror_rule(mirror_rule(rule)) == rule
-    assert complement_rule(complement_rule(rule)) == rule
+    assert _mirror_number(_mirror_number(n)) == n
+    assert _complement_number(_complement_number(n)) == n
 
 
 # --- Wolfram classes --------------------------------------------------------

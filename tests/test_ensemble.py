@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from helpers import exhaustive_plan_tuples
 from oee_ca.ensemble import (
     BoxStats,
     EmptyReportError,
@@ -13,7 +14,6 @@ from oee_ca.ensemble import (
     config_for_tuple,
     draw_plan,
     environment_width,
-    exhaustive_plan_tuples,
     log2_histogram,
     metagenome,
     run_ensemble,

@@ -6,18 +6,10 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import scalar_is_eca_reproducible
-from oee_ca.eca import BitState, rule_from_number, step, step_bits
-from oee_ca.innovation import (
-    _pins,
-    brute_force_counterfactual,
-    inn_flag,
-    innovation_metric,
-    is_eca_reproducible,
-    load_oracle_cache,
-    save_oracle_cache,
-    transition_pins,
-)
+from helpers import brute_force_counterfactual, scalar_is_eca_reproducible
+from oee_ca.eca import BitState, step_bits
+from oee_ca.ensemble import SamplePlan, execute_tuple
+from oee_ca.innovation import _pins, is_eca_reproducible, transition_pins
 from oee_ca.variants import TABLE_BUDGET, Variant, VariantConfig, run_trajectory
 
 
@@ -30,29 +22,25 @@ def states_of(width, packed):
 @given(st.integers(0, 255), st.integers(3, 6), st.data())
 def test_fixed_rule_trajectory_is_reproducible(rule, width, data):
     init = data.draw(st.integers(0, (1 << width) - 1))
-    seq = [BitState(init, width)]
+    packed = [init]
     for _ in range(10):
-        seq.append(step(rule_from_number(rule), seq[-1]))
-    packed = [s.bits for s in seq]
+        packed.append(step_bits(rule, packed[-1], width))
     witness = is_eca_reproducible(packed, width)
     assert witness is not None
     # the returned witness itself generates the sequence
-    for a, b in zip(seq, seq[1:]):
-        assert step(rule_from_number(witness), a) == b
-    assert not inn_flag(packed, width)
+    for a, b in zip(packed, packed[1:]):
+        assert step_bits(witness, a, width) == b
 
 
 def test_contradictory_window():
     # 000 -> 010: cells 0 and 1 both see neighborhood 000 yet differ next step
     assert is_eca_reproducible([0b000, 0b010], 3) is None
-    assert inn_flag([0b000, 0b010], 3)
 
 
 def test_alternating_homogeneous_is_reproducible():
     seq = [0b0000, 0b1111, 0b0000, 0b1111]
     witness = is_eca_reproducible(seq, 4)
     assert witness is not None  # e.g. any rule with 000->1, 111->0
-    assert not inn_flag(seq, 4)
 
 
 def test_constant_window_is_reproducible():
@@ -61,7 +49,6 @@ def test_constant_window_is_reproducible():
     assert witness is not None  # rule 204 (identity) is one valid witness
     for a, b in zip(seq, seq[1:]):
         assert step_bits(witness, a, 4) == b
-    assert not inn_flag(seq, 4)
 
 
 def test_smallest_witness_returned():
@@ -143,19 +130,40 @@ def test_pins_chosen_by_budget():
                                for k in range(1 << 2 * width)]
 
 
-# --- innovation_metric ------------------------------------------------------
+# --- innovation metric I = n_r / 2**w_o -------------------------------------
+
+def metric_record(variant, w_o, tup):
+    """The execution record of one tuple of a plan (norm_bits is arbitrary)."""
+    plan = SamplePlan(variant, w_o, 8 if variant is Variant.CASE_I else None,
+                      sample_count=1)
+    return execute_tuple(plan, 0, tup, norm_bits=100)
+
 
 def test_metric_constant_rules():
-    assert innovation_metric([30] * 10, 4) == 0.0
+    rec = metric_record(Variant.ISOLATED, 4, (30, 0b0110))
+    assert rec.n_rule_transitions == 0 and rec.innovation_I == 0.0
 
 
 def test_metric_every_step_changes():
-    rules = list(range(17))  # 16 transitions over t = 0..16
-    assert innovation_metric(rules, 4) == 1.0
+    """Case II's rule is the previous environment state: under rule 170 an
+    8-cell environment with one set cell shifts one cell a step and never
+    repeats two steps running, so every transition of the window changes
+    the rule."""
+    rec = metric_record(Variant.CASE_II, 4, (90, 170, 0b0110, 0b1))
+    assert rec.t_r >= 2 and rec.n_rule_transitions == rec.t_r
+    assert rec.innovation_I == rec.t_r / 16
 
 
 def test_metric_normalization():
-    assert innovation_metric([1, 2, 2, 3], 3) == 2 / 8
+    """I counts the rule changes over the window 0..t_r, over 2**w_o."""
+    for tup in [(30, 110, 0b101, 0b11010010), (110, 30, 0b011, 0b10011100)]:
+        rec = metric_record(Variant.CASE_I, 3, tup)
+        config = VariantConfig(Variant.CASE_I, BitState(tup[2], 3), tup[0],
+                               s_e=BitState(tup[3], 8), r_e=tup[1])
+        rules = run_trajectory(config).rules[:rec.t_r + 1]
+        n_r = sum(a != b for a, b in zip(rules, rules[1:]))
+        assert rec.n_rule_transitions == n_r > 0
+        assert rec.innovation_I == n_r / 8
 
 
 # --- brute-force counterfactual oracle --------------------------------------
@@ -192,30 +200,3 @@ def test_oracle_equivalence_random_windows(width, data):
     n = data.draw(st.integers(2, 6))
     window = [data.draw(st.integers(0, (1 << width) - 1)) for _ in range(n)]
     assert (is_eca_reproducible(window, width) is not None) == cf.contains(states_of(width, window))
-
-
-# --- oracle cache file ------------------------------------------------------
-
-def test_oracle_cache_round_trip(tmp_path):
-    path = str(tmp_path / "oracle.bin")
-    cf = brute_force_counterfactual(3, cache_path=path)
-    loaded = load_oracle_cache(path, expect_width=3)
-    assert loaded.trajectories == cf.trajectories
-    # second build call loads from the cache instead of recomputing
-    again = brute_force_counterfactual(3, cache_path=path)
-    assert again.trajectories == cf.trajectories
-
-
-def test_oracle_cache_bad_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + bytes(16))
-    with pytest.raises(ValueError):
-        load_oracle_cache(str(path))
-
-
-def test_oracle_cache_width_mismatch(tmp_path):
-    path = str(tmp_path / "oracle.bin")
-    cf = brute_force_counterfactual(3)
-    save_oracle_cache(cf, path)
-    with pytest.raises(ValueError):
-        load_oracle_cache(path, expect_width=4)

@@ -10,6 +10,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from helpers import SystemSnapshot, render_rows, system_step
 from oee_ca import complexity as cx
 from oee_ca.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main, render_start
 from oee_ca.eca import BitState
@@ -25,7 +26,7 @@ from oee_ca.io_formats import (
     write_records_csv,
     write_report_json,
 )
-from oee_ca.variants import SystemSnapshot, Variant, VariantConfig, system_step
+from oee_ca.variants import Variant, VariantConfig, run_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -208,12 +209,6 @@ def test_cli_analyze_round_trip(tmp_path):
     assert os.path.exists(os.path.join(svg_dir, "inn_vs_t_r.svg"))
 
 
-def test_cli_oracle_build_and_verify(tmp_path):
-    path = str(tmp_path / "oracle.bin")
-    assert main(["oracle", "--width", "3", "--out", path]) == EXIT_OK
-    assert main(["oracle", "--width", "3", "--out", path, "--verify"]) == EXIT_OK
-
-
 def test_cli_norm(tmp_path):
     cache = str(tmp_path / "norm.txt")
     assert main(["norm", "--width", "4", "--samples", "5", "--steps", "16",
@@ -268,6 +263,39 @@ def test_cli_render_case2_uses_an_8_cell_environment(tmp_path):
         snap = system_step(config, snap)
         want.append(snap.s_o.bits)
     assert read_pgm_rows(out) == want
+
+
+# (variant, w_o, --we, --steps, seed, whether the run repeats before --steps;
+# None where that is not the point of the case)
+RENDER_ORACLE = {
+    "case1_repeats": (Variant.CASE_I, 4, 4, 200, 1, True),
+    "case1_reaches_steps": (Variant.CASE_I, 30, 40, 60, 2, False),
+    "case2_repeats": (Variant.CASE_II, 4, None, 300, 3, True),
+    "case2_reaches_steps": (Variant.CASE_II, 40, None, 60, 4, False),
+    "eca_repeats": (Variant.ISOLATED, 5, None, 100, 5, True),
+    "eca_reaches_steps": (Variant.ISOLATED, 90, None, 50, 6, False),
+    "wo_1": (Variant.CASE_I, 1, 1, 20, 7, None),
+    "wo_2": (Variant.ISOLATED, 2, None, 20, 8, None),
+    "steps_0": (Variant.CASE_II, 12, None, 0, 9, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENDER_ORACLE))
+def test_cli_render_rows_equal_the_stepping_oracle(name, tmp_path):
+    """Rows of a run that repeats are its cycle replayed out to --steps: they
+    equal plain stepping with no cycle stop."""
+    variant, w_o, we, steps, seed, repeats = RENDER_ORACLE[name]
+    out = str(tmp_path / "render.pgm")
+    flags = ["--we", str(we)] if we else []
+    assert main(["render", "--variant", variant.value, "--wo", str(w_o), *flags,
+                 "--steps", str(steps), "--seed", str(seed), "--out", out]) == EXIT_OK
+    w_e = 8 if variant is Variant.CASE_II else we or w_o
+    r_o, r_e, s_o, s_e = start = render_start(seed, w_o, w_e)
+    assert read_pgm_rows(out) == render_rows(variant, w_o, w_e, steps, start)
+    if repeats is not None:
+        env = dict(s_e=BitState(s_e, w_e), r_e=r_e) if variant.has_environment else {}
+        traj = run_trajectory(VariantConfig(variant, BitState(s_o, w_o), r_o, **env), steps)
+        assert (not traj.cap_hit and traj.repeat_time < steps) == repeats
 
 
 def test_render_start_widens_wide_environments():
@@ -437,6 +465,21 @@ def test_cli_norm_width_out_of_range_exits_3(tmp_path, capsys):
     assert "normalization width" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--variant", "eca", "--wo", "64"], "normalization width"),
+    (["--variant", "eca", "--wo", "70"], "normalization width"),
+    (["--variant", "case3", "--wo", "64"], "normalization width"),
+    (["--variant", "eca", "--wo", "2"], "organism width must be >= 3"),
+])
+def test_cli_ensemble_width_out_of_range_exits_3(argv, message, tmp_path, capsys):
+    """A plan rejects its widths before it draws a tuple."""
+    out = tmp_path / "r.csv"
+    assert main(["ensemble", *argv, "--samples", "2", "--out", str(out),
+                 "--report", str(tmp_path / "rep.json")]) == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["ensemble", "--variant", "bogus", "--wo", "3", "--samples", "1"])
@@ -485,18 +528,6 @@ def test_cli_config_file_values_are_converted(tmp_path):
         main(["--config", str(conf), "ensemble", "--variant", "case1",
               "--wo", "3", "--samples", "20", "--out", out, "--report", report])
     assert exc.value.code == EXIT_USAGE
-
-
-def test_cli_config_file_false_flag_stays_off(tmp_path, monkeypatch):
-    import oee_ca.cli as cli
-    conf = tmp_path / "o.conf"
-    conf.write_text("verify = false\n")
-    calls = []
-    monkeypatch.setitem(cli.COMMANDS, "oracle", lambda args: calls.append(args.verify) or EXIT_OK)
-    assert main(["--config", str(conf), "oracle", "--width", "3"]) == EXIT_OK
-    conf.write_text("verify = maybe\n")
-    assert main(["--config", str(conf), "oracle", "--width", "3"]) == EXIT_DATA
-    assert calls == [False]
 
 
 def test_cli_class_table_override(tmp_path):

@@ -6,26 +6,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import naive_step_bits, scalar_lyapunov, scalar_trajectory
+from helpers import (
+    SystemSnapshot,
+    case3_update_bits,
+    naive_step_bits,
+    scalar_lyapunov,
+    scalar_trajectory,
+    system_step,
+)
 
 from oee_ca import complexity as cx
-from oee_ca.eca import BitState, rule_from_number, step_bits, step_table
+from oee_ca.eca import BitState, step_bits, step_table
 from oee_ca.variants import (
     TABLE_BUDGET,
-    SystemSnapshot,
+    FlipMasks,
     Variant,
     VariantConfig,
-    case1_rule_update,
     case1_update_bits,
-    case2_rule_update,
-    case3_rule_update,
     default_step_cap,
     environment_steps,
     execution_rng,
     follow,
     organism_steps,
     run_trajectory,
-    system_step,
 )
 
 
@@ -66,16 +69,13 @@ def test_isolated_rejects_environment():
 
 def test_case1_all_zero_flips_000_bit():
     """Only triplet 000 is present in both states; 1 >= 1 flips outputs[7]."""
-    out = case1_rule_update(BitState(0, 4), rule_from_number(30), BitState(0, 6))
-    assert out.number == 31
+    assert case1_update_bits(0, 4, 30, 0, 6) == 31
 
 
 def test_case1_no_flip_branch():
     # s_o = 0111 has triplets {011,111,110,101}; s_e all-zero has only 000:
     # nothing is present in both, so the rule is unchanged.
-    out = case1_rule_update(BitState.from_string("0111"), rule_from_number(30),
-                            BitState(0, 6))
-    assert out.number == 30
+    assert case1_update_bits(0b0111, 4, 30, 0, 6) == 30
 
 
 def test_case1_single_triplet_witness_30_to_62():
@@ -109,45 +109,49 @@ def test_case1_involution_on_flip_mask(r_o, so, se):
 
 # --- Case II ----------------------------------------------------------------
 
+def case2_next_rule(s_e: int) -> int:
+    """The organism's rule at step 1 of a Case II run from environment s_e."""
+    config = VariantConfig(Variant.CASE_II, BitState(0b0110, 4), 90,
+                           s_e=BitState(s_e, 8), r_e=204)
+    return run_trajectory(config, cap=1).rules[1]
+
+
 def test_case2_pinned_examples():
-    assert case2_rule_update(BitState.from_string("00011110")).number == 30
-    assert case2_rule_update(BitState(0, 8)).number == 0
-    assert case2_rule_update(BitState(255, 8)).number == 255
+    """The width-8 environment state read MSB-first as a rule number."""
+    assert case2_next_rule(0b00011110) == 30
+    assert case2_next_rule(0) == 0
+    assert case2_next_rule(255) == 255
 
 
 def test_case2_rejects_wrong_width():
     with pytest.raises(ValueError):
-        case2_rule_update(BitState(0, 7))
+        VariantConfig(Variant.CASE_II, BitState(0, 4), 30, s_e=BitState(0, 7), r_e=90)
 
 
 # --- Case III ---------------------------------------------------------------
 
+def flip_masks_of(seed: int, mu: float, n: int) -> bytes:
+    """The first ``n`` Case III flip masks of the stream seeded ``seed``."""
+    flips = FlipMasks(seed, mu)
+    while len(flips.masks) < n:
+        flips.more()
+    return bytes(flips.masks[:n])
+
+
 def test_case3_mu_zero_never_flips():
-    rng = execution_rng(123)
-    rule = rule_from_number(90)
-    for _ in range(50):
-        assert case3_rule_update(rule, 0.0, rng) == rule
+    assert flip_masks_of(123, 0.0, 50) == bytes(50)
 
 
 def test_case3_mu_near_one_full_complement():
     # with mu -> 1, a draw >= mu is vanishingly rare; force it by checking
     # many steps all produce the exact complement
-    rng = execution_rng(5)
-    rule = rule_from_number(90)
-    flips = [case3_rule_update(rule, 0.999999, rng).number for _ in range(20)]
-    assert all(f == 90 ^ 0xFF for f in flips)
+    assert flip_masks_of(5, 0.999999, 20) == b"\xff" * 20
 
 
 def test_case3_mean_flip_count_binomial():
     """mu = 0.5: mean Hamming distance per step is Binomial(8, 1/2) = 4."""
-    rng = execution_rng(7)
-    n, total = 4000, 0
-    cur = 90
-    for _ in range(n):
-        nxt = case3_rule_update(rule_from_number(cur), 0.5, rng).number
-        total += (cur ^ nxt).bit_count()
-        cur = nxt
-    mean = total / n
+    n = 4000
+    mean = sum(mask.bit_count() for mask in flip_masks_of(7, 0.5, n)) / n
     sigma = np.sqrt(8 * 0.25 / n)
     assert abs(mean - 4.0) < 3 * sigma
 
@@ -155,14 +159,14 @@ def test_case3_mean_flip_count_binomial():
 def test_case3_exactly_8_draws_per_call():
     rng_a = execution_rng(9)
     rng_b = execution_rng(9)
-    case3_rule_update(rule_from_number(90), 0.5, rng_a)
+    case3_update_bits(90, 0.5, rng_a)
     rng_b.random(8)
     assert rng_a.random() == rng_b.random()
 
 
 def test_case3_mu_validation():
     with pytest.raises(ValueError):
-        case3_rule_update(rule_from_number(90), 1.0, execution_rng(0))
+        VariantConfig(Variant.CASE_III, BitState(1, 3), 90, mu=1.0, seed=0)
 
 
 # --- system_step ------------------------------------------------------------
