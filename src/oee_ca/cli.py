@@ -104,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     em.add_argument("--cap", type=int)
     em.add_argument("--workers", type=int,
                     help="process-pool size (default: $OEE_THREADS, else 1)")
-    em.add_argument("--norm-samples", type=int, default=cx.NORM_SAMPLES)
-    em.add_argument("--norm-steps", type=int, default=cx.NORM_STEPS)
+    em.add_argument("--norm-samples", type=_int_at_least(1), default=cx.NORM_SAMPLES)
+    em.add_argument("--norm-steps", type=_int_at_least(0), default=cx.NORM_STEPS)
     em.add_argument("--norm-seed", type=int, default=0)
     em.add_argument("--norm-cache")
     em.add_argument("--out", default="records.csv")
@@ -114,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     nrm = sub.add_parser("norm", help="build the compressibility normalization cache")
     nrm.add_argument("--width", type=int, required=True,
                      help="full-system width w_o + w_e")
-    nrm.add_argument("--samples", type=int, default=cx.NORM_SAMPLES)
-    nrm.add_argument("--steps", type=int, default=cx.NORM_STEPS)
+    nrm.add_argument("--samples", type=_int_at_least(1), default=cx.NORM_SAMPLES)
+    nrm.add_argument("--steps", type=_int_at_least(0), default=cx.NORM_STEPS)
     nrm.add_argument("--seed", type=int, default=0)
     nrm.add_argument("--cache", default="norm_cache.txt")
 

@@ -136,6 +136,8 @@ def normalization_constant(w: int, samples: int = NORM_SAMPLES, steps: int = NOR
     """
     if not 1 <= w <= NORM_MAX_WIDTH:
         raise ValueError(f"normalization width must be in 1..{NORM_MAX_WIDTH}, got {w}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     key = (w, samples, steps, seed)

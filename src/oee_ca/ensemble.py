@@ -74,8 +74,13 @@ class SamplePlan:
                 raise ValueError("Case I requires w_e >= 1")
         if self.variant in (Variant.CASE_III, Variant.ISOLATED) and self.w_e is not None:
             raise ValueError(f"{self.variant.value} takes no environment width")
-        if self.variant is Variant.CASE_III and self.mu is None:
-            object.__setattr__(self, "mu", 0.5)
+        if self.variant is Variant.CASE_III:
+            if self.mu is None:
+                object.__setattr__(self, "mu", 0.5)
+            if not 0.0 <= self.mu < 1.0:
+                raise ValueError(f"Case III requires mu in [0, 1), got {self.mu}")
+        if self.step_cap is not None and self.step_cap < 1:
+            raise ValueError(f"step_cap must be >= 1, got {self.step_cap}")
         if self.full_width > cx.NORM_MAX_WIDTH:
             raise ValueError(f"full width w_o + w_e = {self.full_width} exceeds the "
                              f"normalization width maximum {cx.NORM_MAX_WIDTH}")
@@ -229,8 +234,20 @@ def execute_tuple(plan: SamplePlan, index: int, tup: tuple, norm_bits: int) -> E
                            C=c_val, k=k, attractor_rules=att)
 
 
-def _worker(args) -> ExecutionRecord:
-    return execute_tuple(*args)
+# (plan, tuples, norm_bits) of the ensemble a pool worker runs, installed
+# once per worker by ``_install_job``
+_JOB: tuple | None = None
+
+
+def _install_job(job: tuple) -> None:
+    global _JOB
+    _JOB = job
+
+
+def _run_range(bounds: tuple[int, int]) -> list[ExecutionRecord]:
+    """The records of the installed ensemble's tuples start..stop - 1."""
+    plan, tuples, norm_bits = _JOB
+    return [execute_tuple(plan, i, tuples[i], norm_bits) for i in range(*bounds)]
 
 
 def worker_count(requested: int | None, n_tasks: int, env: str | None,
@@ -253,14 +270,16 @@ def run_ensemble(plan: SamplePlan, workers: int | None = None,
     norm_bits = cx.normalization_constant(
         plan.full_width, plan.norm_samples, plan.norm_steps, plan.norm_seed,
         cache_path=norm_cache)
-    tasks = [(plan, i, tup, norm_bits) for i, tup in enumerate(tuples)]
-    workers = worker_count(workers, len(tasks), os.environ.get("OEE_THREADS"),
-                           os.cpu_count())
+    n = len(tuples)
+    workers = worker_count(workers, n, os.environ.get("OEE_THREADS"), os.cpu_count())
     if workers <= 1:
-        return [_worker(t) for t in tasks]
-    chunk = max(1, len(tasks) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_worker, tasks, chunksize=chunk))
+        return [execute_tuple(plan, i, tup, norm_bits) for i, tup in enumerate(tuples)]
+    # each worker gets the plan once, then about 8 contiguous ranges of it
+    parts = min(workers * 8, n)
+    ranges = [(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_install_job,
+                             initargs=((plan, tuples, norm_bits),)) as pool:
+        return [rec for chunk in pool.map(_run_range, ranges) for rec in chunk]
 
 
 # --- aggregation ------------------------------------------------------------

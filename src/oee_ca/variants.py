@@ -24,11 +24,14 @@ tables of all ``ENVIRONMENT_RULES`` rules a plan can draw, one flip table.
 Above it the same loop computes each entry per step: a step with the
 window-table kernel (``eca.stepper``), a flip mask with
 ``case1_update_bits``.  Case III draws its flip masks a block of steps at a
-time.  ``continued`` extends a finished run past its end, around its cycle
-or on its flip-mask stream: ``oee-ca render`` replays a cycle with it, and
-``follow`` steps a perturbed copy of the organism alongside the run, for the
-Lyapunov exponent.  Widths are not bounded here; the callers that take them
-from outside (``oee-ca run``, ``SamplePlan``) check them.
+time from its own Philox stream, addressed by key and counter through one
+generator shared by the process (not thread-safe; a process steps its runs
+on one thread).  ``continued`` extends a finished run past its end, around
+its cycle or on its flip-mask stream: ``oee-ca render`` replays a cycle
+with it, and ``follow`` steps a perturbed copy of the organism alongside
+the run, for the Lyapunov exponent.  Widths are not bounded here; the
+callers that take them from outside (``oee-ca run``, ``SamplePlan``) check
+them.
 """
 
 from __future__ import annotations
@@ -165,9 +168,16 @@ def case1_update_bits(s_o_bits: int, w_o: int, r_o: int, s_e_bits: int, w_e: int
     return out
 
 
+def stream_key(master_seed: int, index: int = 0) -> list[int]:
+    """The Philox key words ``[index, master_seed]`` (each taken mod 2^64) of
+    the stream keyed by (master seed, execution index), i.e. the 128-bit key
+    ``(master_seed << 64) | index``."""
+    return [int(index) & (2**64 - 1), int(master_seed) & (2**64 - 1)]
+
+
 def execution_rng(master_seed: int, index: int = 0) -> np.random.Generator:
     """Counter-based stream keyed by (master seed, execution index)."""
-    key = ((int(master_seed) & (2**64 - 1)) << 64) | (int(index) & (2**64 - 1))
+    key = np.array(stream_key(master_seed, index), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -224,23 +234,45 @@ def flip_masks(w_o: int, w_e: int):
         lambda se: case1_update_bits(so, w_o, 0, se, w_e)))
 
 
+# The one Philox generator every ``FlipMasks`` draws from.  Each block is
+# drawn right after pointing it at the block's (key, counter), so instances
+# may interleave, but the generator is not thread-safe: the package steps
+# one run at a time in each process.
+_PHILOX = np.random.Philox(key=0)
+_DRAWS = np.random.Generator(_PHILOX)
+_PHILOX_STATE = {"bit_generator": "Philox",
+                 "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 class FlipMasks:
     """Case III's rule flips: ``masks[t]`` is XORed into the rule at step
-    t + 1.  They come from ``execution_rng(seed)`` a block of steps at a time:
-    ``rng.random(8 * n)`` yields the same doubles as n consecutive
-    ``rng.random(8)`` calls, one per step, and draw j of a step flips rule
-    bit 7 - j when it is below mu.  Draws past the end of a run stay in
-    ``masks`` for whoever continues it."""
+    t + 1.  They are the stream of ``execution_rng(seed)``, drawn a block of
+    steps at a time: ``random(8 * n)`` yields the same doubles as n
+    consecutive ``random(8)`` calls, one per step, and draw j of a step flips
+    rule bit 7 - j when it is below mu.  Draws past the end of a run stay in
+    ``masks`` for whoever continues it.
+
+    Philox is counter-based: the 64-bit words of block c of a stream are a
+    function of (key, c) alone.  A step takes 8 doubles, one 4-word block
+    per 4 doubles, so the steps from ``len(masks)`` on start at counter
+    ``2 * len(masks)``.  An instance keeps only its key and its masks, and
+    ``more`` points the module's shared generator there, with an empty
+    buffer, before each block; no generator is built per run."""
 
     def __init__(self, seed: int, mu: float):
-        self._rng = execution_rng(seed)
+        self._key = stream_key(seed)
         self._mu = mu
         self.masks = bytearray()
 
     def more(self) -> None:
         """Draw the next block; blocks double from 16 steps up to 4096."""
         n = min(max(16, len(self.masks)), 4096)
-        draws = self._rng.random(8 * n).reshape(n, 8) < self._mu
+        state = _PHILOX_STATE["state"]
+        state["counter"][0] = 2 * len(self.masks)
+        state["key"][:] = self._key
+        _PHILOX.state = _PHILOX_STATE
+        draws = _DRAWS.random(8 * n).reshape(n, 8) < self._mu
         self.masks += np.packbits(draws, axis=1).tobytes()
 
 

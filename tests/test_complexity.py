@@ -237,6 +237,12 @@ def test_norm_constant_rejects_negative_steps():
         normalization_constant(4, samples=2, steps=-1)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_norm_constant_rejects_samples_below_one(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        normalization_constant(4, samples=samples, steps=4)
+
+
 @pytest.mark.parametrize("w", [1, 2, 3, 7, 40, 63])
 def test_fixed_rule_runs_match_step_bits(w):
     """A run holds the ``naive_step_bits`` states up to its first repeat, and

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from helpers import exhaustive_plan_tuples
+from oee_ca import ensemble
 from oee_ca.ensemble import (
     BoxStats,
     EmptyReportError,
@@ -21,6 +22,7 @@ from oee_ca.ensemble import (
     worker_count,
 )
 from oee_ca.eca import canonical_rule
+from oee_ca.io_formats import write_records_csv
 from oee_ca.variants import Variant
 
 
@@ -60,6 +62,18 @@ def test_case3_plan_defaults_mu():
     assert plan.mu == 0.5
     with pytest.raises(ValueError):
         SamplePlan(Variant.CASE_III, 3, w_e=3, sample_count=10)
+
+
+@pytest.mark.parametrize("mu", [1.0, 1.5, -0.1, float("nan")])
+def test_case3_plan_rejects_mu(mu):
+    with pytest.raises(ValueError, match="mu in"):
+        SamplePlan(Variant.CASE_III, 3, mu=mu, sample_count=10)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_plan_rejects_step_cap_below_one(cap):
+    with pytest.raises(ValueError, match="step_cap"):
+        SamplePlan(Variant.CASE_I, 3, 3, sample_count=10, step_cap=cap)
 
 
 @pytest.mark.parametrize("count", [0, -3])
@@ -144,6 +158,43 @@ def test_worker_counts_agree(small_case1_records):
     plan, records = small_case1_records
     parallel = run_ensemble(dataclasses.replace(plan), workers=2)
     assert parallel == records
+
+
+@pytest.mark.parametrize("variant, w_o", [(Variant.CASE_III, 4), (Variant.CASE_II, 3),
+                                        (Variant.ISOLATED, 4)])
+@pytest.mark.parametrize("samples", [1, 3, 1001])
+def test_worker_counts_write_identical_csv(variant, w_o, samples, tmp_path):
+    """Fewer samples than the pool's 16 ranges, and a count the ranges do
+    not divide; Case III also checks the forked workers' shared stream."""
+    plan = SamplePlan(variant, w_o, sample_count=samples, master_seed=samples,
+                      norm_samples=20, norm_steps=64)
+    csv = []
+    for workers in (1, 2):
+        records = run_ensemble(plan, workers=workers)
+        assert len(records) == samples
+        path = tmp_path / f"records_w{workers}.csv"
+        write_records_csv(records, str(path))
+        csv.append(path.read_bytes())
+    assert csv[0] == csv[1]
+
+
+def test_serial_ensemble_calls_execute_tuple_per_tuple_in_order(monkeypatch):
+    """The benchmark's per-execution spans wrap ``ensemble.execute_tuple``:
+    a serial run must call it through the module attribute, once per tuple,
+    in draw order."""
+    plan = SamplePlan(Variant.CASE_III, 4, sample_count=30, master_seed=4,
+                      norm_samples=20, norm_steps=64)
+    calls = []
+    execute = ensemble.execute_tuple
+
+    def counting(plan_, index, tup, norm_bits):
+        calls.append((index, tup))
+        return execute(plan_, index, tup, norm_bits)
+
+    monkeypatch.setattr(ensemble, "execute_tuple", counting)
+    records = run_ensemble(plan, workers=1)
+    assert calls == list(enumerate(draw_plan(plan)))
+    assert len(records) == 30
 
 
 def test_worker_count_explicit_request_beats_env():

@@ -457,6 +457,48 @@ def test_cli_ensemble_without_samples_is_usage_error(samples, tmp_path, capsys):
     assert "--samples: must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value, least", [
+    ("ensemble", "--norm-samples", "0", 1),
+    ("ensemble", "--norm-steps", "-1", 0),
+    ("norm", "--samples", "0", 1),
+    ("norm", "--steps", "-1", 0),
+])
+def test_cli_norm_settings_out_of_range_are_usage_errors(command, flag, value, least,
+                                                          tmp_path, capsys):
+    """argparse rejects the value, so no constant is computed or cached."""
+    cache = tmp_path / "norm.txt"
+    argv = (["ensemble", "--variant", "eca", "--wo", "4", "--samples", "5",
+             "--norm-cache", str(cache), "--out", str(tmp_path / "r.csv"),
+             "--report", str(tmp_path / "rep.json")] if command == "ensemble"
+            else ["norm", "--width", "4", "--cache", str(cache)])
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == EXIT_USAGE
+    assert f"{flag}: must be >= {least}" in capsys.readouterr().err
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--variant", "case3", "--mu", "1.0"], "mu in [0, 1)"),
+    (["--variant", "case3", "--mu", "nan"], "mu in [0, 1)"),
+    (["--variant", "case3", "--cap", "0"], "step_cap must be >= 1"),
+    (["--variant", "eca", "--cap", "0"], "step_cap must be >= 1"),
+])
+def test_cli_ensemble_bad_mu_or_cap_exits_3_before_any_work(argv, message, tmp_path,
+                                                             capsys, monkeypatch):
+    from oee_ca import ensemble as ens
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the plan was not validated before the work")
+    monkeypatch.setattr(cx, "normalization_constant", no_work)
+    monkeypatch.setattr(ens, "draw_plan", no_work)
+    out = tmp_path / "r.csv"
+    assert main(["ensemble", *argv, "--wo", "4", "--samples", "5", "--workers", "2",
+                 "--out", str(out), "--report", str(tmp_path / "rep.json")]) == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_norm_width_out_of_range_exits_3(tmp_path, capsys):
     code = main(["ensemble", "--variant", "case1", "--wo", "40", "--we", "30",
                  "--samples", "2", "--out", str(tmp_path / "r.csv"),

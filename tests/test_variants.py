@@ -29,6 +29,7 @@ from oee_ca.variants import (
     follow,
     organism_steps,
     run_trajectory,
+    stream_key,
 )
 
 
@@ -167,6 +168,56 @@ def test_case3_exactly_8_draws_per_call():
 def test_case3_mu_validation():
     with pytest.raises(ValueError):
         VariantConfig(Variant.CASE_III, BitState(1, 3), 90, mu=1.0, seed=0)
+
+
+def rng_masks(seed: int, mu: float, n: int) -> bytes:
+    """``n`` flip masks drawn straight from ``execution_rng(seed)``."""
+    draws = execution_rng(seed).random(8 * n).reshape(n, 8) < mu
+    return np.packbits(draws, axis=1).tobytes()
+
+
+def test_stream_key_layout():
+    assert stream_key(5, 3) == [3, 5]
+    assert stream_key(-1) == [0, 2**64 - 1]
+    rng = execution_rng(5, 3).bit_generator
+    assert rng.state["state"]["key"].tolist() == [3, 5]
+    assert (rng.random_raw(4).tolist()
+            == np.random.Philox(key=(5 << 64) | 3).random_raw(4).tolist())
+
+
+RANDOM_SEEDS = np.random.default_rng(17).integers(0, 2**64, 5, dtype=np.uint64).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, *RANDOM_SEEDS])
+@pytest.mark.parametrize("mu", [0.1, 0.5])
+def test_flip_masks_are_the_execution_stream(seed, mu):
+    """Past the 4096-step block size: blocks of 16, 16, 32, ..., 4096, 4096."""
+    n = 10_000
+    assert flip_masks_of(seed, mu, n) == rng_masks(seed, mu, n)
+
+
+def test_interleaved_flip_masks_keep_their_streams():
+    a, b = FlipMasks(3, 0.5), FlipMasks(2**64 - 1, 0.3)
+    for _ in range(9):
+        a.more()
+        b.more()
+        b.more()
+    assert bytes(a.masks) == rng_masks(3, 0.5, len(a.masks))
+    assert bytes(b.masks) == rng_masks(2**64 - 1, 0.3, len(b.masks))
+
+
+def test_case3_lyapunov_continues_its_stream_after_another_run():
+    """The base run ends inside its first 16-step block and the Lyapunov
+    copy goes past it, so ``continued`` draws more masks after another run
+    has used the shared generator."""
+    config = VariantConfig(Variant.CASE_III, BitState(0b1011001110, 10), 30, mu=0.1, seed=1)
+    base = run_trajectory(config)
+    assert len(base.states) - 1 < 16
+    assert len(base.flips.masks) == 16
+    run_trajectory(VariantConfig(Variant.CASE_III, BitState(0b101, 3), 90, mu=0.5, seed=999))
+    k = cx.lyapunov(config, perturb_bit=0, horizon=60, base=base)
+    assert len(base.flips.masks) > 16
+    assert k == scalar_lyapunov(config, perturb_bit=0, horizon=60)
 
 
 # --- system_step ------------------------------------------------------------
