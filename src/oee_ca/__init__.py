@@ -5,7 +5,6 @@ ensemble reporting."""
 __version__ = "0.1.0"
 
 from .eca import (  # noqa: F401
-    BitState,
     WolframClass,
     canonical_rule,
     canonical_rules,

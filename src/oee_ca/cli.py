@@ -24,7 +24,6 @@ from . import io_formats as iof
 from .eca import (
     SIM_MAX_WIDTH,
     SIM_MIN_WIDTH,
-    BitState,
     ConfigurationError,
     canonical_rules,
     set_default_class_table,
@@ -157,18 +156,20 @@ def _config_echo(args) -> dict:
             for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _draw_state(rng, width: int) -> BitState:
+def _draw_state(rng, width: int) -> int:
     """A uniform ``width``-cell state: one int64 draw up to 63 cells, one
     uint64 draw at 64."""
     if width < 64:
-        return BitState(int(rng.integers(0, 1 << width)), width)
-    return BitState(int(rng.integers(0, 1 << 64, dtype=np.uint64)), width)
+        return int(rng.integers(0, 1 << width))
+    return int(rng.integers(0, 1 << 64, dtype=np.uint64))
 
 
-def _given_state(text: str, flag: str, width: int) -> BitState:
+def _given_state(text: str, flag: str, width: int) -> int:
     if len(text) != width:
         raise ValueError(f"{flag} has {len(text)} cells, expected {width}")
-    return BitState.from_string(text)
+    if text.strip("01"):
+        raise ValueError(f"{flag} must be a string of 0s and 1s, got {text!r}")
+    return int(text, 2)
 
 
 def _random_config(args) -> VariantConfig:
@@ -185,14 +186,14 @@ def _random_config(args) -> VariantConfig:
     s_o = (_given_state(args.state_o, "--state-o", args.wo) if args.state_o
            else _draw_state(rng, args.wo))
     if variant is Variant.CASE_III:
-        return VariantConfig(variant, s_o, r_o, mu=args.mu, seed=args.seed)
+        return VariantConfig(variant, args.wo, s_o, r_o, mu=args.mu, seed=args.seed)
     if variant is Variant.ISOLATED:
-        return VariantConfig(variant, s_o, r_o)
+        return VariantConfig(variant, args.wo, s_o, r_o)
     if w_e is None:
         raise ValueError("this variant requires --we")
     s_e = (_given_state(args.state_e, "--state-e", w_e) if args.state_e
            else _draw_state(rng, w_e))
-    return VariantConfig(variant, s_o, r_o, s_e=s_e, r_e=r_e)
+    return VariantConfig(variant, args.wo, s_o, r_o, w_e, s_e, r_e)
 
 
 def cmd_run(args) -> int:
@@ -306,9 +307,8 @@ def cmd_render(args) -> int:
     w_o = args.wo
     w_e = 8 if args.variant is Variant.CASE_II else args.we or w_o
     r_o, r_e, s_o, s_e = render_start(args.seed, w_o, w_e)
-    env = (dict(s_e=BitState(s_e, w_e), r_e=r_e) if args.variant.has_environment
-           else {})
-    config = VariantConfig(args.variant, BitState(s_o, w_o), r_o, **env)
+    env = (w_e, s_e, r_e) if args.variant.has_environment else ()
+    config = VariantConfig(args.variant, w_o, s_o, r_o, *env)
     states = continued(run_trajectory(config, max(args.steps, 1)), args.steps)[0]
     iof.write_pgm([(s, w_o) for s in states[:args.steps + 1]], args.out)
     print(f"wrote {args.out} ({args.steps + 1} rows x {w_o} columns)")

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -33,12 +32,9 @@ import numpy as np
 from .variants import (
     TABLE_BUDGET,
     Trajectory,
-    Variant,
-    VariantConfig,
     execution_rng,
     follow,
     organism_steps,
-    run_trajectory,
 )
 
 EXTINCT = "extinct"
@@ -263,33 +259,25 @@ def compressibility(states: list[int], width: int, norm_bits: int) -> tuple[int,
     return bits, bits / norm_bits
 
 
-def lyapunov(config: VariantConfig, perturb_bit: int = 0, horizon: int = 16,
-             rng_seed: int | None = None, base: Trajectory | None = None) -> float | str:
-    """Exponential growth rate of the Hamming distance to a run perturbed in
-    one initial organism bit, or "extinct" when the defect dies at t = 1.
+def lyapunov(base: Trajectory, perturb_bit: int = 0, horizon: int = 16) -> float | str:
+    """Exponential growth rate of the Hamming distance between the run
+    ``base`` and a copy of it perturbed in one initial organism bit, or
+    "extinct" when the defect dies at t = 1.
 
     The perturbed organism shares the literal environment sequence (Case
     I/II) or the random stream (Case III, common random numbers) and
-    re-derives its own rule wherever the update depends on s_o.  ``base`` is
-    the unperturbed run of ``config`` (``run_trajectory(config)``); only the
-    perturbed copy is stepped alongside it.  Without it, a base of at most
-    ``horizon`` steps is run first, in Case III on the stream seeded
-    ``rng_seed`` (default: ``config.seed``).
+    re-derives its own rule wherever the update depends on s_o; only the
+    copy is stepped, alongside ``base``.
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
+    config = base.config
     w_o = config.w_o
     if not 0 <= perturb_bit < w_o:
         raise ValueError("perturb_bit out of range")
-    if base is None:
-        if rng_seed is not None and config.variant is Variant.CASE_III:
-            config = replace(config, seed=rng_seed)
-        base = run_trajectory(config, cap=horizon)
-    elif rng_seed is not None or base.config != config:
-        raise ValueError("base must be the run of config, on its own stream")
 
     ys = []
-    for a, b in follow(base, config.s_o.bits ^ (1 << (w_o - 1 - perturb_bit)), horizon):
+    for a, b in follow(base, config.s_o ^ (1 << (w_o - 1 - perturb_bit)), horizon):
         y = (a ^ b).bit_count()
         ys.append(y)
         if y == 0 or y == w_o:

@@ -7,8 +7,8 @@ the 3-bit value ``v``.  The ordered triplet list
     S3 = [111, 110, 101, 100, 011, 010, 001, 000]
 
 indexes rule tables MSB-first, so ``outputs[0]`` answers triplet 111.
-States are periodic rings of cells stored bit-packed, leftmost cell in the
-most significant bit.
+A state is a periodic ring of cells held as a packed int plus its width:
+``width`` bits, the leftmost cell in the most significant bit.
 
 One kernel steps a state of any width (``stepper``): the ring, extended by
 one wrap cell on each side, is read eight cells at a time through a 10-cell
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -35,45 +34,6 @@ SIM_MAX_WIDTH = 64
 
 class ConfigurationError(Exception):
     """Raised when bundled static data is missing or malformed."""
-
-
-@dataclass(frozen=True)
-class BitState:
-    """A fixed-width periodic row of cells, leftmost cell in the MSB."""
-
-    bits: int
-    width: int
-
-    def __post_init__(self):
-        if self.width < 1:
-            raise ValueError("width must be >= 1")
-        if not 0 <= self.bits < (1 << self.width):
-            raise ValueError("packed bits exceed width")
-
-    @classmethod
-    def from_string(cls, s: str) -> "BitState":
-        return cls(int(s, 2) if s else 0, len(s))
-
-    @classmethod
-    def from_cells(cls, cells) -> "BitState":
-        cells = tuple(cells)
-        bits = 0
-        for c in cells:
-            bits = (bits << 1) | (1 if c else 0)
-        return cls(bits, len(cells))
-
-    def to_string(self) -> str:
-        return format(self.bits, f"0{self.width}b")
-
-    def cell(self, p: int) -> int:
-        return (self.bits >> (self.width - 1 - (p % self.width))) & 1
-
-    @property
-    def cells(self) -> tuple[int, ...]:
-        return tuple((self.bits >> (self.width - 1 - p)) & 1 for p in range(self.width))
-
-    def is_homogeneous(self) -> bool:
-        return self.bits == 0 or self.bits == (1 << self.width) - 1
 
 
 def _rotate_left_cells(bits: int, width: int) -> int:
@@ -127,11 +87,6 @@ def stepper(rule_number: int, width: int):
         return out & mask
 
     return step
-
-
-def step_bits(rule_number: int, bits: int, width: int) -> int:
-    """One synchronous update of a packed state, periodic boundaries."""
-    return stepper(rule_number, width)(bits)
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from scipy import stats
 
 from . import complexity as cx
-from .eca import SIM_MIN_WIDTH, BitState, canonical_rules, wolfram_class
+from .eca import SIM_MIN_WIDTH, canonical_rules, wolfram_class
 from .innovation import is_eca_reproducible
 from .recurrence import build_report, detect_cycle, poincare_time
 from .variants import (
@@ -171,14 +171,13 @@ class ExecutionRecord:
 def config_for_tuple(plan: SamplePlan, index: int, tup: tuple) -> VariantConfig:
     if plan.variant is Variant.CASE_III:
         r_o, s_o = tup
-        return VariantConfig(plan.variant, BitState(s_o, plan.w_o), r_o,
+        return VariantConfig(plan.variant, plan.w_o, s_o, r_o,
                              mu=plan.mu, seed=_case3_seed(plan.master_seed, index))
     if plan.variant is Variant.ISOLATED:
         r_o, s_o = tup
-        return VariantConfig(plan.variant, BitState(s_o, plan.w_o), r_o)
+        return VariantConfig(plan.variant, plan.w_o, s_o, r_o)
     r_o, r_e, s_o, s_e = tup
-    return VariantConfig(plan.variant, BitState(s_o, plan.w_o), r_o,
-                         s_e=BitState(s_e, plan.w_e), r_e=r_e)
+    return VariantConfig(plan.variant, plan.w_o, s_o, r_o, plan.w_e, s_e, r_e)
 
 
 def _case3_seed(master_seed: int, index: int) -> int:
@@ -205,8 +204,7 @@ def execute_tuple(plan: SamplePlan, index: int, tup: tuple, norm_bits: int) -> E
     base = dict(
         variant=plan.variant, w_o=plan.w_o, w_e=plan.w_e, mu=plan.mu,
         seed=config.seed, init_rule_o=config.r_o, rule_e=config.r_e,
-        init_state_o=config.s_o.bits,
-        init_state_e=config.s_e.bits if config.s_e else None,
+        init_state_o=config.s_o, init_state_e=config.s_e,
         t_P=rep.t_P, t_r=rep.t_r, t_r_rule=rep.t_r_rule, t_a=rep.t_a,
         ue=rep.ue, attractor_ue=rep.attractor_ue, censored=rep.censored)
 
@@ -223,7 +221,7 @@ def execute_tuple(plan: SamplePlan, index: int, tup: tuple, norm_bits: int) -> E
     inno = n_rt / (1 << plan.w_o)
     compressed, c_val = cx.compressibility(window, plan.w_o, norm_bits)
     horizon = max(2, min(rep.t_r, rep.t_P))
-    k = cx.lyapunov(config, perturb_bit=0, horizon=horizon, base=traj)
+    k = cx.lyapunov(traj, 0, horizon)
     att = None
     if plan.variant.deterministic:
         cyc = detect_cycle(traj)

@@ -120,8 +120,8 @@ def build_report(traj: Trajectory) -> RecurrenceReport:
     if cycle is None:
         return RecurrenceReport(t_P=t_P, t_r=None, t_r_rule=None, t_a=None,
                                 ue=None, attractor_ue=None, censored=True)
-    _, _, t_r = projected_recurrence(traj.state_sequence(), cycle)
-    _, _, t_r_rule = projected_recurrence(traj.rule_sequence(), cycle)
+    _, _, t_r = projected_recurrence(traj.states, cycle)
+    _, _, t_r_rule = projected_recurrence(traj.rules, cycle)
     return RecurrenceReport(
         t_P=t_P, t_r=t_r, t_r_rule=t_r_rule, t_a=cycle.period,
         ue=ue_flag(t_P, t_r, t_r_rule),

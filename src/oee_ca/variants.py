@@ -12,9 +12,12 @@ Variant summary (rule evolution of the organism ``o``):
 The stepping order is rule-first: r_o(t+1) is derived from time-t quantities
 and immediately applied to s_o(t).
 
-One packed loop runs every trajectory.  A ``Trajectory`` holds plain int
-sequences: organism states, rules and, with an environment, environment
-states.  A deterministic run stops at the first repeat of the packed key
+A state is a packed int plus its width (leftmost cell in the most
+significant bit), and a ``VariantConfig`` is a run's widths, packed initial
+states and rules, checked once when it is built.  One packed loop runs
+every trajectory.  A ``Trajectory`` holds plain int sequences: organism
+states, rules and, with an environment, environment states.  A
+deterministic run stops at the first repeat of the packed key
 ``(s_o << (8 + w_e)) | (r_o << w_e) | s_e``.  The loop's lookups (the
 organism step under every rule, the environment step and the Case I flip
 mask) are tables built with numpy over all states at once (``step_table``,
@@ -44,7 +47,6 @@ from functools import lru_cache
 import numpy as np
 
 from .eca import (
-    BitState,
     canonical_rules,
     count_array,
     count_table,
@@ -84,38 +86,44 @@ class Variant(enum.Enum):
 
 @dataclass(frozen=True)
 class VariantConfig:
+    """One run: the organism's width ``w_o``, packed state ``s_o`` and rule
+    ``r_o``; the environment's ``w_e``, ``s_e`` and ``r_e`` (Case I/II);
+    ``mu`` and the stream ``seed`` (Case III)."""
+
     variant: Variant
-    s_o: BitState
+    w_o: int
+    s_o: int
     r_o: int
-    s_e: BitState | None = None
+    w_e: int | None = None
+    s_e: int | None = None
     r_e: int | None = None
     mu: float | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        if not 0 <= self.r_o <= 255:
-            raise ValueError("r_o out of range")
+        _check_ca("o", self.w_o, self.s_o, self.r_o)
         if self.variant.has_environment:
-            if self.s_e is None or self.r_e is None:
-                raise ValueError(f"{self.variant.value} requires s_e and r_e")
-            if self.variant is Variant.CASE_II and self.s_e.width != 8:
+            if None in (self.w_e, self.s_e, self.r_e):
+                raise ValueError(f"{self.variant.value} requires w_e, s_e and r_e")
+            _check_ca("e", self.w_e, self.s_e, self.r_e)
+            if self.variant is Variant.CASE_II and self.w_e != 8:
                 raise ValueError("Case II requires an environment of width 8")
-        else:
-            if self.s_e is not None or self.r_e is not None:
-                raise ValueError(f"{self.variant.value} takes no environment CA")
+        elif (self.w_e, self.s_e, self.r_e) != (None, None, None):
+            raise ValueError(f"{self.variant.value} takes no environment CA")
         if self.variant is Variant.CASE_III:
             if self.mu is None or not 0.0 <= self.mu < 1.0:
                 raise ValueError("Case III requires mu in [0, 1)")
             if self.seed is None:
                 raise ValueError("Case III requires a seed")
 
-    @property
-    def w_o(self) -> int:
-        return self.s_o.width
 
-    @property
-    def w_e(self) -> int | None:
-        return self.s_e.width if self.s_e is not None else None
+def _check_ca(ca: str, width: int, bits: int, rule: int) -> None:
+    if width < 1:
+        raise ValueError(f"w_{ca} must be >= 1, got {width}")
+    if not 0 <= bits < 1 << width:
+        raise ValueError(f"s_{ca} = {bits} does not fit in {width} cells")
+    if not 0 <= rule <= 255:
+        raise ValueError(f"r_{ca} must be in [0, 255], got {rule}")
 
 
 @dataclass
@@ -137,10 +145,8 @@ class Trajectory:
     flips: FlipMasks | None = field(default=None, repr=False, compare=False)
 
     def state_sequence(self) -> list[int]:
+        """``states``; ``bench/pipeline.py`` counts a run's steps through it."""
         return self.states
-
-    def rule_sequence(self) -> list[int]:
-        return self.rules
 
 
 # --- rule updates -----------------------------------------------------------
@@ -311,8 +317,8 @@ def _run_deterministic(config: VariantConfig, cap: int) -> Trajectory:
     if case1:
         flip = flip_masks(w_o, w_e)
 
-    so, ro = config.s_o.bits, config.r_o
-    se = config.s_e.bits if coupled else 0
+    so, ro = config.s_o, config.r_o
+    se = config.s_e if coupled else 0
     states, rules = [so], [ro]
     envs = [se] if coupled else None
     shift = 8 + w_e
@@ -338,7 +344,7 @@ def _run_case3(config: VariantConfig, cap: int) -> Trajectory:
     o_step = organism_steps(config.w_o)
     full = (1 << config.w_o) - 1
     flips = FlipMasks(config.seed, config.mu)
-    so, ro = config.s_o.bits, config.r_o
+    so, ro = config.s_o, config.r_o
     states, rules = [so], [ro]
     if so == 0 or so == full:
         return Trajectory(config, states, rules, convergence_time=0, flips=flips)

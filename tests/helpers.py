@@ -9,12 +9,11 @@ import numpy as np
 
 from oee_ca.complexity import EXTINCT, fit_exponent, lyapunov, lzw_phrase_count, lzw_size_bits
 from oee_ca.eca import (
-    BitState,
     _rotate_left_cells,
     _rotate_right_cells,
     canonical_rules,
-    step_bits,
     step_table,
+    stepper,
     triplet_counts_bits,
 )
 from oee_ca.ensemble import SamplePlan, config_for_tuple, draw_plan, innovation_window
@@ -66,14 +65,14 @@ def rule_to_number(table: RuleTable) -> int:
 @dataclass(frozen=True)
 class SystemSnapshot:
     t: int
-    s_o: BitState
+    s_o: int
     r_o: int
-    s_e: BitState | None = None
+    s_e: int | None = None
 
     def key(self) -> tuple:
         # r_e is constant along a trajectory, so (s_o, s_e, r_o) identifies
         # the full system state.
-        return (self.s_o.bits, self.r_o, None if self.s_e is None else self.s_e.bits)
+        return (self.s_o, self.r_o, self.s_e)
 
 
 def case3_update_bits(r_o: int, mu: float, rng: np.random.Generator) -> int:
@@ -90,22 +89,20 @@ def case3_update_bits(r_o: int, mu: float, rng: np.random.Generator) -> int:
 def system_step(config: VariantConfig, snap: SystemSnapshot,
                 rng: np.random.Generator | None = None) -> SystemSnapshot:
     """Advance the coupled system one step (rule update first, then states)."""
-    w_o = config.w_o
+    w_o, w_e = config.w_o, config.w_e
     variant = config.variant
     if variant is Variant.CASE_I:
-        r_new = case1_update_bits(snap.s_o.bits, w_o, snap.r_o,
-                                  snap.s_e.bits, snap.s_e.width)
+        r_new = case1_update_bits(snap.s_o, w_o, snap.r_o, snap.s_e, w_e)
     elif variant is Variant.CASE_II:
-        r_new = snap.s_e.bits
+        r_new = snap.s_e
     elif variant is Variant.CASE_III:
         r_new = case3_update_bits(snap.r_o, config.mu, rng)
     else:
         r_new = snap.r_o
-    s_o_new = BitState(step_bits(r_new, snap.s_o.bits, w_o), w_o)
+    s_o_new = stepper(r_new, w_o)(snap.s_o)
     s_e_new = None
     if variant.has_environment:
-        w_e = snap.s_e.width
-        s_e_new = BitState(step_bits(config.r_e, snap.s_e.bits, w_e), w_e)
+        s_e_new = stepper(config.r_e, w_e)(snap.s_e)
     return SystemSnapshot(snap.t + 1, s_o_new, r_new, s_e_new)
 
 
@@ -141,7 +138,7 @@ def lyapunov_mean(config: VariantConfig, horizon: int = 16) -> float | str:
     """k averaged over all w_o perturbation positions (extinct ones skipped);
     "extinct" when every position is extinct."""
     base = run_trajectory(config, cap=horizon)
-    vals = [lyapunov(config, b, horizon, base=base) for b in range(config.w_o)]
+    vals = [lyapunov(base, b, horizon) for b in range(config.w_o)]
     finite = [v for v in vals if v != EXTINCT]
     if not finite:
         return EXTINCT
@@ -188,15 +185,16 @@ def scalar_trajectory(config: VariantConfig, cap: int | None = None) -> Trajecto
     snap = SystemSnapshot(0, config.s_o, config.r_o, config.s_e)
     snapshots = [snap]
     end = {}  # the stop condition's fields; empty when the cap is hit
+    homogeneous = (0, (1 << config.w_o) - 1)
     if config.variant is Variant.CASE_III:
         rng = execution_rng(config.seed)
-        if snap.s_o.is_homogeneous():
+        if snap.s_o in homogeneous:
             end = dict(convergence_time=0)
         else:
             for t in range(1, cap + 1):
                 snap = system_step(config, snap, rng)
                 snapshots.append(snap)
-                if snap.s_o.is_homogeneous():
+                if snap.s_o in homogeneous:
                     end = dict(convergence_time=t)
                     break
     else:
@@ -209,15 +207,15 @@ def scalar_trajectory(config: VariantConfig, cap: int | None = None) -> Trajecto
                 end = dict(first_seen=first, repeat_time=t)
                 break
             seen[snap.key()] = t
-    envs = ([s.s_e.bits for s in snapshots] if config.variant.has_environment else None)
-    return Trajectory(config, [s.s_o.bits for s in snapshots], [s.r_o for s in snapshots],
+    envs = ([s.s_e for s in snapshots] if config.variant.has_environment else None)
+    return Trajectory(config, [s.s_o for s in snapshots], [s.r_o for s in snapshots],
                       envs, cap_hit=not end, **end)
 
 
-def scalar_lyapunov(config: VariantConfig, perturb_bit: int = 0, horizon: int = 16,
-                    rng_seed: int | None = None, base=None) -> float | str:
-    """``lyapunov`` re-simulating the base run beside the perturbed one with
-    ``system_step`` (oracle; ``base`` is accepted and ignored)."""
+def scalar_lyapunov(config: VariantConfig, perturb_bit: int = 0,
+                    horizon: int = 16) -> float | str:
+    """``lyapunov`` of the run of ``config``, re-simulating the base run
+    beside the perturbed one with ``system_step`` (oracle)."""
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
     w_o = config.w_o
@@ -225,20 +223,19 @@ def scalar_lyapunov(config: VariantConfig, perturb_bit: int = 0, horizon: int = 
         raise ValueError("perturb_bit out of range")
 
     base = SystemSnapshot(0, config.s_o, config.r_o, config.s_e)
-    pert_s = BitState(config.s_o.bits ^ (1 << (w_o - 1 - perturb_bit)), w_o)
+    pert_s = config.s_o ^ (1 << (w_o - 1 - perturb_bit))
     pert = SystemSnapshot(0, pert_s, config.r_o, config.s_e)
 
     rng_a = rng_b = None
     if config.variant is Variant.CASE_III:
-        seed = config.seed if rng_seed is None else rng_seed
-        rng_a = execution_rng(seed)
-        rng_b = execution_rng(seed)
+        rng_a = execution_rng(config.seed)
+        rng_b = execution_rng(config.seed)
 
     ys = []
     for _ in range(horizon):
         base = system_step(config, base, rng_a)
         pert = system_step(config, pert, rng_b)
-        y = (base.s_o.bits ^ pert.s_o.bits).bit_count()
+        y = (base.s_o ^ pert.s_o).bit_count()
         ys.append(y)
         if y == 0 or y == w_o:
             break
@@ -247,17 +244,21 @@ def scalar_lyapunov(config: VariantConfig, perturb_bit: int = 0, horizon: int = 
     return fit_exponent(ys)
 
 
+def cell(bits: int, p: int, width: int) -> int:
+    """Cell ``p`` (periodic) of a packed state, cell 0 in the MSB."""
+    return (bits >> (width - 1 - p % width)) & 1
+
+
 def scalar_is_eca_reproducible(states: list[int], width: int) -> int | None:
-    """``is_eca_reproducible`` three ``BitState.cell`` reads per cell, each
+    """``is_eca_reproducible`` three ``cell`` reads per cell, each
     (neighborhood -> next cell) pair pinning one rule bit (oracle)."""
-    states = [BitState(s, width) for s in states]
     if len(states) < 2:
         raise ValueError("need at least 2 states")
     required: dict[int, int] = {}  # neighborhood value -> output bit
     for a, b in zip(states, states[1:]):
         for p in range(width):
-            v = (a.cell(p - 1) << 2) | (a.cell(p) << 1) | a.cell(p + 1)
-            out = b.cell(p)
+            v = (cell(a, p - 1, width) << 2) | (cell(a, p, width) << 1) | cell(a, p + 1, width)
+            out = cell(b, p, width)
             prev = required.get(v)
             if prev is None:
                 required[v] = out
@@ -269,21 +270,21 @@ def scalar_is_eca_reproducible(states: list[int], width: int) -> int | None:
     return rule
 
 
-def serialize_trajectory(states: list[BitState]) -> str:
-    """Row-major concatenation of cell bits, one row per time step (oracle
-    of ``serialize_states``)."""
+def serialize_trajectory(states: list[int], width: int) -> str:
+    """Row-major concatenation of the ``width`` cell bits of each packed
+    state, one row per time step (oracle of ``serialize_states``)."""
     if not states:
         raise ValueError("need at least one state")
-    return "".join(s.to_string() for s in states)
+    return "".join(format(s, f"0{width}b") for s in states)
 
 
 def scalar_compressibility(states: list[int], width: int,
                            norm_bits: int) -> tuple[int, float]:
-    """``compressibility`` through ``BitState.to_string`` and the
+    """``compressibility`` through ``serialize_trajectory`` and the
     string-keyed LZW (oracle)."""
     if norm_bits <= 0:
         raise ValueError("norm_bits must be positive")
-    symbols = serialize_trajectory([BitState(s, width) for s in states])
+    symbols = serialize_trajectory(states, width)
     bits = sum(code_width for _, code_width in lzw_compress(symbols))
     return bits, bits / norm_bits
 
@@ -311,8 +312,9 @@ def scalar_projected_recurrence(sequence, cycle: CycleInfo) -> tuple[int, int, i
 
 
 def naive_step_bits(rule_number: int, bits: int, width: int) -> int:
-    """``step_bits`` as the OR over the rule's set bits ``v`` of the cells
-    whose (left, center, right) neighborhood reads as ``v`` (oracle)."""
+    """One step of a packed state (``eca.stepper``) as the OR over the
+    rule's set bits ``v`` of the cells whose (left, center, right)
+    neighborhood reads as ``v`` (oracle)."""
     mask = (1 << width) - 1
     c = bits
     # cell p's left neighbor is cell p-1: every position takes the value one
@@ -434,17 +436,17 @@ class CounterfactualSet:
     # first repeated state
     trajectories: list[list[list[int]]]
 
-    def contains(self, states: list[BitState]) -> bool:
-        """Exact contiguous containment in some isolated trajectory.
+    def contains(self, states: list[int], width: int) -> bool:
+        """Exact contiguous containment of a window of packed ``width``-cell
+        states in some isolated trajectory.
 
         Any occurrence of the window's first state inside a rule-r trajectory
         continues deterministically, so it suffices to iterate each rule's
         transition map from states[0].
         """
-        if any(s.width != self.width for s in states):
+        if width != self.width:
             raise ValueError("width mismatch with counterfactual set")
-        packed = [s.bits for s in states]
-        first, rest = packed[0], packed[1:]
+        first, rest = states[0], states[1:]
         for rule in range(256):
             table = step_table(rule, self.width)
             cur = first

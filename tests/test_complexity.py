@@ -30,33 +30,32 @@ from oee_ca.complexity import (
     serialize_states,
     state_rows,
 )
-from oee_ca.eca import BitState
 from oee_ca.variants import (
     TABLE_BUDGET,
     Variant,
     VariantConfig,
     execution_rng,
     organism_steps,
+    run_trajectory,
 )
 
 
 # --- serialization ----------------------------------------------------------
 
 def test_serialize_examples():
-    assert serialize_trajectory([BitState(0b01, 2), BitState(0b10, 2)]) == "0110"
-    assert serialize_trajectory([BitState(0, 4)]) == "0000"
+    assert serialize_trajectory([0b01, 0b10], 2) == "0110"
+    assert serialize_trajectory([0], 4) == "0000"
 
 
 @given(st.integers(3, 8), st.integers(1, 6), st.data())
 def test_serialize_length(width, steps, data):
-    states = [BitState(data.draw(st.integers(0, (1 << width) - 1)), width)
-              for _ in range(steps)]
-    assert len(serialize_trajectory(states)) == width * steps
+    states = [data.draw(st.integers(0, (1 << width) - 1)) for _ in range(steps)]
+    assert len(serialize_trajectory(states, width)) == width * steps
 
 
 def test_serialize_empty_rejected():
     with pytest.raises(ValueError):
-        serialize_trajectory([])
+        serialize_trajectory([], 4)
     with pytest.raises(ValueError):
         serialize_states([], 4)
 
@@ -73,9 +72,9 @@ TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 @given(st.sampled_from([*range(3, 18), 40, 64]), st.data())
 def test_serialize_states_matches_oracle(width, data):
     """Rows from the table (up to 16 cells) or unpacked with numpy (17 and
-    more) equal the ``BitState.to_string`` serialization as 0/1 bytes."""
+    more) equal the ``format`` serialization as 0/1 bytes."""
     states = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=20))
-    want = serialize_trajectory([BitState(s, width) for s in states])
+    want = serialize_trajectory(states, width)
     assert serialize_states(states, width) == want.encode().translate(TO_BITS)
 
 
@@ -325,21 +324,21 @@ def test_compressibility_rejects_bad_norm():
 # --- Lyapunov ---------------------------------------------------------------
 
 def test_lyapunov_identity_rule_is_zero():
-    config = VariantConfig(Variant.ISOLATED, BitState(0b0110, 4), 204)
-    assert lyapunov(config, perturb_bit=0, horizon=8) == 0.0
+    base = run_trajectory(VariantConfig(Variant.ISOLATED, 4, 0b0110, 204))
+    assert lyapunov(base, perturb_bit=0, horizon=8) == 0.0
 
 
 def test_lyapunov_rule0_extinct():
-    config = VariantConfig(Variant.ISOLATED, BitState(0b0110, 4), 0)
-    assert lyapunov(config, perturb_bit=0, horizon=8) == EXTINCT
+    base = run_trajectory(VariantConfig(Variant.ISOLATED, 4, 0b0110, 0))
+    assert lyapunov(base, perturb_bit=0, horizon=8) == EXTINCT
 
 
 def test_lyapunov_validation():
-    config = VariantConfig(Variant.ISOLATED, BitState(0, 4), 204)
+    base = run_trajectory(VariantConfig(Variant.ISOLATED, 4, 0, 204))
     with pytest.raises(ValueError):
-        lyapunov(config, perturb_bit=4, horizon=8)
+        lyapunov(base, perturb_bit=4, horizon=8)
     with pytest.raises(ValueError):
-        lyapunov(config, perturb_bit=0, horizon=1)
+        lyapunov(base, perturb_bit=0, horizon=1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -347,27 +346,26 @@ def test_lyapunov_validation():
        st.integers(0, 15), st.integers(0, 3))
 def test_lyapunov_bounded_by_saturation(r_o, r_e, so, se, bit):
     """y(t) <= w_o, so the fitted per-step rate is at most ln(w_o)."""
-    config = VariantConfig(Variant.CASE_I, BitState(so, 4), r_o,
-                           s_e=BitState(se, 4), r_e=r_e)
-    k = lyapunov(config, perturb_bit=bit, horizon=12)
+    config = VariantConfig(Variant.CASE_I, 4, so, r_o, w_e=4, s_e=se, r_e=r_e)
+    k = lyapunov(run_trajectory(config, cap=12), perturb_bit=bit, horizon=12)
     if k != EXTINCT:
         assert k <= math.log(4) + 1e-9
 
 
 def test_lyapunov_case3_common_random_numbers():
     """Same seed drives both runs, so the result is reproducible."""
-    config = VariantConfig(Variant.CASE_III, BitState(0b0101, 4), 30,
-                           mu=0.3, seed=17)
-    assert lyapunov(config, 0, 10) == lyapunov(config, 0, 10)
+    config = VariantConfig(Variant.CASE_III, 4, 0b0101, 30, mu=0.3, seed=17)
+    assert (lyapunov(run_trajectory(config, cap=10), 0, 10)
+            == lyapunov(run_trajectory(config, cap=10), 0, 10))
 
 
 def test_lyapunov_mean_extinct_when_all_die():
-    config = VariantConfig(Variant.ISOLATED, BitState(0b0110, 4), 0)
+    config = VariantConfig(Variant.ISOLATED, 4, 0b0110, 0)
     assert lyapunov_mean(config, horizon=8) == EXTINCT
 
 
 def test_lyapunov_mean_averages_positions():
-    config = VariantConfig(Variant.ISOLATED, BitState(0b0110, 4), 204)
+    config = VariantConfig(Variant.ISOLATED, 4, 0b0110, 204)
     assert lyapunov_mean(config, horizon=8) == 0.0
 
 

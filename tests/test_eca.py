@@ -14,7 +14,6 @@ from helpers import (
     scalar_step_table,
 )
 from oee_ca.eca import (
-    BitState,
     ConfigurationError,
     WolframClass,
     _complement_number,
@@ -24,8 +23,8 @@ from oee_ca.eca import (
     count_table,
     load_class_table,
     neighborhood_masks,
-    step_bits,
     step_table,
+    stepper,
     triplet_counts_bits,
     window_tables,
     wolfram_class,
@@ -39,8 +38,13 @@ widths = st.integers(3, 12)
 
 @st.composite
 def states(draw, min_width=3, max_width=12):
+    """A (packed state, width) pair."""
     w = draw(st.integers(min_width, max_width))
-    return BitState(draw(st.integers(0, (1 << w) - 1)), w)
+    return draw(st.integers(0, (1 << w) - 1)), w
+
+
+def row(bits: int, width: int) -> str:
+    return format(bits, f"0{width}b")
 
 
 # --- rule numbering ---------------------------------------------------------
@@ -72,79 +76,43 @@ def test_rule_table_validation():
         RuleTable((0, 1, 2, 0, 0, 0, 0, 0))
 
 
-# --- bit states -------------------------------------------------------------
-
-def test_state_string_round_trip():
-    s = BitState.from_string("01101")
-    assert s.width == 5 and s.bits == 0b01101
-    assert s.to_string() == "01101"
-    assert s.cells == (0, 1, 1, 0, 1)
-    assert BitState.from_cells([0, 1, 1, 0, 1]) == s
-
-
-def test_state_cell_indexing_msb_leftmost():
-    s = BitState.from_string("100")
-    assert (s.cell(0), s.cell(1), s.cell(2)) == (1, 0, 0)
-    assert s.cell(-1) == s.cell(2)  # periodic
-
-
-def test_state_validation():
-    with pytest.raises(ValueError):
-        BitState(0, 0)
-    with pytest.raises(ValueError):
-        BitState(8, 3)
-
-
-def test_homogeneous():
-    assert BitState(0, 4).is_homogeneous()
-    assert BitState(0b1111, 4).is_homogeneous()
-    assert not BitState(0b0101, 4).is_homogeneous()
-
-
 # --- stepping ---------------------------------------------------------------
-
-def step(rule: int, state: BitState) -> BitState:
-    return BitState(step_bits(rule, state.bits, state.width), state.width)
-
 
 def test_step_rule_0_annihilates():
     for bits in range(32):
-        assert step(0, BitState(bits, 5)).bits == 0
+        assert stepper(0, 5)(bits) == 0
 
 
 @given(states())
 def test_step_rule_204_identity(s):
-    assert step(204, s) == s
+    bits, w = s
+    assert stepper(204, w)(bits) == bits
 
 
 def test_step_rule_30_pinned():
-    out = step(30, BitState.from_string("00100"))
-    assert out.to_string() == "01110"
+    assert row(stepper(30, 5)(0b00100), 5) == "01110"
 
 
 @given(rules, states())
 def test_step_shift_equivariance(n, s):
     """Rotating the input rotates the output identically."""
-    rotated = BitState.from_cells(s.cells[1:] + s.cells[:1])
-    out_rot = step(n, rotated)
-    out = step(n, s)
-    assert out_rot == BitState.from_cells(out.cells[1:] + out.cells[:1])
+    bits, w = s
+    rotate = lambda b: int(row(b, w)[1:] + row(b, w)[:1], 2)
+    assert stepper(n, w)(rotate(bits)) == rotate(stepper(n, w)(bits))
 
 
 @given(rules, states())
 def test_step_complement_duality(n, s):
-    comp = BitState.from_cells(tuple(1 - c for c in s.cells))
-    lhs = step(_complement_number(n), comp)
-    rhs = BitState.from_cells(tuple(1 - c for c in step(n, s).cells))
-    assert lhs == rhs
+    bits, w = s
+    full = (1 << w) - 1
+    assert stepper(_complement_number(n), w)(bits ^ full) == stepper(n, w)(bits) ^ full
 
 
 @given(rules, states())
 def test_step_mirror_duality(n, s):
-    rev = BitState.from_cells(s.cells[::-1])
-    lhs = step(_mirror_number(n), rev)
-    rhs = BitState.from_cells(step(n, s).cells[::-1])
-    assert lhs == rhs
+    bits, w = s
+    mirror = lambda b: int(row(b, w)[::-1], 2)
+    assert stepper(_mirror_number(n), w)(mirror(bits)) == mirror(stepper(n, w)(bits))
 
 
 def test_step_rejects_narrow_state():
@@ -163,7 +131,7 @@ KERNEL_WIDTHS = (1, 2, 3, 7, 8, 9, 10, 16, 17, 24, 25, 63, 64, 65, 101, 128)
 @given(rule=rules, width=st.sampled_from(KERNEL_WIDTHS), data=st.data())
 def test_step_bits_matches_naive_oracle(rule, width, data):
     bits = data.draw(st.integers(0, (1 << width) - 1))
-    assert step_bits(rule, bits, width) == naive_step_bits(rule, bits, width)
+    assert stepper(rule, width)(bits) == naive_step_bits(rule, bits, width)
 
 
 @pytest.mark.parametrize("width", KERNEL_WIDTHS)
@@ -175,7 +143,7 @@ def test_step_bits_matches_naive_oracle_for_every_rule(width):
     edge_states = (0, full, 1, 1 << (width - 1), alternating, full ^ alternating)
     for rule in range(256):
         for bits in edge_states:
-            assert step_bits(rule, bits, width) == naive_step_bits(rule, bits, width)
+            assert stepper(rule, width)(bits) == naive_step_bits(rule, bits, width)
 
 
 def test_window_tables_read_rule_bits():
@@ -237,7 +205,8 @@ def test_triplet_frequencies_0101():
 @given(states())
 def test_triplet_frequencies_sum_to_one(s):
     """One triplet per cell, so the normalized frequencies sum to 1."""
-    assert sum(triplet_counts_bits(s.bits, s.width)) == s.width
+    bits, w = s
+    assert sum(triplet_counts_bits(bits, w)) == w
 
 
 # --- equivalence orbits -----------------------------------------------------

@@ -1,6 +1,7 @@
 """Sampling plans, ensemble execution, and aggregation."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -348,18 +349,42 @@ def test_report_round_trips_to_dict(small_case1_records):
 
 # --- packed pipeline against the all-scalar one -----------------------------
 
-@pytest.mark.parametrize("plan", [
-    SamplePlan(Variant.CASE_I, 4, 4, sample_count=300, master_seed=5),
-    SamplePlan(Variant.CASE_I, 5, 12, sample_count=200, master_seed=6),
-    SamplePlan(Variant.CASE_II, 4, sample_count=300, master_seed=7),
-    SamplePlan(Variant.CASE_III, 5, mu=0.5, sample_count=300, master_seed=8),
-    SamplePlan(Variant.CASE_III, 4, mu=0.05, sample_count=200, master_seed=9, step_cap=30),
-    SamplePlan(Variant.ISOLATED, 5, sample_count=300, master_seed=10),
-], ids=["case1-4x4", "case1-5x12", "case2", "case3", "case3-capped", "eca"])
-def test_execute_tuple_matches_all_scalar_execution(plan, monkeypatch):
+# Plans of every variant, each with the SHA-256 of its records CSV (without
+# the ``#`` lines) at norm_bits = 1000, recorded before the configs held
+# packed ints.
+SCALAR_PLANS = {
+    "case1-4x4": (SamplePlan(Variant.CASE_I, 4, 4, sample_count=300, master_seed=5),
+                  "7efb2d8c7157f87bcaa9356441a250df9e0a8c3cb9808895c23968cb5233232a"),
+    "case1-5x12": (SamplePlan(Variant.CASE_I, 5, 12, sample_count=200, master_seed=6),
+                   "4c3a8d3ae9f26d490cee0207f94076958b9b5203296efc76151a98ec77ffd546"),
+    "case2": (SamplePlan(Variant.CASE_II, 4, sample_count=300, master_seed=7),
+              "63801cee2932efdd351990edd7a917191428c7c4e937aaeded7117ed8ab1839a"),
+    "case3": (SamplePlan(Variant.CASE_III, 5, mu=0.5, sample_count=300, master_seed=8),
+              "2afd93bcf21eec0cc61bfbbe891d45534747ed518b5517c79a40748e582924e2"),
+    "case3-capped": (SamplePlan(Variant.CASE_III, 4, mu=0.05, sample_count=200,
+                                master_seed=9, step_cap=30),
+                     "6ad0cd289ad95a6eab650058c4dde09036c0eb963f5214410e6eac5ed9a83c34"),
+    "eca": (SamplePlan(Variant.ISOLATED, 5, sample_count=300, master_seed=10),
+            "31f8d0257ece89049de8eb2737abc98c875c67744772db7384ee90ba1d30aee1"),
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_PLANS)
+def test_execute_tuple_records_are_byte_identical(name, tmp_path):
+    plan, digest = SCALAR_PLANS[name]
+    records = [ensemble.execute_tuple(plan, i, tup, 1000)
+               for i, tup in enumerate(draw_plan(plan))]
+    path = tmp_path / "records.csv"
+    write_records_csv(records, str(path), config_echo={"variant": plan.variant.value})
+    body = b"".join(line for line in open(path, "rb") if not line.startswith(b"#"))
+    assert hashlib.sha256(body).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", SCALAR_PLANS)
+def test_execute_tuple_matches_all_scalar_execution(name, monkeypatch):
     """Records from the packed loop, the base-reusing Lyapunov and the packed
     INN, LZW input and recurrence equal those from snapshot stepping, a
-    re-simulated Lyapunov base, ``BitState`` INN and LZW input and the
+    re-simulated Lyapunov base, per-cell INN, string LZW input and the
     generator recurrence."""
     import oee_ca.complexity as cx
     import oee_ca.ensemble as ens
@@ -372,10 +397,12 @@ def test_execute_tuple_matches_all_scalar_execution(plan, monkeypatch):
         scalar_trajectory,
     )
 
+    plan = SCALAR_PLANS[name][0]
     tuples = draw_plan(plan)
     packed = [ens.execute_tuple(plan, i, tup, 1000) for i, tup in enumerate(tuples)]
     monkeypatch.setattr(ens, "run_trajectory", scalar_trajectory)
-    monkeypatch.setattr(cx, "lyapunov", scalar_lyapunov)
+    monkeypatch.setattr(cx, "lyapunov",
+                        lambda base, bit, horizon: scalar_lyapunov(base.config, bit, horizon))
     monkeypatch.setattr(ens, "is_eca_reproducible", scalar_is_eca_reproducible)
     monkeypatch.setattr(cx, "compressibility", scalar_compressibility)
     monkeypatch.setattr(rec, "projected_recurrence", scalar_projected_recurrence)
@@ -391,7 +418,7 @@ def test_execute_tuple_matches_all_scalar_execution(plan, monkeypatch):
 def test_record_windows_follow_their_definitions(plan):
     """n_r counts rule changes over steps 0..t_r, INN tests the organism
     states 0..max(t_r, 1) and LZW compresses the states 0..t_r, each taken
-    from the run directly and checked with the ``BitState`` oracles."""
+    from the run directly and checked with the per-cell and string oracles."""
     from helpers import scalar_compressibility, scalar_is_eca_reproducible
     from oee_ca.ensemble import execute_tuple
     from oee_ca.variants import run_trajectory

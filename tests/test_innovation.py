@@ -7,14 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import brute_force_counterfactual, scalar_is_eca_reproducible
-from oee_ca.eca import BitState, step_bits
+from oee_ca.eca import stepper
 from oee_ca.ensemble import SamplePlan, execute_tuple
 from oee_ca.innovation import _pins, is_eca_reproducible, transition_pins
 from oee_ca.variants import TABLE_BUDGET, Variant, VariantConfig, run_trajectory
-
-
-def states_of(width, packed):
-    return [BitState(b, width) for b in packed]
 
 
 # --- is_eca_reproducible ----------------------------------------------------
@@ -24,12 +20,12 @@ def test_fixed_rule_trajectory_is_reproducible(rule, width, data):
     init = data.draw(st.integers(0, (1 << width) - 1))
     packed = [init]
     for _ in range(10):
-        packed.append(step_bits(rule, packed[-1], width))
+        packed.append(stepper(rule, width)(packed[-1]))
     witness = is_eca_reproducible(packed, width)
     assert witness is not None
     # the returned witness itself generates the sequence
     for a, b in zip(packed, packed[1:]):
-        assert step_bits(witness, a, width) == b
+        assert stepper(witness, width)(a) == b
 
 
 def test_contradictory_window():
@@ -48,7 +44,7 @@ def test_constant_window_is_reproducible():
     witness = is_eca_reproducible(seq, 4)
     assert witness is not None  # rule 204 (identity) is one valid witness
     for a, b in zip(seq, seq[1:]):
-        assert step_bits(witness, a, 4) == b
+        assert stepper(witness, 4)(a) == b
 
 
 def test_smallest_witness_returned():
@@ -70,8 +66,7 @@ def test_reproducible_validation():
        st.integers(0, 15), st.data())
 def test_reproducible_monotone_on_subwindows(r_o, r_e, so, se, data):
     """A reproducible window's contiguous sub-windows stay reproducible."""
-    config = VariantConfig(Variant.CASE_I, BitState(so, 4), r_o,
-                           s_e=BitState(se, 4), r_e=r_e)
+    config = VariantConfig(Variant.CASE_I, 4, so, r_o, w_e=4, s_e=se, r_e=r_e)
     traj = run_trajectory(config)
     window = traj.states
     if is_eca_reproducible(window, 4) is not None and len(window) > 2:
@@ -90,7 +85,7 @@ def windows(draw, width):
         return [draw(state) for _ in range(n)]
     rule, seq = draw(st.integers(0, 255)), [draw(state)]
     for _ in range(n - 1):
-        seq.append(step_bits(rule, seq[-1], width))
+        seq.append(stepper(rule, width)(seq[-1]))
     if draw(st.booleans()):
         seq[draw(st.integers(0, n - 1))] = draw(state)
     return seq
@@ -115,7 +110,7 @@ def counterfactual(width):
 def test_packed_inn_matches_counterfactual_set(width, data):
     window = data.draw(windows(width))
     assert ((is_eca_reproducible(window, width) is not None)
-            == counterfactual(width).contains(states_of(width, window)))
+            == counterfactual(width).contains(window, width))
 
 
 def test_pins_chosen_by_budget():
@@ -158,8 +153,7 @@ def test_metric_normalization():
     """I counts the rule changes over the window 0..t_r, over 2**w_o."""
     for tup in [(30, 110, 0b101, 0b11010010), (110, 30, 0b011, 0b10011100)]:
         rec = metric_record(Variant.CASE_I, 3, tup)
-        config = VariantConfig(Variant.CASE_I, BitState(tup[2], 3), tup[0],
-                               s_e=BitState(tup[3], 8), r_e=tup[1])
+        config = VariantConfig(Variant.CASE_I, 3, tup[2], tup[0], w_e=8, s_e=tup[3], r_e=tup[1])
         rules = run_trajectory(config).rules[:rec.t_r + 1]
         n_r = sum(a != b for a, b in zip(rules, rules[1:]))
         assert rec.n_rule_transitions == n_r > 0
@@ -178,18 +172,18 @@ def test_oracle_contains_own_trajectories():
     for rule in (0, 30, 110):
         for init in range(8):
             seq = cf.trajectories[rule][init]
-            assert cf.contains(states_of(3, seq))
+            assert cf.contains(seq, 3)
 
 
 def test_oracle_rejects_contradiction():
     cf = brute_force_counterfactual(3)
-    assert not cf.contains(states_of(3, [0b000, 0b010]))
+    assert not cf.contains([0b000, 0b010], 3)
 
 
 def test_oracle_width_mismatch():
     cf = brute_force_counterfactual(3)
     with pytest.raises(ValueError):
-        cf.contains([BitState(0, 4), BitState(0, 4)])
+        cf.contains([0, 0], 4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,4 +193,4 @@ def test_oracle_equivalence_random_windows(width, data):
     cf = brute_force_counterfactual(width)
     n = data.draw(st.integers(2, 6))
     window = [data.draw(st.integers(0, (1 << width) - 1)) for _ in range(n)]
-    assert (is_eca_reproducible(window, width) is not None) == cf.contains(states_of(width, window))
+    assert (is_eca_reproducible(window, width) is not None) == cf.contains(window, width)

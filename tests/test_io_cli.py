@@ -13,7 +13,6 @@ import pytest
 from helpers import SystemSnapshot, render_rows, system_step
 from oee_ca import complexity as cx
 from oee_ca.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main, render_start
-from oee_ca.eca import BitState
 from oee_ca.ensemble import SamplePlan, aggregate, run_ensemble
 from oee_ca.io_formats import (
     CSV_COLUMNS,
@@ -255,13 +254,12 @@ def test_cli_render_case2_uses_an_8_cell_environment(tmp_path):
     assert main(["render", "--variant", "case2", "--wo", "20", "--steps", "30",
                  "--seed", "4", "--out", out]) == EXIT_OK
     r_o, r_e, s_o, s_e = render_start(4, 20, 8)
-    config = VariantConfig(Variant.CASE_II, BitState(s_o, 20), r_o,
-                           s_e=BitState(s_e, 8), r_e=r_e)
+    config = VariantConfig(Variant.CASE_II, 20, s_o, r_o, w_e=8, s_e=s_e, r_e=r_e)
     snap = SystemSnapshot(0, config.s_o, r_o, config.s_e)
     want = [s_o]
     for _ in range(30):
         snap = system_step(config, snap)
-        want.append(snap.s_o.bits)
+        want.append(snap.s_o)
     assert read_pgm_rows(out) == want
 
 
@@ -293,8 +291,8 @@ def test_cli_render_rows_equal_the_stepping_oracle(name, tmp_path):
     r_o, r_e, s_o, s_e = start = render_start(seed, w_o, w_e)
     assert read_pgm_rows(out) == render_rows(variant, w_o, w_e, steps, start)
     if repeats is not None:
-        env = dict(s_e=BitState(s_e, w_e), r_e=r_e) if variant.has_environment else {}
-        traj = run_trajectory(VariantConfig(variant, BitState(s_o, w_o), r_o, **env), steps)
+        env = dict(w_e=w_e, s_e=s_e, r_e=r_e) if variant.has_environment else {}
+        traj = run_trajectory(VariantConfig(variant, w_o, s_o, r_o, **env), steps)
         assert (not traj.cap_hit and traj.repeat_time < steps) == repeats
 
 
@@ -314,9 +312,15 @@ RUN_GOLDEN = {
     "case1": (["--variant", "case1", "--wo", "6", "--we", "13", "--seed", "5"], 125,
               "65a315731ca0d4cbfbb78cb1793701489502c6642d4932f4d45da8d21e6bc30d",
               "8f8a836f49a4ca6d97ae189e45b46f9b72a815940292fbe6d269a29cfb617526"),
+    "case2": (["--variant", "case2", "--wo", "7", "--seed", "5"], 32,
+              "07be45b1806441cd86794a056bc3c557ad1fc5688de98f1ee74cb6286d77261e",
+              "ff3ceab90aaa18fa67e9b04c9600e66d13255a354d783a7b012392893b31361c"),
     "case3": (["--variant", "case3", "--wo", "9", "--mu", "0.1", "--seed", "1"], 176,
               "bcb785f884dbd6152355952c645ba184010521ccd0e0b21bc6777a1606160c43",
               "6e720ff3d5849c77907e5f39a3e4188dc3cf84b43f563566464e5e329120867c"),
+    "eca": (["--variant", "eca", "--wo", "10", "--seed", "3"], 26,
+            "55aac1191cd61216f9070554812a1a6b9d98cc27590f0df0da0d02943f872507",
+            "45748b399842f80ffbdb941209b37eff99c1ae356951cc2460ced14267d9d7ae"),
 }
 
 
@@ -401,12 +405,55 @@ def test_cli_run_width_above_64_reports_range(widths, message, tmp_path, capsys)
      "--state-e has 4 cells, expected 6"),
     (["--variant", "case2", "--wo", "4", "--state-e", "0110"],
      "--state-e has 4 cells, expected 8"),
+    (["--variant", "case1", "--wo", "4", "--we", "4", "--state-o", "+101"],
+     "--state-o must be a string of 0s and 1s, got '+101'"),
+    (["--variant", "case1", "--wo", "4", "--we", "4", "--state-o", "0_11"],
+     "--state-o must be a string of 0s and 1s, got '0_11'"),
+    (["--variant", "case1", "--wo", "4", "--we", "4", "--state-e", "01 1"],
+     "--state-e must be a string of 0s and 1s, got '01 1'"),
 ])
 def test_cli_run_state_width_mismatch_exits_3(argv, message, tmp_path, capsys):
     out = tmp_path / "traj.csv"
     assert main(["run", *argv, "--cap", "3", "--out", str(out)]) == EXIT_DATA
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("we", ["4", "30"])
+@pytest.mark.parametrize("rule_e", ["300", "-1"])
+def test_cli_run_rule_e_out_of_range_exits_3(we, rule_e, tmp_path, capsys):
+    """An environment rule outside 0..255 is refused, at table widths and
+    at widths stepped by the window kernel alike."""
+    out = tmp_path / "traj.csv"
+    assert main(["run", "--variant", "case1", "--wo", "4", "--we", we,
+                 "--rule-e", rule_e, "--cap", "5", "--out", str(out)]) == EXIT_DATA
+    assert f"r_e must be in [0, 255], got {rule_e}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def run_rows(tmp_path, argv) -> list[list[str]]:
+    """The data rows of the CSV written by ``run``."""
+    out = tmp_path / "traj.csv"
+    assert main(["run", *argv, "--out", str(out)]) == EXIT_OK
+    return [line.strip().split(",") for line in open(out) if not line.startswith("#")][1:]
+
+
+def test_cli_run_parses_given_states(tmp_path):
+    """Given states start the run as written, up to 64 cells with the
+    leftmost one set and down to a 1-cell environment."""
+    wide = "1" + "01" * 31 + "1"
+    rows = run_rows(tmp_path, ["--variant", "case1", "--wo", "64", "--we", "1",
+                               "--state-o", wide, "--state-e", "1",
+                               "--rule-o", "204", "--rule-e", "204", "--cap", "1"])
+    assert rows[0] == ["0", wide, "204", "1"]
+
+
+def test_cli_run_state_leftmost_cell_is_msb(tmp_path):
+    """Rule 240 copies each cell's left neighbor: the cell written first
+    moves right, then wraps around the ring."""
+    rows = run_rows(tmp_path, ["--variant", "eca", "--wo", "3", "--state-o", "100",
+                               "--rule-o", "240", "--cap", "5"])
+    assert [row[1] for row in rows] == ["100", "010", "001", "100"]
 
 
 def test_cli_run_with_given_states_is_byte_identical(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import naive_cycle, scalar_projected_recurrence
 
-from oee_ca.eca import BitState, step_table
+from oee_ca.eca import step_table
 from oee_ca.recurrence import (
     CycleInfo,
     attractor_ue_flag,
@@ -36,25 +36,25 @@ def test_poincare_range():
 # --- detect_cycle -----------------------------------------------------------
 
 def test_cycle_identity_rule():
-    config = VariantConfig(Variant.ISOLATED, BitState.from_string("0110"), 204)
+    config = VariantConfig(Variant.ISOLATED, 4, 0b0110, 204)
     cycle = detect_cycle(run_trajectory(config))
     assert (cycle.pre_period, cycle.period) == (0, 1)
 
 
 def test_cycle_rule0_from_nonzero():
-    config = VariantConfig(Variant.ISOLATED, BitState.from_string("101"), 0)
+    config = VariantConfig(Variant.ISOLATED, 3, 0b101, 0)
     cycle = detect_cycle(run_trajectory(config))
     assert (cycle.pre_period, cycle.period) == (1, 1)
 
 
 def test_cycle_censored_returns_none():
-    config = VariantConfig(Variant.ISOLATED, BitState.from_string("10010"), 30)
+    config = VariantConfig(Variant.ISOLATED, 5, 0b10010, 30)
     traj = run_trajectory(config, cap=1)
     assert traj.cap_hit and detect_cycle(traj) is None
 
 
 def test_cycle_rejects_nondeterministic():
-    config = VariantConfig(Variant.CASE_III, BitState(1, 3), 30, mu=0.5, seed=0)
+    config = VariantConfig(Variant.CASE_III, 3, 1, 30, mu=0.5, seed=0)
     with pytest.raises(ValueError):
         detect_cycle(run_trajectory(config))
 
@@ -64,8 +64,8 @@ def test_cycle_rejects_nondeterministic():
        st.integers(0, 7))
 def test_cycle_matches_naive_oracle_case1(r_o, r_e, so, se):
     """detect_cycle agrees with a store-everything oracle on (3,3) systems."""
-    config = VariantConfig(Variant.CASE_I, BitState(so, 3), r_o,
-                           s_e=BitState(se, 3), r_e=r_e)
+    config = VariantConfig(Variant.CASE_I, 3, so, r_o,
+                           w_e=3, s_e=se, r_e=r_e)
     cycle = detect_cycle(run_trajectory(config))
 
     from oee_ca.variants import case1_update_bits
@@ -84,7 +84,7 @@ def test_cycle_matches_naive_oracle_case1(r_o, r_e, so, se):
 @given(st.integers(0, 255), st.integers(0, 31))
 def test_cycle_doubling_replay(rule, init):
     """Re-simulating 2(P + L) steps confirms snapshot(t+L) = snapshot(t)."""
-    config = VariantConfig(Variant.ISOLATED, BitState(init, 5), rule)
+    config = VariantConfig(Variant.ISOLATED, 5, init, rule)
     cycle = detect_cycle(run_trajectory(config))
     P, L = cycle.pre_period, cycle.period
     table = step_table(rule, 5)
@@ -166,12 +166,12 @@ def test_projected_recurrence_matches_generator_oracle(case):
 def test_projection_invariants(r_o, r_e, so, se):
     """lam divides the full period; p never exceeds the full pre-period; the
     projected sequence really repeats with (p, lam)."""
-    config = VariantConfig(Variant.CASE_I, BitState(so, 4), r_o,
-                           s_e=BitState(se, 4), r_e=r_e)
+    config = VariantConfig(Variant.CASE_I, 4, so, r_o,
+                           w_e=4, s_e=se, r_e=r_e)
     traj = run_trajectory(config)
     cycle = detect_cycle(traj)
     P, L = cycle.pre_period, cycle.period
-    for seq in (traj.state_sequence(), traj.rule_sequence()):
+    for seq in (traj.states, traj.rules):
         p, lam, t_rec = projected_recurrence(seq, cycle)
         assert L % lam == 0 and p <= P and t_rec == p + lam
 
@@ -203,7 +203,7 @@ def test_isolated_never_ue():
     """Pigeonhole: isolated ECA recurrence never exceeds 2^w."""
     for rule in (0, 30, 90, 110, 204):
         for init in range(16):
-            config = VariantConfig(Variant.ISOLATED, BitState(init, 4), rule)
+            config = VariantConfig(Variant.ISOLATED, 4, init, rule)
             rep = build_report(run_trajectory(config))
             assert rep.t_r <= rep.t_P and rep.ue is False
 
@@ -211,16 +211,16 @@ def test_isolated_never_ue():
 # --- Case III convergence ---------------------------------------------------
 
 def test_case3_convergence_examples():
-    config = VariantConfig(Variant.CASE_III, BitState(0, 4), 30, mu=0.5, seed=1)
+    config = VariantConfig(Variant.CASE_III, 4, 0, 30, mu=0.5, seed=1)
     assert case3_convergence_time(run_trajectory(config)) == (0, False)
 
-    config = VariantConfig(Variant.CASE_III, BitState.from_string("0101"), 0,
+    config = VariantConfig(Variant.CASE_III, 4, 0b0101, 0,
                            mu=0.0, seed=1)
     assert case3_convergence_time(run_trajectory(config)) == (1, False)
 
 
 def test_case3_censoring():
-    config = VariantConfig(Variant.CASE_III, BitState.from_string("0101"), 204,
+    config = VariantConfig(Variant.CASE_III, 4, 0b0101, 204,
                            mu=0.0, seed=1)
     traj = run_trajectory(config, cap=50)
     assert case3_convergence_time(traj) == (None, True)
@@ -229,7 +229,7 @@ def test_case3_censoring():
 
 
 def test_case3_convergence_rejects_other_variants():
-    config = VariantConfig(Variant.ISOLATED, BitState(1, 3), 30)
+    config = VariantConfig(Variant.ISOLATED, 3, 1, 30)
     with pytest.raises(ValueError):
         case3_convergence_time(run_trajectory(config))
 
@@ -237,13 +237,13 @@ def test_case3_convergence_rejects_other_variants():
 # --- build_report -----------------------------------------------------------
 
 def test_build_report_identity_rule():
-    config = VariantConfig(Variant.ISOLATED, BitState.from_string("0110"), 204)
+    config = VariantConfig(Variant.ISOLATED, 4, 0b0110, 204)
     rep = build_report(run_trajectory(config))
     assert (rep.t_P, rep.t_r, rep.t_r_rule, rep.t_a) == (16, 1, 1, 1)
     assert rep.ue is False and rep.attractor_ue is False and not rep.censored
 
 
 def test_build_report_censored():
-    config = VariantConfig(Variant.ISOLATED, BitState.from_string("10110"), 30)
+    config = VariantConfig(Variant.ISOLATED, 5, 0b10110, 30)
     rep = build_report(run_trajectory(config, cap=1))
     assert rep.censored and rep.ue is None and rep.t_r is None

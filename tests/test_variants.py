@@ -16,7 +16,7 @@ from helpers import (
 )
 
 from oee_ca import complexity as cx
-from oee_ca.eca import BitState, step_bits, step_table
+from oee_ca.eca import step_table, stepper
 from oee_ca.variants import (
     TABLE_BUDGET,
     FlipMasks,
@@ -34,36 +34,72 @@ from oee_ca.variants import (
 
 
 def case1_config(s_o="0000", r_o=30, s_e="000000", r_e=90):
-    return VariantConfig(Variant.CASE_I, BitState.from_string(s_o), r_o,
-                         s_e=BitState.from_string(s_e), r_e=r_e)
+    return VariantConfig(Variant.CASE_I, len(s_o), int(s_o, 2), r_o,
+                         len(s_e), int(s_e, 2), r_e)
 
 
 # --- config validation ------------------------------------------------------
 
 def test_case2_requires_width_8():
     with pytest.raises(ValueError):
-        VariantConfig(Variant.CASE_II, BitState(0, 3), 30,
-                      s_e=BitState(0, 7), r_e=90)
+        VariantConfig(Variant.CASE_II, 3, 0, 30, w_e=7, s_e=0, r_e=90)
 
 
 def test_case1_requires_environment():
     with pytest.raises(ValueError):
-        VariantConfig(Variant.CASE_I, BitState(0, 3), 30)
+        VariantConfig(Variant.CASE_I, 3, 0, 30)
 
 
 def test_case3_requires_mu_and_seed():
     with pytest.raises(ValueError):
-        VariantConfig(Variant.CASE_III, BitState(1, 3), 30, seed=1)
+        VariantConfig(Variant.CASE_III, 3, 1, 30, seed=1)
     with pytest.raises(ValueError):
-        VariantConfig(Variant.CASE_III, BitState(1, 3), 30, mu=0.5)
+        VariantConfig(Variant.CASE_III, 3, 1, 30, mu=0.5)
     with pytest.raises(ValueError):
-        VariantConfig(Variant.CASE_III, BitState(1, 3), 30, mu=1.5, seed=1)
+        VariantConfig(Variant.CASE_III, 3, 1, 30, mu=1.5, seed=1)
 
 
 def test_isolated_rejects_environment():
     with pytest.raises(ValueError):
-        VariantConfig(Variant.ISOLATED, BitState(0, 3), 30,
-                      s_e=BitState(0, 3), r_e=90)
+        VariantConfig(Variant.ISOLATED, 3, 0, 30, w_e=3, s_e=0, r_e=90)
+
+
+CASE1_FIELDS = dict(w_o=4, s_o=0b1111, r_o=30, w_e=6, s_e=0b111111, r_e=90)
+
+
+def test_config_holds_packed_ints():
+    config = VariantConfig(Variant.CASE_I, **CASE1_FIELDS)
+    assert (config.w_o, config.s_o, config.w_e, config.s_e) == (4, 15, 6, 63)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(w_o=0, s_o=0), "w_o must be >= 1"),
+    (dict(s_o=16), "s_o = 16 does not fit in 4 cells"),
+    (dict(s_o=-1), "s_o = -1 does not fit in 4 cells"),
+    (dict(w_e=0, s_e=0), "w_e must be >= 1"),
+    (dict(s_e=64), "s_e = 64 does not fit in 6 cells"),
+], ids=["no-cells", "s_o-too-wide", "s_o-negative", "no-environment-cells", "s_e-too-wide"])
+def test_config_rejects_states_outside_their_rings(fields, message):
+    """Each packed state is checked against its width: at least one cell,
+    and no bit set above the leftmost cell."""
+    with pytest.raises(ValueError, match=message):
+        VariantConfig(Variant.CASE_I, **{**CASE1_FIELDS, **fields})
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(r_o=256), r"r_o must be in \[0, 255\], got 256"),
+    (dict(r_o=-1), r"r_o must be in \[0, 255\], got -1"),
+    (dict(r_e=300), r"r_e must be in \[0, 255\], got 300"),
+    (dict(r_e=-1), r"r_e must be in \[0, 255\], got -1"),
+], ids=["r_o=256", "r_o=-1", "r_e=300", "r_e=-1"])
+def test_config_rejects_rules_outside_0_255(fields, message):
+    with pytest.raises(ValueError, match=message):
+        VariantConfig(Variant.CASE_I, **{**CASE1_FIELDS, **fields})
+
+
+def test_config_rejects_an_environment_width_without_environment():
+    with pytest.raises(ValueError, match="takes no environment"):
+        VariantConfig(Variant.ISOLATED, 3, 0, 30, w_e=3)
 
 
 # --- Case I -----------------------------------------------------------------
@@ -112,8 +148,8 @@ def test_case1_involution_on_flip_mask(r_o, so, se):
 
 def case2_next_rule(s_e: int) -> int:
     """The organism's rule at step 1 of a Case II run from environment s_e."""
-    config = VariantConfig(Variant.CASE_II, BitState(0b0110, 4), 90,
-                           s_e=BitState(s_e, 8), r_e=204)
+    config = VariantConfig(Variant.CASE_II, 4, 0b0110, 90,
+                           w_e=8, s_e=s_e, r_e=204)
     return run_trajectory(config, cap=1).rules[1]
 
 
@@ -126,7 +162,7 @@ def test_case2_pinned_examples():
 
 def test_case2_rejects_wrong_width():
     with pytest.raises(ValueError):
-        VariantConfig(Variant.CASE_II, BitState(0, 4), 30, s_e=BitState(0, 7), r_e=90)
+        VariantConfig(Variant.CASE_II, 4, 0, 30, w_e=7, s_e=0, r_e=90)
 
 
 # --- Case III ---------------------------------------------------------------
@@ -167,7 +203,7 @@ def test_case3_exactly_8_draws_per_call():
 
 def test_case3_mu_validation():
     with pytest.raises(ValueError):
-        VariantConfig(Variant.CASE_III, BitState(1, 3), 90, mu=1.0, seed=0)
+        VariantConfig(Variant.CASE_III, 3, 1, 90, mu=1.0, seed=0)
 
 
 def rng_masks(seed: int, mu: float, n: int) -> bytes:
@@ -210,12 +246,12 @@ def test_case3_lyapunov_continues_its_stream_after_another_run():
     """The base run ends inside its first 16-step block and the Lyapunov
     copy goes past it, so ``continued`` draws more masks after another run
     has used the shared generator."""
-    config = VariantConfig(Variant.CASE_III, BitState(0b1011001110, 10), 30, mu=0.1, seed=1)
+    config = VariantConfig(Variant.CASE_III, 10, 0b1011001110, 30, mu=0.1, seed=1)
     base = run_trajectory(config)
     assert len(base.states) - 1 < 16
     assert len(base.flips.masks) == 16
-    run_trajectory(VariantConfig(Variant.CASE_III, BitState(0b101, 3), 90, mu=0.5, seed=999))
-    k = cx.lyapunov(config, perturb_bit=0, horizon=60, base=base)
+    run_trajectory(VariantConfig(Variant.CASE_III, 3, 0b101, 90, mu=0.5, seed=999))
+    k = cx.lyapunov(base, perturb_bit=0, horizon=60)
     assert len(base.flips.masks) > 16
     assert k == scalar_lyapunov(config, perturb_bit=0, horizon=60)
 
@@ -223,7 +259,7 @@ def test_case3_lyapunov_continues_its_stream_after_another_run():
 # --- system_step ------------------------------------------------------------
 
 def test_system_step_isolated_identity_rule_fixed_point():
-    config = VariantConfig(Variant.ISOLATED, BitState.from_string("0110"), 204)
+    config = VariantConfig(Variant.ISOLATED, 4, 0b0110, 204)
     snap = SystemSnapshot(0, config.s_o, config.r_o)
     for _ in range(5):
         nxt = system_step(config, snap)
@@ -232,11 +268,10 @@ def test_system_step_isolated_identity_rule_fixed_point():
 
 
 def test_system_step_case2_zero_environment_forces_rule_0():
-    config = VariantConfig(Variant.CASE_II, BitState.from_string("1011"), 30,
-                           s_e=BitState(0, 8), r_e=204)
+    config = VariantConfig(Variant.CASE_II, 4, 0b1011, 30, w_e=8, s_e=0, r_e=204)
     nxt = system_step(config, SystemSnapshot(0, config.s_o, 30, config.s_e))
     assert nxt.r_o == 0
-    assert nxt.s_o.bits == 0  # rule 0 annihilates immediately (rule-first order)
+    assert nxt.s_o == 0  # rule 0 annihilates immediately (rule-first order)
 
 
 def test_system_step_rule_first_ordering_case1():
@@ -244,28 +279,28 @@ def test_system_step_rule_first_ordering_case1():
     config = case1_config(s_o="0000", r_o=30, s_e="000000", r_e=0)
     nxt = system_step(config, SystemSnapshot(0, config.s_o, 30, config.s_e))
     assert nxt.r_o == 31                      # 30 with the 000 bit flipped
-    assert nxt.s_o.to_string() == "1111"      # rule 31 maps 000 -> 1 everywhere
+    assert nxt.s_o == 0b1111                  # rule 31 maps 000 -> 1 everywhere
 
 
 def test_environment_rule_constant():
     config = case1_config(s_o="0101", r_o=30, s_e="011010", r_e=110)
     traj = run_trajectory(config, cap=500)
     assert len(traj.envs) == len(traj.states)
-    assert all(b == step_bits(110, a, 6) for a, b in zip(traj.envs, traj.envs[1:]))
+    assert all(b == stepper(110, 6)(a) for a, b in zip(traj.envs, traj.envs[1:]))
 
 
 # --- run_trajectory ---------------------------------------------------------
 
 def test_trajectory_rule0_transient():
-    config = VariantConfig(Variant.ISOLATED, BitState.from_string("101"), 0)
+    config = VariantConfig(Variant.ISOLATED, 3, 0b101, 0)
     traj = run_trajectory(config)
-    seq = traj.state_sequence()
+    seq = traj.states
     assert seq[1] == 0 and seq[2] == 0
     assert traj.first_seen == 1 and traj.repeat_time == 2
 
 
 def test_trajectory_cap_validation():
-    config = VariantConfig(Variant.ISOLATED, BitState(1, 3), 30)
+    config = VariantConfig(Variant.ISOLATED, 3, 1, 30)
     with pytest.raises(ValueError):
         run_trajectory(config, cap=0)
 
@@ -283,21 +318,19 @@ def test_deterministic_pigeonhole_cap():
 
 
 def test_case3_identity_rule_never_converges():
-    config = VariantConfig(Variant.CASE_III, BitState.from_string("0101"), 204,
-                           mu=0.0, seed=3)
+    config = VariantConfig(Variant.CASE_III, 4, 0b0101, 204, mu=0.0, seed=3)
     traj = run_trajectory(config, cap=300)
     assert traj.cap_hit and traj.convergence_time is None
 
 
 def test_case3_initially_homogeneous_converges_at_0():
-    config = VariantConfig(Variant.CASE_III, BitState(0, 4), 30, mu=0.5, seed=3)
+    config = VariantConfig(Variant.CASE_III, 4, 0, 30, mu=0.5, seed=3)
     traj = run_trajectory(config)
     assert traj.convergence_time == 0
 
 
 def test_case3_rule0_converges_at_1():
-    config = VariantConfig(Variant.CASE_III, BitState.from_string("0101"), 0,
-                           mu=0.0, seed=3)
+    config = VariantConfig(Variant.CASE_III, 4, 0b0101, 0, mu=0.0, seed=3)
     traj = run_trajectory(config)
     assert traj.convergence_time == 1
 
@@ -306,8 +339,7 @@ def test_case3_rule0_converges_at_1():
 @given(st.integers(0, 255), st.integers(0, 255), st.integers(0, 15),
        st.integers(0, 63))
 def test_replay_determinism_case1(r_o, r_e, so, se):
-    config = VariantConfig(Variant.CASE_I, BitState(so, 4), r_o,
-                           s_e=BitState(se, 6), r_e=r_e)
+    config = VariantConfig(Variant.CASE_I, 4, so, r_o, w_e=6, s_e=se, r_e=r_e)
     a = run_trajectory(config)
     b = run_trajectory(config)
     assert (a.states, a.rules, a.envs) == (b.states, b.rules, b.envs)
@@ -315,8 +347,7 @@ def test_replay_determinism_case1(r_o, r_e, so, se):
 
 
 def test_replay_determinism_case3_same_seed():
-    config = VariantConfig(Variant.CASE_III, BitState.from_string("01011"), 30,
-                           mu=0.5, seed=42)
+    config = VariantConfig(Variant.CASE_III, 5, 0b01011, 30, mu=0.5, seed=42)
     a, b = run_trajectory(config), run_trajectory(config)
     assert (a.states, a.rules, a.convergence_time) == (b.states, b.rules, b.convergence_time)
 
@@ -328,17 +359,16 @@ def test_table_and_generic_paths_agree():
     snap = SystemSnapshot(0, config.s_o, config.r_o, config.s_e)
     for t in range(1, len(fast.states)):
         snap = system_step(config, snap)
-        assert (snap.s_o.bits, snap.r_o, snap.s_e.bits) == (
+        assert (snap.s_o, snap.r_o, snap.s_e) == (
             fast.states[t], fast.rules[t], fast.envs[t])
 
 
 @given(st.integers(0, 255), st.integers(3, 8))
 def test_homogeneous_absorption(rule, w):
     """Homogeneous states map to homogeneous states under every rule."""
-    from oee_ca.eca import step_bits
     full = (1 << w) - 1
-    assert step_bits(rule, 0, w) in (0, full)
-    assert step_bits(rule, full, w) in (0, full)
+    assert stepper(rule, w)(0) in (0, full)
+    assert stepper(rule, w)(full) in (0, full)
 
 
 # --- the packed loop against the snapshot oracle -------------------------------
@@ -351,22 +381,23 @@ def packed_states(w):
 
 
 def drawn_case1(data, w_o, w_e):
-    return VariantConfig(Variant.CASE_I, BitState(data.draw(packed_states(w_o)), w_o),
+    return VariantConfig(Variant.CASE_I, w_o, data.draw(packed_states(w_o)),
                          data.draw(rule_numbers), r_e=data.draw(rule_numbers),
-                         s_e=BitState(data.draw(packed_states(w_e)), w_e))
+                         w_e=w_e, s_e=data.draw(packed_states(w_e)))
 
 
 def assert_same_run(config, cap=None, horizons=(2, 5, 17)):
-    """Packed run equals the snapshot run; Lyapunov from the packed run (as
-    base and without one) equals the re-simulating oracle."""
+    """Packed run equals the snapshot run; Lyapunov from the packed run (the
+    full run, and one capped at the horizon) equals the re-simulating
+    oracle."""
     traj = run_trajectory(config, cap)
     assert traj == scalar_trajectory(config, cap)
     n = len(traj.states) - 1
     for h in horizons:
         want = scalar_lyapunov(config, 0, h)
-        assert cx.lyapunov(config, 0, h) == want
+        assert cx.lyapunov(run_trajectory(config, cap=h), 0, h) == want
         if not traj.cap_hit or h <= n:
-            assert cx.lyapunov(config, 0, h, base=traj) == want
+            assert cx.lyapunov(traj, 0, h) == want
 
 
 @pytest.mark.parametrize("w_o, w_e", [(4, 6), (6, 13)])
@@ -416,10 +447,10 @@ def test_computed_steps_equal_step_tables(rule):
 @settings(max_examples=60, deadline=None)
 @given(rule_numbers, rule_numbers, st.integers(3, 9), st.data())
 def test_packed_case2_and_eca_match_oracle(r_o, r_e, w_o, data):
-    so = BitState(data.draw(packed_states(w_o)), w_o)
-    assert_same_run(VariantConfig(Variant.CASE_II, so, r_o,
-                                  s_e=BitState(data.draw(packed_states(8)), 8), r_e=r_e))
-    assert_same_run(VariantConfig(Variant.ISOLATED, so, r_o))
+    so = data.draw(packed_states(w_o))
+    assert_same_run(VariantConfig(Variant.CASE_II, w_o, so, r_o,
+                                  w_e=8, s_e=data.draw(packed_states(8)), r_e=r_e))
+    assert_same_run(VariantConfig(Variant.ISOLATED, w_o, so, r_o))
 
 
 @settings(max_examples=80, deadline=None)
@@ -428,7 +459,7 @@ def test_packed_case2_and_eca_match_oracle(r_o, r_e, w_o, data):
 def test_packed_case3_matches_oracle(r_o, w_o, mu, seed, cap, data):
     """Block-drawn flip masks equal one rng.random(8) per step, through cap
     hits and block boundaries; Lyapunov continues on the same stream."""
-    config = VariantConfig(Variant.CASE_III, BitState(data.draw(packed_states(w_o)), w_o),
+    config = VariantConfig(Variant.CASE_III, w_o, data.draw(packed_states(w_o)),
                            r_o, mu=mu, seed=seed)
     # with mu = 0 a run may never converge: keep the oracle's default 10**6 steps out
     assert_same_run(config, cap=cap if mu else cap or 200)
@@ -439,7 +470,7 @@ def test_packed_case3_matches_oracle(r_o, w_o, mu, seed, cap, data):
 def test_packed_case3_short_runs_continue_for_lyapunov(s_o, r_o, t_r, mu):
     """t_r <= 1 is shorter than the smallest horizon (2): the follower draws
     the next masks of the run's stream."""
-    config = VariantConfig(Variant.CASE_III, BitState.from_string(s_o), r_o, mu=mu, seed=7)
+    config = VariantConfig(Variant.CASE_III, 4, int(s_o, 2), r_o, mu=mu, seed=7)
     traj = run_trajectory(config)
     if mu == 0.0 or r_o != 0:
         assert traj.convergence_time == t_r
@@ -447,7 +478,7 @@ def test_packed_case3_short_runs_continue_for_lyapunov(s_o, r_o, t_r, mu):
 
 
 def test_follow_continues_a_deterministic_run_around_its_cycle():
-    config = VariantConfig(Variant.ISOLATED, BitState.from_string("0110"), 204)
+    config = VariantConfig(Variant.ISOLATED, 4, 0b0110, 204)
     traj = run_trajectory(config)
     assert traj.repeat_time == 1
     assert [a for a, _ in follow(traj, 0b0110, 6)] == [0b0110] * 6
@@ -459,10 +490,3 @@ def test_follow_rejects_censored_runs_past_their_end():
     assert traj.cap_hit
     with pytest.raises(ValueError):
         list(follow(traj, 0, 2))
-
-
-def test_lyapunov_rejects_a_foreign_base():
-    a = case1_config(s_o="1010", r_o=45, s_e="110010", r_e=30)
-    b = case1_config(s_o="1011", r_o=45, s_e="110010", r_e=30)
-    with pytest.raises(ValueError):
-        cx.lyapunov(a, 0, 4, base=run_trajectory(b))
