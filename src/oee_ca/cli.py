@@ -172,7 +172,19 @@ def _given_state(text: str, flag: str, width: int) -> int:
     return int(text, 2)
 
 
+def _reject_environment_flags(args, *flags: str) -> None:
+    """Refuse, rather than ignore, an environment flag given to a variant
+    without an environment."""
+    if args.variant.has_environment:
+        return
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValueError(f"{flag} does not apply to {args.variant.value}, "
+                             "which has no environment")
+
+
 def _random_config(args) -> VariantConfig:
+    _reject_environment_flags(args, "--we", "--rule-e", "--state-e")
     variant = args.variant
     w_e = 8 if variant is Variant.CASE_II else args.we
     if not SIM_MIN_WIDTH <= args.wo <= SIM_MAX_WIDTH:
@@ -223,6 +235,7 @@ def cmd_run(args) -> int:
 def cmd_ensemble(args) -> int:
     from . import ensemble as ens
 
+    _reject_environment_flags(args, "--we", "--ratio")
     w_e = args.we
     if args.variant is Variant.CASE_I and w_e is None:
         if args.ratio is None:
@@ -304,6 +317,7 @@ def cmd_render(args) -> int:
     """Large-width render; widths here are unbounded (rendering only).  The
     run stops at its first repeated configuration and then replays its
     cycle out to ``--steps``."""
+    _reject_environment_flags(args, "--we")
     w_o = args.wo
     w_e = 8 if args.variant is Variant.CASE_II else args.we or w_o
     r_o, r_e, s_o, s_e = render_start(args.seed, w_o, w_e)

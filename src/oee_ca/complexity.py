@@ -34,6 +34,7 @@ from .variants import (
     Trajectory,
     execution_rng,
     follow,
+    integers_rows,
     organism_steps,
 )
 
@@ -125,10 +126,14 @@ def normalization_constant(w: int, samples: int = NORM_SAMPLES, steps: int = NOR
 
     Sample i draws ``rng.integers(0, 256)`` (its rule), then
     ``rng.integers(0, 1 << w)`` (its initial state), from
-    ``execution_rng(seed)``, and is stepped only to its first repeated state
-    (``fixed_rule_run``).  LZW walks its run, the cycle repeated out to the
-    full length, only when ``lzw_phrase_bound`` leaves room for more phrases
-    than the largest count so far.
+    ``execution_rng(seed)``; ``integers_rows`` computes all the samples'
+    draws first, from one block of 32-bit words with numpy's Lemire
+    rejection rule (no word is rejected for these power-of-two bounds), and
+    makes them one call at a time above 32 cells.  Each sample is stepped
+    only to its first repeated state (``fixed_rule_run``).  LZW walks its
+    run, the cycle repeated out to the full length, only when
+    ``lzw_phrase_bound`` leaves room for more phrases than the largest count
+    so far.
     """
     if not 1 <= w <= NORM_MAX_WIDTH:
         raise ValueError(f"normalization width must be in 1..{NORM_MAX_WIDTH}, got {w}")
@@ -165,9 +170,8 @@ def _max_compressed_bits(w: int, samples: int, steps: int, seed: int) -> int:
     rng = execution_rng(seed)
     tables = organism_steps(w)
     most = 0
-    for _ in range(samples):
-        rule = int(rng.integers(0, 256))
-        states, first = fixed_rule_run(tables[rule], int(rng.integers(0, 1 << w)), run_steps)
+    for rule, state in integers_rows(rng, (256, 1 << w), samples):
+        states, first = fixed_rule_run(tables[rule], state, run_steps)
         if lzw_phrase_bound(n, len(states) * w) <= most:
             continue
         bits = serialize_states(states, w)

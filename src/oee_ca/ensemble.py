@@ -33,6 +33,7 @@ from .variants import (
     Variant,
     VariantConfig,
     execution_rng,
+    integers_rows,
     run_trajectory,
 )
 
@@ -103,39 +104,37 @@ def sample_space_size(variant: Variant, w_o: int, w_e: int | None = None) -> int
 def draw_plan(plan: SamplePlan) -> list[tuple]:
     """The initial tuples of a plan, in draw order.
 
-    Coupled deterministic variants deduplicate tuples; the noise-driven
-    variant allows repeats and keys each execution by its index instead.
-    Draw order per tuple: r_o, (r_e,) s_o, (s_e).
+    Coupled deterministic variants deduplicate tuples, keeping each first
+    drawn; the noise-driven variant allows repeats and keys each execution
+    by its index instead.  Draw order per tuple: r_o, (r_e,) s_o, (s_e),
+    each ``rng.integers(0, n)`` of ``execution_rng(master_seed)`` with
+    ``n = 88`` (an index into ``canonical_rules()``) or ``2^w``.
+    ``integers_rows`` computes those draws from one block of 32-bit words
+    of the stream, with numpy's Lemire rejection rule, and makes them one
+    call at a time after a rejected word or above 32 cells.  A coupled plan
+    takes blocks of at least 1024 rows until it holds ``sample_count``
+    distinct tuples, so a plan close to its space size does not stall on
+    repeats.
     """
     rng = execution_rng(plan.master_seed)
     canon = canonical_rules()
     space = sample_space_size(plan.variant, plan.w_o, plan.w_e)
-    tuples: list[tuple] = []
 
     if plan.variant is Variant.CASE_III:
-        for _ in range(plan.sample_count):
-            r_o = canon[int(rng.integers(0, 88))]
-            s_o = int(rng.integers(0, 1 << plan.w_o))
-            tuples.append((r_o, s_o))
-        return tuples
+        return [(canon[r_o], s_o)
+                for r_o, s_o in integers_rows(rng, (88, 1 << plan.w_o), plan.sample_count)]
 
     if plan.sample_count > space:
         raise ValueError(f"sample_count {plan.sample_count} exceeds space {space}")
-    seen = set()
-    while len(tuples) < plan.sample_count:
-        r_o = canon[int(rng.integers(0, 88))]
-        if plan.variant is Variant.ISOLATED:
-            tup = (r_o, int(rng.integers(0, 1 << plan.w_o)))
-        else:
-            r_e = canon[int(rng.integers(0, 88))]
-            s_o = int(rng.integers(0, 1 << plan.w_o))
-            s_e = int(rng.integers(0, 1 << plan.w_e))
-            tup = (r_o, r_e, s_o, s_e)
-        if tup in seen:
-            continue
-        seen.add(tup)
-        tuples.append(tup)
-    return tuples
+    coupled = plan.variant is not Variant.ISOLATED
+    bounds = (88, 88, 1 << plan.w_o, 1 << plan.w_e) if coupled else (88, 1 << plan.w_o)
+    drawn: dict[tuple, None] = {}   # insertion order keeps each tuple's first draw
+    while len(drawn) < plan.sample_count:
+        rows = integers_rows(rng, bounds, max(plan.sample_count - len(drawn), 1024))
+        drawn.update(dict.fromkeys(
+            [(canon[r_o], canon[r_e], s_o, s_e) for r_o, r_e, s_o, s_e in rows] if coupled
+            else [(canon[r_o], s_o) for r_o, s_o in rows]))
+    return list(drawn)[:plan.sample_count]
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,42 @@ def execution_rng(master_seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def integers_rows(rng: np.random.Generator, bounds: tuple[int, ...],
+                  rows: int) -> list[tuple[int, ...]]:
+    """``[tuple(int(rng.integers(0, b)) for b in bounds) for _ in range(rows)]``,
+    computed from one block of raw words; ``rng`` is left where those scalar
+    calls would leave it.
+
+    A scalar draw below a bound ``2 <= n <= 2^32`` takes one 32-bit word
+    ``u`` (Philox hands out the low half of each 64-bit output, then its
+    high half) and returns ``(u * n) >> 32``, Lemire's multiply-shift
+    method (D. Lemire, *ACM TOMACS* 29(1), 2019), unless the low 32 bits of ``u * n`` fall below
+    ``(2^32 - n) % n``: that word is rejected and the draw takes the next.
+    The threshold is 0 for ``n = 2^k`` and 48 for ``n = 88``.  So the draws
+    are a fixed-stride stream of words, one ``random_raw`` block, unless a
+    word is rejected (the state is then restored), a bound lies outside
+    [2, 2^32] (no word, or numpy's 64-bit path), the generator holds a
+    buffered half-word or the word count is odd; each of those cases makes
+    the scalar calls instead.
+    """
+    bg = rng.bit_generator
+    saved = bg.state
+    words = rows * len(bounds)
+    if (words % 2 == 0 and all(2 <= b <= 1 << 32 for b in bounds)
+            and not saved["has_uint32"]):
+        raw = bg.random_raw(words // 2)
+        m = np.empty((rows, len(bounds)), dtype=np.uint64)   # the words, then u * n
+        m.reshape(-1)[0::2] = raw & 0xFFFFFFFF
+        m.reshape(-1)[1::2] = raw >> 32
+        n = np.array(bounds, dtype=np.uint64)
+        m *= n
+        if not ((m & 0xFFFFFFFF) < (2**32 - n) % n).any():
+            m >>= 32
+            return list(zip(*m.T.tolist()))
+        bg.state = saved
+    return [tuple(int(rng.integers(0, b)) for b in bounds) for _ in range(rows)]
+
+
 # --- lookup tables ----------------------------------------------------------
 
 class _Computed:

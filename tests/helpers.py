@@ -16,7 +16,13 @@ from oee_ca.eca import (
     stepper,
     triplet_counts_bits,
 )
-from oee_ca.ensemble import SamplePlan, config_for_tuple, draw_plan, innovation_window
+from oee_ca.ensemble import (
+    SamplePlan,
+    config_for_tuple,
+    draw_plan,
+    innovation_window,
+    sample_space_size,
+)
 from oee_ca.recurrence import CycleInfo, build_report
 from oee_ca.variants import (
     Trajectory,
@@ -123,6 +129,40 @@ def render_rows(variant: Variant, w_o: int, w_e: int, steps: int,
             s_e = naive_step_bits(r_e, s_e, w_e)
         rows.append(s_o)
     return rows
+
+
+def scalar_draw_plan(plan: SamplePlan) -> list[tuple]:
+    """The initial tuples of a plan, in draw order, 2 or 4 scalar
+    ``rng.integers`` calls per tuple (oracle for ``draw_plan``)."""
+    rng = execution_rng(plan.master_seed)
+    canon = canonical_rules()
+    space = sample_space_size(plan.variant, plan.w_o, plan.w_e)
+    tuples: list[tuple] = []
+
+    if plan.variant is Variant.CASE_III:
+        for _ in range(plan.sample_count):
+            r_o = canon[int(rng.integers(0, 88))]
+            s_o = int(rng.integers(0, 1 << plan.w_o))
+            tuples.append((r_o, s_o))
+        return tuples
+
+    if plan.sample_count > space:
+        raise ValueError(f"sample_count {plan.sample_count} exceeds space {space}")
+    seen = set()
+    while len(tuples) < plan.sample_count:
+        r_o = canon[int(rng.integers(0, 88))]
+        if plan.variant is Variant.ISOLATED:
+            tup = (r_o, int(rng.integers(0, 1 << plan.w_o)))
+        else:
+            r_e = canon[int(rng.integers(0, 88))]
+            s_o = int(rng.integers(0, 1 << plan.w_o))
+            s_e = int(rng.integers(0, 1 << plan.w_e))
+            tup = (r_o, r_e, s_o, s_e)
+        if tup in seen:
+            continue
+        seen.add(tup)
+        tuples.append(tup)
+    return tuples
 
 
 def exhaustive_plan_tuples(plan: SamplePlan) -> list[tuple]:

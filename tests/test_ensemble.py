@@ -2,10 +2,12 @@
 
 import dataclasses
 import hashlib
+import pickle
 
+import numpy as np
 import pytest
 
-from helpers import exhaustive_plan_tuples
+from helpers import exhaustive_plan_tuples, scalar_draw_plan
 from oee_ca import ensemble
 from oee_ca.ensemble import (
     BoxStats,
@@ -24,7 +26,7 @@ from oee_ca.ensemble import (
 )
 from oee_ca.eca import canonical_rule
 from oee_ca.io_formats import write_records_csv
-from oee_ca.variants import Variant
+from oee_ca.variants import Variant, execution_rng, integers_rows
 
 
 # --- widths and space sizes -------------------------------------------------
@@ -129,6 +131,99 @@ def test_exhaustive_sampling_equals_space():
     plan = SamplePlan(Variant.ISOLATED, 3, sample_count=704, master_seed=0)
     tuples = draw_plan(plan)
     assert sorted(tuples) == sorted(exhaustive_plan_tuples(plan))
+
+
+# --- block draws against the scalar oracle ---------------------------------
+
+class CountingRng:
+    """A ``Generator`` stand-in that counts its scalar ``integers`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator, self.calls = rng, rng.bit_generator, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+DRAW_PLANS = {
+    "case1-4x4": SamplePlan(Variant.CASE_I, 4, 4, sample_count=3000, master_seed=1),
+    "case1-6x13": SamplePlan(Variant.CASE_I, 6, 13, sample_count=1000, master_seed=2),
+    "case2": SamplePlan(Variant.CASE_II, 4, sample_count=2000, master_seed=3),
+    "case3-repeats": SamplePlan(Variant.CASE_III, 3, sample_count=3000, master_seed=4),
+    "eca": SamplePlan(Variant.ISOLATED, 6, sample_count=2000, master_seed=5),
+    # dedup-heavy: the whole space of 704, and half of the 123,904 tuples of
+    # (3, 1), each over several blocks
+    "eca-w3-full": SamplePlan(Variant.ISOLATED, 3, sample_count=704, master_seed=6),
+    "case1-3x1-half": SamplePlan(Variant.CASE_I, 3, 1, sample_count=60_000, master_seed=7),
+    # a state bound above 2^32 takes the scalar calls
+    "eca-w33": SamplePlan(Variant.ISOLATED, 33, sample_count=300, master_seed=8),
+    "eca-w63": SamplePlan(Variant.ISOLATED, 63, sample_count=300, master_seed=9),
+    "case1-4x40": SamplePlan(Variant.CASE_I, 4, 40, sample_count=300, master_seed=10),
+}
+
+
+@pytest.mark.parametrize("name", DRAW_PLANS)
+def test_draw_plan_matches_scalar_oracle(name):
+    plan = DRAW_PLANS[name]
+    assert draw_plan(plan) == scalar_draw_plan(plan)
+
+
+@pytest.mark.parametrize("name", ["case1-4x4", "case3-repeats", "eca", "eca-w63"])
+def test_drawn_tuples_hold_python_ints(name):
+    """The pool pickles the tuples to its workers: numpy scalars would
+    pickle larger."""
+    plan = DRAW_PLANS[name]
+    tuples = draw_plan(plan)
+    assert all(type(x) is int for tup in tuples for x in tup)
+    assert pickle.dumps(tuples) == pickle.dumps(scalar_draw_plan(plan))
+
+
+def test_draw_plan_after_a_rejected_word_takes_the_scalar_calls(monkeypatch):
+    """Seed 31395 of a Case I (4, 4) plan: the word of the r_e draw of tuple
+    2248 (0-based) is rejected by numpy's bounded method for n = 88, so the
+    scalar calls shift by one word from there on."""
+    seed, index = 31395, 2248
+    raw = execution_rng(seed).bit_generator.random_raw(2 * (index + 1))
+    words = np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=1).reshape(-1, 4)
+    assert (words[index, 1] * np.uint64(88)) & 0xFFFFFFFF < (2**32 - 88) % 88
+
+    rngs = []
+    def counting_rng(master_seed, index=0):
+        rngs.append(CountingRng(execution_rng(master_seed, index)))
+        return rngs[-1]
+    monkeypatch.setattr(ensemble, "execution_rng", counting_rng)
+    plan = SamplePlan(Variant.CASE_I, 4, 4, sample_count=2500, master_seed=seed)
+    tuples = draw_plan(plan)
+    assert rngs[0].calls == 4 * 2500
+    monkeypatch.undo()
+    assert tuples == scalar_draw_plan(plan)
+
+
+@pytest.mark.parametrize("bounds, rows, scalar", [
+    ((88, 16), 500, False),
+    ((88, 88, 8, 1 << 13), 300, False),
+    ((256, 1 << 32), 400, False),
+    ((2, 2, 2, 2), 100, False),
+    ((88, 16), 0, False),
+    ((256, 1 << 33), 50, True),   # numpy's 64-bit path
+    ((88,), 7, True),             # an odd number of words
+    ((1, 88), 10, True),          # a bound that takes no word
+])
+@pytest.mark.parametrize("buffered", [False, True], ids=["aligned", "half-word"])
+def test_integers_rows_matches_scalar_calls(bounds, rows, scalar, buffered):
+    """Values, types and the stream after the call (compared by the next
+    draws: the state dicts differ in a stale buffered word even when the
+    streams agree)."""
+    rng, ref = CountingRng(execution_rng(3)), execution_rng(3)
+    if buffered:   # leaves the high half of a word in the generator
+        assert int(rng.rng.integers(0, 2)) == int(ref.integers(0, 2))
+    got = integers_rows(rng, bounds, rows)
+    assert got == [tuple(int(ref.integers(0, n)) for n in bounds) for _ in range(rows)]
+    assert all(type(x) is int for row in got for x in row)
+    assert bool(rng.calls) == (rows > 0 and (scalar or buffered))
+    assert ([int(rng.rng.integers(0, 1000)) for _ in range(8)]
+            == [int(ref.integers(0, 1000)) for _ in range(8)])
 
 
 # --- execution --------------------------------------------------------------

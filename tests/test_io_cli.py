@@ -419,6 +419,28 @@ def test_cli_run_state_width_mismatch_exits_3(argv, message, tmp_path, capsys):
     assert not out.exists()
 
 
+ENVIRONMENT_FLAGS = [("run", "--we", "9"), ("run", "--rule-e", "30"), ("run", "--state-e", "1"),
+                     ("ensemble", "--we", "4"), ("ensemble", "--ratio", "1"),
+                     ("render", "--we", "5")]
+
+
+@pytest.mark.parametrize("variant, command, flag, value", [
+    (variant, *case) for variant in ("eca", "case3") for case in ENVIRONMENT_FLAGS
+    if (variant, case[0]) != ("case3", "render")])   # render has no case3
+def test_cli_environment_flag_without_environment_exits_3(variant, command, flag, value,
+                                                          tmp_path, capsys):
+    """A variant without an environment refuses an environment flag instead
+    of running without it and echoing it."""
+    out = tmp_path / "out"
+    extra = {"run": ["--cap", "3"],
+             "ensemble": ["--samples", "3", "--report", str(tmp_path / "report.json")],
+             "render": ["--steps", "3"]}[command]
+    argv = [command, "--variant", variant, "--wo", "4", flag, value, *extra, "--out", str(out)]
+    assert main(argv) == EXIT_DATA
+    assert f"{flag} does not apply to {variant}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("we", ["4", "30"])
 @pytest.mark.parametrize("rule_e", ["300", "-1"])
 def test_cli_run_rule_e_out_of_range_exits_3(we, rule_e, tmp_path, capsys):
