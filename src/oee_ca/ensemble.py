@@ -110,11 +110,11 @@ def draw_plan(plan: SamplePlan) -> list[tuple]:
     each ``rng.integers(0, n)`` of ``execution_rng(master_seed)`` with
     ``n = 88`` (an index into ``canonical_rules()``) or ``2^w``.
     ``integers_rows`` computes those draws from one block of 32-bit words
-    of the stream, with numpy's Lemire rejection rule, and makes them one
-    call at a time after a rejected word or above 32 cells.  A coupled plan
-    takes blocks of at least 1024 rows until it holds ``sample_count``
-    distinct tuples, so a plan close to its space size does not stall on
-    repeats.
+    of the stream, with numpy's Lemire rejection rule, and makes the scalar
+    calls instead for a block with a rejected word, or above 32 cells.  A
+    coupled plan takes blocks of at least 1024 rows until it holds
+    ``sample_count`` distinct tuples, so a plan close to its space size does
+    not stall on repeats.
     """
     rng = execution_rng(plan.master_seed)
     canon = canonical_rules()
