@@ -173,14 +173,21 @@ def _given_state(text: str, flag: str, width: int) -> int:
 
 
 def _reject_environment_flags(args, *flags: str) -> None:
-    """Refuse, rather than ignore, an environment flag given to a variant
-    without an environment."""
-    if args.variant.has_environment:
-        return
-    for flag in flags:
-        if getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise ValueError(f"{flag} does not apply to {args.variant.value}, "
-                             "which has no environment")
+    """Refuse, rather than ignore, an environment flag the run would not
+    use: any on a variant without an environment, a ``--we`` other than 8
+    or a ``--ratio`` on case2, whose environment has 8 cells, and a
+    ``--ratio`` beside ``--we``."""
+    given = [f for f in flags if getattr(args, f[2:].replace("-", "_")) is not None]
+    if given and not args.variant.has_environment:
+        raise ValueError(f"{given[0]} does not apply to {args.variant.value}, "
+                         "which has no environment")
+    if args.variant is Variant.CASE_II:
+        for flag in given:
+            if flag == "--ratio" or flag == "--we" and args.we != 8:
+                raise ValueError(f"{flag} does not apply to case2, whose environment "
+                                 "has 8 cells")
+    elif "--we" in given and "--ratio" in given:
+        raise ValueError("--we and --ratio both set the environment width; give one")
 
 
 def _random_config(args) -> VariantConfig:

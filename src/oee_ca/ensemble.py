@@ -19,17 +19,16 @@ import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 from scipy import stats
 
 from . import complexity as cx
 from .eca import SIM_MIN_WIDTH, canonical_rules, wolfram_class
 from .innovation import is_eca_reproducible
-from .recurrence import build_report, detect_cycle, poincare_time
+from .io_formats import ExecutionRecord
+from .recurrence import build_report, detect_cycle
 from .variants import (
-    CASE1_RATIOS,
-    Trajectory,
     Variant,
     VariantConfig,
     execution_rng,
@@ -137,36 +136,6 @@ def draw_plan(plan: SamplePlan) -> list[tuple]:
     return list(drawn)[:plan.sample_count]
 
 
-@dataclass(frozen=True)
-class ExecutionRecord:
-    variant: Variant
-    w_o: int
-    w_e: int | None
-    mu: float | None
-    seed: int | None           # per-execution stream seed (Case III only)
-    init_rule_o: int
-    rule_e: int | None
-    init_state_o: int
-    init_state_e: int | None
-    t_P: int
-    t_r: int | None
-    t_r_rule: int | None
-    t_a: int | None
-    inn: bool | None
-    ue: bool | None
-    oee: bool | None
-    attractor_ue: bool | None
-    n_rule_transitions: int | None
-    innovation_I: float | None
-    compressed_bits: int | None
-    norm_bits: int | None
-    C: float | None
-    k: float | str | None
-    censored: bool
-    # in-memory only (not a CSV column): rule sequence over one attractor cycle
-    attractor_rules: tuple[int, ...] | None = None
-
-
 def config_for_tuple(plan: SamplePlan, index: int, tup: tuple) -> VariantConfig:
     if plan.variant is Variant.CASE_III:
         r_o, s_o = tup
@@ -184,51 +153,47 @@ def _case3_seed(master_seed: int, index: int) -> int:
     return (master_seed * 0x9E3779B97F4A7C15 + index + 1) & (2**64 - 1)
 
 
-def innovation_window(traj: Trajectory, t_r: int) -> tuple[list[int], bool]:
-    """The INN window of a finished run, organism states 0..max(t_r, 1)
-    within the run, and its INN flag: no fixed ECA rule reproduces the
-    window.  A single-state window is trivially reproducible (identity
-    rule)."""
-    window = traj.states[:max(t_r, 1) + 1]
-    return window, len(window) > 1 and is_eca_reproducible(window, traj.config.w_o) is None
+def flag_stages(plan: SamplePlan, index: int, tup: tuple) -> tuple:
+    """The stages a record's flags come from: the run of one sampled tuple,
+    its recurrence report and, unless the run is censored, its INN window
+    and flag.  Returns ``(config, traj, rep, window, inn)``, with ``window``
+    and ``inn`` None for a censored run.  The INN window is the organism
+    states 0..max(t_r, 1) of the run, and INN holds when no fixed ECA rule
+    reproduces it; a one-state window is reproduced by the identity rule."""
+    config = config_for_tuple(plan, index, tup)
+    traj = run_trajectory(config, plan.step_cap)
+    rep = build_report(traj)
+    if rep.censored:
+        return config, traj, rep, None, None
+    window = traj.states[:max(rep.t_r, 1) + 1]
+    inn = len(window) > 1 and is_eca_reproducible(window, plan.w_o) is None
+    return config, traj, rep, window, inn
 
 
 def execute_tuple(plan: SamplePlan, index: int, tup: tuple, norm_bits: int) -> ExecutionRecord:
     """Run one sampled tuple through trajectory, recurrence, innovation and
     complexity analysis."""
-    config = config_for_tuple(plan, index, tup)
-    traj = run_trajectory(config, plan.step_cap)
-    rep = build_report(traj)
-
-    base = dict(
+    config, traj, rep, window, inn = flag_stages(plan, index, tup)
+    n_rt = inno = compressed = c_val = k = att = None
+    if not rep.censored:
+        rules, t_r = traj.rules, rep.t_r
+        # the INN window 0..max(t_r, 1) is also the LZW window 0..t_r: t_r is
+        # at most the run's last step, and only a one-state run has t_r = 0
+        n_rt = sum(map(operator.ne, rules[:t_r], rules[1:t_r + 1]))
+        inno = n_rt / (1 << plan.w_o)
+        compressed, c_val = cx.compressibility(window, plan.w_o, norm_bits)
+        k = cx.lyapunov(traj, 0, max(2, min(t_r, rep.t_P)))
+        if plan.variant.deterministic:
+            cyc = detect_cycle(traj)
+            att = tuple(rules[cyc.pre_period:cyc.pre_period + cyc.period])
+    return ExecutionRecord(
         variant=plan.variant, w_o=plan.w_o, w_e=plan.w_e, mu=plan.mu,
         seed=config.seed, init_rule_o=config.r_o, rule_e=config.r_e,
         init_state_o=config.s_o, init_state_e=config.s_e,
         t_P=rep.t_P, t_r=rep.t_r, t_r_rule=rep.t_r_rule, t_a=rep.t_a,
-        ue=rep.ue, attractor_ue=rep.attractor_ue, censored=rep.censored)
-
-    if rep.censored:
-        return ExecutionRecord(**base, inn=None, oee=None, n_rule_transitions=None,
-                               innovation_I=None, compressed_bits=None,
-                               norm_bits=norm_bits, C=None, k=None)
-
-    rules, t_r = traj.rules, rep.t_r
-    # the INN window 0..max(t_r, 1) is also the LZW window 0..t_r: t_r is at
-    # most the run's last step, and only a one-state run has t_r = 0
-    window, inn = innovation_window(traj, t_r)
-    n_rt = sum(map(operator.ne, rules[:t_r], rules[1:t_r + 1]))
-    inno = n_rt / (1 << plan.w_o)
-    compressed, c_val = cx.compressibility(window, plan.w_o, norm_bits)
-    horizon = max(2, min(rep.t_r, rep.t_P))
-    k = cx.lyapunov(traj, 0, horizon)
-    att = None
-    if plan.variant.deterministic:
-        cyc = detect_cycle(traj)
-        att = tuple(rules[cyc.pre_period:cyc.pre_period + cyc.period])
-    return ExecutionRecord(**base, inn=inn, oee=(rep.ue and inn),
-                           n_rule_transitions=n_rt, innovation_I=inno,
-                           compressed_bits=compressed, norm_bits=norm_bits,
-                           C=c_val, k=k, attractor_rules=att)
+        inn=inn, ue=rep.ue, oee=rep.ue and inn, attractor_ue=rep.attractor_ue,
+        n_rule_transitions=n_rt, innovation_I=inno, compressed_bits=compressed,
+        norm_bits=norm_bits, C=c_val, k=k, censored=rep.censored, attractor_rules=att)
 
 
 # (plan, tuples, norm_bits) of the ensemble a pool worker runs, installed
@@ -253,7 +218,10 @@ def worker_count(requested: int | None, n_tasks: int, env: str | None,
     else the ``OEE_THREADS`` value ``env``, else 1; at most one per task and
     one per CPU, and at least 1."""
     if requested is None:
-        requested = int(env) if env else 1
+        try:
+            requested = int(env) if env else 1
+        except ValueError:
+            raise ValueError(f"OEE_THREADS must be an integer, got {env!r}") from None
     return max(1, min(requested, n_tasks, cpus or 1))
 
 
@@ -262,13 +230,14 @@ def run_ensemble(plan: SamplePlan, workers: int | None = None,
                  norm_cache: str | None = None) -> list[ExecutionRecord]:
     """Execute a plan; output order equals draw order for any worker count.
     ``workers`` None defers to ``OEE_THREADS`` (see ``worker_count``)."""
+    # a drawn plan has sample_count tuples; a bad OEE_THREADS fails before the work
+    n = plan.sample_count if tuples is None else len(tuples)
+    workers = worker_count(workers, n, os.environ.get("OEE_THREADS"), os.cpu_count())
     if tuples is None:
         tuples = draw_plan(plan)
     norm_bits = cx.normalization_constant(
         plan.full_width, plan.norm_samples, plan.norm_steps, plan.norm_seed,
         cache_path=norm_cache)
-    n = len(tuples)
-    workers = worker_count(workers, n, os.environ.get("OEE_THREADS"), os.cpu_count())
     if workers <= 1:
         return [execute_tuple(plan, i, tup, norm_bits) for i, tup in enumerate(tuples)]
     # each worker gets the plan once, then about 8 contiguous ranges of it
@@ -350,8 +319,6 @@ class EnsembleReport:
     ue_percent: float
     t_r_ratio_hist: dict[str, int]
     t_a_ratio_hist: dict[str, int]
-    t_r_ratio_box: BoxStats | None
-    t_a_ratio_box: BoxStats | None
     innovation_points: list[tuple[float, int]]   # (I, t_r)
     spearman_rho: float | None
     spearman_p: float | None
@@ -362,29 +329,14 @@ class EnsembleReport:
     k_mean: float | None
     k_hist: dict[str, int]
     n_extinct_k: int
+    t_r_ratio_box: BoxStats | None
+    t_a_ratio_box: BoxStats | None
 
     def to_dict(self) -> dict:
-        d = {
-            "n_records": self.n_records,
-            "n_censored": self.n_censored,
-            "oee_percent": self.oee_percent,
-            "inn_percent": self.inn_percent,
-            "ue_percent": self.ue_percent,
-            "t_r_ratio_hist": self.t_r_ratio_hist,
-            "t_a_ratio_hist": self.t_a_ratio_hist,
-            "spearman_rho": self.spearman_rho,
-            "spearman_p": self.spearman_p,
-            "metagenome_all": self.metagenome_all,
-            "metagenome_oee": self.metagenome_oee,
-            "c_mean": self.c_mean,
-            "c_hist": self.c_hist,
-            "k_mean": self.k_mean,
-            "k_hist": self.k_hist,
-            "n_extinct_k": self.n_extinct_k,
-        }
-        for name in ("t_r_ratio_box", "t_a_ratio_box"):
-            box = getattr(self, name)
-            d[name] = None if box is None else vars(box)
+        """The report JSON's ``report`` object: every field in field order
+        but ``innovation_points``, which only the scatter plot reads."""
+        d = asdict(self)
+        del d["innovation_points"]
         return d
 
 

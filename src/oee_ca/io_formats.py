@@ -1,29 +1,97 @@
 """File emitters and readers: records CSV, report JSON, SVG plots, PGM renders.
 
 Every emitter embeds the resolved run configuration and tool version so two
-runs with identical configs produce byte-identical files.  The CSV is
-lossless for every field the analyze pipeline consumes.
+runs with identical configs produce byte-identical files.  The records CSV
+holds every ``ExecutionRecord`` field but ``attractor_rules``, which has no
+column: a report that ``analyze`` rebuilds from it equals the ``ensemble``
+report except that its metagenome (``metagenome_all``, ``metagenome_oee``)
+is empty.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
+from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import TYPE_CHECKING
 
 from . import __version__
+from .complexity import EXTINCT
 from .variants import Variant
 
 if TYPE_CHECKING:
-    from .ensemble import EnsembleReport, ExecutionRecord
+    from .ensemble import EnsembleReport
 
-CSV_COLUMNS = [
-    "variant", "w_o", "w_e", "mu", "seed", "init_rule_o", "rule_e",
-    "init_state_o", "init_state_e", "t_P", "t_r", "t_r_rule", "t_a",
-    "inn", "ue", "oee", "attractor_ue", "n_rule_transitions", "innovation_I",
-    "compressed_bits", "norm_bits", "C", "k", "censored",
-]
+
+def _or_none(parse):
+    """``parse``, reading an empty field as None."""
+    return lambda text: None if text == "" else parse(text)
+
+
+def _column(read, write=None):
+    """A records-CSV column.  ``read`` parses its text; ``write(value,
+    record)``, where given, formats a value whose ``str`` (None as empty,
+    as the csv module writes it) is not its text."""
+    return field(metadata={"read": read, "write": write})
+
+
+def _flag(read):
+    """A flag column, written as 1 or 0."""
+    return _column(read, lambda flag, _: flag if flag is None else int(flag))
+
+
+def _state(read, ring: str):
+    """A packed state, in hex digits enough for the width field ``ring``."""
+    return _column(read, lambda bits, rec: bits if bits is None
+                   else format(bits, f"0{(getattr(rec, ring) + 3) // 4}x"))
+
+
+_hex = partial(int, base=16)
+_one = lambda text: text == "1"
+
+
+@dataclass(frozen=True)
+class ExecutionRecord:
+    """One execution of a plan.  Every field but ``attractor_rules`` is a
+    records-CSV column, in field order."""
+
+    variant: Variant = _column(Variant, lambda variant, _: variant.value)
+    w_o: int = _column(int)
+    w_e: int | None = _column(_or_none(int))
+    mu: float | None = _column(_or_none(float))
+    seed: int | None = _column(_or_none(int))   # per-execution stream seed (Case III only)
+    init_rule_o: int = _column(int)
+    rule_e: int | None = _column(_or_none(int))
+    init_state_o: int = _state(_hex, "w_o")
+    init_state_e: int | None = _state(_or_none(_hex), "w_e")
+    t_P: int = _column(int)
+    t_r: int | None = _column(_or_none(int))
+    t_r_rule: int | None = _column(_or_none(int))
+    t_a: int | None = _column(_or_none(int))
+    inn: bool | None = _flag(_or_none(_one))
+    ue: bool | None = _flag(_or_none(_one))
+    oee: bool | None = _flag(_or_none(_one))
+    attractor_ue: bool | None = _flag(_or_none(_one))
+    n_rule_transitions: int | None = _column(_or_none(int))
+    innovation_I: float | None = _column(_or_none(float))
+    compressed_bits: int | None = _column(_or_none(int))
+    norm_bits: int | None = _column(_or_none(int))
+    C: float | None = _column(_or_none(float))
+    k: float | str | None = _column(_or_none(lambda text: text if text == EXTINCT
+                                             else float(text)))
+    censored: bool = _flag(_one)
+    # in memory only: the rule sequence over one attractor cycle
+    attractor_rules: tuple[int, ...] | None = None
+
+
+_COLUMNS = [f for f in fields(ExecutionRecord) if "read" in f.metadata]
+CSV_COLUMNS = [f.name for f in _COLUMNS]
+_READERS = [f.metadata["read"] for f in _COLUMNS]
+_ROW = operator.attrgetter(*CSV_COLUMNS)
+_WRITERS = [(i, f.metadata["write"]) for i, f in enumerate(_COLUMNS) if f.metadata["write"]]
 
 ERRATA_NOTES = [
     "sample-space size implemented as 88^2 * 2^w_o * 2^w_e "
@@ -32,24 +100,6 @@ ERRATA_NOTES = [
     "compressibility normalized by the ensemble-maximum compressed size, "
     "per the described procedure rather than the printed formula",
 ]
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, Variant):
-        return value.value
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _fmt_state(bits, width) -> str:
-    if bits is None:
-        return ""
-    return format(bits, f"0{(width + 3) // 4}x")
 
 
 def write_records_csv(records: list[ExecutionRecord], path: str,
@@ -63,18 +113,10 @@ def write_records_csv(records: list[ExecutionRecord], path: str,
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
             for rec in records:
-                writer.writerow([
-                    _fmt(rec.variant), rec.w_o, _fmt(rec.w_e), _fmt(rec.mu),
-                    _fmt(rec.seed), rec.init_rule_o, _fmt(rec.rule_e),
-                    _fmt_state(rec.init_state_o, rec.w_o),
-                    _fmt_state(rec.init_state_e, rec.w_e or 0),
-                    rec.t_P, _fmt(rec.t_r), _fmt(rec.t_r_rule), _fmt(rec.t_a),
-                    _fmt(rec.inn), _fmt(rec.ue), _fmt(rec.oee),
-                    _fmt(rec.attractor_ue), _fmt(rec.n_rule_transitions),
-                    _fmt(rec.innovation_I), _fmt(rec.compressed_bits),
-                    _fmt(rec.norm_bits), _fmt(rec.C), _fmt(rec.k),
-                    _fmt(rec.censored),
-                ])
+                row = list(_ROW(rec))
+                for i, write in _WRITERS:
+                    row[i] = write(row[i], rec)
+                writer.writerow(row)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -82,49 +124,17 @@ def write_records_csv(records: list[ExecutionRecord], path: str,
         raise
 
 
-def _parse(value: str, kind):
-    return None if value == "" else kind(value)
-
-
-def _parse_flag(value: str) -> bool | None:
-    return None if value == "" else value == "1"
-
-
 def read_records_csv(path: str) -> list[ExecutionRecord]:
-    # imported here: ``ensemble`` loads scipy, which writing a PGM or reading
-    # a config file does not need
-    from .ensemble import ExecutionRecord
-
     records = []
     with open(path, newline="") as fh:
         rows = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(rows)
-        if header != CSV_COLUMNS:
+        if next(rows, None) != CSV_COLUMNS:
             raise ValueError(f"{path}: unexpected CSV columns")
-        for row in rows:
-            d = dict(zip(CSV_COLUMNS, row))
-            w_e = _parse(d["w_e"], int)
-            k_raw = d["k"]
-            k = None if k_raw == "" else (k_raw if k_raw == "extinct" else float(k_raw))
-            records.append(ExecutionRecord(
-                variant=Variant(d["variant"]),
-                w_o=int(d["w_o"]), w_e=w_e,
-                mu=_parse(d["mu"], float), seed=_parse(d["seed"], int),
-                init_rule_o=int(d["init_rule_o"]),
-                rule_e=_parse(d["rule_e"], int),
-                init_state_o=int(d["init_state_o"], 16),
-                init_state_e=None if d["init_state_e"] == "" else int(d["init_state_e"], 16),
-                t_P=int(d["t_P"]), t_r=_parse(d["t_r"], int),
-                t_r_rule=_parse(d["t_r_rule"], int), t_a=_parse(d["t_a"], int),
-                inn=_parse_flag(d["inn"]), ue=_parse_flag(d["ue"]),
-                oee=_parse_flag(d["oee"]), attractor_ue=_parse_flag(d["attractor_ue"]),
-                n_rule_transitions=_parse(d["n_rule_transitions"], int),
-                innovation_I=_parse(d["innovation_I"], float),
-                compressed_bits=_parse(d["compressed_bits"], int),
-                norm_bits=_parse(d["norm_bits"], int),
-                C=_parse(d["C"], float), k=k,
-                censored=_parse_flag(d["censored"]) or False,
-            ))
+        for number, row in enumerate(rows, 1):
+            if len(row) != len(CSV_COLUMNS):
+                raise ValueError(f"{path}: record {number} has {len(row)} fields, "
+                                 f"expected {len(CSV_COLUMNS)}")
+            records.append(ExecutionRecord(*[read(text) for read, text in zip(_READERS, row)]))
     return records
 
 

@@ -16,14 +16,8 @@ from oee_ca.eca import (
     stepper,
     triplet_counts_bits,
 )
-from oee_ca.ensemble import (
-    SamplePlan,
-    config_for_tuple,
-    draw_plan,
-    innovation_window,
-    sample_space_size,
-)
-from oee_ca.recurrence import CycleInfo, build_report
+from oee_ca.ensemble import SamplePlan, draw_plan, flag_stages, sample_space_size
+from oee_ca.recurrence import CycleInfo
 from oee_ca.variants import (
     Trajectory,
     Variant,
@@ -195,19 +189,17 @@ class LightStats:
 
 
 def light_stats(plan: SamplePlan, tuples=None) -> LightStats:
-    """OEE/INN/UE percentages without the complexity pipeline (fast path)."""
+    """OEE/INN/UE percentages from the flag stages alone, without the
+    complexity pipeline (fast path)."""
     if tuples is None:
         tuples = draw_plan(plan)
     n = n_oee = n_inn = n_ue = n_cens = 0
     for i, tup in enumerate(tuples):
-        config = config_for_tuple(plan, i, tup)
-        traj = run_trajectory(config, plan.step_cap)
-        rep = build_report(traj)
+        _, _, rep, _, inn = flag_stages(plan, i, tup)
         if rep.censored:
             n_cens += 1
             continue
         n += 1
-        _, inn = innovation_window(traj, rep.t_r)
         n_inn += inn
         n_ue += bool(rep.ue)
         n_oee += bool(rep.ue and inn)

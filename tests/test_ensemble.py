@@ -25,7 +25,7 @@ from oee_ca.ensemble import (
     worker_count,
 )
 from oee_ca.eca import canonical_rule
-from oee_ca.io_formats import write_records_csv
+from oee_ca.io_formats import read_records_csv, write_records_csv, write_report_json
 from oee_ca.variants import Variant, execution_rng, integers_rows
 
 
@@ -464,15 +464,55 @@ SCALAR_PLANS = {
 }
 
 
+# The SHA-256 of each SCALAR_PLANS plan's report JSON file, whole, with the
+# echo {"variant": ...}, recorded before the report came from the fields of
+# EnsembleReport: the bench's report digest sorts the keys, so only these pin
+# their order.
+REPORT_GOLDEN = {
+    "case1-4x4": "66b65efce60775751bcd5edd9db1e0592ee8fead1c1561837555c880b7d472f1",
+    "case1-5x12": "690716c6eb99de86d16d6ea328b989a32a5a265ad7075225de07028f51d128d5",
+    "case2": "535966e49ce7cfc6bd798b7d75fe0d84864ae678237873ce4b4cc7765afbbe35",
+    "case3": "5e9a3262cc284206d83b0cc617dcaaa6522e44df278d4bdba446a288ee301ddb",
+    "case3-capped": "708a6a15f066d567d027cbd2cd1723c7ad3fa831a488aa76d00ba036aede597d",
+    "eca": "4e82df3dfc676416b2b7fb6e18ab6c02ed4c636c443d5850b5e944f09ec677e0",
+}
+
+
+def scalar_plan_records(name: str) -> list:
+    plan = SCALAR_PLANS[name][0]
+    return [ensemble.execute_tuple(plan, i, tup, 1000) for i, tup in enumerate(draw_plan(plan))]
+
+
 @pytest.mark.parametrize("name", SCALAR_PLANS)
 def test_execute_tuple_records_are_byte_identical(name, tmp_path):
+    """The records CSV matches its digest and reads back as the records,
+    without their in-memory attractor rules: censored rows, 64-bit Case III
+    seeds, k = "extinct" and records without an environment among them."""
     plan, digest = SCALAR_PLANS[name]
-    records = [ensemble.execute_tuple(plan, i, tup, 1000)
-               for i, tup in enumerate(draw_plan(plan))]
+    records = scalar_plan_records(name)
     path = tmp_path / "records.csv"
     write_records_csv(records, str(path), config_echo={"variant": plan.variant.value})
     body = b"".join(line for line in open(path, "rb") if not line.startswith(b"#"))
     assert hashlib.sha256(body).hexdigest() == digest
+    assert read_records_csv(str(path)) == [dataclasses.replace(r, attractor_rules=None)
+                                           for r in records]
+
+
+def test_scalar_plans_cover_every_kind_of_field():
+    records = [r for name in SCALAR_PLANS for r in scalar_plan_records(name)]
+    assert any(r.censored for r in records)
+    assert any(r.seed is not None and r.seed >= 1 << 63 for r in records)
+    assert any(r.k == "extinct" for r in records)
+    assert any(r.w_e is None for r in records)
+
+
+@pytest.mark.parametrize("name", SCALAR_PLANS)
+def test_report_json_is_byte_identical(name, tmp_path):
+    plan = SCALAR_PLANS[name][0]
+    path = tmp_path / "report.json"
+    write_report_json(aggregate(scalar_plan_records(name)), str(path),
+                      config_echo={"variant": plan.variant.value})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", SCALAR_PLANS)

@@ -38,11 +38,14 @@ def sample_records():
 
 def test_csv_round_trip(sample_records, tmp_path):
     path = str(tmp_path / "records.csv")
-    write_records_csv(sample_records, path, config_echo={"wo": 3})
+    # a 64-cell organism state takes 16 hex digits, its leading zero kept
+    wide = dataclasses.replace(sample_records[0], w_o=64, init_state_o=0x0123456789ABCDEF)
+    write_records_csv([*sample_records, wide], path, config_echo={"wo": 3})
     loaded = read_records_csv(path)
     # attractor rule sequences are in-memory only; everything else survives
-    stripped = [dataclasses.replace(r, attractor_rules=None) for r in sample_records]
+    stripped = [dataclasses.replace(r, attractor_rules=None) for r in [*sample_records, wide]]
     assert loaded == stripped
+    assert ",0123456789abcdef," in open(path).read().splitlines()[-1]
 
 
 def test_csv_columns_pinned(sample_records, tmp_path):
@@ -50,8 +53,12 @@ def test_csv_columns_pinned(sample_records, tmp_path):
     write_records_csv(sample_records, path)
     with open(path) as fh:
         lines = [l for l in fh if not l.startswith("#")]
-    assert lines[0].rstrip("\n").split(",") == CSV_COLUMNS
-    assert CSV_COLUMNS[0] == "variant" and CSV_COLUMNS[-1] == "censored"
+    assert lines[0].rstrip("\n").split(",") == CSV_COLUMNS == [
+        "variant", "w_o", "w_e", "mu", "seed", "init_rule_o", "rule_e",
+        "init_state_o", "init_state_e", "t_P", "t_r", "t_r_rule", "t_a",
+        "inn", "ue", "oee", "attractor_ue", "n_rule_transitions", "innovation_I",
+        "compressed_bits", "norm_bits", "C", "k", "censored",
+    ]
 
 
 def test_csv_empty_records(tmp_path):
@@ -67,6 +74,9 @@ def test_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
+        read_records_csv(str(path))
+    path.write_text("")   # no header at all
+    with pytest.raises(ValueError, match="unexpected CSV columns"):
         read_records_csv(str(path))
 
 
@@ -206,6 +216,22 @@ def test_cli_analyze_round_trip(tmp_path):
         assert a[key] == b[key]
     import os
     assert os.path.exists(os.path.join(svg_dir, "inn_vs_t_r.svg"))
+
+
+@pytest.mark.parametrize("row, fields", [("case1,3,3", 3), (",".join(["1"] * 25), 25)],
+                         ids=["short", "long"])
+def test_cli_analyze_row_of_wrong_length_exits_3(row, fields, sample_records, tmp_path,
+                                                 capsys):
+    """A short row, or one with a field too many, is refused with its place
+    instead of a traceback or a silently dropped field."""
+    records = str(tmp_path / "records.csv")
+    write_records_csv(sample_records[:2], records)
+    with open(records, "a") as fh:
+        fh.write(row + "\n")
+    report = tmp_path / "report.json"
+    assert main(["analyze", "--records", records, "--report", str(report)]) == EXIT_DATA
+    assert f"{records}: record 3 has {fields} fields, expected 24" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_cli_norm(tmp_path):
@@ -424,21 +450,49 @@ ENVIRONMENT_FLAGS = [("run", "--we", "9"), ("run", "--rule-e", "30"), ("run", "-
                      ("render", "--we", "5")]
 
 
-@pytest.mark.parametrize("variant, command, flag, value", [
-    (variant, *case) for variant in ("eca", "case3") for case in ENVIRONMENT_FLAGS
-    if (variant, case[0]) != ("case3", "render")])   # render has no case3
-def test_cli_environment_flag_without_environment_exits_3(variant, command, flag, value,
-                                                          tmp_path, capsys):
-    """A variant without an environment refuses an environment flag instead
-    of running without it and echoing it."""
-    out = tmp_path / "out"
+def environment_argv(command, variant, flags, tmp_path):
     extra = {"run": ["--cap", "3"],
              "ensemble": ["--samples", "3", "--report", str(tmp_path / "report.json")],
              "render": ["--steps", "3"]}[command]
-    argv = [command, "--variant", variant, "--wo", "4", flag, value, *extra, "--out", str(out)]
-    assert main(argv) == EXIT_DATA
+    return [command, "--variant", variant, "--wo", "4", *flags, *extra,
+            "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("variant, command, flag, value", [
+    (variant, *case) for variant in ("eca", "case3") for case in ENVIRONMENT_FLAGS
+    if (variant, case[0]) != ("case3", "render")] + [   # render has no case3
+    ("case2", "run", "--we", "9"), ("case2", "ensemble", "--we", "9"),
+    ("case2", "ensemble", "--ratio", "5/2"), ("case2", "render", "--we", "5")])
+def test_cli_environment_flag_without_environment_exits_3(variant, command, flag, value,
+                                                          tmp_path, capsys):
+    """A variant without an environment refuses an environment flag, and
+    case2, whose environment has 8 cells, a --we other than 8 or a --ratio,
+    instead of running without it and echoing it."""
+    assert main(environment_argv(command, variant, [flag, value], tmp_path)) == EXIT_DATA
     assert f"{flag} does not apply to {variant}" in capsys.readouterr().err
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "render"])
+def test_cli_case2_accepts_its_own_environment_width(command, tmp_path):
+    """--we 8 is the width case2 runs, so it is not refused."""
+    assert main(environment_argv(command, "case2", ["--we", "8"], tmp_path)) == EXIT_OK
+
+
+@pytest.mark.parametrize("from_config", [False, True])
+def test_cli_ensemble_we_beside_ratio_exits_3(from_config, tmp_path, capsys):
+    """--we and --ratio both set case1's environment width, so giving both
+    is refused, also when --ratio comes from the --config file."""
+    if from_config:
+        config = tmp_path / "ensemble.cfg"
+        config.write_text("ratio = 2\n")
+        flags, prefix = ["--we", "4"], ["--config", str(config)]
+    else:
+        flags, prefix = ["--we", "4", "--ratio", "2"], []
+    argv = prefix + environment_argv("ensemble", "case1", flags, tmp_path)
+    assert main(argv) == EXIT_DATA
+    assert "--we and --ratio both set the environment width" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("we", ["4", "30"])
@@ -565,6 +619,21 @@ def test_cli_ensemble_bad_mu_or_cap_exits_3_before_any_work(argv, message, tmp_p
     assert main(["ensemble", *argv, "--wo", "4", "--samples", "5", "--workers", "2",
                  "--out", str(out), "--report", str(tmp_path / "rep.json")]) == EXIT_DATA
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_ensemble_bad_oee_threads_exits_3_before_any_work(tmp_path, capsys, monkeypatch):
+    from oee_ca import ensemble as ens
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("OEE_THREADS was not read before the work")
+    monkeypatch.setattr(cx, "normalization_constant", no_work)
+    monkeypatch.setattr(ens, "draw_plan", no_work)
+    monkeypatch.setenv("OEE_THREADS", "two")
+    out = tmp_path / "r.csv"
+    assert main(["ensemble", "--variant", "eca", "--wo", "4", "--samples", "5",
+                 "--out", str(out), "--report", str(tmp_path / "rep.json")]) == EXIT_DATA
+    assert "OEE_THREADS must be an integer, got 'two'" in capsys.readouterr().err
     assert not out.exists()
 
 
