@@ -19,7 +19,8 @@ import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from itertools import chain
 
 from scipy import stats
 
@@ -286,25 +287,19 @@ def _quantile(sorted_vals: list[float], q: float) -> float:
 def log2_histogram(ratios: list[float]) -> dict[str, int]:
     """Counts per log2 bin of a ratio distribution; zeros get their own bin.
     Bin "e" covers [2^e, 2^(e+1))."""
-    hist: Counter = Counter()
-    for r in ratios:
-        hist["zero" if r <= 0 else str(math.floor(math.log2(r)))] += 1
-    return dict(sorted(hist.items(), key=lambda kv: (kv[0] == "zero", _bin_key(kv[0]))))
-
-
-def _bin_key(label: str) -> int:
-    return 0 if label == "zero" else int(label)
+    counts = Counter([None if r <= 0 else math.floor(math.log2(r)) for r in ratios])
+    zeros = counts.pop(None, 0)
+    hist = {str(e): counts[e] for e in sorted(counts)}
+    if zeros:
+        hist["zero"] = zeros
+    return hist
 
 
 def metagenome(records: list[ExecutionRecord], oee_only: bool = False) -> list[dict]:
     """Rank-ordered rule frequencies over attractor-cycle rule sequences."""
-    counts: Counter = Counter()
-    for rec in records:
-        if rec.attractor_rules is None:
-            continue
-        if oee_only and not rec.oee:
-            continue
-        counts.update(rec.attractor_rules)
+    counts = Counter(chain.from_iterable(
+        rec.attractor_rules for rec in records
+        if rec.attractor_rules is not None and (rec.oee or not oee_only)))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [{"rule": rule, "count": count, "wolfram_class": int(wolfram_class(rule))}
             for rule, count in ranked]
@@ -334,10 +329,11 @@ class EnsembleReport:
 
     def to_dict(self) -> dict:
         """The report JSON's ``report`` object: every field in field order
-        but ``innovation_points``, which only the scatter plot reads."""
-        d = asdict(self)
-        del d["innovation_points"]
-        return d
+        but ``innovation_points``, which only the scatter plot reads.  Only
+        the box stats are converted; the other values are shared, not copied."""
+        box = lambda value: asdict(value) if isinstance(value, BoxStats) else value
+        return {f.name: box(getattr(self, f.name))
+                for f in fields(self) if f.name != "innovation_points"}
 
 
 def value_histogram(values: list[float], bins: int = 20) -> dict[str, int]:
@@ -348,9 +344,9 @@ def value_histogram(values: list[float], bins: int = 20) -> dict[str, int]:
         return {f"{lo:.6g}": len(values)}
     width = (hi - lo) / bins
     hist: Counter = Counter()
-    for v in values:
-        idx = min(bins - 1, int((v - lo) / width))
-        hist[f"{lo + idx * width:.6g}"] += 1
+    # count per bin, then label each bin once; bins sharing a label merge
+    for idx, count in Counter([min(bins - 1, int((v - lo) / width)) for v in values]).items():
+        hist[f"{lo + idx * width:.6g}"] += count
     return dict(sorted(hist.items(), key=lambda kv: float(kv[0])))
 
 

@@ -6,6 +6,10 @@ holds every ``ExecutionRecord`` field but ``attractor_rules``, which has no
 column: a report that ``analyze`` rebuilds from it equals the ``ensemble``
 report except that its metagenome (``metagenome_all``, ``metagenome_oee``)
 is empty.
+
+``ExecutionRecord`` is a slotted dataclass that nothing mutates after
+construction; it is not frozen, so it is not hashable.  It pickles as its
+field tuple, so pool workers send rows and the parent rebuilds the records.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ _hex = partial(int, base=16)
 _one = lambda text: text == "1"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ExecutionRecord:
     """One execution of a plan.  Every field but ``attractor_rules`` is a
     records-CSV column, in field order."""
@@ -86,7 +90,12 @@ class ExecutionRecord:
     # in memory only: the rule sequence over one attractor cycle
     attractor_rules: tuple[int, ...] | None = None
 
+    def __reduce__(self):
+        """Pickle as the field tuple, rebuilt by one constructor call."""
+        return ExecutionRecord, _FIELDS(self)
 
+
+_FIELDS = operator.attrgetter(*[f.name for f in fields(ExecutionRecord)])
 _COLUMNS = [f for f in fields(ExecutionRecord) if "read" in f.metadata]
 CSV_COLUMNS = [f.name for f in _COLUMNS]
 _READERS = [f.metadata["read"] for f in _COLUMNS]
@@ -134,8 +143,20 @@ def read_records_csv(path: str) -> list[ExecutionRecord]:
             if len(row) != len(CSV_COLUMNS):
                 raise ValueError(f"{path}: record {number} has {len(row)} fields, "
                                  f"expected {len(CSV_COLUMNS)}")
-            records.append(ExecutionRecord(*[read(text) for read, text in zip(_READERS, row)]))
+            try:
+                records.append(ExecutionRecord(*[read(text) for read, text in zip(_READERS, row)]))
+            except ValueError:
+                raise ValueError(f"{path}: record {number}: {_unreadable(row)}") from None
     return records
+
+
+def _unreadable(row: list[str]) -> str:
+    """The first field of ``row`` that its column's reader rejects."""
+    for name, read, text in zip(CSV_COLUMNS, _READERS, row):
+        try:
+            read(text)
+        except ValueError:
+            return f"{name} = {text!r} does not parse"
 
 
 def write_report_json(report: EnsembleReport, path: str,

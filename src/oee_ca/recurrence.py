@@ -6,6 +6,9 @@ organism's projected state (or rule) sequence has its own minimal period
 ``t_rec = p + lam``, the step at which the projection first completes a full
 repetition.  Unbounded evolution compares these against the Poincare bound
 ``t_P = 2**w_o`` of an equivalent isolated system.
+
+``CycleInfo`` and ``RecurrenceReport`` are slotted dataclasses that nothing
+mutates after construction; they are not frozen, so they are not hashable.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from functools import lru_cache
 from .variants import Trajectory, Variant
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CycleInfo:
     pre_period: int   # P
     period: int       # L, the full-system attractor size
@@ -27,7 +30,7 @@ class CycleInfo:
             raise ValueError("need pre_period >= 0 and period >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RecurrenceReport:
     t_P: int
     t_r: int | None            # state recurrence of o (None if censored)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,6 +208,32 @@ def light_stats(plan: SamplePlan, tuples=None) -> LightStats:
         raise ValueError("all executions censored")
     return LightStats(100.0 * n_oee / n, 100.0 * n_inn / n, 100.0 * n_ue / n,
                       n, n_cens)
+
+
+# --- per-value histograms -----------------------------------------------------
+
+def scalar_value_histogram(values: list[float], bins: int = 20) -> dict[str, int]:
+    """``value_histogram`` formatting one label per value (its oracle)."""
+    if not values:
+        return {}
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        return {f"{lo:.6g}": len(values)}
+    width = (hi - lo) / bins
+    hist: Counter = Counter()
+    for v in values:
+        idx = min(bins - 1, int((v - lo) / width))
+        hist[f"{lo + idx * width:.6g}"] += 1
+    return dict(sorted(hist.items(), key=lambda kv: float(kv[0])))
+
+
+def scalar_log2_histogram(ratios: list[float]) -> dict[str, int]:
+    """``log2_histogram`` formatting one label per value (its oracle)."""
+    hist: Counter = Counter()
+    for r in ratios:
+        hist["zero" if r <= 0 else str(math.floor(math.log2(r)))] += 1
+    return dict(sorted(hist.items(), key=lambda kv: (kv[0] == "zero",
+                                                     0 if kv[0] == "zero" else int(kv[0]))))
 
 
 def scalar_trajectory(config: VariantConfig, cap: int | None = None) -> Trajectory:

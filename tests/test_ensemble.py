@@ -6,8 +6,14 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import exhaustive_plan_tuples, scalar_draw_plan
+from helpers import (
+    exhaustive_plan_tuples,
+    scalar_draw_plan,
+    scalar_log2_histogram,
+    scalar_value_histogram,
+)
 from oee_ca import ensemble
 from oee_ca.ensemble import (
     BoxStats,
@@ -22,6 +28,7 @@ from oee_ca.ensemble import (
     metagenome,
     run_ensemble,
     sample_space_size,
+    value_histogram,
     worker_count,
 )
 from oee_ca.eca import canonical_rule
@@ -435,6 +442,34 @@ def test_log2_histogram_bins():
     assert sum(hist.values()) == 6
 
 
+def _outcome(hist, values):
+    """A histogram's (label, count) pairs in order, or the type of the
+    arithmetic error it raises."""
+    try:
+        return list(hist(values).items())
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+# floats with zeros and negatives, and values whose bins share a .6g label
+_HIST_VALUES = st.one_of(
+    st.lists(st.one_of(st.floats(-1e9, 1e9), st.sampled_from([0.0, -0.0, -1.5, 1.0, 2.0])),
+             max_size=60),
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=60).map(
+        lambda ns: [1e6 + i * 1e-9 for i in ns]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_HIST_VALUES, st.integers(1, 25))
+@example([1e6 + i * 1e-9 for i in range(40)], 20)   # 20 bins, one label "1e+06"
+@example([0.0, -0.0, -1.5, 0.5, 1.0, 2.0 - 2**-52], 20)
+def test_histograms_match_per_value_oracles(values, bins):
+    assert (_outcome(lambda vs: value_histogram(vs, bins), values)
+            == _outcome(lambda vs: scalar_value_histogram(vs, bins), values))
+    assert _outcome(log2_histogram, values) == _outcome(scalar_log2_histogram, values)
+
+
 def test_report_round_trips_to_dict(small_case1_records):
     _, records = small_case1_records
     d = aggregate(records).to_dict()
@@ -504,6 +539,27 @@ def test_scalar_plans_cover_every_kind_of_field():
     assert any(r.seed is not None and r.seed >= 1 << 63 for r in records)
     assert any(r.k == "extinct" for r in records)
     assert any(r.w_e is None for r in records)
+
+
+def test_records_pickle_as_themselves():
+    """A record pickles as its field tuple, so a pool worker sends a row;
+    it comes back equal, with the same ``Variant`` member, for records of
+    every variant, censored or not, with and without attractor rules."""
+    capped = SamplePlan(Variant.CASE_I, 4, 4, sample_count=60, master_seed=5, step_cap=8)
+    records = [r for name in SCALAR_PLANS for r in scalar_plan_records(name)]
+    records += [ensemble.execute_tuple(capped, i, tup, 1000)
+                for i, tup in enumerate(draw_plan(capped))]
+    assert {r.variant for r in records} == set(Variant)
+    assert any(r.censored and r.variant is Variant.CASE_I for r in records)
+    assert any(r.variant is Variant.CASE_III and r.seed is not None for r in records)
+    assert any(r.k == "extinct" for r in records)
+    assert any(r.attractor_rules is None for r in records)
+    assert any(r.attractor_rules is not None for r in records)
+    for rec in records:
+        back = pickle.loads(pickle.dumps(rec))
+        assert back == rec
+        assert back.variant is rec.variant
+    assert pickle.loads(pickle.dumps(records)) == records
 
 
 @pytest.mark.parametrize("name", SCALAR_PLANS)

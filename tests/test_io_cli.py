@@ -234,6 +234,21 @@ def test_cli_analyze_row_of_wrong_length_exits_3(row, fields, sample_records, tm
     assert not report.exists()
 
 
+def test_cli_analyze_unparsable_field_exits_3(sample_records, tmp_path, capsys):
+    """A field its column cannot read is refused with the file, the record
+    and the column named."""
+    records = str(tmp_path / "records.csv")
+    write_records_csv(sample_records[:2], records)
+    lines = open(records).read().splitlines(keepends=True)
+    variant, _, rest = lines[-1].split(",", 2)
+    lines[-1] = f"{variant},abc,{rest}"
+    open(records, "w").writelines(lines)
+    report = tmp_path / "report.json"
+    assert main(["analyze", "--records", records, "--report", str(report)]) == EXIT_DATA
+    assert f"{records}: record 2: w_o = 'abc' does not parse" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_cli_norm(tmp_path):
     cache = str(tmp_path / "norm.txt")
     assert main(["norm", "--width", "4", "--samples", "5", "--steps", "16",
