@@ -231,14 +231,15 @@ def run_ensemble(plan: SamplePlan, workers: int | None = None,
                  norm_cache: str | None = None) -> list[ExecutionRecord]:
     """Execute a plan; output order equals draw order for any worker count.
     ``workers`` None defers to ``OEE_THREADS`` (see ``worker_count``)."""
-    # a drawn plan has sample_count tuples; a bad OEE_THREADS fails before the work
+    # a drawn plan has sample_count tuples; a bad OEE_THREADS or norm cache
+    # line fails before the plan is drawn
     n = plan.sample_count if tuples is None else len(tuples)
     workers = worker_count(workers, n, os.environ.get("OEE_THREADS"), os.cpu_count())
-    if tuples is None:
-        tuples = draw_plan(plan)
     norm_bits = cx.normalization_constant(
         plan.full_width, plan.norm_samples, plan.norm_steps, plan.norm_seed,
         cache_path=norm_cache)
+    if tuples is None:
+        tuples = draw_plan(plan)
     if workers <= 1:
         return [execute_tuple(plan, i, tup, norm_bits) for i, tup in enumerate(tuples)]
     # each worker gets the plan once, then about 8 contiguous ranges of it

@@ -17,6 +17,7 @@ from helpers import (
     serialize_trajectory,
 )
 from oee_ca.complexity import (
+    COUNT_LENGTHS,
     EXTINCT,
     NORM_MAX_WIDTH,
     compressibility,
@@ -29,6 +30,7 @@ from oee_ca.complexity import (
     normalization_constant,
     serialize_states,
     state_rows,
+    substring_counts,
 )
 from oee_ca.variants import (
     TABLE_BUDGET,
@@ -217,7 +219,8 @@ def test_norm_constant_matches_scalar_oracle(w):
         assert normalization_constant(*key) == scalar_normalization_constant(*key)
 
 
-@pytest.mark.parametrize("w, expected", [(6, 6097), (8, 8697), (19, 23577)])
+@pytest.mark.parametrize("w, expected", [(6, 6097), (8, 8697), (10, 12451), (13, 16290),
+                                         (19, 23577)])
 def test_norm_constant_defaults_pinned(w, expected):
     """The default settings of the library and the CLI: 1000 samples x 1024
     steps, seed 0."""
@@ -264,32 +267,68 @@ def test_fixed_rule_runs_match_step_bits(w):
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="01", max_size=40), st.text(alphabet="01", min_size=1, max_size=40),
-       st.integers(1, 600))
-@example("", "0", 1)
-@example("", "0", 500)
-@example("", "1", 37)
-@example("0", "1", 1)
-@example("", "01101", 400)
-@example("1101", "0", 300)
-def test_lzw_phrase_bound_holds_on_eventually_periodic_strings(head, cycle, n):
+       st.integers(1, 4), st.integers(1, 600))
+@example("", "0", 1, 1)
+@example("", "0", 1, 500)
+@example("", "1", 1, 37)
+@example("0", "1", 1, 1)
+@example("", "01101", 1, 400)
+@example("1101", "0", 1, 300)
+@example("", "01", 6, 300)           # a cycle with a shorter symbol period
+@example("011", "1", 1, 200)         # a one-symbol cycle after a head
+@example("0110", "01101", 1, 56)     # n < span + COUNT_LENGTHS: no counts
+def test_lzw_phrase_bound_holds_on_eventually_periodic_strings(head, cycle, repeat, n):
     """``head`` then ``cycle`` repeated, cut to ``n`` symbols: no string of
-    that shape has more phrases than the bound for span len(head + cycle)."""
+    that shape has more phrases than the bound for span len(head + cycle),
+    and the exact substring counts only tighten it."""
+    cycle *= repeat
+    span = len(head) + len(cycle)
     s = (head + cycle * (n // len(cycle) + 1))[:n]
-    bound = lzw_phrase_bound(n, len(head) + len(cycle))
-    assert lzw_phrase_count(s.encode().translate(TO_BITS)) <= bound <= n
+    bits = s.encode().translate(TO_BITS)
+    counts = substring_counts(bits, span)
+    assert (counts == []) == (n < span + COUNT_LENGTHS)
+    refined, span_only = lzw_phrase_bound(n, span, counts), lzw_phrase_bound(n, span)
+    assert lzw_phrase_count(bits) <= refined <= span_only <= n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="01", max_size=70), st.text(alphabet="01", min_size=1, max_size=70),
+       st.integers(1, 3), st.integers(0, 400))
+@example("", "1", 1, 48)
+@example("", "0", 1, 49)
+@example("1", "10", 3, 120)
+def test_substring_counts_are_exact(head, cycle, repeat, extra):
+    """Counted from the first span start positions, the counts are those of
+    the whole eventually periodic string: every length up to
+    ``COUNT_LENGTHS``, once the string reaches ``span + COUNT_LENGTHS``."""
+    cycle *= repeat
+    span = len(head) + len(cycle)
+    n = span + COUNT_LENGTHS + extra
+    s = (head + cycle * (n // len(cycle) + 1))[:n]
+    counts = substring_counts(s.encode().translate(TO_BITS), span)
+    assert counts == [len({s[i:i + l] for i in range(n - l + 1)})
+                      for l in range(COUNT_LENGTHS + 1)]
+    assert substring_counts(s[:n - extra - 1].encode().translate(TO_BITS), span) == []
 
 
 @pytest.mark.parametrize("key", [(8, 200, 256, 4), (8, 200, 256, 5), (17, 60, 200, 4)])
 def test_norm_constant_skips_walks_and_matches_scalar_oracle(key, monkeypatch):
     """Plans where the bound rules samples out: fewer runs are walked than
-    drawn, and the constant equals the oracle's, which walks every run."""
+    drawn, fewer still with the substring counts than with the span-only
+    bound, and the constant equals the oracle's, which walks every run."""
     from oee_ca import complexity as cx
     walked = []
     count = cx.lzw_phrase_count
     monkeypatch.setattr(cx, "lzw_phrase_count", lambda bits: walked.append(1) or count(bits))
-    cx._NORM_MEMO.pop(key, None)
-    assert normalization_constant(*key) == scalar_normalization_constant(*key)
-    assert 0 < len(walked) < key[1]
+    expected, walks = scalar_normalization_constant(*key), []
+    for counts in (cx.substring_counts, lambda bits, span: []):
+        monkeypatch.setattr(cx, "substring_counts", counts)
+        walked.clear()
+        cx._NORM_MEMO.pop(key, None)
+        assert normalization_constant(*key) == expected
+        walks.append(len(walked))
+    refined, span_only = walks
+    assert 0 < refined < span_only < key[1]
 
 
 # --- compressibility --------------------------------------------------------

@@ -652,6 +652,40 @@ def test_cli_ensemble_bad_oee_threads_exits_3_before_any_work(tmp_path, capsys, 
     assert not out.exists()
 
 
+CORRUPT_NORM_LINES = [
+    ("abc", "line 2: expected 5 integers, got '{key} abc'"),
+    ("0", "line 2: the constant must be >= 1, got 0"),
+    ("-4", "line 2: the constant must be >= 1, got -4"),
+]
+
+
+@pytest.mark.parametrize("constant, message", CORRUPT_NORM_LINES)
+def test_cli_norm_corrupt_cache_line_exits_3(constant, message, tmp_path, capsys):
+    cache = tmp_path / "norm.txt"
+    cache.write_text(f"4 5 16 0 100\n5 10 32 9 {constant}\n")
+    assert main(["norm", "--width", "5", "--samples", "10", "--steps", "32",
+                 "--seed", "9", "--cache", str(cache)]) == EXIT_DATA
+    assert f"{cache}: {message.format(key='5 10 32 9')}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("constant, message", CORRUPT_NORM_LINES)
+def test_cli_ensemble_corrupt_norm_cache_exits_3_before_the_plan(constant, message, tmp_path,
+                                                                capsys, monkeypatch):
+    from oee_ca import ensemble as ens
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the norm cache was not read before the plan was drawn")
+    monkeypatch.setattr(ens, "draw_plan", no_work)
+    cache = tmp_path / "norm.txt"
+    cache.write_text(f"4 5 16 0 100\n8 1000 1024 0 {constant}\n")
+    out = tmp_path / "r.csv"
+    assert main(["ensemble", "--variant", "case1", "--wo", "4", "--we", "4",
+                 "--samples", "5", "--norm-cache", str(cache), "--out", str(out),
+                 "--report", str(tmp_path / "rep.json")]) == EXIT_DATA
+    assert f"{cache}: {message.format(key='8 1000 1024 0')}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_norm_width_out_of_range_exits_3(tmp_path, capsys):
     code = main(["ensemble", "--variant", "case1", "--wo", "40", "--we", "30",
                  "--samples", "2", "--out", str(tmp_path / "r.csv"),
