@@ -39,7 +39,9 @@ from .variants import (
     Trajectory,
     execution_rng,
     follow,
+    gc_paused,
     integers_rows,
+    lookup,
     organism_steps,
 )
 
@@ -119,6 +121,7 @@ NORM_SAMPLES = 1000
 NORM_STEPS = 1024
 
 
+@gc_paused()
 def normalization_constant(w: int, samples: int = NORM_SAMPLES, steps: int = NORM_STEPS,
                            seed: int = 0, cache_path: str | None = None) -> int:
     """Maximum compressed size over random fixed-rule ECA of width ``w``.
@@ -191,7 +194,7 @@ def _max_compressed_bits(w: int, samples: int, steps: int, seed: int) -> int:
     tables = organism_steps(w)
     most = 0
     for rule, state in integers_rows(rng, (256, 1 << w), samples):
-        states, first = fixed_rule_run(tables[rule], state, run_steps)
+        states, first = fixed_rule_run(lookup(tables[rule]), state, run_steps)
         span = len(states) * w
         if lzw_phrase_bound(n, span) <= most:
             continue
@@ -211,16 +214,17 @@ def fixed_rule_run(step, state: int, steps: int) -> tuple[list[int], int | None]
     """A fixed-rule run from ``state`` of at most ``steps`` updates, stopped
     at its first repeated state: ``(states, first)``.
 
-    ``states`` are the distinct states in step order, ``step`` a table of the
-    rule (``organism_steps(width)[rule]``).  The state after ``states[-1]``
-    is ``states[first]``, so from step ``first`` on the run cycles with
-    period ``len(states) - first``; ``first`` is None when no state repeats
-    within ``steps`` updates, and ``states`` is then the whole run.
+    ``states`` are the distinct states in step order, ``step(s)`` the state
+    after ``s`` under the rule (``lookup(organism_steps(width)[rule])``).
+    The state after ``states[-1]`` is ``states[first]``, so from step
+    ``first`` on the run cycles with period ``len(states) - first``;
+    ``first`` is None when no state repeats within ``steps`` updates, and
+    ``states`` is then the whole run.
     """
     states = [state]
     seen = {state: 0}
     for t in range(1, steps + 1):
-        state = step[state]
+        state = step(state)
         first = seen.setdefault(state, t)
         if first != t:
             return states, first

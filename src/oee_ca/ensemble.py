@@ -22,7 +22,8 @@ from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
 
-from scipy import stats
+import numpy as np
+from scipy.special import stdtr
 
 from . import complexity as cx
 from .eca import SIM_MIN_WIDTH, canonical_rules, wolfram_class
@@ -33,6 +34,7 @@ from .variants import (
     Variant,
     VariantConfig,
     execution_rng,
+    gc_paused,
     integers_rows,
     run_trajectory,
 )
@@ -101,6 +103,7 @@ def sample_space_size(variant: Variant, w_o: int, w_e: int | None = None) -> int
     return 88 * 88 * (1 << w_o) * (1 << w_e)
 
 
+@gc_paused()
 def draw_plan(plan: SamplePlan) -> list[tuple]:
     """The initial tuples of a plan, in draw order.
 
@@ -207,6 +210,7 @@ def _install_job(job: tuple) -> None:
     _JOB = job
 
 
+@gc_paused()
 def _run_range(bounds: tuple[int, int]) -> list[ExecutionRecord]:
     """The records of the installed ensemble's tuples start..stop - 1."""
     plan, tuples, norm_bits = _JOB
@@ -226,6 +230,7 @@ def worker_count(requested: int | None, n_tasks: int, env: str | None,
     return max(1, min(requested, n_tasks, cpus or 1))
 
 
+@gc_paused()
 def run_ensemble(plan: SamplePlan, workers: int | None = None,
                  tuples: list[tuple] | None = None,
                  norm_cache: str | None = None) -> list[ExecutionRecord]:
@@ -351,10 +356,47 @@ def value_histogram(values: list[float], bins: int = 20) -> dict[str, int]:
     return dict(sorted(hist.items(), key=lambda kv: float(kv[0])))
 
 
+def _average_ranks(values: list[float]) -> np.ndarray:
+    """1-based ranks of ``values``; a run of ties shares the mean of its
+    ordinal ranks (``scipy.stats.rankdata``'s ``"average"`` method)."""
+    x = np.asarray(values)
+    order = np.argsort(x, kind="stable")
+    y = x[order]
+    starts = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+    counts = np.diff(starts, append=len(y))
+    ranks = np.empty(len(y))
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2, counts)
+    return ranks
+
+
+def spearman(xs: list[float], ys: list[float]) -> tuple[float, float]:
+    """Spearman's rank correlation ``rho`` of two samples of n >= 3 values,
+    neither constant, and its two-sided p-value, computed as
+    ``scipy.stats.spearmanr`` computes them (scipy 1.17) and equal to its
+    results bit for bit: the ``np.corrcoef`` of the two samples' average
+    ranks, then ``t = rho * sqrt(dof / ((rho + 1) * (1 - rho)))`` with
+    ``dof = n - 2`` and ``p = 2 * stdtr(dof, -|t|)``, Student's t tail.
+    """
+    rs = np.corrcoef(np.vstack((_average_ranks(xs), _average_ranks(ys))))
+    dof = len(xs) - 2
+    # rho = +-1 divides by zero: t is then infinite and p is 0
+    with np.errstate(divide="ignore"):
+        t = rs * np.sqrt((dof / ((rs + 1.0) * (1.0 - rs))).clip(0))
+    p = 2 * stdtr(dof, -np.abs(t))
+    return float(rs[1, 0]), float(p[1, 0])
+
+
+@gc_paused()
 def aggregate(records: list[ExecutionRecord]) -> EnsembleReport:
     """Percentages, distributions, correlations and metagenome of a record
     set.  Merging subsets then aggregating the union is equivalent to
-    aggregating everything at once."""
+    aggregating everything at once.
+
+    ``spearman_rho`` and ``spearman_p`` are ``spearman`` of the live
+    records' innovation ``I`` against their recurrence time ``t_r``, equal
+    bit for bit to ``scipy.stats.spearmanr``'s statistic and two-sided
+    p-value; both are None for fewer than 3 live records or a constant
+    column."""
     live = [r for r in records if not r.censored]
     if not live:
         raise EmptyReportError("no non-censored records to aggregate")
@@ -366,8 +408,7 @@ def aggregate(records: list[ExecutionRecord]) -> EnsembleReport:
     points = sorted((r.innovation_I, r.t_r) for r in live)
     rho = p = None
     if len(points) >= 3 and len({i for i, _ in points}) > 1 and len({t for _, t in points}) > 1:
-        res = stats.spearmanr([i for i, _ in points], [t for _, t in points])
-        rho, p = float(res.statistic), float(res.pvalue)
+        rho, p = spearman([i for i, _ in points], [t for _, t in points])
 
     cs = [r.C for r in live if r.C is not None]
     ks = [r.k for r in live if isinstance(r.k, float)]

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .complexity import EXTINCT
-from .variants import Variant
+from .variants import Variant, gc_paused
 
 if TYPE_CHECKING:
     from .ensemble import EnsembleReport
@@ -111,6 +111,7 @@ ERRATA_NOTES = [
 ]
 
 
+@gc_paused()
 def write_records_csv(records: list[ExecutionRecord], path: str,
                       config_echo: dict | None = None) -> None:
     tmp = path + ".tmp"
@@ -133,6 +134,7 @@ def write_records_csv(records: list[ExecutionRecord], path: str,
         raise
 
 
+@gc_paused()
 def read_records_csv(path: str) -> list[ExecutionRecord]:
     records = []
     with open(path, newline="") as fh:

@@ -35,12 +35,20 @@ with it, and ``follow`` steps a perturbed copy of the organism alongside
 the run, for the Lyapunov exponent.  Widths are not bounded here; the
 callers that take them from outside (``oee-ca run``, ``SamplePlan``) check
 them.
+
+``gc_paused`` pauses the cyclic garbage collector for a block or function.
+The pipeline's bulk entry points (drawing a plan, the normalization
+constant, the ensemble, aggregation, the records CSV) run under it: the
+objects they build hold no reference cycles, so a collection there would
+only traverse the heap, and a full one costs tens of milliseconds.
 """
 
 from __future__ import annotations
 
 import enum
+import gc
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -223,6 +231,21 @@ def integers_rows(rng: np.random.Generator, bounds: tuple[int, ...],
     return [tuple(int(rng.integers(0, b)) for b in bounds) for _ in range(rows)]
 
 
+@contextmanager
+def gc_paused():
+    """Run the body (or, as a decorator, each call) with the cyclic garbage
+    collector disabled, then restore the caller's ``gc.isenabled()`` state,
+    also when the body raises.  Reference counting still frees everything
+    that is not in a cycle."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # --- lookup tables ----------------------------------------------------------
 
 class _Computed:
@@ -236,6 +259,13 @@ class _Computed:
 
     def __getitem__(self, i):
         return self.fn(i)
+
+
+def lookup(table):
+    """``table``'s entries as a function, ``lookup(table)(i) == table[i]``:
+    a computed table's own ``fn``, so that a loop calling it makes one Python
+    call per entry rather than two."""
+    return table.fn if isinstance(table, _Computed) else table.__getitem__
 
 
 @lru_cache(maxsize=None)

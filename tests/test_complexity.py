@@ -37,6 +37,7 @@ from oee_ca.variants import (
     Variant,
     VariantConfig,
     execution_rng,
+    lookup,
     organism_steps,
     run_trajectory,
 )
@@ -256,7 +257,7 @@ def test_fixed_rule_runs_match_step_bits(w):
         rows = [bits]
         for _ in range(steps):
             rows.append(naive_step_bits(rule, rows[-1], w))
-        states, first = fixed_rule_run(tables[rule], bits, steps)
+        states, first = fixed_rule_run(lookup(tables[rule]), bits, steps)
         assert states == rows[:len(states)]
         assert len(set(states)) == len(states)
         if first is None:

@@ -1,12 +1,14 @@
 """Sampling plans, ensemble execution, and aggregation."""
 
 import dataclasses
+import gc
 import hashlib
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy import stats
 
 from helpers import (
     exhaustive_plan_tuples,
@@ -14,6 +16,7 @@ from helpers import (
     scalar_log2_histogram,
     scalar_value_histogram,
 )
+from oee_ca import complexity as cx
 from oee_ca import ensemble
 from oee_ca.ensemble import (
     BoxStats,
@@ -28,6 +31,7 @@ from oee_ca.ensemble import (
     metagenome,
     run_ensemble,
     sample_space_size,
+    spearman,
     value_histogram,
     worker_count,
 )
@@ -391,6 +395,143 @@ def test_spearman_fields(small_case1_records):
     assert report.spearman_rho is not None
     assert -1.0 <= report.spearman_rho <= 1.0
     assert 0.0 <= report.spearman_p <= 1.0
+    points = sorted((r.innovation_I, r.t_r) for r in records if not r.censored)
+    res = stats.spearmanr([i for i, _ in points], [t for _, t in points])
+    assert (report.spearman_rho, report.spearman_p) == (float(res.statistic),
+                                                         float(res.pvalue))
+
+
+@st.composite
+def _rank_samples(draw):
+    """Two columns of n = 3..500 values with few distinct levels (so heavy
+    ties), one of ints and one of floats in either order, the second
+    following the first up, down or not at all."""
+    n = draw(st.integers(3, 500))
+    levels = draw(st.sampled_from([2, 3, 5, 40, 10**6]))
+    sign = draw(st.sampled_from([-1, 0, 1]))
+    scale = draw(st.sampled_from([1.0, 0.25, 1 / 3, 1 / 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.integers(0, levels, n)
+    ys = sign * xs + rng.integers(0, draw(st.sampled_from([1, 2, levels, 10**6])), n)
+    floats, ints = (xs * scale).tolist(), ys.tolist()
+    return (floats, ints) if draw(st.booleans()) else (ints, floats)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank_samples())
+@example(([0.0, 0.5, 1.0], [1, 2, 3]))             # rho = 1, p = 0
+@example(([0.0, 0.5, 1.0, 1.0], [9, 7, 5, 5]))     # rho = -1 with ties
+@example(([0.25, 0.25, 0.5], [3, 1, 1]))
+def test_spearman_equals_scipy_bit_for_bit(columns):
+    xs, ys = columns
+    assume(len(set(xs)) > 1 and len(set(ys)) > 1)
+    res = stats.spearmanr(xs, ys)
+    assert spearman(xs, ys) == (float(res.statistic), float(res.pvalue))
+
+
+# --- the collector pause ----------------------------------------------------
+
+_GC_PLAN = SamplePlan(Variant.CASE_I, 3, 3, sample_count=40, master_seed=4)
+
+
+def _paused_entry_points(tmp_path, monkeypatch) -> dict:
+    """Per entry point run with the collector paused: a call that returns,
+    a call that raises and the exception it raises."""
+    records = run_ensemble(_GC_PLAN, workers=1)
+    csv_path = str(tmp_path / "records.csv")
+    write_records_csv(records, csv_path)
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("not,the,columns\n")
+    job = (_GC_PLAN, draw_plan(_GC_PLAN), records[0].norm_bits)
+
+    def run_range(job):
+        monkeypatch.setattr(ensemble, "_JOB", job)
+        return ensemble._run_range((0, 10))
+
+    def fresh_norm(w):
+        monkeypatch.setattr(cx, "_NORM_MEMO", {})
+        return cx.normalization_constant(w, 60, 64)
+
+    def bad_threads():
+        monkeypatch.setenv("OEE_THREADS", "abc")
+        return run_ensemble(_GC_PLAN)
+
+    return {
+        "draw_plan": (lambda: draw_plan(_GC_PLAN),
+                      lambda: draw_plan(SamplePlan(Variant.ISOLATED, 3, sample_count=705)),
+                      ValueError),
+        "normalization_constant": (lambda: fresh_norm(6), lambda: fresh_norm(0), ValueError),
+        "run_ensemble": (lambda: run_ensemble(_GC_PLAN, workers=1), bad_threads, ValueError),
+        "_run_range": (lambda: run_range(job), lambda: run_range(None), TypeError),
+        "aggregate": (lambda: aggregate(records), lambda: aggregate([]), EmptyReportError),
+        "write_records_csv": (lambda: write_records_csv(records, csv_path),
+                              lambda: write_records_csv(records, str(tmp_path / "no" / "r.csv")),
+                              FileNotFoundError),
+        "read_records_csv": (lambda: read_records_csv(csv_path),
+                             lambda: read_records_csv(str(bad_csv)), ValueError),
+    }
+
+
+_PAUSED = ["draw_plan", "normalization_constant", "run_ensemble", "_run_range",
+           "aggregate", "write_records_csv", "read_records_csv"]
+
+
+@pytest.mark.parametrize("name", _PAUSED)
+@pytest.mark.parametrize("enabled", [True, False])
+def test_paused_entry_points_restore_the_collector_state(name, enabled, tmp_path,
+                                                         monkeypatch):
+    returns, raises, error = _paused_entry_points(tmp_path, monkeypatch)[name]
+    try:
+        (gc.enable if enabled else gc.disable)()
+        returns()
+        assert gc.isenabled() is enabled
+        with pytest.raises(error):
+            raises()
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", _PAUSED)
+def test_paused_entry_points_run_no_collection(name, tmp_path, monkeypatch):
+    """With a threshold that would collect the young generation every 50 new
+    containers, the only collection is the one of the young generation that
+    the first allocation after the pause triggers."""
+    returns, _, _ = _paused_entry_points(tmp_path, monkeypatch)[name]
+    generations = []
+    record = lambda phase, info: phase == "start" and generations.append(info["generation"])
+    threshold = gc.get_threshold()
+    gc.callbacks.append(record)
+    try:
+        gc.set_threshold(50)
+        gc.collect()
+        generations.clear()
+        returns()
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(record)
+    assert generations in ([], [0])
+
+
+def _cycles_after_pipeline(samples: int, tmp_path) -> int:
+    """Objects ``gc.collect`` frees after a serial Case I ensemble, its
+    aggregation and its records CSV."""
+    plan = SamplePlan(Variant.CASE_I, 4, 4, sample_count=samples, master_seed=3)
+    gc.collect()
+    gc.disable()
+    try:
+        records = run_ensemble(plan, workers=1)
+        aggregate(records)
+        write_records_csv(records, str(tmp_path / "records.csv"))
+        del records
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_executions_create_no_reference_cycles(tmp_path):
+    _cycles_after_pipeline(200, tmp_path)           # caches and lazy set-up
+    assert _cycles_after_pipeline(200, tmp_path) == _cycles_after_pipeline(2000, tmp_path)
 
 
 # --- metagenome -------------------------------------------------------------

@@ -575,6 +575,24 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     assert out.exists()
 
 
+def test_ensemble_leaves_scipy_stats_unloaded(tmp_path):
+    """Aggregation takes only ``scipy.special``: importing ``ensemble`` and an
+    ``ensemble`` and ``analyze`` run leave ``scipy.stats`` unloaded."""
+    code = ("import sys; import oee_ca.ensemble; from oee_ca.cli import main; "
+            "assert 'scipy.stats' not in sys.modules; "
+            "out, report = sys.argv[1:]; "
+            "assert main(['ensemble', '--variant', 'case1', '--wo', '3', '--we', '3', "
+            "'--samples', '20', '--out', out, '--report', report]) == 0; "
+            "assert main(['analyze', '--records', out, '--report', report]) == 0; "
+            "assert 'scipy.stats' not in sys.modules")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out, report = tmp_path / "records.csv", tmp_path / "report.json"
+    result = subprocess.run([sys.executable, "-c", code, str(out), str(report)], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(report.read_text())["report"]["n_records"] == 20
+
+
 @pytest.mark.parametrize("flags", [["--wo", "0"], ["--wo", "5", "--we", "0"],
                                    ["--wo", "5", "--steps", "-1"]])
 def test_cli_render_empty_sizes_are_usage_errors(flags, tmp_path, capsys):
