@@ -37,8 +37,10 @@ import numpy as np
 from .variants import (
     TABLE_BUDGET,
     Trajectory,
+    Variant,
+    continued,
     execution_rng,
-    follow,
+    flip_masks,
     gc_paused,
     integers_rows,
     lookup,
@@ -338,10 +340,12 @@ def lyapunov(base: Trajectory, perturb_bit: int = 0, horizon: int = 16) -> float
     ``base`` and a copy of it perturbed in one initial organism bit, or
     "extinct" when the defect dies at t = 1.
 
-    The perturbed organism shares the literal environment sequence (Case
-    I/II) or the random stream (Case III, common random numbers) and
-    re-derives its own rule wherever the update depends on s_o; only the
-    copy is stepped, alongside ``base``.
+    The run is read to ``horizon`` through ``continued``, and only the copy
+    is stepped, in this loop, until the distance reaches 0 or ``w_o``.  It
+    shares the run's literal environment sequence (Case I, where it
+    re-derives its own rule from its own states) or the run's rule sequence
+    (the other variants, whose rules do not depend on s_o: Case III by
+    common random numbers).
     """
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
@@ -350,19 +354,50 @@ def lyapunov(base: Trajectory, perturb_bit: int = 0, horizon: int = 16) -> float
     if not 0 <= perturb_bit < w_o:
         raise ValueError("perturb_bit out of range")
 
+    states, rules, envs = continued(base, horizon)
+    o_step = organism_steps(w_o)
+    so = config.s_o ^ (1 << (w_o - 1 - perturb_bit))
     ys = []
-    for a, b in follow(base, config.s_o ^ (1 << (w_o - 1 - perturb_bit)), horizon):
-        y = (a ^ b).bit_count()
-        ys.append(y)
-        if y == 0 or y == w_o:
-            break
+    if config.variant is Variant.CASE_I:
+        flip = flip_masks(w_o, config.w_e)
+        ro = config.r_o
+        for t in range(1, horizon + 1):
+            ro ^= flip[so][envs[t - 1]]
+            so = o_step[ro][so]
+            y = (states[t] ^ so).bit_count()
+            ys.append(y)
+            if y == 0 or y == w_o:
+                break
+    else:
+        for t in range(1, horizon + 1):
+            so = o_step[rules[t]][so]
+            y = (states[t] ^ so).bit_count()
+            ys.append(y)
+            if y == 0 or y == w_o:
+                break
     if ys[0] == 0:
         return EXTINCT
     return fit_exponent(ys)
 
 
+# Longest Hamming series whose fit is memoized: every series of an organism
+# of at most 6 cells (the horizon is at most 2**w_o), while the memo's size
+# stays independent of how long a run is.
+FIT_MEMO_LENGTH = 64
+
+
 def fit_exponent(ys: list[int]) -> float:
-    """Least-squares slope of ln y(t) on t over {t >= 1 : y(t) > 0}."""
+    """Least-squares slope of ln y(t) on t over {t >= 1 : y(t) > 0}.  A pure
+    function of the series, memoized for series of at most
+    ``FIT_MEMO_LENGTH`` points: an ensemble fits the same short series many
+    times."""
+    if len(ys) <= FIT_MEMO_LENGTH:
+        return _fit(tuple(ys))
+    return _fit.__wrapped__(ys)
+
+
+@lru_cache(maxsize=4096)
+def _fit(ys: Sequence[int]) -> float:
     xs = [t for t, y in enumerate(ys, start=1) if y > 0]
     lys = [math.log(y) for y in ys if y > 0]
     n = len(xs)

@@ -99,8 +99,7 @@ def ue_flag(t_P: int, t_r: int | None, t_r_rule: int | None) -> bool | None:
     inputs propagate None (never a false positive)."""
     if t_r is None and t_r_rule is None:
         return None
-    checks = [t > t_P for t in (t_r, t_r_rule) if t is not None]
-    return any(checks)
+    return (t_r is not None and t_r > t_P) or (t_r_rule is not None and t_r_rule > t_P)
 
 
 def attractor_ue_flag(cycle: CycleInfo | None, t_P: int) -> bool | None:

@@ -31,10 +31,11 @@ time from its own Philox stream, addressed by key and counter through one
 generator shared by the process (not thread-safe; a process steps its runs
 on one thread).  ``continued`` extends a finished run past its end, around
 its cycle or on its flip-mask stream: ``oee-ca render`` replays a cycle
-with it, and ``follow`` steps a perturbed copy of the organism alongside
-the run, for the Lyapunov exponent.  Widths are not bounded here; the
-callers that take them from outside (``oee-ca run``, ``SamplePlan``) check
-them.
+with it, and ``complexity.lyapunov`` reads a run to its horizon from it and
+steps a perturbed copy of the organism alongside.  ``VariantConfig`` and
+``Trajectory`` are slotted dataclasses; they are not frozen, so they are
+not hashable.  Widths are not bounded here; the callers that take them
+from outside (``oee-ca run``, ``SamplePlan``) check them.
 
 ``gc_paused`` pauses the cyclic garbage collector for a block or function.
 The pipeline's bulk entry points (drawing a plan, the normalization
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import enum
 import gc
-from collections.abc import Iterator
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -92,7 +93,7 @@ class Variant(enum.Enum):
         return self in (Variant.CASE_I, Variant.CASE_II)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VariantConfig:
     """One run: the organism's width ``w_o``, packed state ``s_o`` and rule
     ``r_o``; the environment's ``w_e``, ``s_e`` and ``r_e`` (Case I/II);
@@ -134,7 +135,7 @@ def _check_ca(ca: str, width: int, bits: int, rule: int) -> None:
         raise ValueError(f"r_{ca} must be in [0, 255], got {rule}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Trajectory:
     """A run as packed sequences: ``states[t]``, ``rules[t]`` and (Case I/II)
     ``envs[t]`` are s_o, r_o and s_e at step t."""
@@ -149,7 +150,7 @@ class Trajectory:
     repeat_time: int | None = None
     # Case III: first step with a homogeneous organism state
     convergence_time: int | None = None
-    # Case III: the run's flip-mask stream, kept so a follower can go past the end
+    # Case III: the run's flip-mask stream, kept so ``continued`` can go past the end
     flips: FlipMasks | None = field(default=None, repr=False, compare=False)
 
     def state_sequence(self) -> list[int]:
@@ -311,30 +312,42 @@ def flip_masks(w_o: int, w_e: int):
 # may interleave, but the generator is not thread-safe: the package steps
 # one run at a time in each process.
 _PHILOX = np.random.Philox(key=0)
-_DRAWS = np.random.Generator(_PHILOX)
 _PHILOX_STATE = {"bit_generator": "Philox",
                  "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
                  "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
+def flip_threshold(mu: float) -> int:
+    """The integer ``thr`` with ``k < thr`` exactly when ``k * 2.0**-53 < mu``,
+    for every integer ``0 <= k < 2**53``: a double of ``Generator.random()``
+    is ``(raw >> 11) * 2**-53``, and ``mu * 2**53`` is exact (a power-of-two
+    scaling), so the double is below ``mu`` exactly when ``raw >> 11`` is
+    below ``ceil(mu * 2**53)``."""
+    return math.ceil(mu * 2.0**53)
+
+
 class FlipMasks:
     """Case III's rule flips: ``masks[t]`` is XORed into the rule at step
     t + 1.  They are the stream of ``execution_rng(seed)``, drawn a block of
-    steps at a time: ``random(8 * n)`` yields the same doubles as n
-    consecutive ``random(8)`` calls, one per step, and draw j of a step flips
-    rule bit 7 - j when it is below mu.  Draws past the end of a run stay in
-    ``masks`` for whoever continues it.
+    steps at a time: a step takes 8 doubles of ``random()``, and draw j of a
+    step flips rule bit 7 - j when it is below mu.  Each double is one raw
+    64-bit word ``raw``, and ``raw >> 11 < thr`` exactly when
+    ``raw < thr << 11``, so a block of n steps compares ``random_raw(8 * n)``
+    with ``flip_threshold(mu) << 11`` (below 2**64, as mu < 1) and packs the
+    bits 8 to a byte, one byte per step.  Draws past the end of a run stay
+    in ``masks`` for whoever continues it.
 
     Philox is counter-based: the 64-bit words of block c of a stream are a
-    function of (key, c) alone.  A step takes 8 doubles, one 4-word block
-    per 4 doubles, so the steps from ``len(masks)`` on start at counter
-    ``2 * len(masks)``.  An instance keeps only its key and its masks, and
-    ``more`` points the module's shared generator there, with an empty
-    buffer, before each block; no generator is built per run."""
+    function of (key, c) alone.  A step takes 8 words, two 4-word blocks,
+    so the steps from ``len(masks)`` on start at counter
+    ``2 * len(masks)``.  An instance keeps only its key, its word bound and
+    its masks, and ``more`` points the module's shared generator there,
+    with an empty buffer, before each block; no generator is built per
+    run."""
 
     def __init__(self, seed: int, mu: float):
         self._key = stream_key(seed)
-        self._mu = mu
+        self._bound = np.uint64(flip_threshold(mu) << 11)
         self.masks = bytearray()
 
     def more(self) -> None:
@@ -344,8 +357,7 @@ class FlipMasks:
         state["counter"][0] = 2 * len(self.masks)
         state["key"][:] = self._key
         _PHILOX.state = _PHILOX_STATE
-        draws = _DRAWS.random(8 * n).reshape(n, 8) < self._mu
-        self.masks += np.packbits(draws, axis=1).tobytes()
+        self.masks += np.packbits(_PHILOX.random_raw(8 * n) < self._bound).tobytes()
 
 
 # --- coupled stepping -------------------------------------------------------
@@ -453,27 +465,3 @@ def continued(traj: Trajectory, horizon: int):
         states.append(so)
         rules.append(ro)
     return states, rules, None
-
-
-def follow(traj: Trajectory, s_o: int, horizon: int) -> Iterator[tuple[int, int]]:
-    """``(base state, copy state)`` at steps 1..horizon, for a copy of the
-    organism started from ``s_o`` instead of the run's initial state.
-
-    The copy shares the run's environment sequence (Case I, where it
-    re-derives its own rule from its own states) or its rule sequence (the
-    other variants: Case III by common random numbers).
-    """
-    config = traj.config
-    states, rules, envs = continued(traj, horizon)
-    o_step = organism_steps(config.w_o)
-    if config.variant is Variant.CASE_I:
-        flip = flip_masks(config.w_o, config.w_e)
-        ro = config.r_o
-        for t in range(1, horizon + 1):
-            ro ^= flip[s_o][envs[t - 1]]
-            s_o = o_step[ro][s_o]
-            yield states[t], s_o
-    else:
-        for t in range(1, horizon + 1):
-            s_o = o_step[rules[t]][s_o]
-            yield states[t], s_o

@@ -27,6 +27,7 @@ from oee_ca.ensemble import (
     config_for_tuple,
     draw_plan,
     environment_width,
+    flag_stages,
     log2_histogram,
     metagenome,
     run_ensemble,
@@ -770,3 +771,46 @@ def test_record_windows_follow_their_definitions(plan):
         checked += t_r < len(states) - 1
     # a Case I run can outlast t_r, so its windows must stop inside the run
     assert checked or not plan.variant.deterministic
+
+
+# --- symmetry oracles -------------------------------------------------------
+
+def rotated(bits: int, k: int, width: int) -> int:
+    """The ``width``-cell ring ``bits`` rotated left by ``k`` cells."""
+    k %= width
+    return ((bits << k) | (bits >> (width - k))) & ((1 << width) - 1)
+
+
+def flags(plan: SamplePlan, index: int, tup: tuple) -> tuple:
+    """t_r, t_r_rule, t_a, UE and INN of one execution, with its rule sequence."""
+    _, traj, rep, _, inn = flag_stages(plan, index, tup)
+    return rep.t_r, rep.t_r_rule, rep.t_a, rep.ue, inn, traj.rules
+
+
+@pytest.mark.parametrize("w_o, w_e", [(4, 4), (5, 7), (3, 6)])
+@settings(max_examples=60, deadline=None)
+@given(r_o=st.integers(0, 255), r_e=st.integers(0, 255), data=st.data())
+def test_case1_flags_are_invariant_under_rotation(w_o, w_e, r_o, r_e, data):
+    """A step commutes with rotating the ring, and triplet counts, hence the
+    Case I flip masks, do not change under it: rotating s_o and s_e
+    independently changes no flag and no rule of the run."""
+    plan = SamplePlan(Variant.CASE_I, w_o, w_e, sample_count=1)
+    s_o = data.draw(st.integers(0, (1 << w_o) - 1))
+    s_e = data.draw(st.integers(0, (1 << w_e) - 1))
+    a, b = data.draw(st.integers(1, w_o - 1)), data.draw(st.integers(0, w_e - 1))
+    assert (flags(plan, 0, (r_o, r_e, s_o, s_e))
+            == flags(plan, 0, (r_o, r_e, rotated(s_o, a, w_o), rotated(s_e, b, w_e))))
+
+
+@pytest.mark.parametrize("variant, mu", [(Variant.ISOLATED, None), (Variant.CASE_III, 0.3),
+                                         (Variant.CASE_III, 0.5)])
+@settings(max_examples=60, deadline=None)
+@given(w_o=st.integers(3, 7), r_o=st.integers(0, 255), seed=st.integers(0, 2**32),
+       index=st.integers(0, 999), data=st.data())
+def test_flags_are_invariant_under_organism_rotation(variant, mu, w_o, r_o, seed, index, data):
+    """eca, and Case III on the same stream (the same index, so the same
+    seed): rotating s_o changes no flag and no rule of the run."""
+    plan = SamplePlan(variant, w_o, mu=mu, sample_count=1, master_seed=seed, step_cap=2000)
+    s_o = data.draw(st.integers(0, (1 << w_o) - 1))
+    a = data.draw(st.integers(1, w_o - 1))
+    assert flags(plan, index, (r_o, s_o)) == flags(plan, index, (r_o, rotated(s_o, a, w_o)))

@@ -4,7 +4,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     SystemSnapshot,
@@ -23,10 +23,11 @@ from oee_ca.variants import (
     Variant,
     VariantConfig,
     case1_update_bits,
+    continued,
     default_step_cap,
     environment_steps,
     execution_rng,
-    follow,
+    flip_threshold,
     organism_steps,
     run_trajectory,
     stream_key,
@@ -225,11 +226,25 @@ RANDOM_SEEDS = np.random.default_rng(17).integers(0, 2**64, 5, dtype=np.uint64).
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, *RANDOM_SEEDS])
-@pytest.mark.parametrize("mu", [0.1, 0.5])
+@pytest.mark.parametrize("mu", [0.1, 0.3, 0.5, 0.999999])
 def test_flip_masks_are_the_execution_stream(seed, mu):
     """Past the 4096-step block size: blocks of 16, 16, 32, ..., 4096, 4096."""
     n = 10_000
     assert flip_masks_of(seed, mu, n) == rng_masks(seed, mu, n)
+
+
+@pytest.mark.parametrize("mu", [0.0, 2.0**-53, 0.1, 0.3, 0.5, 0.999999, 1 - 2.0**-53])
+def test_flip_threshold_is_exact_at_its_edges(mu):
+    """The top 53 bits ``k`` of a raw word are below the threshold exactly
+    when its double ``k * 2**-53`` is below mu, and the word is below
+    ``thr << 11`` (a 64-bit bound) exactly when ``k`` is below ``thr``."""
+    thr = flip_threshold(mu)
+    assert thr << 11 < 2**64
+    for k in (thr - 1, thr, thr + 1):
+        if k >= 0:
+            assert (k < thr) == (k * 2.0**-53 < mu)
+            for raw in (k << 11, (k << 11) | 2047):
+                assert (raw < thr << 11) == (k < thr)
 
 
 def test_interleaved_flip_masks_keep_their_streams():
@@ -420,6 +435,35 @@ def test_packed_case1_above_budget_matches_oracle(w_o, w_e, data):
     assert_same_run(config, cap=data.draw(st.integers(1, 60)), horizons=(2, 9))
 
 
+@pytest.mark.parametrize("variant, w_o, w_e", [
+    (Variant.CASE_I, 4, 6), (Variant.CASE_I, 12, 9), (Variant.CASE_II, 5, 8),
+    (Variant.CASE_III, 6, None), (Variant.ISOLATED, 5, None)])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_lyapunov_matches_oracle_for_every_bit(variant, w_o, w_e, data):
+    """Every perturbed bit, at a horizon past the run's end: the copy is read
+    against the run continued around its cycle or on its stream.  (12, 9)
+    computes its Case I flip masks per step."""
+    if variant is Variant.CASE_I:
+        config = drawn_case1(data, w_o, w_e)
+    else:
+        s_o, r_o = data.draw(packed_states(w_o)), data.draw(rule_numbers)
+        if variant is Variant.CASE_II:
+            config = VariantConfig(variant, w_o, s_o, r_o, w_e,
+                                   data.draw(packed_states(w_e)), data.draw(rule_numbers))
+        elif variant is Variant.CASE_III:
+            config = VariantConfig(variant, w_o, s_o, r_o,
+                                   mu=data.draw(st.sampled_from([0.1, 0.5])),
+                                   seed=data.draw(st.integers(0, 2**64 - 1)))
+        else:
+            config = VariantConfig(variant, w_o, s_o, r_o)
+    traj = run_trajectory(config, cap=3000)
+    assume(not traj.cap_hit)
+    horizon = max(2, len(traj.states) - 1 + data.draw(st.integers(1, 20)))
+    for bit in range(w_o):
+        assert cx.lyapunov(traj, bit, horizon) == scalar_lyapunov(config, bit, horizon)
+
+
 def test_tables_chosen_by_budget():
     """The organism's 256 tables fit up to 12 cells, the environment tables
     of the 88 drawable rules up to 13; wider lookups are computed, with the
@@ -468,7 +512,7 @@ def test_packed_case3_matches_oracle(r_o, w_o, mu, seed, cap, data):
 @pytest.mark.parametrize("s_o, r_o, t_r", [("0000", 90, 0), ("1111", 30, 0), ("0101", 0, 1)])
 @pytest.mark.parametrize("mu", [0.0, 0.5])
 def test_packed_case3_short_runs_continue_for_lyapunov(s_o, r_o, t_r, mu):
-    """t_r <= 1 is shorter than the smallest horizon (2): the follower draws
+    """t_r <= 1 is shorter than the smallest horizon (2): the Lyapunov copy draws
     the next masks of the run's stream."""
     config = VariantConfig(Variant.CASE_III, 4, int(s_o, 2), r_o, mu=mu, seed=7)
     traj = run_trajectory(config)
@@ -477,16 +521,19 @@ def test_packed_case3_short_runs_continue_for_lyapunov(s_o, r_o, t_r, mu):
     assert_same_run(config, horizons=(2, 3, 10))
 
 
-def test_follow_continues_a_deterministic_run_around_its_cycle():
+def test_lyapunov_continues_a_deterministic_run_around_its_cycle():
+    """Rule 204 fixes every state: the run repeats at step 1, and the copy
+    is read against the run continued around that cycle to the horizon."""
     config = VariantConfig(Variant.ISOLATED, 4, 0b0110, 204)
     traj = run_trajectory(config)
     assert traj.repeat_time == 1
-    assert [a for a, _ in follow(traj, 0b0110, 6)] == [0b0110] * 6
+    assert continued(traj, 6)[0] == [0b0110] * 7
+    assert cx.lyapunov(traj, 0, 6) == scalar_lyapunov(config, 0, 6)
 
 
-def test_follow_rejects_censored_runs_past_their_end():
+def test_lyapunov_rejects_censored_runs_past_their_end():
     config = case1_config(s_o="1010", r_o=45, s_e="110010", r_e=30)
     traj = run_trajectory(config, cap=1)
     assert traj.cap_hit
     with pytest.raises(ValueError):
-        list(follow(traj, 0, 2))
+        cx.lyapunov(traj, 0, 2)
