@@ -292,6 +292,22 @@ def test_lzw_phrase_bound_holds_on_eventually_periodic_strings(head, cycle, repe
     assert lzw_phrase_count(bits) <= refined <= span_only <= n
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30000), st.integers(1, 30000), st.integers(1, 30000))
+@example(1, 1, 1)
+@example(2, 1, 2)
+@example(6150, 1, 1)
+@example(6150, 1, 6150)
+@example(6150, 6149, 6150)
+@example(30000, 1, 30000)
+def test_lzw_phrase_bound_never_decreases_with_the_span(n, a, b):
+    """The span-only bound is non-decreasing in the span over 1..n, so the
+    normalization constant may stop at the first run, longest first, that
+    it rules out.  The spans are ``a`` and ``b`` capped at n."""
+    s1, s2 = sorted((min(a, n), min(b, n)))
+    assert lzw_phrase_bound(n, s1) <= lzw_phrase_bound(n, s2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.text(alphabet="01", max_size=70), st.text(alphabet="01", min_size=1, max_size=70),
        st.integers(1, 3), st.integers(0, 400))
@@ -330,6 +346,22 @@ def test_norm_constant_skips_walks_and_matches_scalar_oracle(key, monkeypatch):
         walks.append(len(walked))
     refined, span_only = walks
     assert 0 < refined < span_only < key[1]
+
+
+def test_norm_constant_walks_longest_runs_first(monkeypatch):
+    """The runs are serialized longest first, the visit stops before the
+    last sampled run, and the constant equals the oracle's, which walks
+    every run in draw order."""
+    from oee_ca import complexity as cx
+    key = (8, 200, 256, 4)
+    lengths = []
+    serialize = cx.serialize_states
+    monkeypatch.setattr(cx, "serialize_states",
+                        lambda states, w: lengths.append(len(states)) or serialize(states, w))
+    cx._NORM_MEMO.pop(key, None)
+    assert normalization_constant(*key) == scalar_normalization_constant(*key)
+    assert lengths == sorted(lengths, reverse=True)
+    assert 0 < len(lengths) < key[1]
 
 
 # --- compressibility --------------------------------------------------------

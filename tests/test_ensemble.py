@@ -36,7 +36,7 @@ from oee_ca.ensemble import (
     value_histogram,
     worker_count,
 )
-from oee_ca.eca import canonical_rule
+from oee_ca.eca import _complement_number, _mirror_number, canonical_rule
 from oee_ca.io_formats import read_records_csv, write_records_csv, write_report_json
 from oee_ca.variants import Variant, execution_rng, integers_rows
 
@@ -814,3 +814,63 @@ def test_flags_are_invariant_under_organism_rotation(variant, mu, w_o, r_o, seed
     s_o = data.draw(st.integers(0, (1 << w_o) - 1))
     a = data.draw(st.integers(1, w_o - 1))
     assert flags(plan, index, (r_o, s_o)) == flags(plan, index, (r_o, rotated(s_o, a, w_o)))
+
+
+def mirrored(bits: int, width: int) -> int:
+    """The ``width``-cell state ``bits`` read right to left."""
+    return int(f"{bits:0{width}b}"[::-1], 2)
+
+
+def complemented(bits: int, width: int) -> int:
+    """The ``width``-cell state ``bits`` with every cell flipped."""
+    return bits ^ ((1 << width) - 1)
+
+
+# how a symmetry acts on a state and on a rule number
+SYMMETRIES = {"mirror": (mirrored, _mirror_number),
+              "complement": (complemented, _complement_number)}
+
+
+def assert_flags_map(plan: SamplePlan, index: int, tup: tuple, image: tuple, rule_map) -> None:
+    """The run of ``image`` has the flags of the run of ``tup``, and its rule
+    sequence is theirs mapped rule by rule through ``rule_map``."""
+    *flag_values, rules = flags(plan, index, tup)
+    *image_values, image_rules = flags(plan, index, image)
+    assert image_values == flag_values
+    assert image_rules == [rule_map(r) for r in rules]
+
+
+@pytest.mark.parametrize("symmetry", sorted(SYMMETRIES))
+@pytest.mark.parametrize("w_o, w_e", [(4, 4), (5, 7), (3, 6)])
+@settings(max_examples=60, deadline=None)
+@given(r_o=st.integers(0, 255), r_e=st.integers(0, 255), data=st.data())
+def test_case1_flags_map_under_mirror_and_complement(symmetry, w_o, w_e, r_o, r_e, data):
+    """Mirroring (complementing) both states and both rules mirrors
+    (complements) every later state, so triplet counts, hence the Case I
+    flip masks, map with them: no flag changes, and each rule of the run
+    maps through the same rule symmetry.
+
+    Case II and Case III are left out.  In Case II the organism's rule is
+    the environment state read as a number, and mirroring or complementing
+    that state does not map the number through the rule's symmetry.  In
+    Case III the rule bits are flipped by the seed's mask stream, which
+    would have to be permuted with the rule's bits for the image run to be
+    the mapped run."""
+    state_map, rule_map = SYMMETRIES[symmetry]
+    plan = SamplePlan(Variant.CASE_I, w_o, w_e, sample_count=1)
+    s_o = data.draw(st.integers(0, (1 << w_o) - 1))
+    s_e = data.draw(st.integers(0, (1 << w_e) - 1))
+    image = (rule_map(r_o), rule_map(r_e), state_map(s_o, w_o), state_map(s_e, w_e))
+    assert_flags_map(plan, 0, (r_o, r_e, s_o, s_e), image, rule_map)
+
+
+@pytest.mark.parametrize("symmetry", sorted(SYMMETRIES))
+@settings(max_examples=60, deadline=None)
+@given(w_o=st.integers(3, 7), r_o=st.integers(0, 255), data=st.data())
+def test_eca_flags_map_under_mirror_and_complement(symmetry, w_o, r_o, data):
+    """eca: mirroring (complementing) s_o and r_o changes no flag, and the
+    run's rule maps with it."""
+    state_map, rule_map = SYMMETRIES[symmetry]
+    plan = SamplePlan(Variant.ISOLATED, w_o, sample_count=1, step_cap=2000)
+    s_o = data.draw(st.integers(0, (1 << w_o) - 1))
+    assert_flags_map(plan, 0, (r_o, s_o), (rule_map(r_o), state_map(s_o, w_o)), rule_map)
