@@ -136,12 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config_file(parser, argv, args):
     """Re-parse with the --config file's keys turned into flags, so argparse
-    converts and checks their values; flags given on the command line win."""
+    converts and checks their values and refuses a key that is no flag of
+    the subcommand; flags given on the command line win."""
     explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
     before, after = [], []
     for key, value in iof.read_config_file(args.config).items():
         dest = key.replace("-", "_")
-        if dest in explicit or dest in ("command", "config") or not hasattr(args, dest):
+        if dest in explicit or dest in ("command", "config"):
             continue
         flag = "--" + dest.replace("_", "-")
         if dest == "class_table":  # the one top-level option: it goes first
@@ -219,23 +220,19 @@ def _random_config(args) -> VariantConfig:
 def cmd_run(args) -> int:
     config = _random_config(args)
     traj = run_trajectory(config, args.cap)
-    echo = _config_echo(args)
-    with open(args.out + ".tmp", "w") as fh:
-        fh.write(f"# oee-ca {__version__}\n")
-        for key, value in echo.items():
-            fh.write(f"# {key} = {value}\n")
+    w_o, w_e = config.w_o, config.w_e
+    with iof.replacing(args.out) as fh:
+        iof.write_echo(fh, _config_echo(args))
         fh.write("t,s_o,r_o,s_e\n")
-        w_o, w_e = config.w_o, config.w_e
         envs = traj.envs or [None] * len(traj.states)
         for t, (s_o, r_o, s_e) in enumerate(zip(traj.states, traj.rules, envs)):
             s_e = "" if s_e is None else format(s_e, f"0{w_e}b")
             fh.write(f"{t},{s_o:0{w_o}b},{r_o},{s_e}\n")
-    os.replace(args.out + ".tmp", args.out)
     if traj.cap_hit:
         print(f"warning: step cap reached after {len(traj.states) - 1} steps",
               file=sys.stderr)
     if args.pgm:
-        iof.write_pgm([(s_o, w_o) for s_o in traj.states], args.pgm)
+        iof.write_pgm(traj.states, w_o, args.pgm)
     print(f"wrote {args.out} ({len(traj.states)} snapshots)")
     return EXIT_OK
 
@@ -332,7 +329,7 @@ def cmd_render(args) -> int:
     env = (w_e, s_e, r_e) if args.variant.has_environment else ()
     config = VariantConfig(args.variant, w_o, s_o, r_o, *env)
     states = continued(run_trajectory(config, max(args.steps, 1)), args.steps)[0]
-    iof.write_pgm([(s, w_o) for s in states[:args.steps + 1]], args.out)
+    iof.write_pgm(states[:args.steps + 1], w_o, args.out)
     print(f"wrote {args.out} ({args.steps + 1} rows x {w_o} columns)")
     return EXIT_OK
 
@@ -353,8 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             args = _apply_config_file(parser, argv, args)
-        if args.class_table:
-            set_default_class_table(args.class_table)
+        set_default_class_table(args.class_table)
         return COMMANDS[args.command](args)
     except (ValueError, OSError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,11 @@ One kernel steps a state of any width (``stepper``): the ring, extended by
 one wrap cell on each side, is read eight cells at a time through a 10-cell
 window, whose next values come from a table of all 1024 windows per rule
 (``window_tables``, 256 KB for all 256 rules, built once with numpy).
+
+``neighborhoods`` states the neighborhood formula once, for one packed state
+or a numpy array of them; the step and count tables and the innovation pins
+all read it.  The Wolfram class table is one module global, loaded from the
+bundled file on first use and replaced by ``set_default_class_table``.
 """
 
 from __future__ import annotations
@@ -34,17 +39,6 @@ SIM_MAX_WIDTH = 64
 
 class ConfigurationError(Exception):
     """Raised when bundled static data is missing or malformed."""
-
-
-def _rotate_left_cells(bits: int, width: int) -> int:
-    """Value whose cell p is the original cell p+1 (cells shift left)."""
-    mask = (1 << width) - 1
-    return ((bits << 1) & mask) | (bits >> (width - 1)) if width > 1 else bits
-
-
-def _rotate_right_cells(bits: int, width: int) -> int:
-    mask = (1 << width) - 1
-    return (bits >> 1) | ((bits & 1) << (width - 1)) if width > 1 else bits
 
 
 @lru_cache(maxsize=1)
@@ -89,6 +83,19 @@ def stepper(rule_number: int, width: int):
     return step
 
 
+def neighborhoods(c, width: int, full):
+    """The eight neighborhood masks of ``c``, a packed ``width``-cell state
+    or a numpy array of them: ``masks[v]`` holds the cells whose
+    neighborhood (l, c, r) reads as ``v``.  ``full`` is the all-ones state,
+    of ``c``'s type.  Cell p's left neighbor is cell p - 1, so ``left`` is
+    the ring rotated one cell right, and ``right`` the ring rotated left."""
+    left = c >> 1 | (c & 1) << (width - 1)
+    right = (c << 1 & full) | c >> (width - 1)
+    nl, nc, nr = left ^ full, c ^ full, right ^ full
+    return (nl & nc & nr, nl & nc & right, nl & c & nr, nl & c & right,
+            left & nc & nr, left & nc & right, left & c & nr, left & c & right)
+
+
 @lru_cache(maxsize=None)
 def neighborhood_masks(width: int) -> tuple[np.ndarray, ...]:
     """``masks[v][s]``: the cells of state ``s`` whose neighborhood (l, c, r)
@@ -100,11 +107,7 @@ def neighborhood_masks(width: int) -> tuple[np.ndarray, ...]:
     of ``masks[v][s]``.
     """
     c = np.arange(1 << width, dtype=np.uint32)
-    full = np.uint32((1 << width) - 1)
-    left, right = _rotate_right_cells(c, width), _rotate_left_cells(c, width)
-    pick = lambda x, on: x if on else x ^ full
-    masks = tuple(pick(left, v & 4) & pick(c, v & 2) & pick(right, v & 1)
-                  for v in range(8))
+    masks = neighborhoods(c, width, np.uint32((1 << width) - 1))
     for m in masks:
         m.flags.writeable = False
     return masks
@@ -234,27 +237,19 @@ def load_class_table(path=None) -> dict[int, WolframClass]:
     return table
 
 
-@lru_cache(maxsize=1)
-def _default_class_table() -> dict[int, WolframClass]:
-    return load_class_table()
-
-
-_class_table_override: dict[int, WolframClass] | None = None
+_class_table: dict[int, WolframClass] | None = None   # loaded on first use
 
 
 def set_default_class_table(path: str | None) -> None:
-    """Replace the bundled class table process-wide (None restores it)."""
-    global _class_table_override
-    _class_table_override = None if path is None else load_class_table(path)
+    """Replace the class table process-wide (None restores the bundled one)."""
+    global _class_table
+    _class_table = None if path is None else load_class_table(path)
 
 
-def wolfram_class(n: int, table: dict[int, WolframClass] | None = None) -> WolframClass:
+def wolfram_class(n: int) -> WolframClass:
+    global _class_table
     if not 0 <= n <= 255:
         raise ValueError(f"rule number out of range: {n}")
-    if table is None:
-        table = _class_table_override
-    tab = table if table is not None else _default_class_table()
-    try:
-        return tab[n]
-    except KeyError as exc:
-        raise ConfigurationError(f"no class entry for rule {n}") from exc
+    if _class_table is None:
+        _class_table = load_class_table()
+    return _class_table[n]

@@ -10,7 +10,7 @@ transition a -> b pins rule bit v to 1 when some cell of ``a`` with
 neighborhood v is 1 in ``b``, and to 0 when one is 0; the pins of every
 transition of one width come from one table built with numpy from
 ``neighborhood_masks`` while it fits in ``TABLE_BUDGET`` entries, and are
-computed from the state's rotations per transition above it.
+computed per transition from ``neighborhoods`` of the state above it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .eca import _rotate_left_cells, _rotate_right_cells, neighborhood_masks
+from .eca import neighborhood_masks, neighborhoods
 from .variants import TABLE_BUDGET, _Computed
 
 
@@ -39,16 +39,11 @@ def _pin_table(width: int):
 
 
 def _pins(a: int, b: int, width: int) -> int:
-    """The pins of one transition, from ``a``'s left and right neighbors
-    (``a`` rotated one cell each way), as ``neighborhood_masks`` builds them."""
+    """The pins of one transition, from the neighborhood masks of ``a``."""
     full = (1 << width) - 1
-    left = _rotate_right_cells(a, width)
-    right = _rotate_left_cells(a, width)
     nb = b ^ full
     out = 0
-    for v in range(8):
-        m = ((left if v & 4 else ~left) & (a if v & 2 else ~a)
-             & (right if v & 1 else ~right) & full)
+    for v, m in enumerate(neighborhoods(a, width, full)):
         if m & b:
             out |= 1 << v
         if m & nb:

@@ -1,7 +1,8 @@
 """File emitters and readers: records CSV, report JSON, SVG plots, PGM renders.
 
 Every emitter embeds the resolved run configuration and tool version so two
-runs with identical configs produce byte-identical files.  The records CSV
+runs with identical configs produce byte-identical files, and publishes
+through ``replacing``, so a file appears whole or not at all.  The records CSV
 holds every ``ExecutionRecord`` field but ``attractor_rules``, which has no
 column: a report that ``analyze`` rebuilds from it equals the ``ensemble``
 report except that its metagenome (``metagenome_all``, ``metagenome_oee``)
@@ -18,6 +19,7 @@ import csv
 import json
 import operator
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import TYPE_CHECKING
@@ -111,27 +113,42 @@ ERRATA_NOTES = [
 ]
 
 
-@gc_paused()
-def write_records_csv(records: list[ExecutionRecord], path: str,
-                      config_echo: dict | None = None) -> None:
+@contextmanager
+def replacing(path: str, mode: str = "w", **open_kwargs):
+    """Write ``path`` whole or not at all: the body writes to ``path + ".tmp"``,
+    which is moved over ``path`` when the body returns and removed when the
+    body or the move raises."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(f"# oee-ca {__version__}\n")
-            for key, value in sorted((config_echo or {}).items()):
-                fh.write(f"# {key} = {value}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            for rec in records:
-                row = list(_ROW(rec))
-                for i, write in _WRITERS:
-                    row[i] = write(row[i], rec)
-                writer.writerow(row)
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_echo(fh, config_echo: dict | None) -> None:
+    """A CSV's ``#`` header: the tool version, then one ``key = value`` line
+    per config entry, sorted by key."""
+    fh.write(f"# oee-ca {__version__}\n")
+    for key, value in sorted((config_echo or {}).items()):
+        fh.write(f"# {key} = {value}\n")
+
+
+@gc_paused()
+def write_records_csv(records: list[ExecutionRecord], path: str,
+                      config_echo: dict | None = None) -> None:
+    with replacing(path, newline="") as fh:
+        write_echo(fh, config_echo)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for rec in records:
+            row = list(_ROW(rec))
+            for i, write in _WRITERS:
+                row[i] = write(row[i], rec)
+            writer.writerow(row)
 
 
 @gc_paused()
@@ -172,16 +189,9 @@ def write_report_json(report: EnsembleReport, path: str,
         },
         "report": report.to_dict(),
     }
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with replacing(path) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 # --- SVG --------------------------------------------------------------------
@@ -258,39 +268,25 @@ def svg_scatter(points: list[tuple[float, float]], title: str = "",
 
 
 def write_svg(content: str, path: str) -> None:
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with replacing(path) as fh:
+        fh.write(content)
 
 
 # --- PGM --------------------------------------------------------------------
 
-def write_pgm(rows: list[tuple[int, int]], path: str) -> None:
-    """Binary P5 render of a state trajectory: one row per time step, one
-    pixel per cell, byte 0 for 0-cells (white), 255 for 1-cells (black).
-    ``rows`` is a list of (bits, width) pairs sharing one width."""
-    if not rows:
+_PIXELS = bytes.maketrans(b"01", b"\x00\xff")
+
+
+def write_pgm(states: list[int], width: int, path: str) -> None:
+    """Binary P5 render of a state trajectory: one row per ``width``-cell
+    packed state, one pixel per cell, byte 0 for 0-cells (white), 255 for
+    1-cells (black)."""
+    if not states:
         raise ValueError("no rows to render")
-    width = rows[0][1]
-    if any(w != width for _, w in rows):
-        raise ValueError("rows must share one width")
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(f"P5\n# oee-ca {__version__}\n{width} {len(rows)}\n255\n".encode())
-            for bits, w in rows:
-                fh.write(bytes(255 if (bits >> (w - 1 - p)) & 1 else 0 for p in range(w)))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with replacing(path, "wb") as fh:
+        fh.write(f"P5\n# oee-ca {__version__}\n{width} {len(states)}\n255\n".encode())
+        for bits in states:
+            fh.write(format(bits, f"0{width}b").encode().translate(_PIXELS))
 
 
 # --- flat config files ------------------------------------------------------

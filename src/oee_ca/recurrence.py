@@ -5,7 +5,10 @@ organism's projected state (or rule) sequence has its own minimal period
 ``lam`` dividing L and its own pre-period ``p``; the recurrence time is
 ``t_rec = p + lam``, the step at which the projection first completes a full
 repetition.  Unbounded evolution compares these against the Poincare bound
-``t_P = 2**w_o`` of an equivalent isolated system.
+``t_P = 2**w_o`` of an equivalent isolated system (``ue_flag``); the attractor
+flag compares the full-system period L against it.  Case III has no cycle:
+its recurrence time is the first step with a homogeneous organism state,
+which the trajectory records, and a capped run is censored.
 
 ``CycleInfo`` and ``RecurrenceReport`` are slotted dataclasses that nothing
 mutates after construction; they are not frozen, so they are not hashable.
@@ -85,15 +88,6 @@ def projected_recurrence(sequence: list, cycle: CycleInfo) -> tuple[int, int, in
     return p, lam, p + lam
 
 
-def case3_convergence_time(traj: Trajectory) -> tuple[int | None, bool]:
-    """(first step with homogeneous s_o, censored flag)."""
-    if traj.config.variant is not Variant.CASE_III:
-        raise ValueError("convergence time applies to Case III trajectories")
-    if traj.cap_hit:
-        return None, True
-    return traj.convergence_time, False
-
-
 def ue_flag(t_P: int, t_r: int | None, t_r_rule: int | None) -> bool | None:
     """Definition of unbounded evolution; strict inequalities, censored
     inputs propagate None (never a false positive)."""
@@ -102,21 +96,15 @@ def ue_flag(t_P: int, t_r: int | None, t_r_rule: int | None) -> bool | None:
     return (t_r is not None and t_r > t_P) or (t_r_rule is not None and t_r_rule > t_P)
 
 
-def attractor_ue_flag(cycle: CycleInfo | None, t_P: int) -> bool | None:
-    if cycle is None:
-        return None
-    return cycle.period > t_P
-
-
 def build_report(traj: Trajectory) -> RecurrenceReport:
     """Full recurrence analysis of one trajectory."""
     t_P = poincare_time(traj.config.w_o)
     if traj.config.variant is Variant.CASE_III:
-        t_r, censored = case3_convergence_time(traj)
+        t_r = traj.convergence_time   # None when the cap was hit
         return RecurrenceReport(
             t_P=t_P, t_r=t_r, t_r_rule=None, t_a=None,
-            ue=None if censored else (t_r > t_P),
-            attractor_ue=None, censored=censored)
+            ue=None if traj.cap_hit else t_r > t_P,
+            attractor_ue=None, censored=traj.cap_hit)
 
     cycle = detect_cycle(traj)
     if cycle is None:
@@ -127,4 +115,4 @@ def build_report(traj: Trajectory) -> RecurrenceReport:
     return RecurrenceReport(
         t_P=t_P, t_r=t_r, t_r_rule=t_r_rule, t_a=cycle.period,
         ue=ue_flag(t_P, t_r, t_r_rule),
-        attractor_ue=attractor_ue_flag(cycle, t_P))
+        attractor_ue=cycle.period > t_P)

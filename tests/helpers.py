@@ -10,8 +10,6 @@ import numpy as np
 
 from oee_ca.complexity import EXTINCT, fit_exponent, lyapunov, lzw_phrase_count, lzw_size_bits
 from oee_ca.eca import (
-    _rotate_left_cells,
-    _rotate_right_cells,
     canonical_rules,
     step_table,
     stepper,
@@ -378,8 +376,9 @@ def naive_step_bits(rule_number: int, bits: int, width: int) -> int:
     c = bits
     # cell p's left neighbor is cell p-1: every position takes the value one
     # step to its left, i.e. the cell array rotated right.
-    left = _rotate_right_cells(bits, width)
-    right = _rotate_left_cells(bits, width)
+    cells = format(bits, f"0{width}b")
+    left = int(cells[-1] + cells[:-1], 2)
+    right = int(cells[1:] + cells[0], 2)
     out = 0
     for v in range(8):
         if (rule_number >> v) & 1:
@@ -482,6 +481,37 @@ def lzw_compress_bits(symbols: str) -> int:
     if symbols.strip("01"):
         raise ValueError("LZW input must be a string of '0' and '1'")
     return lzw_size_bits(lzw_phrase_count(symbols.encode().translate(_TO_BITS)))
+
+
+# --- Case III's convergence time, exactly ----------------------------------------
+
+def case3_convergence_law(w: int, mu: float, tail: float = 1e-15) -> list[float]:
+    """``law[t]`` = P(t_r = t) of a Case III run of width ``w``, drawn as a
+    plan draws it: rule uniform over the 88 canonical rules, state uniform
+    over all ``2**w`` (oracle; exact but for a final live mass below
+    ``tail``).
+
+    (r_o, s_o) is an absorbing Markov chain (Kemeny & Snell, *Finite Markov
+    Chains*, 1960): each step first flips each of the eight rule bits with
+    probability ``mu``, then steps the state under the new rule, and a run
+    stops at a homogeneous state.  So the law propagates a 256 x 2**w array
+    of live probability mass: mix over the rules, scatter each rule's row
+    through its step table, and take the homogeneous columns off as the
+    mass absorbed at that step."""
+    n = 1 << w
+    rules = np.arange(256)
+    flipped = np.array([bin(x).count("1") for x in rules])[rules[:, None] ^ rules]
+    mix = mu ** flipped * (1 - mu) ** (8 - flipped)   # P(r -> r'), symmetric
+    cells = np.array([list(step_table(r, w)) for r in rules]) + rules[:, None] * n
+    live = np.zeros((256, n))
+    live[list(canonical_rules())] = 1 / (88 * n)
+    law = []
+    while True:
+        law.append(live[:, 0].sum() + live[:, n - 1].sum())
+        live[:, [0, n - 1]] = 0
+        if live.sum() < tail:
+            return law
+        live = np.bincount(cells.ravel(), (mix @ live).ravel(), 256 * n).reshape(256, n)
 
 
 # --- brute-force counterfactual set -------------------------------------------

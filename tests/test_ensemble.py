@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 
 from helpers import (
+    case3_convergence_law,
     exhaustive_plan_tuples,
     scalar_draw_plan,
     scalar_log2_histogram,
@@ -333,6 +334,32 @@ def test_run_ensemble_explicit_workers_ignore_env(monkeypatch):
     assert len(run_ensemble(plan, workers=1)) == 20
     with pytest.raises(ValueError):
         run_ensemble(plan)
+
+
+@pytest.mark.parametrize("w_o, mu, seed", [(4, 0.25, 191), (4, 0.5, 192),
+                                          (6, 0.25, 193), (6, 0.5, 194)])
+def test_case3_convergence_follows_the_exact_law(w_o, mu, seed):
+    """Case III's t_r and UE rate on a fresh plan agree with the exact law
+    of the (r_o, s_o) chain, which shares no stepping code with the
+    package: the sample mean of t_r lies within 4 standard errors, taken
+    from the exact variance, the histogram of t_r passes a chi-squared test
+    (the tail pooled where fewer than 5 runs are expected), and the UE
+    count passes an exact binomial test against P(t_r > t_P)."""
+    law = case3_convergence_law(w_o, mu)
+    records = run_ensemble(SamplePlan(Variant.CASE_III, w_o, mu=mu, sample_count=4000,
+                                      master_seed=seed, norm_samples=20, norm_steps=64))
+    assert not any(rec.censored for rec in records)
+    n = len(records)
+    mean = sum(t * p for t, p in enumerate(law))
+    var = sum(t * t * p for t, p in enumerate(law)) - mean ** 2
+    assert abs(sum(rec.t_r for rec in records) / n - mean) < 4 * (var / n) ** 0.5
+    counts = np.bincount([rec.t_r for rec in records], minlength=len(law))
+    at_least = n * np.cumsum(law[::-1])[::-1]   # runs expected at t or later
+    cut = int(np.argmax(at_least < 5))
+    assert stats.chisquare([*counts[:cut - 1], counts[cut - 1:].sum()],
+                           [*(n * p for p in law[:cut - 1]), at_least[cut - 1]]).pvalue > 1e-4
+    p_ue = sum(law[(1 << w_o) + 1:])
+    assert stats.binomtest(sum(rec.ue for rec in records), n, p_ue).pvalue > 1e-4
 
 
 def test_isolated_control_zero_oee():

@@ -4,16 +4,19 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from helpers import SystemSnapshot, render_rows, system_step
+from helpers import SystemSnapshot, cell, render_rows, system_step
+from oee_ca import __version__
 from oee_ca import complexity as cx
 from oee_ca.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main, render_start
 from oee_ca.ensemble import SamplePlan, aggregate, run_ensemble
+from oee_ca.eca import load_class_table
 from oee_ca.io_formats import (
     CSV_COLUMNS,
     read_config_file,
@@ -24,6 +27,7 @@ from oee_ca.io_formats import (
     write_pgm,
     write_records_csv,
     write_report_json,
+    write_svg,
 )
 from oee_ca.variants import Variant, VariantConfig, run_trajectory
 
@@ -135,7 +139,7 @@ def aggregate_box():
 
 def test_pgm_identity_rule_rows(tmp_path):
     path = str(tmp_path / "out.pgm")
-    write_pgm([(0b0110, 4)] * 3, path)
+    write_pgm([0b0110] * 3, 4, path)
     data = open(path, "rb").read()
     header, pixels = data.rsplit(b"\n", 1)[0], data[-12:]
     assert data.startswith(b"P5\n")
@@ -143,11 +147,51 @@ def test_pgm_identity_rule_rows(tmp_path):
     assert pixels == bytes([0, 255, 255, 0] * 3)
 
 
+@pytest.mark.parametrize("width", [1, 3, 64, 65, 1000])
+def test_pgm_rows_match_per_cell_oracle(width, tmp_path):
+    """Each row is one byte per cell, 255 for a 1-cell, read one cell at a
+    time from the MSB: all-zero rows and rows that start with 0-cells keep
+    their full width."""
+    full = (1 << width) - 1
+    rng = random.Random(width)
+    states = [0, full, 1, full >> 1, *(rng.getrandbits(width) for _ in range(4))]
+    path = str(tmp_path / "rows.pgm")
+    write_pgm(states, width, path)
+    data = open(path, "rb").read()
+    head = f"P5\n# oee-ca {__version__}\n{width} {len(states)}\n255\n".encode()
+    assert data[:len(head)] == head
+    assert data[len(head):] == b"".join(
+        bytes(255 if cell(bits, p, width) else 0 for p in range(width)) for bits in states)
+
+
 def test_pgm_validation(tmp_path):
     with pytest.raises(ValueError):
-        write_pgm([], str(tmp_path / "x.pgm"))
-    with pytest.raises(ValueError):
-        write_pgm([(0, 3), (0, 4)], str(tmp_path / "x.pgm"))
+        write_pgm([], 3, str(tmp_path / "x.pgm"))
+
+
+WRITERS = {
+    "records_csv": lambda records, out: write_records_csv(records, out),
+    "report_json": lambda records, out: write_report_json(aggregate(records), out),
+    "svg": lambda records, out: write_svg(svg_histogram({"a": 1}), out),
+    "pgm": lambda records, out: write_pgm([0b0110], 4, out),
+    "run_csv": lambda records, out: main(["run", "--variant", "eca", "--wo", "4",
+                                          "--out", out]),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writers_leave_no_temporary_file(writer, sample_records, tmp_path):
+    """A target that cannot be replaced (an existing directory) fails the
+    write, exit 3 through main, and the ``.tmp`` file is removed."""
+    target = tmp_path / "taken"
+    target.mkdir()
+    if writer == "run_csv":
+        assert WRITERS[writer](sample_records, str(target)) == EXIT_DATA
+    else:
+        with pytest.raises(OSError):
+            WRITERS[writer](sample_records, str(target))
+    assert target.is_dir()
+    assert sorted(os.listdir(tmp_path)) == ["taken"]
 
 
 # --- config files -----------------------------------------------------------
@@ -775,6 +819,44 @@ def test_cli_config_file_values_are_converted(tmp_path):
         main(["--config", str(conf), "ensemble", "--variant", "case1",
               "--wo", "3", "--samples", "20", "--out", out, "--report", report])
     assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command, key", [("ensemble", "sampels = 10"),
+                                          ("run", "ratio = 1")])
+def test_cli_config_key_without_a_flag_is_usage_error(command, key, tmp_path, capsys):
+    """A misspelled key, or one that is a flag of another subcommand only,
+    is refused like the flag it would be."""
+    conf = tmp_path / "plan.conf"
+    conf.write_text(key + "\n")
+    argv = {"ensemble": ["--samples", "5", "--report", str(tmp_path / "rep.json")],
+            "run": []}[command]
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(conf), command, "--variant", "eca", "--wo", "3",
+              "--out", str(tmp_path / "out.csv"), *argv])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --" + key.split()[0] in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["plan.conf"]
+
+
+def test_cli_class_table_lasts_one_call(tmp_path):
+    """--class-table tags one call's metagenome; the next call in the same
+    process uses the bundled table again."""
+    table = tmp_path / "classes.txt"
+    table.write_text("".join(f"{n} 4\n" for n in range(256)))
+    report = tmp_path / "report.json"
+    argv = ["ensemble", "--variant", "eca", "--wo", "3", "--samples", "40",
+            "--out", str(tmp_path / "records.csv"), "--report", str(report)]
+
+    def tags():
+        return {m["rule"]: m["wolfram_class"]
+                for m in json.load(open(report))["report"]["metagenome_all"]}
+
+    assert main(["--class-table", str(table), *argv]) == EXIT_OK
+    assert set(tags().values()) == {4}
+    assert main(argv) == EXIT_OK
+    bundled, tagged = load_class_table(), tags()
+    assert tagged == {rule: int(bundled[rule]) for rule in tagged}
+    assert set(tagged.values()) != {4}
 
 
 def test_cli_class_table_override(tmp_path):

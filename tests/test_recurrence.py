@@ -8,9 +8,7 @@ from helpers import naive_cycle, scalar_projected_recurrence
 from oee_ca.eca import step_table
 from oee_ca.recurrence import (
     CycleInfo,
-    attractor_ue_flag,
     build_report,
-    case3_convergence_time,
     detect_cycle,
     poincare_time,
     projected_recurrence,
@@ -194,9 +192,19 @@ def test_ue_flag_fig1_hypotheticals():
 
 
 def test_attractor_ue_flag():
-    assert attractor_ue_flag(CycleInfo(0, 9), 8) is True
-    assert attractor_ue_flag(CycleInfo(0, 8), 8) is False
-    assert attractor_ue_flag(None, 8) is None
+    """The attractor flag compares the full-system period with t_P, strictly,
+    and a censored run has none."""
+    def report(w_e, r_o, r_e, s_e, cap=None):
+        config = VariantConfig(Variant.CASE_I, 3, 0b001, r_o, w_e=w_e, s_e=s_e, r_e=r_e)
+        return build_report(run_trajectory(config, cap))
+
+    longer = report(6, 30, 45, 0b1)
+    assert (longer.t_P, longer.t_a, longer.attractor_ue) == (8, 18, True)
+    assert longer.ue is False   # the organism recurs within t_P all the same
+    equal = report(4, 0, 3, 0b1)
+    assert (equal.t_a, equal.attractor_ue) == (8, False)
+    censored = report(6, 30, 45, 0b1, cap=1)
+    assert censored.censored and censored.t_a is None and censored.attractor_ue is None
 
 
 def test_isolated_never_ue():
@@ -211,27 +219,23 @@ def test_isolated_never_ue():
 # --- Case III convergence ---------------------------------------------------
 
 def test_case3_convergence_examples():
+    """Case III's t_r is the first step with a homogeneous organism state."""
     config = VariantConfig(Variant.CASE_III, 4, 0, 30, mu=0.5, seed=1)
-    assert case3_convergence_time(run_trajectory(config)) == (0, False)
+    rep = build_report(run_trajectory(config))
+    assert (rep.t_r, rep.ue, rep.censored) == (0, False, False)
 
     config = VariantConfig(Variant.CASE_III, 4, 0b0101, 0,
                            mu=0.0, seed=1)
-    assert case3_convergence_time(run_trajectory(config)) == (1, False)
+    rep = build_report(run_trajectory(config))
+    assert (rep.t_P, rep.t_r, rep.ue, rep.censored) == (16, 1, False, False)
+    assert (rep.t_r_rule, rep.t_a, rep.attractor_ue) == (None, None, None)
 
 
 def test_case3_censoring():
     config = VariantConfig(Variant.CASE_III, 4, 0b0101, 204,
                            mu=0.0, seed=1)
-    traj = run_trajectory(config, cap=50)
-    assert case3_convergence_time(traj) == (None, True)
-    rep = build_report(traj)
-    assert rep.censored and rep.ue is None
-
-
-def test_case3_convergence_rejects_other_variants():
-    config = VariantConfig(Variant.ISOLATED, 3, 1, 30)
-    with pytest.raises(ValueError):
-        case3_convergence_time(run_trajectory(config))
+    rep = build_report(run_trajectory(config, cap=50))
+    assert rep.censored and rep.t_r is None and rep.ue is None
 
 
 # --- build_report -----------------------------------------------------------
