@@ -16,9 +16,10 @@ window, whose next values come from a table of all 1024 windows per rule
 (``window_tables``, 256 KB for all 256 rules, built once with numpy).
 
 ``neighborhoods`` states the neighborhood formula once, for one packed state
-or a numpy array of them; the step and count tables and the innovation pins
-all read it.  The Wolfram class table is one module global, loaded from the
-bundled file on first use and replaced by ``set_default_class_table``.
+or a numpy array of them; the step and count tables, one state's triplet
+counts and the innovation pins all read it.  The Wolfram class table is one
+module global, loaded from the bundled file on first use and replaced by
+``set_default_class_table``.
 """
 
 from __future__ import annotations
@@ -136,15 +137,10 @@ def step_table(rule_number: int, width: int):
 
 
 def triplet_counts_bits(bits: int, width: int) -> tuple[int, ...]:
-    """Counts of each S3 triplet over the ``width`` periodic windows."""
-    counts = [0] * 8
-    for p in range(width):
-        l = (bits >> (width - 1 - ((p - 1) % width))) & 1
-        c = (bits >> (width - 1 - p)) & 1
-        r = (bits >> (width - 1 - ((p + 1) % width))) & 1
-        v = (l << 2) | (c << 1) | r
-        counts[7 - v] += 1
-    return tuple(counts)
+    """Counts of each S3 triplet over the ``width`` periodic windows: the
+    set bits of the neighborhood masks, in S3 order."""
+    masks = neighborhoods(bits, width, (1 << width) - 1)
+    return tuple(m.bit_count() for m in reversed(masks))
 
 
 @lru_cache(maxsize=None)

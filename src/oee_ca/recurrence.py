@@ -8,7 +8,7 @@ repetition.  Unbounded evolution compares these against the Poincare bound
 ``t_P = 2**w_o`` of an equivalent isolated system (``ue_flag``); the attractor
 flag compares the full-system period L against it.  Case III has no cycle:
 its recurrence time is the first step with a homogeneous organism state,
-which the trajectory records, and a capped run is censored.
+the last step of an uncensored trajectory, and a capped run is censored.
 
 ``CycleInfo`` and ``RecurrenceReport`` are slotted dataclasses that nothing
 mutates after construction; they are not frozen, so they are not hashable.
@@ -54,9 +54,9 @@ def detect_cycle(traj: Trajectory) -> CycleInfo | None:
     """Minimal (P, L) of a deterministic trajectory; None when censored."""
     if not traj.config.variant.deterministic:
         raise ValueError("cycle detection applies to deterministic variants only")
-    if traj.cap_hit or traj.repeat_time is None:
+    if traj.cap_hit:
         return None
-    return CycleInfo(traj.first_seen, traj.repeat_time - traj.first_seen)
+    return CycleInfo(traj.first_seen, len(traj.states) - 1 - traj.first_seen)
 
 
 @lru_cache(maxsize=4096)
@@ -100,7 +100,7 @@ def build_report(traj: Trajectory) -> RecurrenceReport:
     """Full recurrence analysis of one trajectory."""
     t_P = poincare_time(traj.config.w_o)
     if traj.config.variant is Variant.CASE_III:
-        t_r = traj.convergence_time   # None when the cap was hit
+        t_r = None if traj.cap_hit else len(traj.states) - 1
         return RecurrenceReport(
             t_P=t_P, t_r=t_r, t_r_rule=None, t_a=None,
             ue=None if traj.cap_hit else t_r > t_P,

@@ -26,16 +26,18 @@ in ``TABLE_BUDGET`` entries: the organism's 256 step tables, the environment
 tables of all ``ENVIRONMENT_RULES`` rules a plan can draw, one flip table.
 Above it the same loop computes each entry per step: a step with the
 window-table kernel (``eca.stepper``), a flip mask with
-``case1_update_bits``.  Case III draws its flip masks a block of steps at a
-time from its own Philox stream, addressed by key and counter through one
-generator shared by the process (not thread-safe; a process steps its runs
-on one thread).  ``continued`` extends a finished run past its end, around
-its cycle or on its flip-mask stream: ``oee-ca render`` replays a cycle
-with it, and ``complexity.lyapunov`` reads a run to its horizon from it and
-steps a perturbed copy of the organism alongside.  ``VariantConfig`` and
-``Trajectory`` are slotted dataclasses; they are not frozen, so they are
-not hashable.  Widths are not bounded here; the callers that take them
-from outside (``oee-ca run``, ``SamplePlan``) check them.
+``case1_update_bits``.  Case III's flip masks are a pure function of
+(seed, mu, step), ``case3_masks``: its Philox stream is addressed by key
+and counter through one generator shared by the process (not thread-safe;
+a process steps its runs on one thread), and a run draws them a block of
+steps at a time.  ``continued`` extends a finished run past its end,
+around its cycle or with the masks of the steps after it: ``oee-ca
+render`` replays a cycle with it, and ``complexity.lyapunov`` reads a run
+to its horizon from it and steps a perturbed copy of the organism
+alongside.  ``VariantConfig`` and ``Trajectory`` are slotted dataclasses;
+they are not frozen, so they are not hashable.  Widths are not bounded
+here; the callers that take them from outside (``oee-ca run``,
+``SamplePlan``) check them.
 
 ``gc_paused`` pauses the cyclic garbage collector for a block or function.
 The pipeline's bulk entry points (drawing a plan, the normalization
@@ -50,7 +52,7 @@ import enum
 import gc
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -138,7 +140,10 @@ def _check_ca(ca: str, width: int, bits: int, rule: int) -> None:
 @dataclass(slots=True)
 class Trajectory:
     """A run as packed sequences: ``states[t]``, ``rules[t]`` and (Case I/II)
-    ``envs[t]`` are s_o, r_o and s_e at step t."""
+    ``envs[t]`` are s_o, r_o and s_e at step t.  Unless the run hit its cap,
+    its last step ``len(states) - 1`` is where it stopped: the repeat of the
+    snapshot first seen at ``first_seen`` (deterministic variants) or the
+    first homogeneous organism state (Case III)."""
 
     config: VariantConfig
     states: list[int]
@@ -147,11 +152,6 @@ class Trajectory:
     cap_hit: bool = False
     # deterministic variants: time at which the repeated snapshot first occurred
     first_seen: int | None = None
-    repeat_time: int | None = None
-    # Case III: first step with a homogeneous organism state
-    convergence_time: int | None = None
-    # Case III: the run's flip-mask stream, kept so ``continued`` can go past the end
-    flips: FlipMasks | None = field(default=None, repr=False, compare=False)
 
     def state_sequence(self) -> list[int]:
         """``states``; ``bench/pipeline.py`` counts a run's steps through it."""
@@ -183,16 +183,16 @@ def case1_update_bits(s_o_bits: int, w_o: int, r_o: int, s_e_bits: int, w_e: int
     return out
 
 
-def stream_key(master_seed: int, index: int = 0) -> list[int]:
-    """The Philox key words ``[index, master_seed]`` (each taken mod 2^64) of
-    the stream keyed by (master seed, execution index), i.e. the 128-bit key
-    ``(master_seed << 64) | index``."""
-    return [int(index) & (2**64 - 1), int(master_seed) & (2**64 - 1)]
+def stream_key(master_seed: int) -> list[int]:
+    """The Philox key words ``[0, master_seed]`` (the seed taken mod 2^64)
+    of the stream keyed by ``master_seed``, i.e. the 128-bit key
+    ``master_seed << 64``."""
+    return [0, int(master_seed) & (2**64 - 1)]
 
 
-def execution_rng(master_seed: int, index: int = 0) -> np.random.Generator:
-    """Counter-based stream keyed by (master seed, execution index)."""
-    key = np.array(stream_key(master_seed, index), dtype=np.uint64)
+def execution_rng(master_seed: int) -> np.random.Generator:
+    """Counter-based stream keyed by ``master_seed``."""
+    key = np.array(stream_key(master_seed), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -307,10 +307,10 @@ def flip_masks(w_o: int, w_e: int):
         lambda se: case1_update_bits(so, w_o, 0, se, w_e)))
 
 
-# The one Philox generator every ``FlipMasks`` draws from.  Each block is
-# drawn right after pointing it at the block's (key, counter), so instances
-# may interleave, but the generator is not thread-safe: the package steps
-# one run at a time in each process.
+# The one Philox generator ``case3_masks`` draws from.  Each call points it
+# at its (key, counter) first, so calls for different runs may interleave,
+# but the generator is not thread-safe: the package steps one run at a time
+# in each process.
 _PHILOX = np.random.Philox(key=0)
 _PHILOX_STATE = {"bit_generator": "Philox",
                  "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
@@ -326,38 +326,27 @@ def flip_threshold(mu: float) -> int:
     return math.ceil(mu * 2.0**53)
 
 
-class FlipMasks:
-    """Case III's rule flips: ``masks[t]`` is XORed into the rule at step
-    t + 1.  They are the stream of ``execution_rng(seed)``, drawn a block of
-    steps at a time: a step takes 8 doubles of ``random()``, and draw j of a
-    step flips rule bit 7 - j when it is below mu.  Each double is one raw
-    64-bit word ``raw``, and ``raw >> 11 < thr`` exactly when
-    ``raw < thr << 11``, so a block of n steps compares ``random_raw(8 * n)``
-    with ``flip_threshold(mu) << 11`` (below 2**64, as mu < 1) and packs the
-    bits 8 to a byte, one byte per step.  Draws past the end of a run stay
-    in ``masks`` for whoever continues it.
+def case3_masks(seed: int, mu: float, start: int, n: int) -> bytes:
+    """Case III's rule flips at steps ``start .. start + n - 1`` of the run
+    seeded ``seed``: mask t is XORed into the rule at step t + 1.  They are
+    the stream of ``execution_rng(seed)``: a step takes 8 doubles of
+    ``random()``, and draw j of a step flips rule bit 7 - j when it is below
+    mu.  Each double is one raw 64-bit word ``raw``, and ``raw >> 11 < thr``
+    exactly when ``raw < thr << 11``, so n steps compare ``random_raw(8 * n)``
+    with ``flip_threshold(mu) << 11`` (below 2**64, as mu < 1) and pack the
+    bits 8 to a byte, one byte per step.
 
     Philox is counter-based: the 64-bit words of block c of a stream are a
     function of (key, c) alone.  A step takes 8 words, two 4-word blocks,
-    so the steps from ``len(masks)`` on start at counter
-    ``2 * len(masks)``.  An instance keeps only its key, its word bound and
-    its masks, and ``more`` points the module's shared generator there,
-    with an empty buffer, before each block; no generator is built per
-    run."""
-
-    def __init__(self, seed: int, mu: float):
-        self._key = stream_key(seed)
-        self._bound = np.uint64(flip_threshold(mu) << 11)
-        self.masks = bytearray()
-
-    def more(self) -> None:
-        """Draw the next block; blocks double from 16 steps up to 4096."""
-        n = min(max(16, len(self.masks)), 4096)
-        state = _PHILOX_STATE["state"]
-        state["counter"][0] = 2 * len(self.masks)
-        state["key"][:] = self._key
-        _PHILOX.state = _PHILOX_STATE
-        self.masks += np.packbits(_PHILOX.random_raw(8 * n) < self._bound).tobytes()
+    so step ``start`` begins at counter ``2 * start``.  The call points the
+    module's shared generator there, with an empty buffer; no generator is
+    built per run."""
+    state = _PHILOX_STATE["state"]
+    state["counter"][0] = 2 * start
+    state["key"][:] = stream_key(seed)
+    _PHILOX.state = _PHILOX_STATE
+    bound = np.uint64(flip_threshold(mu) << 11)
+    return np.packbits(_PHILOX.random_raw(8 * n) < bound).tobytes()
 
 
 # --- coupled stepping -------------------------------------------------------
@@ -414,30 +403,27 @@ def _run_deterministic(config: VariantConfig, cap: int) -> Trajectory:
             envs.append(se)
         first = seen.setdefault((so << shift) | (ro << w_e) | se, t)
         if first != t:
-            return Trajectory(config, states, rules, envs, first_seen=first, repeat_time=t)
+            return Trajectory(config, states, rules, envs, first_seen=first)
     return Trajectory(config, states, rules, envs, cap_hit=True)
 
 
 def _run_case3(config: VariantConfig, cap: int) -> Trajectory:
     o_step = organism_steps(config.w_o)
     full = (1 << config.w_o) - 1
-    flips = FlipMasks(config.seed, config.mu)
     so, ro = config.s_o, config.r_o
     states, rules = [so], [ro]
-    if so == 0 or so == full:
-        return Trajectory(config, states, rules, convergence_time=0, flips=flips)
     t = 0
-    while t < cap:
-        flips.more()
-        for mask in flips.masks[t:cap]:
+    while t < cap and 0 < so < full:
+        # blocks double from 16 steps up to 4096
+        for mask in case3_masks(config.seed, config.mu, t, min(max(16, t), 4096, cap - t)):
             t += 1
             ro ^= mask
             so = o_step[ro][so]
             states.append(so)
             rules.append(ro)
             if so == 0 or so == full:
-                return Trajectory(config, states, rules, convergence_time=t, flips=flips)
-    return Trajectory(config, states, rules, cap_hit=True, flips=flips)
+                break
+    return Trajectory(config, states, rules, cap_hit=0 < so < full)
 
 
 def continued(traj: Trajectory, horizon: int):
@@ -448,18 +434,16 @@ def continued(traj: Trajectory, horizon: int):
     if horizon <= n:
         return traj.states, traj.rules, traj.envs
     if traj.config.variant.deterministic:
-        if traj.repeat_time is None:
+        if traj.cap_hit:
             raise ValueError("a censored trajectory cannot be continued")
-        P, L = traj.first_seen, traj.repeat_time - traj.first_seen
+        P, L = traj.first_seen, n - traj.first_seen
         tail = [P + (t - P) % L for t in range(n + 1, horizon + 1)]
         return tuple(None if seq is None else seq + [seq[i] for i in tail]
                      for seq in (traj.states, traj.rules, traj.envs))
     o_step = organism_steps(traj.config.w_o)
     states, rules = list(traj.states), list(traj.rules)
     so, ro = states[-1], rules[-1]
-    while len(traj.flips.masks) < horizon:
-        traj.flips.more()
-    for mask in traj.flips.masks[n:horizon]:
+    for mask in case3_masks(traj.config.seed, traj.config.mu, n, horizon - n):
         ro ^= mask
         so = o_step[ro][so]
         states.append(so)

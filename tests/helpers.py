@@ -13,7 +13,6 @@ from oee_ca.eca import (
     canonical_rules,
     step_table,
     stepper,
-    triplet_counts_bits,
 )
 from oee_ca.ensemble import SamplePlan, draw_plan, flag_stages, sample_space_size
 from oee_ca.recurrence import CycleInfo
@@ -241,19 +240,15 @@ def scalar_trajectory(config: VariantConfig, cap: int | None = None) -> Trajecto
         cap = default_step_cap(config)
     snap = SystemSnapshot(0, config.s_o, config.r_o, config.s_e)
     snapshots = [snap]
-    end = {}  # the stop condition's fields; empty when the cap is hit
-    homogeneous = (0, (1 << config.w_o) - 1)
+    first = None  # deterministic variants: step of the repeated snapshot
     if config.variant is Variant.CASE_III:
         rng = execution_rng(config.seed)
-        if snap.s_o in homogeneous:
-            end = dict(convergence_time=0)
-        else:
-            for t in range(1, cap + 1):
-                snap = system_step(config, snap, rng)
-                snapshots.append(snap)
-                if snap.s_o in homogeneous:
-                    end = dict(convergence_time=t)
-                    break
+        homogeneous = (0, (1 << config.w_o) - 1)
+        stopped = snap.s_o in homogeneous
+        while not stopped and len(snapshots) <= cap:
+            snap = system_step(config, snap, rng)
+            snapshots.append(snap)
+            stopped = snap.s_o in homogeneous
     else:
         seen = {snap.key(): 0}
         for t in range(1, cap + 1):
@@ -261,12 +256,12 @@ def scalar_trajectory(config: VariantConfig, cap: int | None = None) -> Trajecto
             snapshots.append(snap)
             first = seen.get(snap.key())
             if first is not None:
-                end = dict(first_seen=first, repeat_time=t)
                 break
             seen[snap.key()] = t
+        stopped = first is not None
     envs = ([s.s_e for s in snapshots] if config.variant.has_environment else None)
     return Trajectory(config, [s.s_o for s in snapshots], [s.r_o for s in snapshots],
-                      envs, cap_hit=not end, **end)
+                      envs, cap_hit=not stopped, first_seen=first)
 
 
 def scalar_lyapunov(config: VariantConfig, perturb_bit: int = 0,
@@ -392,9 +387,19 @@ def scalar_step_table(rule_number: int, width: int) -> tuple[int, ...]:
     return tuple(naive_step_bits(rule_number, s, width) for s in range(1 << width))
 
 
+def naive_triplet_counts(bits: int, width: int) -> tuple[int, ...]:
+    """Counts of each S3 triplet over the ``width`` periodic windows, one
+    cell's (left, center, right) read at a time (oracle)."""
+    counts = [0] * 8
+    for p in range(width):
+        l, c, r = (cell(bits, p + d, width) for d in (-1, 0, 1))
+        counts[7 - (l << 2 | c << 1 | r)] += 1
+    return tuple(counts)
+
+
 def scalar_count_table(width: int) -> tuple[tuple[int, ...], ...]:
-    """``count_table`` one ``triplet_counts_bits`` call per state (oracle)."""
-    return tuple(triplet_counts_bits(s, width) for s in range(1 << width))
+    """``count_table`` one ``naive_triplet_counts`` call per state (oracle)."""
+    return tuple(naive_triplet_counts(s, width) for s in range(1 << width))
 
 
 def naive_cycle(step_fn, initial) -> tuple[int, int]:

@@ -158,7 +158,7 @@ def test_criterion_08_case3_convergence():
         if traj.cap_hit:
             censored += 1
         else:
-            trs.append(traj.convergence_time)
+            trs.append(len(traj.states) - 1)
     hist = Counter(trs)
     pts = [(t, math.log(c)) for t, c in sorted(hist.items()) if t >= 1 and c >= 5]
     x = np.array([p[0] for p in pts], dtype=float)

@@ -2,12 +2,14 @@
 
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
     RuleTable,
     naive_step_bits,
+    naive_triplet_counts,
     rule_from_number,
     rule_to_number,
     scalar_count_table,
@@ -207,6 +209,17 @@ def test_triplet_frequencies_sum_to_one(s):
     """One triplet per cell, so the normalized frequencies sum to 1."""
     bits, w = s
     assert sum(triplet_counts_bits(bits, w)) == w
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 16, 17, 63, 64, 65, 101])
+def test_triplet_counts_match_per_cell_oracle(width):
+    """The neighborhood masks' bit counts equal the per-cell windows on
+    zero, all-ones, alternating and random states."""
+    full = (1 << width) - 1
+    rng = np.random.default_rng(width)
+    randoms = [int.from_bytes(rng.bytes(16), "big") & full for _ in range(20)]
+    for bits in (0, full, full // 3, full - full // 3, *randoms):
+        assert triplet_counts_bits(bits, width) == naive_triplet_counts(bits, width)
 
 
 # --- equivalence orbits -----------------------------------------------------

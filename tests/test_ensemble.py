@@ -202,8 +202,8 @@ def test_draw_plan_after_a_rejected_word_takes_the_scalar_calls(monkeypatch):
     assert (words[index, 1] * np.uint64(88)) & 0xFFFFFFFF < (2**32 - 88) % 88
 
     rngs = []
-    def counting_rng(master_seed, index=0):
-        rngs.append(CountingRng(execution_rng(master_seed, index)))
+    def counting_rng(master_seed):
+        rngs.append(CountingRng(execution_rng(master_seed)))
         return rngs[-1]
     monkeypatch.setattr(ensemble, "execution_rng", counting_rng)
     plan = SamplePlan(Variant.CASE_I, 4, 4, sample_count=2500, master_seed=seed)

@@ -378,7 +378,7 @@ def test_cli_render_rows_equal_the_stepping_oracle(name, tmp_path):
     if repeats is not None:
         env = dict(w_e=w_e, s_e=s_e, r_e=r_e) if variant.has_environment else {}
         traj = run_trajectory(VariantConfig(variant, w_o, s_o, r_o, **env), steps)
-        assert (not traj.cap_hit and traj.repeat_time < steps) == repeats
+        assert (not traj.cap_hit and len(traj.states) - 1 < steps) == repeats
 
 
 def test_render_start_widens_wide_environments():

@@ -19,10 +19,10 @@ from oee_ca import complexity as cx
 from oee_ca.eca import step_table, stepper
 from oee_ca.variants import (
     TABLE_BUDGET,
-    FlipMasks,
     Variant,
     VariantConfig,
     case1_update_bits,
+    case3_masks,
     continued,
     default_step_cap,
     environment_steps,
@@ -169,11 +169,13 @@ def test_case2_rejects_wrong_width():
 # --- Case III ---------------------------------------------------------------
 
 def flip_masks_of(seed: int, mu: float, n: int) -> bytes:
-    """The first ``n`` Case III flip masks of the stream seeded ``seed``."""
-    flips = FlipMasks(seed, mu)
-    while len(flips.masks) < n:
-        flips.more()
-    return bytes(flips.masks[:n])
+    """The first ``n`` Case III flip masks of the stream seeded ``seed``,
+    drawn in the blocks a run draws: 16, 16, 32, ..., 4096, 4096, ..."""
+    masks = b""
+    while len(masks) < n:
+        t = len(masks)
+        masks += case3_masks(seed, mu, t, min(max(16, t), 4096, n - t))
+    return masks
 
 
 def test_case3_mu_zero_never_flips():
@@ -214,12 +216,11 @@ def rng_masks(seed: int, mu: float, n: int) -> bytes:
 
 
 def test_stream_key_layout():
-    assert stream_key(5, 3) == [3, 5]
+    assert stream_key(5) == [0, 5]
     assert stream_key(-1) == [0, 2**64 - 1]
-    rng = execution_rng(5, 3).bit_generator
-    assert rng.state["state"]["key"].tolist() == [3, 5]
-    assert (rng.random_raw(4).tolist()
-            == np.random.Philox(key=(5 << 64) | 3).random_raw(4).tolist())
+    rng = execution_rng(5).bit_generator
+    assert rng.state["state"]["key"].tolist() == [0, 5]
+    assert rng.random_raw(4).tolist() == np.random.Philox(key=5 << 64).random_raw(4).tolist()
 
 
 RANDOM_SEEDS = np.random.default_rng(17).integers(0, 2**64, 5, dtype=np.uint64).tolist()
@@ -231,6 +232,17 @@ def test_flip_masks_are_the_execution_stream(seed, mu):
     """Past the 4096-step block size: blocks of 16, 16, 32, ..., 4096, 4096."""
     n = 10_000
     assert flip_masks_of(seed, mu, n) == rng_masks(seed, mu, n)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, 0.5, 0.999999])
+def test_case3_masks_are_slices_of_the_stream(mu):
+    """Any (start, n) is the slice [start:start + n] of the stream's masks,
+    on either side of the 16- and 4096-step block edges."""
+    seed = RANDOM_SEEDS[0]
+    stream = rng_masks(seed, mu, 10_100)
+    for start in (0, 1, 15, 16, 17, 4095, 4096, 10000):
+        for n in (0, 1, 7, 16, 33, 100):
+            assert case3_masks(seed, mu, start, n) == stream[start:start + n]
 
 
 @pytest.mark.parametrize("mu", [0.0, 2.0**-53, 0.1, 0.3, 0.5, 0.999999, 1 - 2.0**-53])
@@ -248,27 +260,42 @@ def test_flip_threshold_is_exact_at_its_edges(mu):
 
 
 def test_interleaved_flip_masks_keep_their_streams():
-    a, b = FlipMasks(3, 0.5), FlipMasks(2**64 - 1, 0.3)
-    for _ in range(9):
-        a.more()
-        b.more()
-        b.more()
-    assert bytes(a.masks) == rng_masks(3, 0.5, len(a.masks))
-    assert bytes(b.masks) == rng_masks(2**64 - 1, 0.3, len(b.masks))
+    """Calls for two streams take turns on the shared generator."""
+    a = b = b""
+    for i in range(9):
+        a += case3_masks(3, 0.5, len(a), 16 << i)
+        b += case3_masks(2**64 - 1, 0.3, len(b), 5 + i)
+        b += case3_masks(2**64 - 1, 0.3, len(b), 17)
+    assert a == rng_masks(3, 0.5, len(a))
+    assert b == rng_masks(2**64 - 1, 0.3, len(b))
 
 
 def test_case3_lyapunov_continues_its_stream_after_another_run():
     """The base run ends inside its first 16-step block and the Lyapunov
-    copy goes past it, so ``continued`` draws more masks after another run
-    has used the shared generator."""
+    copy goes past it, so ``continued`` draws the masks after the run's end
+    after another run has used the shared generator."""
     config = VariantConfig(Variant.CASE_III, 10, 0b1011001110, 30, mu=0.1, seed=1)
     base = run_trajectory(config)
     assert len(base.states) - 1 < 16
-    assert len(base.flips.masks) == 16
     run_trajectory(VariantConfig(Variant.CASE_III, 3, 0b101, 90, mu=0.5, seed=999))
+    rules = continued(base, 60)[1]
+    assert bytes(a ^ b for a, b in zip(rules, rules[1:])) == rng_masks(1, 0.1, 60)
     k = cx.lyapunov(base, perturb_bit=0, horizon=60)
-    assert len(base.flips.masks) > 16
     assert k == scalar_lyapunov(config, perturb_bit=0, horizon=60)
+
+
+def test_long_case3_run_crosses_block_boundaries():
+    """A capped run whose rule changes 26 times, from step 412 to 11904, in
+    the blocks after 4096 and after 8192 steps too; Lyapunov continues it
+    20 steps past the cap."""
+    config = VariantConfig(Variant.CASE_III, 12, 0b101100111010, 170, mu=0.0003, seed=8)
+    traj = run_trajectory(config, cap=12000)
+    changes = [t for t in range(1, len(traj.rules)) if traj.rules[t] != traj.rules[t - 1]]
+    assert traj.cap_hit and len(traj.states) - 1 == 12000
+    assert (len(changes), changes[0], changes[-1]) == (26, 412, 11904)
+    assert any(4096 < t <= 8192 for t in changes) and any(8192 < t for t in changes)
+    assert traj == scalar_trajectory(config, cap=12000)
+    assert cx.lyapunov(traj, 0, 12020) == scalar_lyapunov(config, 0, 12020)
 
 
 # --- system_step ------------------------------------------------------------
@@ -311,7 +338,7 @@ def test_trajectory_rule0_transient():
     traj = run_trajectory(config)
     seq = traj.states
     assert seq[1] == 0 and seq[2] == 0
-    assert traj.first_seen == 1 and traj.repeat_time == 2
+    assert traj.first_seen == 1 and len(traj.states) - 1 == 2
 
 
 def test_trajectory_cap_validation():
@@ -329,25 +356,25 @@ def test_deterministic_pigeonhole_cap():
             s_e=format(rng.integers(0, 64), "06b"), r_e=int(rng.integers(0, 256)))
         traj = run_trajectory(config)
         assert not traj.cap_hit
-        assert traj.repeat_time <= default_step_cap(config)
+        assert len(traj.states) - 1 <= default_step_cap(config)
 
 
 def test_case3_identity_rule_never_converges():
     config = VariantConfig(Variant.CASE_III, 4, 0b0101, 204, mu=0.0, seed=3)
     traj = run_trajectory(config, cap=300)
-    assert traj.cap_hit and traj.convergence_time is None
+    assert traj.cap_hit and len(traj.states) - 1 == 300
 
 
 def test_case3_initially_homogeneous_converges_at_0():
     config = VariantConfig(Variant.CASE_III, 4, 0, 30, mu=0.5, seed=3)
     traj = run_trajectory(config)
-    assert traj.convergence_time == 0
+    assert not traj.cap_hit and len(traj.states) - 1 == 0
 
 
 def test_case3_rule0_converges_at_1():
     config = VariantConfig(Variant.CASE_III, 4, 0b0101, 0, mu=0.0, seed=3)
     traj = run_trajectory(config)
-    assert traj.convergence_time == 1
+    assert not traj.cap_hit and len(traj.states) - 1 == 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -358,13 +385,13 @@ def test_replay_determinism_case1(r_o, r_e, so, se):
     a = run_trajectory(config)
     b = run_trajectory(config)
     assert (a.states, a.rules, a.envs) == (b.states, b.rules, b.envs)
-    assert (a.first_seen, a.repeat_time) == (b.first_seen, b.repeat_time)
+    assert (a.first_seen, a.cap_hit) == (b.first_seen, b.cap_hit)
 
 
 def test_replay_determinism_case3_same_seed():
     config = VariantConfig(Variant.CASE_III, 5, 0b01011, 30, mu=0.5, seed=42)
     a, b = run_trajectory(config), run_trajectory(config)
-    assert (a.states, a.rules, a.convergence_time) == (b.states, b.rules, b.convergence_time)
+    assert (a.states, a.rules, a.cap_hit) == (b.states, b.rules, b.cap_hit)
 
 
 def test_table_and_generic_paths_agree():
@@ -517,7 +544,7 @@ def test_packed_case3_short_runs_continue_for_lyapunov(s_o, r_o, t_r, mu):
     config = VariantConfig(Variant.CASE_III, 4, int(s_o, 2), r_o, mu=mu, seed=7)
     traj = run_trajectory(config)
     if mu == 0.0 or r_o != 0:
-        assert traj.convergence_time == t_r
+        assert not traj.cap_hit and len(traj.states) - 1 == t_r
     assert_same_run(config, horizons=(2, 3, 10))
 
 
@@ -526,7 +553,7 @@ def test_lyapunov_continues_a_deterministic_run_around_its_cycle():
     is read against the run continued around that cycle to the horizon."""
     config = VariantConfig(Variant.ISOLATED, 4, 0b0110, 204)
     traj = run_trajectory(config)
-    assert traj.repeat_time == 1
+    assert len(traj.states) - 1 == 1
     assert continued(traj, 6)[0] == [0b0110] * 7
     assert cx.lyapunov(traj, 0, 6) == scalar_lyapunov(config, 0, 6)
 
