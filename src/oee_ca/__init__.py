@@ -14,12 +14,11 @@ from .variants import (  # noqa: F401
     Trajectory,
     Variant,
     VariantConfig,
+    detect_cycle,
     run_trajectory,
 )
 from .recurrence import (  # noqa: F401
-    CycleInfo,
     RecurrenceReport,
-    detect_cycle,
     poincare_time,
     projected_recurrence,
 )

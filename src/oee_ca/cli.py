@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     em.add_argument("--samples", type=_int_at_least(1), required=True)
     em.add_argument("--seed", type=int, default=0)
     em.add_argument("--cap", type=int)
-    em.add_argument("--workers", type=int,
+    em.add_argument("--workers", type=_int_at_least(1),
                     help="process-pool size (default: $OEE_THREADS, else 1)")
     em.add_argument("--norm-samples", type=_int_at_least(1), default=cx.NORM_SAMPLES)
     em.add_argument("--norm-steps", type=_int_at_least(0), default=cx.NORM_STEPS)
@@ -134,22 +134,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser, argv, args):
-    """Re-parse with the --config file's keys turned into flags, so argparse
-    converts and checks their values and refuses a key that is no flag of
-    the subcommand; flags given on the command line win."""
-    explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
-    before, after = [], []
-    for key, value in iof.read_config_file(args.config).items():
+def _with_config_file(argv: list[str]) -> list[str]:
+    """``argv`` with its --config file's keys as flags: class_table before
+    the command, the others right after it, so the command line's flags come
+    later and win (argparse keeps the last value), and the one parse checks
+    every value and refuses a key that is no flag of the subcommand."""
+    pre = argparse.ArgumentParser(prog="oee-ca", add_help=False)
+    pre.add_argument("--class-table")   # so that its value is not read as the command
+    pre.add_argument("--config")
+    pre.add_argument("command", nargs=argparse.REMAINDER)
+    known = pre.parse_known_args(argv)[0]
+    if not known.config or not known.command:
+        return argv
+    top, sub = [], []
+    for key, value in iof.read_config_file(known.config).items():
         dest = key.replace("-", "_")
-        if dest in explicit or dest in ("command", "config"):
-            continue
-        flag = "--" + dest.replace("_", "-")
-        if dest == "class_table":  # the one top-level option: it goes first
-            before += [flag, value]
-        else:
-            after += [flag, value]
-    return parser.parse_args(before + argv + after)
+        if dest not in ("command", "config"):
+            flag = "--" + dest.replace("_", "-")
+            (top if dest == "class_table" else sub).extend([flag, value])
+    at = len(argv) - len(known.command) + 1
+    return top + argv[:at] + sub + argv[at:]
 
 
 def _config_echo(args) -> dict:
@@ -345,11 +349,8 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.config:
-            args = _apply_config_file(parser, argv, args)
+        args = build_parser().parse_args(_with_config_file(argv))
         set_default_class_table(args.class_table)
         return COMMANDS[args.command](args)
     except (ValueError, OSError, ConfigurationError) as exc:

@@ -369,25 +369,19 @@ def lyapunov(base: Trajectory, perturb_bit: int = 0, horizon: int = 16) -> float
 
     states, rules, envs = continued(base, horizon)
     o_step = organism_steps(w_o)
-    so = config.s_o ^ (1 << (w_o - 1 - perturb_bit))
+    flip = flip_masks(w_o, config.w_e) if config.variant is Variant.CASE_I else None
+    so, ro = config.s_o ^ (1 << (w_o - 1 - perturb_bit)), config.r_o
     ys = []
-    if config.variant is Variant.CASE_I:
-        flip = flip_masks(w_o, config.w_e)
-        ro = config.r_o
-        for t in range(1, horizon + 1):
+    for t in range(1, horizon + 1):
+        if flip is not None:
             ro ^= flip[so][envs[t - 1]]
-            so = o_step[ro][so]
-            y = (states[t] ^ so).bit_count()
-            ys.append(y)
-            if y == 0 or y == w_o:
-                break
-    else:
-        for t in range(1, horizon + 1):
-            so = o_step[rules[t]][so]
-            y = (states[t] ^ so).bit_count()
-            ys.append(y)
-            if y == 0 or y == w_o:
-                break
+        else:
+            ro = rules[t]
+        so = o_step[ro][so]
+        y = (states[t] ^ so).bit_count()
+        ys.append(y)
+        if y == 0 or y == w_o:
+            break
     if ys[0] == 0:
         return EXTINCT
     return fit_exponent(ys)

@@ -188,8 +188,8 @@ def execute_tuple(plan: SamplePlan, index: int, tup: tuple, norm_bits: int) -> E
         compressed, c_val = cx.compressibility(window, plan.w_o, norm_bits)
         k = cx.lyapunov(traj, 0, max(2, min(t_r, rep.t_P)))
         if plan.variant.deterministic:
-            cyc = detect_cycle(traj)
-            att = tuple(rules[cyc.pre_period:cyc.pre_period + cyc.period])
+            P, L = detect_cycle(traj)
+            att = tuple(rules[P:P + L])
     return ExecutionRecord(
         variant=plan.variant, w_o=plan.w_o, w_e=plan.w_e, mu=plan.mu,
         seed=config.seed, init_rule_o=config.r_o, rule_e=config.r_e,

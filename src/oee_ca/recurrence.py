@@ -1,17 +1,18 @@
-"""Cycle detection on full-system snapshots and the derived timescales.
+"""Recurrence times and the UE flags derived from a run's full-system cycle.
 
-For a deterministic trajectory with pre-period P and minimal period L, the
-organism's projected state (or rule) sequence has its own minimal period
-``lam`` dividing L and its own pre-period ``p``; the recurrence time is
-``t_rec = p + lam``, the step at which the projection first completes a full
-repetition.  Unbounded evolution compares these against the Poincare bound
-``t_P = 2**w_o`` of an equivalent isolated system (``ue_flag``); the attractor
-flag compares the full-system period L against it.  Case III has no cycle:
-its recurrence time is the first step with a homogeneous organism state,
-the last step of an uncensored trajectory, and a capped run is censored.
+For a deterministic trajectory with pre-period P and minimal period L, read
+by ``variants.detect_cycle``, the organism's projected state (or rule)
+sequence has its own minimal period ``lam`` dividing L and its own
+pre-period ``p``; the recurrence time is ``t_rec = p + lam``, the step at
+which the projection first completes a full repetition.  Unbounded evolution
+compares these against the Poincare bound ``t_P = 2**w_o`` of an equivalent
+isolated system (``ue_flag``); the attractor flag compares the full-system
+period L against it.  Case III has no cycle: its recurrence time is the
+first step with a homogeneous organism state, the last step of an
+uncensored trajectory, and a capped run is censored.
 
-``CycleInfo`` and ``RecurrenceReport`` are slotted dataclasses that nothing
-mutates after construction; they are not frozen, so they are not hashable.
+``RecurrenceReport`` is a slotted dataclass that nothing mutates after
+construction; it is not frozen, so it is not hashable.
 """
 
 from __future__ import annotations
@@ -20,17 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .variants import Trajectory, Variant
-
-
-@dataclass(slots=True)
-class CycleInfo:
-    pre_period: int   # P
-    period: int       # L, the full-system attractor size
-
-    def __post_init__(self):
-        if self.pre_period < 0 or self.period < 1:
-            raise ValueError("need pre_period >= 0 and period >= 1")
+from .variants import Trajectory, Variant, detect_cycle
 
 
 @dataclass(slots=True)
@@ -50,15 +41,6 @@ def poincare_time(w_o: int) -> int:
     return 1 << w_o
 
 
-def detect_cycle(traj: Trajectory) -> CycleInfo | None:
-    """Minimal (P, L) of a deterministic trajectory; None when censored."""
-    if not traj.config.variant.deterministic:
-        raise ValueError("cycle detection applies to deterministic variants only")
-    if traj.cap_hit:
-        return None
-    return CycleInfo(traj.first_seen, len(traj.states) - 1 - traj.first_seen)
-
-
 @lru_cache(maxsize=4096)
 def _proper_divisors(n: int) -> tuple[int, ...]:
     """The divisors of ``n`` below ``n``, ascending."""
@@ -66,10 +48,11 @@ def _proper_divisors(n: int) -> tuple[int, ...]:
     return tuple(d for d in sorted({*small, *(n // d for d in small)}) if d < n)
 
 
-def projected_recurrence(sequence: list, cycle: CycleInfo) -> tuple[int, int, int]:
-    """(p, lam, t_rec) of a projected sequence of a trajectory with known
-    full-system cycle.  ``sequence`` must cover indices 0 .. P+L."""
-    P, L = cycle.pre_period, cycle.period
+def projected_recurrence(sequence: list, P: int, L: int) -> tuple[int, int, int]:
+    """(p, lam, t_rec) of a projected sequence of a trajectory whose
+    full-system cycle is (P, L).  ``sequence`` must cover indices 0 .. P+L."""
+    if P < 0 or L < 1:
+        raise ValueError("need P >= 0 and L >= 1")
     if len(sequence) < P + L + 1:
         raise ValueError("sequence must cover the pre-period plus one full cycle")
 
@@ -99,20 +82,17 @@ def ue_flag(t_P: int, t_r: int | None, t_r_rule: int | None) -> bool | None:
 def build_report(traj: Trajectory) -> RecurrenceReport:
     """Full recurrence analysis of one trajectory."""
     t_P = poincare_time(traj.config.w_o)
-    if traj.config.variant is Variant.CASE_III:
-        t_r = None if traj.cap_hit else len(traj.states) - 1
-        return RecurrenceReport(
-            t_P=t_P, t_r=t_r, t_r_rule=None, t_a=None,
-            ue=None if traj.cap_hit else t_r > t_P,
-            attractor_ue=None, censored=traj.cap_hit)
-
-    cycle = detect_cycle(traj)
-    if cycle is None:
+    if traj.cap_hit:
         return RecurrenceReport(t_P=t_P, t_r=None, t_r_rule=None, t_a=None,
                                 ue=None, attractor_ue=None, censored=True)
-    _, _, t_r = projected_recurrence(traj.states, cycle)
-    _, _, t_r_rule = projected_recurrence(traj.rules, cycle)
+    if traj.config.variant is Variant.CASE_III:
+        t_r = len(traj.states) - 1
+        return RecurrenceReport(t_P=t_P, t_r=t_r, t_r_rule=None, t_a=None,
+                                ue=t_r > t_P, attractor_ue=None)
+
+    P, L = detect_cycle(traj)
+    _, _, t_r = projected_recurrence(traj.states, P, L)
+    _, _, t_r_rule = projected_recurrence(traj.rules, P, L)
     return RecurrenceReport(
-        t_P=t_P, t_r=t_r, t_r_rule=t_r_rule, t_a=cycle.period,
-        ue=ue_flag(t_P, t_r, t_r_rule),
-        attractor_ue=cycle.period > t_P)
+        t_P=t_P, t_r=t_r, t_r_rule=t_r_rule, t_a=L,
+        ue=ue_flag(t_P, t_r, t_r_rule), attractor_ue=L > t_P)

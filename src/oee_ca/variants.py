@@ -18,12 +18,14 @@ states and rules, checked once when it is built.  One packed loop runs
 every trajectory.  A ``Trajectory`` holds plain int sequences: organism
 states, rules and, with an environment, environment states.  A
 deterministic run stops at the first repeat of the packed key
-``(s_o << (8 + w_e)) | (r_o << w_e) | s_e``.  The loop's lookups (the
-organism step under every rule, the environment step and the Case I flip
-mask) are tables built with numpy over all states at once (``step_table``,
-``count_array``) and cached, as long as the tables of one kind and width fit
-in ``TABLE_BUDGET`` entries: the organism's 256 step tables, the environment
-tables of all ``ENVIRONMENT_RULES`` rules a plan can draw, one flip table.
+``(s_o << (8 + w_e)) | (r_o << w_e) | s_e``; every reader of its cycle
+(pre-period P, period L) takes it from ``detect_cycle``.  The loop's
+lookups (the organism step under every rule, the environment step and the
+Case I flip mask) are tables built with numpy over all states at once
+(``step_table``, ``count_array``) and cached, as long as the tables of one
+kind and width fit in ``TABLE_BUDGET`` entries: the organism's 256 step
+tables, the environment tables of all ``ENVIRONMENT_RULES`` rules a plan
+can draw, one flip table.
 Above it the same loop computes each entry per step: a step with the
 window-table kernel (``eca.stepper``), a flip mask with
 ``case1_update_bits``.  Case III's flip masks are a pure function of
@@ -156,6 +158,15 @@ class Trajectory:
     def state_sequence(self) -> list[int]:
         """``states``; ``bench/pipeline.py`` counts a run's steps through it."""
         return self.states
+
+
+def detect_cycle(traj: Trajectory) -> tuple[int, int] | None:
+    """Minimal (P, L) of a deterministic trajectory; None when censored."""
+    if not traj.config.variant.deterministic:
+        raise ValueError("cycle detection applies to deterministic variants only")
+    if traj.cap_hit:
+        return None
+    return traj.first_seen, len(traj.states) - 1 - traj.first_seen
 
 
 # --- rule updates -----------------------------------------------------------
@@ -436,7 +447,7 @@ def continued(traj: Trajectory, horizon: int):
     if traj.config.variant.deterministic:
         if traj.cap_hit:
             raise ValueError("a censored trajectory cannot be continued")
-        P, L = traj.first_seen, n - traj.first_seen
+        P, L = detect_cycle(traj)
         tail = [P + (t - P) % L for t in range(n + 1, horizon + 1)]
         return tuple(None if seq is None else seq + [seq[i] for i in tail]
                      for seq in (traj.states, traj.rules, traj.envs))

@@ -11,11 +11,11 @@ import numpy as np
 from oee_ca.complexity import EXTINCT, fit_exponent, lyapunov, lzw_phrase_count, lzw_size_bits
 from oee_ca.eca import (
     canonical_rules,
+    neighborhood_masks,
     step_table,
     stepper,
 )
 from oee_ca.ensemble import SamplePlan, draw_plan, flag_stages, sample_space_size
-from oee_ca.recurrence import CycleInfo
 from oee_ca.variants import (
     Trajectory,
     Variant,
@@ -341,9 +341,8 @@ def scalar_compressibility(states: list[int], width: int,
     return bits, bits / norm_bits
 
 
-def scalar_projected_recurrence(sequence, cycle: CycleInfo) -> tuple[int, int, int]:
+def scalar_projected_recurrence(sequence, P: int, L: int) -> tuple[int, int, int]:
     """``projected_recurrence`` with one generator per divisor (oracle)."""
-    P, L = cycle.pre_period, cycle.period
     if len(sequence) < P + L + 1:
         raise ValueError("sequence must cover the pre-period plus one full cycle")
 
@@ -517,6 +516,49 @@ def case3_convergence_law(w: int, mu: float, tail: float = 1e-15) -> list[float]
         if live.sum() < tail:
             return law
         live = np.bincount(cells.ravel(), (mix @ live).ravel(), 256 * n).reshape(256, n)
+
+
+def case3_inn_law(w: int) -> float:
+    """P(INN) of a Case III run of width ``w`` at mu = 0.5, its state drawn
+    uniform over all ``2**w`` (oracle; exact).
+
+    At mu = 0.5 the rule after the first flip is uniform and does not depend
+    on the past, so INN is an absorbing chain on (s_o, pins).  A transition
+    s -> s' under rule r pins rule bit v to r's bit v for every neighborhood
+    v present in s, and one rule reproduces the window 0..t_r unless some
+    bit is pinned both ways: that conflict is INN.  A homogeneous state ends
+    the run, and one reached without a conflict is not INN (a homogeneous
+    start has t_r = 0).  Pins only grow, so ``h[k][s]``, the chance of INN
+    from state s with pin set k, is solved one level of pinned bits at a
+    time, most first: within a level a run moves only by the pinned rule,
+    one linear system per pin set."""
+    n = 1 << w
+    masks = neighborhood_masks(w)
+    present = [[v for v in range(8) if masks[v][s]] for s in range(n)]
+    # digit v of pin set k (base 3) is 0 (free), 1 (pinned to 0) or 2 (to 1)
+    digits = np.array([[k // 3**v % 3 for v in range(8)] for k in range(3**8)])
+    h = np.zeros((3**8, n))
+    for level in range(8, -1, -1):
+        ks = np.flatnonzero((digits > 0).sum(axis=1) == level)
+        rhs = np.zeros((len(ks), n))
+        stays = np.zeros((len(ks), n, n))
+        for s in range(1, n - 1):
+            vs = present[s]
+            p = 0.5 ** len(vs)
+            pinned = digits[ks][:, vs]
+            for b in range(1 << len(vs)):
+                rule = sum(1 << v for i, v in enumerate(vs) if b >> i & 1)
+                s2 = step_table(rule, w)[s]
+                want = np.array([1 + (rule >> v & 1) for v in vs])
+                conflict = ((pinned > 0) & (pinned != want)).any(axis=1)
+                k2 = ks + ((pinned == 0) * want * 3 ** np.array(vs)).sum(axis=1)
+                stay = ~conflict & (k2 == ks)
+                move = ~conflict & ~stay
+                rhs[conflict, s] += p
+                rhs[move, s] += p * h[k2[move], s2]
+                stays[stay, s, s2] += p
+        h[ks] = np.linalg.solve(np.eye(n) - stays, rhs[..., None])[..., 0]
+    return h[0].sum() / n
 
 
 # --- brute-force counterfactual set -------------------------------------------

@@ -24,7 +24,7 @@ from oee_ca.ensemble import (
 from oee_ca.eca import WolframClass, canonical_rules, step_table
 from oee_ca.innovation import is_eca_reproducible
 from oee_ca.io_formats import write_records_csv
-from oee_ca.recurrence import CycleInfo, build_report, poincare_time, projected_recurrence
+from oee_ca.recurrence import build_report, poincare_time, projected_recurrence
 from oee_ca.variants import (
     Variant,
     _case1_flip_table,
@@ -225,7 +225,7 @@ def test_criterion_12_oracle_equivalence():
                         t += 1
                         key = (s, r, e)
                     P = seen[key]
-                    _, _, t_r = projected_recurrence(seq, CycleInfo(P, t - P))
+                    _, _, t_r = projected_recurrence(seq, P, t - P)
                     windows.add(tuple(seq[:max(t_r, 1) + 1]))
     cf3 = brute_force_counterfactual(3)
     mismatches = sum(

@@ -12,6 +12,7 @@ from scipy import stats
 
 from helpers import (
     case3_convergence_law,
+    case3_inn_law,
     exhaustive_plan_tuples,
     scalar_draw_plan,
     scalar_log2_histogram,
@@ -360,6 +361,40 @@ def test_case3_convergence_follows_the_exact_law(w_o, mu, seed):
                            [*(n * p for p in law[:cut - 1]), at_least[cut - 1]]).pvalue > 1e-4
     p_ue = sum(law[(1 << w_o) + 1:])
     assert stats.binomtest(sum(rec.ue for rec in records), n, p_ue).pvalue > 1e-4
+
+
+@pytest.mark.parametrize("w_o, seed, exact_inn", [(3, 221, 63 / 128), (4, 222, 0.6621704)])
+def test_case3_inn_and_ue_follow_the_exact_laws(w_o, seed, exact_inn):
+    """At mu = 0.5 the INN and UE counts of a fresh Case III plan pass exact
+    binomial tests against the exact laws: INN from the absorbing chain on
+    (s_o, pins), UE from P(t_r > t_P) of the convergence law.  Stepping the
+    state before flipping the rule would move INN at w_o = 3 from 49.22 %
+    to 46.24 %, about 6 standard errors of this plan."""
+    p_inn = case3_inn_law(w_o)
+    assert p_inn == pytest.approx(exact_inn, rel=1e-6)
+    p_ue = 1 - sum(case3_convergence_law(w_o, 0.5)[:2**w_o + 1])
+    records = run_ensemble(SamplePlan(Variant.CASE_III, w_o, mu=0.5, sample_count=10_000,
+                                      master_seed=seed, norm_samples=20, norm_steps=64))
+    assert not any(rec.censored for rec in records)
+    n = len(records)
+    assert stats.binomtest(sum(rec.inn for rec in records), n, p_inn).pvalue > 1e-4
+    assert stats.binomtest(sum(rec.ue for rec in records), n, p_ue).pvalue > 1e-4
+
+
+@pytest.mark.parametrize("w_o, mu, seed", [(3, 0.1, 231), (4, 0.1, 232),
+                                          (5, 0.25, 233), (5, 0.5, 234)])
+def test_case3_ue_implies_inn(w_o, mu, seed):
+    """In Case III every UE run is INN, so OEE % equals UE %.  A run with
+    t_r > 2^w_o makes more than 2^w_o transitions in its window, so a state
+    that is not homogeneous repeats inside it; if one rule reproduced the
+    window, the run would be periodic from that repeat and never end."""
+    records = run_ensemble(SamplePlan(Variant.CASE_III, w_o, mu=mu, sample_count=2000,
+                                      master_seed=seed, norm_samples=20, norm_steps=64))
+    live = [rec for rec in records if not rec.censored]
+    assert any(rec.ue for rec in live)
+    assert all(rec.inn for rec in live if rec.ue)
+    report = aggregate(records)
+    assert report.oee_percent == report.ue_percent
 
 
 def test_isolated_control_zero_oee():

@@ -838,6 +838,46 @@ def test_cli_config_key_without_a_flag_is_usage_error(command, key, tmp_path, ca
     assert os.listdir(tmp_path) == ["plan.conf"]
 
 
+def test_cli_config_file_supplies_required_flags(tmp_path):
+    """The file is read before the one parse, so it can give the flags a
+    subcommand requires."""
+    conf = tmp_path / "plan.conf"
+    out = str(tmp_path / "records.csv")
+    conf.write_text("variant = eca\nwo = 3\nsamples = 5\nnorm_samples = 5\n")
+    code = main(["--config", str(conf), "ensemble",
+                 "--out", out, "--report", str(tmp_path / "report.json")])
+    assert code == EXIT_OK
+    assert len(read_records_csv(out)) == 5
+
+
+def test_cli_abbreviated_flag_beats_config_file(tmp_path, capsys):
+    """A flag wins over the file however it is spelled, and a file value is
+    checked even where the command line overrides it."""
+    conf = tmp_path / "plan.conf"
+    out = str(tmp_path / "records.csv")
+    argv = ["--config", str(conf), "ensemble", "--variant", "eca", "--wo", "3",
+            "--samp", "5", "--out", out, "--report", str(tmp_path / "report.json")]
+    conf.write_text("samples = 7\n")
+    assert main(argv) == EXIT_OK
+    assert len(read_records_csv(out)) == 5
+    conf.write_text("samples = seven\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "--samples: invalid int value: 'seven'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cli_ensemble_workers_below_one_is_usage_error(workers, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["ensemble", "--variant", "eca", "--wo", "3", "--samples", "5",
+              "--workers", workers, "--out", str(out), "--report", str(tmp_path / "rep.json")])
+    assert exc.value.code == EXIT_USAGE
+    assert "--workers: must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_class_table_lasts_one_call(tmp_path):
     """--class-table tags one call's metagenome; the next call in the same
     process uses the bundled table again."""

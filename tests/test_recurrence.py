@@ -7,7 +7,6 @@ from helpers import naive_cycle, scalar_projected_recurrence
 
 from oee_ca.eca import step_table
 from oee_ca.recurrence import (
-    CycleInfo,
     build_report,
     detect_cycle,
     poincare_time,
@@ -35,14 +34,12 @@ def test_poincare_range():
 
 def test_cycle_identity_rule():
     config = VariantConfig(Variant.ISOLATED, 4, 0b0110, 204)
-    cycle = detect_cycle(run_trajectory(config))
-    assert (cycle.pre_period, cycle.period) == (0, 1)
+    assert detect_cycle(run_trajectory(config)) == (0, 1)
 
 
 def test_cycle_rule0_from_nonzero():
     config = VariantConfig(Variant.ISOLATED, 3, 0b101, 0)
-    cycle = detect_cycle(run_trajectory(config))
-    assert (cycle.pre_period, cycle.period) == (1, 1)
+    assert detect_cycle(run_trajectory(config)) == (1, 1)
 
 
 def test_cycle_censored_returns_none():
@@ -75,7 +72,7 @@ def test_cycle_matches_naive_oracle_case1(r_o, r_e, so, se):
         r2 = case1_update_bits(s_o, 3, r, s_e, 3)
         return (o_tab[r2][s_o], r2, e_tab[s_e])
 
-    assert (cycle.pre_period, cycle.period) == naive_cycle(step_fn, (so, r_o, se))
+    assert cycle == naive_cycle(step_fn, (so, r_o, se))
 
 
 @settings(max_examples=25, deadline=None)
@@ -83,8 +80,7 @@ def test_cycle_matches_naive_oracle_case1(r_o, r_e, so, se):
 def test_cycle_doubling_replay(rule, init):
     """Re-simulating 2(P + L) steps confirms snapshot(t+L) = snapshot(t)."""
     config = VariantConfig(Variant.ISOLATED, 5, init, rule)
-    cycle = detect_cycle(run_trajectory(config))
-    P, L = cycle.pre_period, cycle.period
+    P, L = detect_cycle(run_trajectory(config))
     table = step_table(rule, 5)
     seq = [init]
     for _ in range(2 * (P + L)):
@@ -93,40 +89,41 @@ def test_cycle_doubling_replay(rule, init):
         assert seq[t + L] == seq[t]
 
 
-def test_cycleinfo_validation():
-    with pytest.raises(ValueError):
-        CycleInfo(-1, 1)
-    with pytest.raises(ValueError):
-        CycleInfo(0, 0)
-
-
 # --- projected_recurrence ---------------------------------------------------
 
+def test_projected_recurrence_validation():
+    """A cycle needs P >= 0 and L >= 1."""
+    with pytest.raises(ValueError):
+        projected_recurrence([1, 2, 3], -1, 1)
+    with pytest.raises(ValueError):
+        projected_recurrence([1, 2, 3], 0, 0)
+
+
 def test_projected_constant_sequence():
-    assert projected_recurrence([7, 7, 7, 7], CycleInfo(1, 2)) == (0, 1, 1)
+    assert projected_recurrence([7, 7, 7, 7], 1, 2) == (0, 1, 1)
 
 
 def test_projected_known_period():
     # pre-period 2, then cycle a,b,a,b
     seq = [9, 8, 1, 2, 1, 2, 1]
-    assert projected_recurrence(seq, CycleInfo(2, 2)) == (2, 2, 4)
+    assert projected_recurrence(seq, 2, 2) == (2, 2, 4)
 
 
 def test_projected_divisor_period():
     # full-system period 4 projects to period 2 on this coordinate
     seq = [5, 1, 2, 1, 2, 1]
-    assert projected_recurrence(seq, CycleInfo(1, 4)) == (1, 2, 3)
+    assert projected_recurrence(seq, 1, 4) == (1, 2, 3)
 
 
 def test_projected_pre_period_shrinks():
     # projection is already periodic during the transient
     seq = [1, 2, 1, 2, 1]
-    assert projected_recurrence(seq, CycleInfo(2, 2)) == (0, 2, 2)
+    assert projected_recurrence(seq, 2, 2) == (0, 2, 2)
 
 
 def test_projected_requires_full_window():
     with pytest.raises(ValueError):
-        projected_recurrence([1, 2], CycleInfo(1, 2))
+        projected_recurrence([1, 2], 1, 2)
 
 
 @st.composite
@@ -154,8 +151,7 @@ def projected_sequences(draw):
 @given(projected_sequences())
 def test_projected_recurrence_matches_generator_oracle(case):
     seq, P, L = case
-    cycle = CycleInfo(P, L)
-    assert projected_recurrence(seq, cycle) == scalar_projected_recurrence(seq, cycle)
+    assert projected_recurrence(seq, P, L) == scalar_projected_recurrence(seq, P, L)
 
 
 @settings(max_examples=40, deadline=None)
@@ -167,10 +163,9 @@ def test_projection_invariants(r_o, r_e, so, se):
     config = VariantConfig(Variant.CASE_I, 4, so, r_o,
                            w_e=4, s_e=se, r_e=r_e)
     traj = run_trajectory(config)
-    cycle = detect_cycle(traj)
-    P, L = cycle.pre_period, cycle.period
+    P, L = detect_cycle(traj)
     for seq in (traj.states, traj.rules):
-        p, lam, t_rec = projected_recurrence(seq, cycle)
+        p, lam, t_rec = projected_recurrence(seq, P, L)
         assert L % lam == 0 and p <= P and t_rec == p + lam
 
         def get(t):  # cyclic extension of the recorded sequence
