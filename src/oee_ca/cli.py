@@ -143,7 +143,14 @@ def _with_config_file(argv: list[str]) -> list[str]:
     pre.add_argument("--class-table")   # so that its value is not read as the command
     pre.add_argument("--config")
     pre.add_argument("command", nargs=argparse.REMAINDER)
-    known = pre.parse_known_args(argv)[0]
+
+    def error(message):
+        raise argparse.ArgumentError(None, message)
+    pre.error = error
+    try:
+        known = pre.parse_known_args(argv)[0]
+    except argparse.ArgumentError:   # the one parse reports it, with the full usage
+        return argv
     if not known.config or not known.command:
         return argv
     top, sub = [], []

@@ -12,18 +12,19 @@ numpy.
 The compressibility C of a trajectory is its compressed bit count divided by
 an ensemble-maximum normalization constant taken over random fixed-rule ECA
 of the full-system width; large C means low complexity.  The constant's
-sample runs are each stepped to their first repeated state, then visited
-longest first; a run is walked by LZW only when a bound on the phrase count
-of an eventually periodic string leaves room to beat the largest count so
-far.  The bound caps the distinct substrings of each length, first by the
-span a run repeats within, then, for a run that repeats, by the exact counts
-of its lengths up to ``COUNT_LENGTHS``; the span-only bound never decreases
-with the span, so the visit stops at the first run it rules out.  With the
-defaults (``NORM_SAMPLES`` x ``NORM_STEPS``, 1000 x 1024) norm(6) and
-norm(8) take about 0.02 s and norm(19) about 0.25 s of CPU time on a 2-vCPU
-host, where norm(19) walks 86 of its 1000 runs; above 12 cells the runs step
-through the window-table kernel (``eca.stepper``), and at 19 cells the
-stepping and the walks are each about a third of the time.
+sample runs, stepped to their first repeated state by
+``variants.fixed_rule_run``, are visited longest first; a run is walked by
+LZW only when a bound on the phrase count of an eventually periodic string
+leaves room to beat the largest count so far.  The bound caps the distinct
+substrings of each length, first by the span a run repeats within, then, for
+a run that repeats, by the exact counts of its lengths up to
+``COUNT_LENGTHS``; the span-only bound never decreases with the span, so the
+visit stops at the first run it rules out.  With the defaults
+(``NORM_SAMPLES`` x ``NORM_STEPS``, 1000 x 1024) norm(6) and norm(8) take
+about 0.02 s and norm(19) about 0.25 s of CPU time on a 2-vCPU host, where
+norm(19) walks 86 of its 1000 runs; above 12 cells the runs step through the
+window-table kernel (``eca.stepper``), and at 19 cells the stepping and the
+walks are each about a third of the time.  Only ``lyapunov`` steps here.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ from .variants import (
     Variant,
     continued,
     execution_rng,
+    fixed_rule_run,
     flip_masks,
     gc_paused,
     integers_rows,
-    lookup,
     organism_steps,
 )
 
@@ -142,18 +143,18 @@ def normalization_constant(w: int, samples: int = NORM_SAMPLES, steps: int = NOR
     draws first, from one block of 32-bit words with numpy's Lemire
     rejection rule (no word is rejected for these power-of-two bounds), and
     makes them one call at a time above 32 cells.  Each sample is stepped
-    only to its first repeated state (``fixed_rule_run``), and the runs are
-    visited longest first, ties in draw order.  LZW walks a run, the cycle
-    repeated out to the full length, only when ``lzw_phrase_bound`` leaves
-    room for more phrases than the largest count so far: first the bound
-    from the run's span alone, then, for a run that repeats at least
-    ``COUNT_LENGTHS`` symbols before the end, the bound from its exact
-    distinct-substring counts (``substring_counts``).  The span-only bound
-    never decreases with the span, so the visit stops at the first run it
-    rules out; a maximum does not depend on the order, so the constant is
-    still the largest size over all the runs.  At the defaults and width 19
-    the visit stops after 367 of the 1000 runs, the counts rule out 281 of
-    those and 86 are walked.
+    only to its first repeated state (``variants.fixed_rule_run``), and the
+    runs are visited longest first, ties in draw order.  LZW walks a run,
+    the cycle repeated out to the full length, only when
+    ``lzw_phrase_bound`` leaves room for more phrases than the largest count
+    so far: first the bound from the run's span alone, then, for a run that
+    repeats at least ``COUNT_LENGTHS`` symbols before the end, the bound
+    from its exact distinct-substring counts (``substring_counts``).  The
+    span-only bound never decreases with the span, so the visit stops at the
+    first run it rules out; a maximum does not depend on the order, so the
+    constant is still the largest size over all the runs.  At the defaults
+    and width 19 the visit stops after 367 of the 1000 runs, the counts rule
+    out 281 of those and 86 are walked.
     """
     if not 1 <= w <= NORM_MAX_WIDTH:
         raise ValueError(f"normalization width must be in 1..{NORM_MAX_WIDTH}, got {w}")
@@ -199,10 +200,9 @@ def _max_compressed_bits(w: int, samples: int, steps: int, seed: int) -> int:
     run_steps = min(steps, 1 << min(2 * w, 62))
     n = (run_steps + 1) * w
     rng = execution_rng(seed)
-    tables = organism_steps(w)
     runs = []
     for rule, state in integers_rows(rng, (256, 1 << w), samples):
-        states, first = fixed_rule_run(lookup(tables[rule]), state, run_steps)
+        states, first = fixed_rule_run(rule, w, state, run_steps)
         runs.append((array("Q", states), first))     # 8 bytes a state, not an int
     # longest first (stable, so ties keep draw order): the span-only bound
     # never decreases with the span, so once it cannot beat the largest
@@ -223,28 +223,6 @@ def _max_compressed_bits(w: int, samples: int, steps: int, seed: int) -> int:
         most = max(most, lzw_phrase_count(bits))
     # the size grows with the phrase count, so the largest count sets the max
     return lzw_size_bits(most)
-
-
-def fixed_rule_run(step, state: int, steps: int) -> tuple[list[int], int | None]:
-    """A fixed-rule run from ``state`` of at most ``steps`` updates, stopped
-    at its first repeated state: ``(states, first)``.
-
-    ``states`` are the distinct states in step order, ``step(s)`` the state
-    after ``s`` under the rule (``lookup(organism_steps(width)[rule])``).
-    The state after ``states[-1]`` is ``states[first]``, so from step
-    ``first`` on the run cycles with period ``len(states) - first``;
-    ``first`` is None when no state repeats within ``steps`` updates, and
-    ``states`` is then the whole run.
-    """
-    states = [state]
-    seen = {state: 0}
-    for t in range(1, steps + 1):
-        state = step(state)
-        first = seen.setdefault(state, t)
-        if first != t:
-            return states, first
-        states.append(state)
-    return states, None
 
 
 def lzw_phrase_bound(n: int, span: int, counts: Sequence[int] = ()) -> int:

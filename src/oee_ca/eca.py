@@ -31,9 +31,6 @@ from importlib import resources
 
 import numpy as np
 
-TRIPLETS = ((1, 1, 1), (1, 1, 0), (1, 0, 1), (1, 0, 0),
-            (0, 1, 1), (0, 1, 0), (0, 0, 1), (0, 0, 0))
-
 SIM_MIN_WIDTH = 3
 SIM_MAX_WIDTH = 64
 

@@ -1,4 +1,4 @@
-"""The three time-dependent rule-update mechanisms and the coupled stepping loop.
+"""The three time-dependent rule-update mechanisms and every run loop.
 
 Variant summary (rule evolution of the organism ``o``):
 
@@ -14,19 +14,21 @@ and immediately applied to s_o(t).
 
 A state is a packed int plus its width (leftmost cell in the most
 significant bit), and a ``VariantConfig`` is a run's widths, packed initial
-states and rules, checked once when it is built.  One packed loop runs
-every trajectory.  A ``Trajectory`` holds plain int sequences: organism
-states, rules and, with an environment, environment states.  A
-deterministic run stops at the first repeat of the packed key
-``(s_o << (8 + w_e)) | (r_o << w_e) | s_e``; every reader of its cycle
-(pre-period P, period L) takes it from ``detect_cycle``.  The loop's
-lookups (the organism step under every rule, the environment step and the
-Case I flip mask) are tables built with numpy over all states at once
-(``step_table``, ``count_array``) and cached, as long as the tables of one
-kind and width fit in ``TABLE_BUDGET`` entries: the organism's 256 step
-tables, the environment tables of all ``ENVIRONMENT_RULES`` rules a plan
-can draw, one flip table.
-Above it the same loop computes each entry per step: a step with the
+states and rules, checked once when it is built.  Every run is stepped
+here, in one of three packed loops: ``fixed_rule_run`` steps a fixed rule
+to its first repeated state, for the isolated variant and for the sample
+runs of ``complexity.normalization_constant``; Case I and II stop at the
+first repeat of the packed key ``(s_o << (8 + w_e)) | (r_o << w_e) | s_e``;
+Case III at a homogeneous state.  A ``Trajectory`` holds plain int
+sequences: organism states, rules and, with an environment, environment
+states; every reader of a deterministic run's cycle (pre-period P, period
+L) takes it from ``detect_cycle``.  The loops' lookups (the organism step
+under every rule, the environment step and the Case I flip mask) are
+tables built with numpy over all states at once (``step_table``,
+``count_array``) and cached, as long as the tables of one kind and width
+fit in ``TABLE_BUDGET`` entries: the organism's 256 step tables, the
+environment tables of all ``ENVIRONMENT_RULES`` rules a plan can draw, one
+flip table.  Above it the loops compute each entry per step: a step with the
 window-table kernel (``eca.stepper``), a flip mask with
 ``case1_update_bits``.  Case III's flip masks are a pure function of
 (seed, mu, step), ``case3_masks``: its Philox stream is addressed by key
@@ -273,13 +275,6 @@ class _Computed:
         return self.fn(i)
 
 
-def lookup(table):
-    """``table``'s entries as a function, ``lookup(table)(i) == table[i]``:
-    a computed table's own ``fn``, so that a loop calling it makes one Python
-    call per entry rather than two."""
-    return table.fn if isinstance(table, _Computed) else table.__getitem__
-
-
 @lru_cache(maxsize=None)
 def organism_steps(width: int) -> list:
     """``steps[rule][s]``: state ``s`` of ``width`` cells after one step of
@@ -381,37 +376,58 @@ def run_trajectory(config: VariantConfig, cap: int | None = None) -> Trajectory:
         raise ValueError("cap must be >= 1")
     if config.variant is Variant.CASE_III:
         return _run_case3(config, cap)
-    return _run_deterministic(config, cap)
+    if config.variant.has_environment:
+        return _run_deterministic(config, cap)
+    states, first = fixed_rule_run(config.r_o, config.w_o, config.s_o, cap)
+    if first is not None:
+        states.append(states[first])
+    return Trajectory(config, states, [config.r_o] * len(states),
+                      cap_hit=first is None, first_seen=first)
+
+
+def fixed_rule_run(rule: int, width: int, state: int,
+                   steps: int) -> tuple[list[int], int | None]:
+    """A run of ``rule`` from the ``width``-cell ``state``, stopped at its
+    first repeated state or after ``steps`` updates: ``(states, first)``,
+    the distinct states in step order and the step whose state follows
+    ``states[-1]``, so the run cycles with period ``len(states) - first``
+    from step ``first`` on; ``first`` is None when no state repeats within
+    ``steps`` updates.  A computed step is called through its own ``fn``,
+    one Python call a step."""
+    table = organism_steps(width)[rule]
+    step = table.fn if isinstance(table, _Computed) else table.__getitem__
+    states = [state]
+    seen = {state: 0}
+    for t in range(1, steps + 1):
+        state = step(state)
+        first = seen.setdefault(state, t)
+        if first != t:
+            return states, first
+        states.append(state)
+    return states, None
 
 
 def _run_deterministic(config: VariantConfig, cap: int) -> Trajectory:
-    variant = config.variant
-    case1, case2 = variant is Variant.CASE_I, variant is Variant.CASE_II
-    coupled = variant.has_environment
-    w_o, w_e = config.w_o, config.w_e or 0
+    """Case I and II, stepped until the packed key of (s_o, r_o, s_e) repeats."""
+    case1 = config.variant is Variant.CASE_I
+    w_o, w_e = config.w_o, config.w_e
     o_step = organism_steps(w_o)
-    if coupled:
-        e_step = environment_steps(config.r_e, w_e)
-    if case1:
-        flip = flip_masks(w_o, w_e)
-
-    so, ro = config.s_o, config.r_o
-    se = config.s_e if coupled else 0
-    states, rules = [so], [ro]
-    envs = [se] if coupled else None
+    e_step = environment_steps(config.r_e, w_e)
+    flip = flip_masks(w_o, w_e) if case1 else None
+    so, ro, se = config.s_o, config.r_o, config.s_e
+    states, rules, envs = [so], [ro], [se]
     shift = 8 + w_e
     seen = {(so << shift) | (ro << w_e) | se: 0}
     for t in range(1, cap + 1):
         if case1:
             ro ^= flip[so][se]
-        elif case2:
+        else:
             ro = se
         so = o_step[ro][so]
+        se = e_step[se]
         states.append(so)
         rules.append(ro)
-        if coupled:
-            se = e_step[se]
-            envs.append(se)
+        envs.append(se)
         first = seen.setdefault((so << shift) | (ro << w_e) | se, t)
         if first != t:
             return Trajectory(config, states, rules, envs, first_seen=first)

@@ -561,6 +561,58 @@ def case3_inn_law(w: int) -> float:
     return h[0].sum() / n
 
 
+def case3_inn_law_with_rule(w: int, mu: float, tail: float = 1e-15) -> float:
+    """P(INN) of a Case III run of width ``w`` at any ``mu``, drawn as a plan
+    draws it: rule uniform over the 88 canonical rules, state uniform over
+    all ``2**w`` (oracle; exact but for a final live mass below ``tail``).
+
+    Below mu = 0.5 the next rule depends on the last, so the absorbing chain
+    keeps r_o beside s_o and the pins (see ``case3_inn_law``).  Only the
+    rule bits b of neighborhoods that some non-homogeneous state holds
+    enter a step from a live state or a pin (at w = 3 not 000 and 111), and
+    each bit flips on its own, so the chain drops the others: the live mass
+    is a 3**b x 2**b x 2**w array over (pin set, rule bits, state),
+    propagated like ``case3_convergence_law``: flip each rule bit with
+    probability mu, then send every entry through one precomputed move,
+    ``np.bincount`` into its next (pin set, rule, state) or into the
+    conflict that is INN.  Mass reaching a homogeneous state without a
+    conflict is not INN and leaves the chain.  The array has
+    3**8 * 2**8 * 2**w entries from w = 4 on, so this is meant for w = 3."""
+    n = 1 << w
+    masks = neighborhood_masks(w)
+    present = [sum(1 << v for v in range(8) if masks[v][s]) for s in range(n)]
+    held = [v for v in range(8) if any(p >> v & 1 for p in present[1:n - 1])]
+    b, K, R = len(held), 3 ** len(held), 1 << len(held)
+    rule = [sum(1 << v for i, v in enumerate(held) if x >> i & 1) for x in range(R)]
+    # digit i of pin set k (base 3): 0 free, 1 pinned to 0, 2 pinned to 1
+    digit = np.array([[k // 3**i % 3 for i in range(b)] for k in range(K)])
+    sink = K * R * n
+    move = np.full((K, R, n), sink)
+    for s in range(1, n - 1):
+        at = [i for i, v in enumerate(held) if present[s] >> v & 1]
+        for x in range(R):
+            want = np.array([1 + (x >> i & 1) for i in at])
+            pinned = digit[:, at]
+            conflict = ((pinned > 0) & (pinned != want)).any(axis=1)
+            k2 = np.arange(K) + ((pinned == 0) * want * 3 ** np.array(at)).sum(axis=1)
+            to = (k2 * R + x) * n + step_table(rule[x], w)[s]
+            move[:, x, s] = np.where(conflict, sink, to)
+    live = np.zeros((K, R, n))
+    for r in canonical_rules():
+        live[0, sum(1 << i for i, v in enumerate(held) if r >> v & 1)] += 1 / (88 * n)
+    inn = 0.0
+    while True:
+        live[:, :, [0, n - 1]] = 0
+        if live.sum() < tail:
+            return inn
+        for i in range(b):
+            pairs = live.reshape(K, R >> i + 1, 2, 1 << i, n)
+            pairs[:] = (1 - mu) * pairs + mu * pairs[:, :, ::-1]
+        moved = np.bincount(move.ravel(), live.ravel(), sink + 1)
+        inn += moved[sink]
+        live = moved[:sink].reshape(K, R, n)
+
+
 # --- brute-force counterfactual set -------------------------------------------
 
 @dataclass

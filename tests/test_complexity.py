@@ -22,7 +22,6 @@ from oee_ca.complexity import (
     NORM_MAX_WIDTH,
     compressibility,
     fit_exponent,
-    fixed_rule_run,
     lyapunov,
     lzw_phrase_bound,
     lzw_phrase_count,
@@ -37,8 +36,7 @@ from oee_ca.variants import (
     Variant,
     VariantConfig,
     execution_rng,
-    lookup,
-    organism_steps,
+    fixed_rule_run,
     run_trajectory,
 )
 
@@ -251,13 +249,12 @@ def test_fixed_rule_runs_match_step_bits(w):
     """A run holds the ``naive_step_bits`` states up to its first repeat, and
     the state after its last one is the one at ``first``."""
     rng = execution_rng(w)
-    tables = organism_steps(w)
     for steps in (0, 1, 9, 300):
         rule, bits = int(rng.integers(0, 256)), int(rng.integers(0, 1 << w))
         rows = [bits]
         for _ in range(steps):
             rows.append(naive_step_bits(rule, rows[-1], w))
-        states, first = fixed_rule_run(lookup(tables[rule]), bits, steps)
+        states, first = fixed_rule_run(rule, w, bits, steps)
         assert states == rows[:len(states)]
         assert len(set(states)) == len(states)
         if first is None:

@@ -13,6 +13,7 @@ from scipy import stats
 from helpers import (
     case3_convergence_law,
     case3_inn_law,
+    case3_inn_law_with_rule,
     exhaustive_plan_tuples,
     scalar_draw_plan,
     scalar_log2_histogram,
@@ -379,6 +380,21 @@ def test_case3_inn_and_ue_follow_the_exact_laws(w_o, seed, exact_inn):
     n = len(records)
     assert stats.binomtest(sum(rec.inn for rec in records), n, p_inn).pvalue > 1e-4
     assert stats.binomtest(sum(rec.ue for rec in records), n, p_ue).pvalue > 1e-4
+
+
+def test_case3_inn_follows_the_exact_law_at_general_mu():
+    """Below mu = 0.5 the next rule depends on the last, so the chain keeps
+    r_o in its state: at w_o = 3 it gives 63/128 at mu = 0.5, as the chain
+    on (s_o, pins) does, and 48.410 % at mu = 0.25, against which a fresh
+    10,000-sample plan's INN count passes an exact binomial test.  UE at
+    general mu is tested through the convergence law."""
+    assert case3_inn_law_with_rule(3, 0.5) == pytest.approx(63 / 128, rel=1e-9)
+    p_inn = case3_inn_law_with_rule(3, 0.25)
+    assert p_inn == pytest.approx(0.484098, abs=1e-6)
+    records = run_ensemble(SamplePlan(Variant.CASE_III, 3, mu=0.25, sample_count=10_000,
+                                      master_seed=241, norm_samples=20, norm_steps=64))
+    assert not any(rec.censored for rec in records)
+    assert stats.binomtest(sum(rec.inn for rec in records), len(records), p_inn).pvalue > 1e-4
 
 
 @pytest.mark.parametrize("w_o, mu, seed", [(3, 0.1, 231), (4, 0.1, 232),

@@ -867,6 +867,31 @@ def test_cli_abbreviated_flag_beats_config_file(tmp_path, capsys):
     assert "--samples: invalid int value: 'seven'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--config"], "argument --config: expected one argument"),
+    (["--class-table"], "argument --class-table: expected one argument"),
+    (["--config", "f", "ensemble", "--c", "3"], "ambiguous option: --c could match"),
+])
+def test_cli_malformed_top_level_option_prints_full_usage(argv, message, capsys):
+    """The --config pre-reading leaves a malformed option to the one parse,
+    which names the subcommands in its usage."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "{run,ensemble,norm,analyze,render}" in err and message in err
+
+
+def test_cli_abbreviated_config_flag_reads_the_file(tmp_path):
+    conf = tmp_path / "plan.conf"
+    out = str(tmp_path / "records.csv")
+    conf.write_text("variant = eca\nwo = 3\nsamples = 4\nnorm_samples = 5\n")
+    code = main(["--conf", str(conf), "ensemble",
+                 "--out", out, "--report", str(tmp_path / "report.json")])
+    assert code == EXIT_OK
+    assert len(read_records_csv(out)) == 4
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_cli_ensemble_workers_below_one_is_usage_error(workers, tmp_path, capsys):
     out = tmp_path / "r.csv"

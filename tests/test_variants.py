@@ -524,6 +524,30 @@ def test_packed_case2_and_eca_match_oracle(r_o, r_e, w_o, data):
     assert_same_run(VariantConfig(Variant.ISOLATED, w_o, so, r_o))
 
 
+@settings(max_examples=40, deadline=None)
+@given(rule_numbers, st.integers(13, 16), st.sampled_from([1, 2, 17, 3000]), st.data())
+def test_packed_eca_above_budget_matches_oracle(r_o, w_o, cap, data):
+    """From 13 cells the organism's steps are computed, and ``fixed_rule_run``
+    calls the window kernel itself; runs that repeat and runs cut at a cap
+    both equal the snapshot run."""
+    assert not isinstance(organism_steps(w_o)[r_o], (bytes, array))
+    config = VariantConfig(Variant.ISOLATED, w_o, data.draw(packed_states(w_o)), r_o)
+    assert_same_run(config, cap=cap, horizons=(2, 9))
+
+
+@pytest.mark.parametrize("w_o", [5, 13, 16])
+@pytest.mark.parametrize("cap", [1, 5])
+def test_packed_eca_cap_hit_matches_oracle(w_o, cap):
+    """Rule 30 from one live cell does not repeat within 5 steps: the run
+    stops at the cap with ``cap_hit`` set, no ``first_seen`` and cap + 1
+    states, as the snapshot run does."""
+    config = VariantConfig(Variant.ISOLATED, w_o, 1 << (w_o // 2), 30)
+    traj = run_trajectory(config, cap)
+    assert traj.cap_hit and traj.first_seen is None
+    assert len(traj.states) == len(traj.rules) == cap + 1 and traj.envs is None
+    assert_same_run(config, cap=cap, horizons=(2, 5))
+
+
 @settings(max_examples=80, deadline=None)
 @given(rule_numbers, st.integers(3, 13), st.sampled_from([0.0, 0.5]),
        st.integers(0, 2**64 - 1), st.sampled_from([1, 2, 15, 16, 17, 40, None]), st.data())
