@@ -10,10 +10,14 @@ indexes rule tables MSB-first, so ``outputs[0]`` answers triplet 111.
 A state is a periodic ring of cells held as a packed int plus its width:
 ``width`` bits, the leftmost cell in the most significant bit.
 
-One kernel steps a state of any width (``stepper``): the ring, extended by
-one wrap cell on each side, is read eight cells at a time through a 10-cell
-window, whose next values come from a table of all 1024 windows per rule
-(``window_tables``, 256 KB for all 256 rules, built once with numpy).
+``stepper`` steps a state of any width.  Up to ``SIM_MAX_WIDTH`` (64)
+cells, the widest ring the pipeline and ``run`` step, the ring, extended
+by one wrap cell on each side, is read eight cells at a time through a
+10-cell window, whose next values come from a table of all 1024 windows per
+rule (``window_tables``, 256 KB for all 256 rules, built once with numpy).
+Each window is a shift of the whole ring, so a step costs O(w^2) bit
+operations; a wider ring (``render``) steps as the OR of its neighborhood
+masks over the rule's set bits, a few whole-ring operations.
 
 ``neighborhoods`` states the neighborhood formula once, for one packed state
 or a numpy array of them; the step and count tables, one state's triplet
@@ -66,7 +70,21 @@ def stepper(rule_number: int, width: int):
     The state is extended by one wrap cell on each side, so bit ``i + 1`` of
     ``e`` is cell bit ``i`` and cell bit ``i``'s neighborhood is bits
     ``i..i + 2`` of ``e``; the window table then gives 8 cells per lookup.
+    Above ``SIM_MAX_WIDTH`` cells the step is the union of
+    ``neighborhoods(bits, width, full)[v]`` over the rule's set bits ``v``.
     """
+    if width > SIM_MAX_WIDTH:
+        full = (1 << width) - 1
+        terms = [v for v in range(8) if rule_number >> v & 1]
+
+        def step(bits: int) -> int:
+            masks = neighborhoods(bits, width, full)
+            out = 0
+            for v in terms:
+                out |= masks[v]
+            return out
+
+        return step
     table = window_tables()[rule_number]
     top, low, mask = width + 1, width - 1, (1 << width) - 1
     shifts = tuple(range(8, width, 8))

@@ -20,6 +20,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
+from functools import reduce
 from itertools import chain
 
 import numpy as np
@@ -386,6 +387,13 @@ def spearman(xs: list[float], ys: list[float]) -> tuple[float, float]:
     return float(rs[1, 0]), float(p[1, 0])
 
 
+def _mean(values: list[float]) -> float | None:
+    """The mean of the values added left to right, or None for none.  This
+    is what ``sum`` computes up to Python 3.11; from 3.12 ``sum`` compensates
+    float rounding, so the report would depend on the interpreter."""
+    return float(reduce(operator.add, values, 0) / len(values)) if values else None
+
+
 @gc_paused()
 def aggregate(records: list[ExecutionRecord]) -> EnsembleReport:
     """Percentages, distributions, correlations and metagenome of a record
@@ -427,9 +435,9 @@ def aggregate(records: list[ExecutionRecord]) -> EnsembleReport:
         spearman_p=p,
         metagenome_all=metagenome(records),
         metagenome_oee=metagenome(records, oee_only=True),
-        c_mean=float(sum(cs) / len(cs)) if cs else None,
+        c_mean=_mean(cs),
         c_hist=value_histogram(cs),
-        k_mean=float(sum(ks) / len(ks)) if ks else None,
+        k_mean=_mean(ks),
         k_hist=value_histogram(ks),
         n_extinct_k=sum(1 for r in live if r.k == cx.EXTINCT),
     )

@@ -18,8 +18,9 @@ states and rules, checked once when it is built.  Every run is stepped
 here, in one of three packed loops: ``fixed_rule_run`` steps a fixed rule
 to its first repeated state, for the isolated variant and for the sample
 runs of ``complexity.normalization_constant``; Case I and II stop at the
-first repeat of the packed key ``(s_o << (8 + w_e)) | (r_o << w_e) | s_e``;
-Case III at a homogeneous state.  A ``Trajectory`` holds plain int
+first repeat of (s_o, r_o, s_e), which they check at every step up to the
+Poincare time 2^w_o and once per environment cycle after it; Case III stops
+at a homogeneous state.  A ``Trajectory`` holds plain int
 sequences: organism states, rules and, with an environment, environment
 states; every reader of a deterministic run's cycle (pre-period P, period
 L) takes it from ``detect_cycle``.  The loops' lookups (the organism step
@@ -392,9 +393,13 @@ def fixed_rule_run(rule: int, width: int, state: int,
     the distinct states in step order and the step whose state follows
     ``states[-1]``, so the run cycles with period ``len(states) - first``
     from step ``first`` on; ``first`` is None when no state repeats within
-    ``steps`` updates.  A computed step is called through its own ``fn``,
-    one Python call a step."""
-    table = organism_steps(width)[rule]
+    ``steps`` updates."""
+    return _first_repeat(organism_steps(width)[rule], state, steps)
+
+
+def _first_repeat(table, state: int, steps: int) -> tuple[list[int], int | None]:
+    """``fixed_rule_run`` over a step table or a ``_Computed`` one, which is
+    called through its own ``fn``, one Python call a step."""
     step = table.fn if isinstance(table, _Computed) else table.__getitem__
     states = [state]
     seen = {state: 0}
@@ -408,7 +413,23 @@ def fixed_rule_run(rule: int, width: int, state: int,
 
 
 def _run_deterministic(config: VariantConfig, cap: int) -> Trajectory:
-    """Case I and II, stepped until the packed key of (s_o, r_o, s_e) repeats."""
+    """Case I and II, stepped to the first repeat of (s_o, r_o, s_e).
+
+    Up to the Poincare time t_P = 2^w_o (or the cap), where most runs end,
+    the packed key of the snapshot is checked at every step.  A run still
+    going at t_P is checked once per environment cycle.  The environment is
+    an isolated fixed-rule ECA, stepped on its own to its first repeat: its
+    states ``E``, pre-period ``pe`` and period ``le``.  A snapshot can repeat
+    only at steps past ``pe`` a multiple of ``le`` apart, so (s_o, r_o) is
+    compared only at the checkpoints c >= pe with c = pe (mod le), where
+    s_e is ``E[pe]``; between them the organism reads s_e from ``E``.  A
+    match of checkpoints f < t gives the period L = t - f, and the first
+    repeat's step P lies within ``le - 1`` steps before f (the first
+    checkpoint at or after P matches L steps later), so a scan from
+    max(pe, f - le + 1) finds it.  Checkpoints run to below cap + le, so
+    every repeat with P + L <= cap is seen; the lists are then cut back to
+    the run's end, or to the cap when the run is censored.
+    """
     case1 = config.variant is Variant.CASE_I
     w_o, w_e = config.w_o, config.w_e
     o_step = organism_steps(w_o)
@@ -418,7 +439,8 @@ def _run_deterministic(config: VariantConfig, cap: int) -> Trajectory:
     states, rules, envs = [so], [ro], [se]
     shift = 8 + w_e
     seen = {(so << shift) | (ro << w_e) | se: 0}
-    for t in range(1, cap + 1):
+    t0 = min(cap, 1 << w_o)
+    for t in range(1, t0 + 1):
         if case1:
             ro ^= flip[so][se]
         else:
@@ -431,7 +453,45 @@ def _run_deterministic(config: VariantConfig, cap: int) -> Trajectory:
         first = seen.setdefault((so << shift) | (ro << w_e) | se, t)
         if first != t:
             return Trajectory(config, states, rules, envs, first_seen=first)
-    return Trajectory(config, states, rules, envs, cap_hit=True)
+    if t0 == cap:
+        return Trajectory(config, states, rules, envs, cap_hit=True)
+
+    E, pe = _first_repeat(e_step, config.s_e, cap)
+    if pe is None:
+        # no environment repeat within the cap, so no system repeat either:
+        # the one checkpoint is the cap, where nothing is seen before
+        pe = cap
+    le = len(E) - pe
+    cycle = E[pe:]
+    seen = {states[c] << 8 | rules[c]: c for c in range(pe, t0 + 1, le)}
+    segment = E[t0:pe] if t0 < pe else cycle[(t0 - pe) % le:]
+    t = t0
+    while True:
+        for e in segment:
+            if case1:
+                ro ^= flip[so][e]
+            else:
+                ro = e
+            so = o_step[ro][so]
+            states.append(so)
+            rules.append(ro)
+        t += len(segment)
+        first = seen.setdefault(so << 8 | ro, t)
+        if first != t or t >= cap:
+            break
+        segment = cycle
+    end, first_seen = cap, None
+    if first != t:
+        L = t - first
+        P = max(pe, first - le + 1)
+        while states[P] != states[P + L] or rules[P] != rules[P + L]:
+            P += 1
+        if P + L <= cap:
+            end, first_seen = P + L, P
+    del states[end + 1:], rules[end + 1:]
+    envs = (E + cycle * ((end - pe) // le))[:end + 1]
+    return Trajectory(config, states, rules, envs,
+                      cap_hit=first_seen is None, first_seen=first_seen)
 
 
 def _run_case3(config: VariantConfig, cap: int) -> Trajectory:

@@ -15,6 +15,7 @@ from helpers import (
     case3_inn_law,
     case3_inn_law_with_rule,
     exhaustive_plan_tuples,
+    light_stats,
     scalar_draw_plan,
     scalar_log2_histogram,
     scalar_value_histogram,
@@ -146,6 +147,20 @@ def test_exhaustive_sampling_equals_space():
     plan = SamplePlan(Variant.ISOLATED, 3, sample_count=704, master_seed=0)
     tuples = draw_plan(plan)
     assert sorted(tuples) == sorted(exhaustive_plan_tuples(plan))
+
+
+@pytest.mark.slow
+def test_case1_33_exhaustive_flag_counts():
+    """Every tuple of the Case I (3,3) space through the flag stages gives
+    the exact population that criteria 6 and 7 sample: 30,750 OEE and
+    186,090 INN tuples of 495,616, none censored.  With t_P = 8, 34,854 of
+    these runs go on to the Case I loop's once-per-cycle check.  About ten
+    seconds, so it runs only with ``-m slow``."""
+    plan = SamplePlan(Variant.CASE_I, 3, 3, sample_count=1)
+    stats = light_stats(plan, exhaustive_plan_tuples(plan))
+    assert (stats.n_live, stats.n_censored) == (495_616, 0)
+    assert stats.oee_percent == 100.0 * 30_750 / 495_616
+    assert stats.inn_percent == 100.0 * 186_090 / 495_616
 
 
 # --- block draws against the scalar oracle ---------------------------------
@@ -459,6 +474,17 @@ def test_aggregate_all_censored_rejected(small_case1_records):
     censored = dataclasses.replace(records[0], censored=True)
     with pytest.raises(EmptyReportError):
         aggregate([censored])
+
+
+def test_aggregate_means_add_left_to_right(small_case1_records):
+    """Ten live records with C = k = 0.1: added left to right, as ``sum``
+    did up to Python 3.11, they total 0.9999999999999999, where 3.12's
+    compensated ``sum`` gives 1.0, so the report's means do not depend on
+    the interpreter."""
+    _, records = small_case1_records
+    live = next(r for r in records if not r.censored)
+    report = aggregate([dataclasses.replace(live, C=0.1, k=0.1)] * 10)
+    assert report.c_mean == report.k_mean == 0.9999999999999999 / 10
 
 
 def test_histogram_mass_conserved(small_case1_records):

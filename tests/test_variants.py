@@ -462,6 +462,34 @@ def test_packed_case1_above_budget_matches_oracle(w_o, w_e, data):
     assert_same_run(config, cap=data.draw(st.integers(1, 60)), horizons=(2, 9))
 
 
+@pytest.mark.parametrize("variant, w_e", [(Variant.CASE_I, 5), (Variant.CASE_I, 9),
+                                          (Variant.CASE_I, 12), (Variant.CASE_II, 8)])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_runs_past_the_poincare_time_match_oracle(variant, w_e, data):
+    """At w_o = 3 a run still going at t_P = 8 is checked only once per
+    environment cycle from there on.  Caps just before, at and just after
+    the oracle's end step t*, and at t_P and t_P + 1, cut it as the
+    snapshot run does."""
+    config = VariantConfig(variant, 3, data.draw(packed_states(3)), data.draw(rule_numbers),
+                           w_e, data.draw(packed_states(w_e)), data.draw(rule_numbers))
+    end = len(scalar_trajectory(config).states) - 1
+    cap = data.draw(st.sampled_from([max(1, end - 1), end, end + 1, 8, 9]))
+    assert_same_run(config, cap=cap, horizons=(2, 9))
+
+
+def test_run_repeating_at_the_environment_pre_period_past_t_p():
+    """Case I (5,12) from r_o = 9, r_e = 106, s_o = 3, s_e = 1502: the
+    environment enters a fixed point (period 1) at step 50, past t_P = 32,
+    and the run repeats there with period 3, so the checkpoint at the
+    environment's pre-period itself must be compared."""
+    config = VariantConfig(Variant.CASE_I, 5, 3, 9, 12, 1502, 106)
+    traj = run_trajectory(config)
+    assert (traj.first_seen, len(traj.states) - 1) == (50, 53)
+    for cap in (52, 53, 54, None):
+        assert_same_run(config, cap=cap, horizons=(2, 9))
+
+
 @pytest.mark.parametrize("variant, w_o, w_e", [
     (Variant.CASE_I, 4, 6), (Variant.CASE_I, 12, 9), (Variant.CASE_II, 5, 8),
     (Variant.CASE_III, 6, None), (Variant.ISOLATED, 5, None)])
