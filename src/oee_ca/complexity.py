@@ -38,9 +38,9 @@ from functools import lru_cache
 import numpy as np
 
 from .variants import (
+    CASE_I,
     TABLE_BUDGET,
     Trajectory,
-    Variant,
     continued,
     execution_rng,
     fixed_rule_run,
@@ -54,17 +54,15 @@ EXTINCT = "extinct"
 
 
 @lru_cache(maxsize=None)
-def _row_table(width: int) -> list[bytes]:
-    cells = np.arange(1 << width, dtype=np.uint32)[:, None]
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
-    return [row.tobytes() for row in ((cells >> shifts) & 1).astype(np.uint8)]
-
-
 def state_rows(width: int) -> list[bytes] | None:
     """``rows[s]``: the cells of the ``width``-cell state ``s`` as 0/1 bytes,
     leftmost cell first; None when the table would exceed ``TABLE_BUDGET``
-    cells."""
-    return _row_table(width) if width << width <= TABLE_BUDGET else None
+    cells (cached per width)."""
+    if width << width > TABLE_BUDGET:
+        return None
+    cells = np.arange(1 << width, dtype=np.uint32)[:, None]
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
+    return [row.tobytes() for row in ((cells >> shifts) & 1).astype(np.uint8)]
 
 
 def serialize_states(states: Sequence[int], width: int) -> bytes:
@@ -347,7 +345,7 @@ def lyapunov(base: Trajectory, perturb_bit: int = 0, horizon: int = 16) -> float
 
     states, rules, envs = continued(base, horizon)
     o_step = organism_steps(w_o)
-    flip = flip_masks(w_o, config.w_e) if config.variant is Variant.CASE_I else None
+    flip = flip_masks(w_o, config.w_e) if config.variant is CASE_I else None
     so, ro = config.s_o ^ (1 << (w_o - 1 - perturb_bit)), config.r_o
     ys = []
     for t in range(1, horizon + 1):

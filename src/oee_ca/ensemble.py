@@ -32,6 +32,8 @@ from .innovation import is_eca_reproducible
 from .io_formats import ExecutionRecord
 from .recurrence import build_report, detect_cycle
 from .variants import (
+    CASE_III,
+    ISOLATED,
     Variant,
     VariantConfig,
     execution_rng,
@@ -142,15 +144,16 @@ def draw_plan(plan: SamplePlan) -> list[tuple]:
 
 
 def config_for_tuple(plan: SamplePlan, index: int, tup: tuple) -> VariantConfig:
-    if plan.variant is Variant.CASE_III:
+    variant = plan.variant
+    if variant is CASE_III:
         r_o, s_o = tup
-        return VariantConfig(plan.variant, plan.w_o, s_o, r_o,
+        return VariantConfig(variant, plan.w_o, s_o, r_o,
                              mu=plan.mu, seed=_case3_seed(plan.master_seed, index))
-    if plan.variant is Variant.ISOLATED:
+    if variant is ISOLATED:
         r_o, s_o = tup
-        return VariantConfig(plan.variant, plan.w_o, s_o, r_o)
+        return VariantConfig(variant, plan.w_o, s_o, r_o)
     r_o, r_e, s_o, s_e = tup
-    return VariantConfig(plan.variant, plan.w_o, s_o, r_o, plan.w_e, s_e, r_e)
+    return VariantConfig(variant, plan.w_o, s_o, r_o, plan.w_e, s_e, r_e)
 
 
 def _case3_seed(master_seed: int, index: int) -> int:
@@ -191,14 +194,12 @@ def execute_tuple(plan: SamplePlan, index: int, tup: tuple, norm_bits: int) -> E
         if plan.variant.deterministic:
             P, L = detect_cycle(traj)
             att = tuple(rules[P:P + L])
+    # positional, in ExecutionRecord's field order
     return ExecutionRecord(
-        variant=plan.variant, w_o=plan.w_o, w_e=plan.w_e, mu=plan.mu,
-        seed=config.seed, init_rule_o=config.r_o, rule_e=config.r_e,
-        init_state_o=config.s_o, init_state_e=config.s_e,
-        t_P=rep.t_P, t_r=rep.t_r, t_r_rule=rep.t_r_rule, t_a=rep.t_a,
-        inn=inn, ue=rep.ue, oee=rep.ue and inn, attractor_ue=rep.attractor_ue,
-        n_rule_transitions=n_rt, innovation_I=inno, compressed_bits=compressed,
-        norm_bits=norm_bits, C=c_val, k=k, censored=rep.censored, attractor_rules=att)
+        plan.variant, plan.w_o, plan.w_e, plan.mu, config.seed, config.r_o, config.r_e,
+        config.s_o, config.s_e, rep.t_P, rep.t_r, rep.t_r_rule, rep.t_a,
+        inn, rep.ue, rep.ue and inn, rep.attractor_ue,
+        n_rt, inno, compressed, norm_bits, c_val, k, rep.censored, att)
 
 
 # (plan, tuples, norm_bits) of the ensemble a pool worker runs, installed
@@ -222,12 +223,15 @@ def worker_count(requested: int | None, n_tasks: int, env: str | None,
                  cpus: int | None) -> int:
     """Worker processes for ``n_tasks`` executions: the explicit request,
     else the ``OEE_THREADS`` value ``env``, else 1; at most one per task and
-    one per CPU, and at least 1."""
+    one per CPU, and at least 1.  An ``env`` that is no integer, or is below
+    1, raises ValueError."""
     if requested is None:
         try:
             requested = int(env) if env else 1
         except ValueError:
             raise ValueError(f"OEE_THREADS must be an integer, got {env!r}") from None
+        if requested < 1:
+            raise ValueError(f"OEE_THREADS must be >= 1, got {env!r}")
     return max(1, min(requested, n_tasks, cpus or 1))
 
 

@@ -24,7 +24,6 @@ from .eca import neighborhood_masks, neighborhoods
 from .variants import TABLE_BUDGET, _Computed
 
 
-@lru_cache(maxsize=None)
 def _pin_table(width: int):
     """``pins[a << width | b]`` for all pairs of ``width``-cell states."""
     masks = neighborhood_masks(width)
@@ -51,11 +50,13 @@ def _pins(a: int, b: int, width: int) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
 def transition_pins(width: int):
     """``pins[a << width | b]``: the rule bits the transition a -> b pins,
     ``ones | zeros << 8``.  Bit v of ``ones`` (of ``zeros``) is set when
     some cell whose neighborhood in ``a`` reads v is 1 (is 0) in ``b``, i.e.
-    when ``b & m`` is nonzero (``m & ~b`` is) for ``m = masks[v][a]``."""
+    when ``b & m`` is nonzero (``m & ~b`` is) for ``m = masks[v][a]``
+    (cached per width)."""
     if 1 << 2 * width <= TABLE_BUDGET:
         return _pin_table(width)
     mask = (1 << width) - 1

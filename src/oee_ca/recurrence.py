@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .variants import Trajectory, Variant, detect_cycle
+from .variants import Trajectory, detect_cycle
 
 
 @dataclass(slots=True)
@@ -80,19 +80,16 @@ def ue_flag(t_P: int, t_r: int | None, t_r_rule: int | None) -> bool | None:
 
 
 def build_report(traj: Trajectory) -> RecurrenceReport:
-    """Full recurrence analysis of one trajectory."""
+    """Full recurrence analysis of one trajectory.  The report is built
+    positionally: (t_P, t_r, t_r_rule, t_a, ue, attractor_ue, censored)."""
     t_P = poincare_time(traj.config.w_o)
     if traj.cap_hit:
-        return RecurrenceReport(t_P=t_P, t_r=None, t_r_rule=None, t_a=None,
-                                ue=None, attractor_ue=None, censored=True)
-    if traj.config.variant is Variant.CASE_III:
+        return RecurrenceReport(t_P, None, None, None, None, None, True)
+    if not traj.config.variant.deterministic:
         t_r = len(traj.states) - 1
-        return RecurrenceReport(t_P=t_P, t_r=t_r, t_r_rule=None, t_a=None,
-                                ue=t_r > t_P, attractor_ue=None)
+        return RecurrenceReport(t_P, t_r, None, None, t_r > t_P, None)
 
     P, L = detect_cycle(traj)
     _, _, t_r = projected_recurrence(traj.states, P, L)
     _, _, t_r_rule = projected_recurrence(traj.rules, P, L)
-    return RecurrenceReport(
-        t_P=t_P, t_r=t_r, t_r_rule=t_r_rule, t_a=L,
-        ue=ue_flag(t_P, t_r, t_r_rule), attractor_ue=L > t_P)
+    return RecurrenceReport(t_P, t_r, t_r_rule, L, ue_flag(t_P, t_r, t_r_rule), L > t_P)

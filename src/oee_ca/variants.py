@@ -9,6 +9,10 @@ Variant summary (rule evolution of the organism ``o``):
               the environment is a noise source, there is no s_e.
 * Isolated -- plain ECA, the rule never changes (control).
 
+Each ``Variant`` member carries its flags ``deterministic`` and
+``has_environment`` as plain attributes, and the module binds the members to
+the names ``CASE_I`` .. ``ISOLATED``, which the per-run code compares against.
+
 The stepping order is rule-first: r_o(t+1) is derived from time-t quantities
 and immediately applied to s_o(t).
 
@@ -26,12 +30,14 @@ states; every reader of a deterministic run's cycle (pre-period P, period
 L) takes it from ``detect_cycle``.  The loops' lookups (the organism step
 under every rule, the environment step and the Case I flip mask) are
 tables built with numpy over all states at once (``step_table``,
-``count_array``) and cached, as long as the tables of one kind and width
+``count_array``), as long as the tables of one kind and width
 fit in ``TABLE_BUDGET`` entries: the organism's 256 step tables, the
 environment tables of all ``ENVIRONMENT_RULES`` rules a plan can draw, one
 flip table.  Above it the loops compute each entry per step: a step with the
 window-table kernel (``eca.stepper``), a flip mask with
-``case1_update_bits``.  Case III's flip masks are a pure function of
+``case1_update_bits``.  Each lookup function is cached whole, budget test
+included, so a lookup is one cache hit on either side of the budget.
+Case III's flip masks are a pure function of
 (seed, mu, step), ``case3_masks``: its Philox stream is addressed by key
 and counter through one generator shared by the process (not thread-safe;
 a process steps its runs on one thread), and a run draws them a block of
@@ -91,13 +97,14 @@ class Variant(enum.Enum):
     CASE_III = "case3"
     ISOLATED = "eca"
 
-    @property
-    def deterministic(self) -> bool:
-        return self is not Variant.CASE_III
+    def __init__(self, value: str):
+        # plain attributes: an enum property costs a descriptor call per read
+        self.deterministic = value != "case3"
+        self.has_environment = value in ("case1", "case2")
 
-    @property
-    def has_environment(self) -> bool:
-        return self in (Variant.CASE_I, Variant.CASE_II)
+
+# the members by name: a ``Variant.X`` read runs the enum class's __getattr__
+CASE_I, CASE_II, CASE_III, ISOLATED = Variant
 
 
 @dataclass(slots=True)
@@ -117,16 +124,17 @@ class VariantConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        variant = self.variant
         _check_ca("o", self.w_o, self.s_o, self.r_o)
-        if self.variant.has_environment:
+        if variant.has_environment:
             if None in (self.w_e, self.s_e, self.r_e):
-                raise ValueError(f"{self.variant.value} requires w_e, s_e and r_e")
+                raise ValueError(f"{variant.value} requires w_e, s_e and r_e")
             _check_ca("e", self.w_e, self.s_e, self.r_e)
-            if self.variant is Variant.CASE_II and self.w_e != 8:
+            if variant is CASE_II and self.w_e != 8:
                 raise ValueError("Case II requires an environment of width 8")
         elif (self.w_e, self.s_e, self.r_e) != (None, None, None):
-            raise ValueError(f"{self.variant.value} takes no environment CA")
-        if self.variant is Variant.CASE_III:
+            raise ValueError(f"{variant.value} takes no environment CA")
+        if variant is CASE_III:
             if self.mu is None or not 0.0 <= self.mu < 1.0:
                 raise ValueError("Case III requires mu in [0, 1)")
             if self.seed is None:
@@ -285,14 +293,15 @@ def organism_steps(width: int) -> list:
     return [_Computed(stepper(rule, width)) for rule in range(256)]
 
 
+@lru_cache(maxsize=None)
 def environment_steps(rule: int, width: int):
-    """``steps[s]``: state ``s`` of ``width`` cells after one step of ``rule``."""
+    """``steps[s]``: state ``s`` of ``width`` cells after one step of ``rule``
+    (cached per rule and width)."""
     if ENVIRONMENT_RULES << width <= TABLE_BUDGET:
         return step_table(rule, width)
     return _Computed(stepper(rule, width))
 
 
-@lru_cache(maxsize=8)
 def _case1_flip_table(w_o: int, w_e: int) -> list[bytes]:
     """``flip[s_o][s_e]``, built one rule bit at a time: bit 7 - i is set when
     triplet S3[i] occurs in both states and ``co * w_e >= ce * w_o``."""
@@ -305,9 +314,10 @@ def _case1_flip_table(w_o: int, w_e: int) -> list[bytes]:
     return [row.tobytes() for row in flip]
 
 
+@lru_cache(maxsize=8)
 def flip_masks(w_o: int, w_e: int):
     """``flip[s_o][s_e]``: the Case I mask XORed into the rule, i.e.
-    ``case1_update_bits(s_o, w_o, 0, s_e, w_e)``."""
+    ``case1_update_bits(s_o, w_o, 0, s_e, w_e)`` (cached per width pair)."""
     if 1 << (w_o + w_e) <= TABLE_BUDGET:
         return _case1_flip_table(w_o, w_e)
     return _Computed(lambda so: _Computed(
@@ -359,7 +369,7 @@ def case3_masks(seed: int, mu: float, start: int, n: int) -> bytes:
 # --- coupled stepping -------------------------------------------------------
 
 def default_step_cap(config: VariantConfig) -> int:
-    if config.variant is Variant.CASE_III:
+    if config.variant is CASE_III:
         return 10**6
     w_e = config.w_e or 0
     return 256 * (1 << (config.w_o + w_e)) + 1
@@ -375,7 +385,7 @@ def run_trajectory(config: VariantConfig, cap: int | None = None) -> Trajectory:
         cap = default_step_cap(config)
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if config.variant is Variant.CASE_III:
+    if config.variant is CASE_III:
         return _run_case3(config, cap)
     if config.variant.has_environment:
         return _run_deterministic(config, cap)
@@ -430,7 +440,7 @@ def _run_deterministic(config: VariantConfig, cap: int) -> Trajectory:
     every repeat with P + L <= cap is seen; the lists are then cut back to
     the run's end, or to the cap when the run is censored.
     """
-    case1 = config.variant is Variant.CASE_I
+    case1 = config.variant is CASE_I
     w_o, w_e = config.w_o, config.w_e
     o_step = organism_steps(w_o)
     e_step = environment_steps(config.r_e, w_e)

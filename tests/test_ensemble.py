@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
 import pickle
 
 import numpy as np
@@ -40,7 +41,7 @@ from oee_ca.ensemble import (
     value_histogram,
     worker_count,
 )
-from oee_ca.eca import _complement_number, _mirror_number, canonical_rule
+from oee_ca.eca import _complement_number, _mirror_number, canonical_rule, canonical_rules
 from oee_ca.io_formats import read_records_csv, write_records_csv, write_report_json
 from oee_ca.variants import Variant, execution_rng, integers_rows
 
@@ -161,6 +162,21 @@ def test_case1_33_exhaustive_flag_counts():
     assert (stats.n_live, stats.n_censored) == (495_616, 0)
     assert stats.oee_percent == 100.0 * 30_750 / 495_616
     assert stats.inn_percent == 100.0 * 186_090 / 495_616
+
+
+@pytest.mark.slow
+def test_case1_36_exhaustive_flag_counts():
+    """Every tuple of the Case I (3,6) space through the flag stages: 665,352
+    OEE and 2,512,670 INN tuples of 3,964,928, none censored.  The tuples
+    are generated lazily in the space's lexicographic order, since a list of
+    them would hold about 350 MB.  About 75 seconds, so it runs only with
+    ``-m slow``."""
+    plan = SamplePlan(Variant.CASE_I, 3, 6, sample_count=1)
+    canon = canonical_rules()
+    stats = light_stats(plan, itertools.product(canon, canon, range(1 << 3), range(1 << 6)))
+    assert (stats.n_live, stats.n_censored) == (3_964_928, 0)
+    assert stats.oee_percent == 100.0 * 665_352 / 3_964_928
+    assert stats.inn_percent == 100.0 * 2_512_670 / 3_964_928
 
 
 # --- block draws against the scalar oracle ---------------------------------
@@ -323,6 +339,46 @@ def test_serial_ensemble_calls_execute_tuple_per_tuple_in_order(monkeypatch):
     assert len(records) == 30
 
 
+# (module, name) of every per-execution call ``bench/pipeline.install`` wraps
+BENCH_STAGES = [(ensemble, "execute_tuple"), (ensemble, "run_trajectory"),
+                (ensemble, "build_report"), (ensemble, "is_eca_reproducible"),
+                (ensemble, "detect_cycle"), (cx, "compressibility"), (cx, "lyapunov")]
+
+
+@pytest.mark.parametrize("plan", [
+    SamplePlan(Variant.CASE_I, 3, 3, sample_count=40, master_seed=7, step_cap=6),
+    SamplePlan(Variant.CASE_II, 3, sample_count=40, master_seed=7, step_cap=10),
+    SamplePlan(Variant.CASE_III, 3, mu=0.5, sample_count=40, master_seed=7, step_cap=4),
+    SamplePlan(Variant.ISOLATED, 4, sample_count=40, master_seed=7, step_cap=3),
+], ids=lambda plan: plan.variant.value)
+def test_serial_ensemble_calls_each_benchmark_stage_per_execution(plan, monkeypatch):
+    """The benchmark's trace wraps these module attributes by name, and its
+    per-stage spans assume each is called once per execution that reaches
+    it: ``run_trajectory`` and ``build_report`` always, ``compressibility``
+    and ``lyapunov`` per live run, ``is_eca_reproducible`` per live run
+    whose INN window has 2 or more states, and ``detect_cycle`` per live
+    deterministic run."""
+    calls = dict.fromkeys([name for _, name in BENCH_STAGES], 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for module, name in BENCH_STAGES:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    plan = dataclasses.replace(plan, norm_samples=20, norm_steps=64)
+    records = run_ensemble(plan, workers=1)
+    live = [r for r in records if not r.censored]
+    assert 0 < len(live) < len(records)
+    assert calls == {
+        "execute_tuple": len(records), "run_trajectory": len(records),
+        "build_report": len(records), "compressibility": len(live), "lyapunov": len(live),
+        "is_eca_reproducible": sum(1 for r in live if r.t_r >= 1),
+        "detect_cycle": len(live) if plan.variant.deterministic else 0}
+
+
 def test_worker_count_explicit_request_beats_env():
     assert worker_count(2, 100, env="3", cpus=4) == 2
     assert worker_count(1, 100, env="3", cpus=4) == 1
@@ -341,6 +397,13 @@ def test_worker_count_clamped_to_tasks_and_cpus():
     assert worker_count(4, 0, env=None, cpus=4) == 1
     assert worker_count(0, 100, env=None, cpus=4) == 1
     assert worker_count(-3, 100, env="2", cpus=4) == 1
+
+
+@pytest.mark.parametrize("env", ["0", "-2"])
+def test_worker_count_env_below_one_raises(env):
+    with pytest.raises(ValueError, match=f"OEE_THREADS must be >= 1, got '{env}'"):
+        worker_count(None, 100, env=env, cpus=4)
+    assert worker_count(1, 100, env=env, cpus=4) == 1
 
 
 def test_run_ensemble_explicit_workers_ignore_env(monkeypatch):

@@ -714,6 +714,19 @@ def test_cli_ensemble_bad_oee_threads_exits_3_before_any_work(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_cli_ensemble_oee_threads_below_one_exits_3(tmp_path, capsys, monkeypatch):
+    """``OEE_THREADS=0`` is an error, as ``--workers 0`` is, not one worker."""
+    monkeypatch.setenv("OEE_THREADS", "0")
+    out = tmp_path / "r.csv"
+    assert main(["ensemble", "--variant", "eca", "--wo", "4", "--samples", "5",
+                 "--out", str(out), "--report", str(tmp_path / "rep.json")]) == EXIT_DATA
+    assert "OEE_THREADS must be >= 1, got '0'" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["ensemble", "--variant", "eca", "--wo", "4", "--samples", "5",
+                 "--workers", "1", "--out", str(out),
+                 "--report", str(tmp_path / "rep.json")]) == 0
+
+
 CORRUPT_NORM_LINES = [
     ("abc", "line 2: expected 5 integers, got '{key} abc'"),
     ("0", "line 2: the constant must be >= 1, got 0"),

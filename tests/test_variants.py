@@ -17,7 +17,12 @@ from helpers import (
 
 from oee_ca import complexity as cx
 from oee_ca.eca import step_table, stepper
+from oee_ca.innovation import transition_pins
 from oee_ca.variants import (
+    CASE_I,
+    CASE_II,
+    CASE_III,
+    ISOLATED,
     TABLE_BUDGET,
     Variant,
     VariantConfig,
@@ -27,6 +32,7 @@ from oee_ca.variants import (
     default_step_cap,
     environment_steps,
     execution_rng,
+    flip_masks,
     flip_threshold,
     organism_steps,
     run_trajectory,
@@ -37,6 +43,16 @@ from oee_ca.variants import (
 def case1_config(s_o="0000", r_o=30, s_e="000000", r_e=90):
     return VariantConfig(Variant.CASE_I, len(s_o), int(s_o, 2), r_o,
                          len(s_e), int(s_e, 2), r_e)
+
+
+# --- variant flags ----------------------------------------------------------
+
+@pytest.mark.parametrize("value, member, deterministic, has_environment", [
+    ("case1", CASE_I, True, True), ("case2", CASE_II, True, True),
+    ("case3", CASE_III, False, False), ("eca", ISOLATED, True, False)])
+def test_variant_flags(value, member, deterministic, has_environment):
+    assert Variant(value) is member is getattr(Variant, member.name)
+    assert (member.deterministic, member.has_environment) == (deterministic, has_environment)
 
 
 # --- config validation ------------------------------------------------------
@@ -531,6 +547,17 @@ def test_tables_chosen_by_budget():
     for s in (0, 1, 0x2A5C, (1 << 14) - 1):
         assert organism_steps(13)[30][s & 0x1FFF] == naive_step_bits(30, s & 0x1FFF, 13)
         assert wide[s] == naive_step_bits(30, s, 14)
+
+
+@pytest.mark.parametrize("lookup, key", [
+    (flip_masks, (4, 4)), (flip_masks, (6, 15)),
+    (environment_steps, (30, 4)), (environment_steps, (30, 14)),
+    (cx.state_rows, (4,)), (cx.state_rows, (17,)),
+    (transition_pins, (4,)), (transition_pins, (11,))])
+def test_lookups_are_cached_whole(lookup, key):
+    """A lookup is one cache hit, below the budget and above it: a second
+    call with the same key returns the very object of the first."""
+    assert lookup(*key) is lookup(*key)
 
 
 @pytest.mark.parametrize("rule", [*range(1, 256, 16), 30, 110])
