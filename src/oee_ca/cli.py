@@ -6,9 +6,9 @@ a records CSV), render (large-width PGM).
 
 Exit codes: 0 success, 2 usage error, 3 data/format error.
 
-Only ensemble and analyze import ``ensemble``, which loads
-``scipy.special`` for the Spearman p-value: about 0.3 s on top of this
-module's 0.16 s on a 2-vCPU host, so the other subcommands start without it.
+Only ensemble and analyze import ``ensemble``, which loads ``scipy.special``
+for the Spearman p-value: 0.26-0.35 s and 20 MB of peak RSS on top of this
+module's 0.18 s and 34 MB (2-vCPU host), so the others start without it.
 """
 
 from __future__ import annotations

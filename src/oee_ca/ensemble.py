@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 import operator
 import os
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from functools import reduce
-from itertools import chain
+from itertools import chain, compress
 
 import numpy as np
 from scipy.special import stdtr
@@ -279,8 +280,9 @@ def box_stats(values: list[float]) -> BoxStats | None:
     vs = sorted(values)
     q1, med, q3 = (_quantile(vs, q) for q in (0.25, 0.5, 0.75))
     iqr = q3 - q1
-    lo = min((v for v in vs if v >= q1 - 1.5 * iqr), default=vs[0])
-    hi = max((v for v in vs if v <= q3 + 1.5 * iqr), default=vs[-1])
+    i, j = bisect_left(vs, q1 - 1.5 * iqr), bisect_right(vs, q3 + 1.5 * iqr) - 1
+    lo = vs[i] if i < len(vs) else vs[0]
+    hi = vs[bisect_left(vs, vs[j])] if j >= 0 else vs[-1]   # the first of equals, as max picks
     return BoxStats(vs[0], q1, med, q3, vs[-1], lo, hi)
 
 
@@ -298,7 +300,9 @@ def _quantile(sorted_vals: list[float], q: float) -> float:
 def log2_histogram(ratios: list[float]) -> dict[str, int]:
     """Counts per log2 bin of a ratio distribution; zeros get their own bin.
     Bin "e" covers [2^e, 2^(e+1))."""
-    counts = Counter([None if r <= 0 else math.floor(math.log2(r)) for r in ratios])
+    counts: Counter = Counter()
+    for r, count in Counter(ratios).items():
+        counts[None if r <= 0 else math.floor(math.log2(r))] += count
     zeros = counts.pop(None, 0)
     hist = {str(e): counts[e] for e in sorted(counts)}
     if zeros:
@@ -308,12 +312,16 @@ def log2_histogram(ratios: list[float]) -> dict[str, int]:
 
 def metagenome(records: list[ExecutionRecord], oee_only: bool = False) -> list[dict]:
     """Rank-ordered rule frequencies over attractor-cycle rule sequences."""
-    counts = Counter(chain.from_iterable(
-        rec.attractor_rules for rec in records
-        if rec.attractor_rules is not None and (rec.oee or not oee_only)))
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [{"rule": rule, "count": count, "wolfram_class": int(wolfram_class(rule))}
-            for rule, count in ranked]
+    rules = map(operator.attrgetter("attractor_rules"), records)
+    if oee_only:
+        rules = compress(rules, map(operator.attrgetter("oee"), records))
+    rules = np.frombuffer(bytes(chain.from_iterable(filter(None, rules))), np.uint8)
+    # a rule number is a byte; counted in chunks, as bincount copies them to intp
+    counts = sum((np.bincount(rules[i:i + 4096], minlength=256)
+                  for i in range(0, len(rules), 4096)), np.zeros(256, np.int64)).tolist()
+    ranked = sorted(filter(counts.__getitem__, range(256)), key=lambda rule: (-counts[rule], rule))
+    return [{"rule": rule, "count": counts[rule], "wolfram_class": int(wolfram_class(rule))}
+            for rule in ranked]
 
 
 @dataclass(frozen=True)
@@ -354,9 +362,12 @@ def value_histogram(values: list[float], bins: int = 20) -> dict[str, int]:
     if hi == lo:
         return {f"{lo:.6g}": len(values)}
     width = (hi - lo) / bins
+    per_bin: Counter = Counter()
+    for v, count in Counter(values).items():
+        per_bin[min(bins - 1, int((v - lo) / width))] += count
     hist: Counter = Counter()
-    # count per bin, then label each bin once; bins sharing a label merge
-    for idx, count in Counter([min(bins - 1, int((v - lo) / width)) for v in values]).items():
+    # label each bin once; bins sharing a label merge
+    for idx, count in per_bin.items():
         hist[f"{lo + idx * width:.6g}"] += count
     return dict(sorted(hist.items(), key=lambda kv: float(kv[0])))
 
@@ -413,17 +424,18 @@ def aggregate(records: list[ExecutionRecord]) -> EnsembleReport:
     if not live:
         raise EmptyReportError("no non-censored records to aggregate")
     n = len(live)
-    pct = lambda flag: 100.0 * sum(1 for r in live if getattr(r, flag)) / n
+    field = lambda name: map(operator.attrgetter(name), live)   # a column of the live records
+    pct = lambda flag: 100.0 * sum(map(bool, field(flag))) / n
 
-    t_r_ratios = [r.t_r / r.t_P for r in live]
-    t_a_ratios = [r.t_a / r.t_P for r in live if r.t_a is not None]
-    points = sorted((r.innovation_I, r.t_r) for r in live)
+    t_r_ratios = list(map(operator.truediv, field("t_r"), field("t_P")))
+    t_a_ratios = [a / p for a, p in zip(field("t_a"), field("t_P")) if a is not None]
+    points = sorted(zip(field("innovation_I"), field("t_r")))
     rho = p = None
     if len(points) >= 3 and len({i for i, _ in points}) > 1 and len({t for _, t in points}) > 1:
         rho, p = spearman([i for i, _ in points], [t for _, t in points])
 
-    cs = [r.C for r in live if r.C is not None]
-    ks = [r.k for r in live if isinstance(r.k, float)]
+    cs = [c for c in field("C") if c is not None]
+    ks = [v for v in field("k") if isinstance(v, float)]
     return EnsembleReport(
         n_records=len(records),
         n_censored=len(records) - n,
@@ -443,5 +455,5 @@ def aggregate(records: list[ExecutionRecord]) -> EnsembleReport:
         c_hist=value_histogram(cs),
         k_mean=_mean(ks),
         k_hist=value_histogram(ks),
-        n_extinct_k=sum(1 for r in live if r.k == cx.EXTINCT),
+        n_extinct_k=[*field("k")].count(cx.EXTINCT),
     )

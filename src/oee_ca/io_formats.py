@@ -1,12 +1,12 @@
 """File emitters and readers: records CSV, report JSON, SVG plots, PGM renders.
 
-Every emitter embeds the resolved run configuration and tool version so two
-runs with identical configs produce byte-identical files, and publishes
-through ``replacing``, so a file appears whole or not at all.  The records CSV
-holds every ``ExecutionRecord`` field but ``attractor_rules``, which has no
-column: a report that ``analyze`` rebuilds from it equals the ``ensemble``
-report except that its metagenome (``metagenome_all``, ``metagenome_oee``)
-is empty.
+Every emitter embeds the resolved run configuration and tool version, so
+identical configs give byte-identical files, and publishes through
+``replacing``, so a file appears whole or not at all.  The records CSV holds
+every ``ExecutionRecord`` field but ``attractor_rules``: ``analyze`` rebuilds
+the ``ensemble`` report from it with an empty metagenome.  It is written and
+read a column of 512 records at a time: each distinct value of a column is
+formatted once, and each distinct text of a column parsed once.
 
 ``ExecutionRecord`` is a slotted dataclass that nothing mutates after
 construction; it is not frozen, so it is not hashable.  It pickles as its
@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import operator
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
+from itertools import compress, islice, repeat
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -37,22 +39,19 @@ def _or_none(parse):
     return lambda text: None if text == "" else parse(text)
 
 
-def _column(read, write=None):
-    """A records-CSV column.  ``read`` parses its text; ``write(value,
-    record)``, where given, formats a value whose ``str`` (None as empty,
-    as the csv module writes it) is not its text."""
-    return field(metadata={"read": read, "write": write})
+def _column(read, write=str, *widths: str):
+    """A CSV column: ``read`` parses its text; ``write(value, *widths)`` formats a value."""
+    return field(metadata={"read": read, "write": write, "widths": widths})
 
 
 def _flag(read):
     """A flag column, written as 1 or 0."""
-    return _column(read, lambda flag, _: flag if flag is None else int(flag))
+    return _column(read, lambda flag: str(int(flag)))
 
 
 def _state(read, ring: str):
     """A packed state, in hex digits enough for the width field ``ring``."""
-    return _column(read, lambda bits, rec: bits if bits is None
-                   else format(bits, f"0{(getattr(rec, ring) + 3) // 4}x"))
+    return _column(read, lambda bits, width: format(bits, f"0{(width + 3) // 4}x"), ring)
 
 
 _hex = partial(int, base=16)
@@ -64,7 +63,7 @@ class ExecutionRecord:
     """One execution of a plan.  Every field but ``attractor_rules`` is a
     records-CSV column, in field order."""
 
-    variant: Variant = _column(Variant, lambda variant, _: variant.value)
+    variant: Variant = _column(Variant, operator.attrgetter("value"))
     w_o: int = _column(int)
     w_e: int | None = _column(_or_none(int))
     mu: float | None = _column(_or_none(float))
@@ -101,8 +100,10 @@ _FIELDS = operator.attrgetter(*[f.name for f in fields(ExecutionRecord)])
 _COLUMNS = [f for f in fields(ExecutionRecord) if "read" in f.metadata]
 CSV_COLUMNS = [f.name for f in _COLUMNS]
 _READERS = [f.metadata["read"] for f in _COLUMNS]
-_ROW = operator.attrgetter(*CSV_COLUMNS)
-_WRITERS = [(i, f.metadata["write"]) for i, f in enumerate(_COLUMNS) if f.metadata["write"]]
+_GETTERS = [operator.attrgetter(name) for name in CSV_COLUMNS]
+_FORMATS = [(f.metadata["write"], i, [CSV_COLUMNS.index(w) for w in f.metadata["widths"]])
+            for i, f in enumerate(_COLUMNS)]
+_BLOCK = 512   # records formatted, or parsed, a column at a time
 
 ERRATA_NOTES = [
     "sample-space size implemented as 88^2 * 2^w_o * 2^w_e "
@@ -137,45 +138,67 @@ def write_echo(fh, config_echo: dict | None) -> None:
         fh.write(f"# {key} = {value}\n")
 
 
+def _texts(write, column, *widths) -> list[str]:
+    """``column``'s CSV texts: empty for None, else ``write(value, *widths)``
+    once per distinct value, or per value in a column whose widths change or
+    that holds equal values printed differently (``1 == 1.0``, ``0.0 == -0.0``)."""
+    same = lambda items: all(map(operator.is_, items, repeat(items[0])))
+    if not all(map(same, widths)):
+        return ["" if v is None else write(v, *w) for v, *w in zip(column, *widths)]
+    text = lambda v, fixed=[w[0] for w in widths]: "" if v is None else write(v, *fixed)
+    if same(column):   # one object, formatted once (an enum member also hashes slowly)
+        return [text(column[0])] * len(column)
+    kinds = set(map(type, column)) - {type(None), str}   # None and str equal no number
+    zeros = compress(column, map(operator.eq, column, repeat(0)))   # read for floats only
+    if len(kinds) > 1 or kinds and issubclass(*kinds, float) and len(
+            set(map(math.copysign, repeat(1.0), zeros))) > 1:
+        return list(map(text, column))
+    memo = {v: text(v) for v in dict.fromkeys(column)}
+    return list(map(memo.__getitem__, column))
+
+
 @gc_paused()
 def write_records_csv(records: list[ExecutionRecord], path: str,
                       config_echo: dict | None = None) -> None:
+    """The ``#`` echo header, then the records, formatted a column of a block at
+    a time.  No text holds a comma, quote or newline: the rows are csv's."""
     with replacing(path, newline="") as fh:
         write_echo(fh, config_echo)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            row = list(_ROW(rec))
-            for i, write in _WRITERS:
-                row[i] = write(row[i], rec)
-            writer.writerow(row)
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for start in range(0, len(records), _BLOCK):
+            columns = [list(map(get, records[start:start + _BLOCK])) for get in _GETTERS]
+            texts = [_texts(write, columns[i], *[columns[j] for j in widths])
+                     for write, i, widths in _FORMATS]
+            fh.writelines(("\n".join(map(",".join, zip(*texts))), "\n"))
 
 
 @gc_paused()
 def read_records_csv(path: str) -> list[ExecutionRecord]:
+    """The records of a records CSV, parsed a column of a block of records at
+    a time, each distinct text of a column once."""
     records = []
     with open(path, newline="") as fh:
         rows = csv.reader(line for line in fh if not line.startswith("#"))
         if next(rows, None) != CSV_COLUMNS:
             raise ValueError(f"{path}: unexpected CSV columns")
-        for number, row in enumerate(rows, 1):
-            if len(row) != len(CSV_COLUMNS):
-                raise ValueError(f"{path}: record {number} has {len(row)} fields, "
-                                 f"expected {len(CSV_COLUMNS)}")
-            try:
-                records.append(ExecutionRecord(*[read(text) for read, text in zip(_READERS, row)]))
-            except ValueError:
-                raise ValueError(f"{path}: record {number}: {_unreadable(row)}") from None
+        while block := list(islice(rows, _BLOCK)):
+            try:   # the strict zips raise ValueError on a row of the wrong length
+                columns = [list(map({t: read(t) for t in set(column)}.__getitem__, column))
+                           for read, column in zip(_READERS, zip(*block, strict=True), strict=True)]
+            except ValueError:   # name the first bad record, and its first bad field
+                for number, row in enumerate(block, len(records) + 1):
+                    if len(row) != len(CSV_COLUMNS):
+                        raise ValueError(f"{path}: record {number} has {len(row)} fields, "
+                                         f"expected {len(CSV_COLUMNS)}") from None
+                    for name, read, text in zip(CSV_COLUMNS, _READERS, row):
+                        try:
+                            read(text)
+                        except ValueError:
+                            raise ValueError(f"{path}: record {number}: {name} = {text!r} "
+                                             "does not parse") from None
+                raise
+            records += map(ExecutionRecord, *columns)
     return records
-
-
-def _unreadable(row: list[str]) -> str:
-    """The first field of ``row`` that its column's reader rejects."""
-    for name, read, text in zip(CSV_COLUMNS, _READERS, row):
-        try:
-            read(text)
-        except ValueError:
-            return f"{name} = {text!r} does not parse"
 
 
 def write_report_json(report: EnsembleReport, path: str,

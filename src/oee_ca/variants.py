@@ -303,15 +303,20 @@ def environment_steps(rule: int, width: int):
 
 
 def _case1_flip_table(w_o: int, w_e: int) -> list[bytes]:
-    """``flip[s_o][s_e]``, built one rule bit at a time: bit 7 - i is set when
-    triplet S3[i] occurs in both states and ``co * w_e >= ce * w_o``."""
-    co, ce = count_array(w_o).astype(np.int32), count_array(w_e).astype(np.int32)
-    flip = np.zeros((1 << w_o, 1 << w_e), dtype=np.uint8)
+    """``flip[s_o][s_e]``, set per pair of triplet-count classes one rule bit at a
+    time: bit 7 - i is set when S3[i] occurs in both states and ``co * w_e >= ce * w_o``."""
+    def classes(w):   # a count is at most w, so base w + 1 packs a state's counts in a key
+        counts = count_array(w).astype(np.int64)
+        _, first, of_state = np.unique((w + 1) ** np.arange(8) @ counts,
+                                       return_index=True, return_inverse=True)
+        return counts[:, first], of_state
+    (co, o_class), (ce, e_class) = classes(w_o), classes(w_e)
+    flip = np.zeros((co.shape[1], ce.shape[1]), dtype=np.uint8)
     for i in range(8):
         a, b = co[i][:, None], ce[i][None, :]
         both = (a > 0) & (b > 0) & (a * w_e >= b * w_o)
         np.bitwise_or(flip, np.uint8(1 << (7 - i)), out=flip, where=both)
-    return [row.tobytes() for row in flip]
+    return [row.tobytes() for row in flip[o_class][:, e_class]]
 
 
 @lru_cache(maxsize=8)

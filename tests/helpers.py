@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import importlib.util
 import math
+import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
@@ -14,8 +20,21 @@ from oee_ca.eca import (
     neighborhood_masks,
     step_table,
     stepper,
+    wolfram_class,
 )
-from oee_ca.ensemble import SamplePlan, draw_plan, flag_stages, sample_space_size
+from oee_ca.ensemble import (
+    BoxStats,
+    EmptyReportError,
+    EnsembleReport,
+    SamplePlan,
+    _mean,
+    _quantile,
+    draw_plan,
+    flag_stages,
+    sample_space_size,
+    spearman,
+)
+from oee_ca.io_formats import CSV_COLUMNS, replacing, write_echo
 from oee_ca.variants import (
     Trajectory,
     Variant,
@@ -23,6 +42,7 @@ from oee_ca.variants import (
     case1_update_bits,
     default_step_cap,
     execution_rng,
+    gc_paused,
     run_trajectory,
 )
 
@@ -231,6 +251,116 @@ def scalar_log2_histogram(ratios: list[float]) -> dict[str, int]:
         hist["zero" if r <= 0 else str(math.floor(math.log2(r)))] += 1
     return dict(sorted(hist.items(), key=lambda kv: (kv[0] == "zero",
                                                      0 if kv[0] == "zero" else int(kv[0]))))
+
+
+# --- the benchmark's pipeline module -------------------------------------------
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_pipeline(monkeypatch):
+    """``bench/pipeline.py``, imported as a module."""
+    # the module puts src/ and bench/ on sys.path; monkeypatch restores it
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("bench_pipeline", BENCH / "pipeline.py")
+    pipeline = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pipeline)
+    return pipeline
+
+
+# --- the row-wise output phase (oracles of the column-wise one) ---------------
+
+# per-cell writers of the columns whose ``str`` (None as empty) is not their text
+_ROWWISE_WRITERS = {
+    "variant": lambda variant, _: variant.value,
+    "init_state_o": lambda bits, rec: bits if bits is None
+    else format(bits, f"0{(rec.w_o + 3) // 4}x"),
+    "init_state_e": lambda bits, rec: bits if bits is None
+    else format(bits, f"0{(rec.w_e + 3) // 4}x"),
+    **dict.fromkeys(["inn", "ue", "oee", "attractor_ue", "censored"],
+                    lambda flag, _: flag if flag is None else int(flag)),
+}
+_ROW = operator.attrgetter(*CSV_COLUMNS)
+_WRITERS = [(i, _ROWWISE_WRITERS[name]) for i, name in enumerate(CSV_COLUMNS)
+            if name in _ROWWISE_WRITERS]
+
+
+@gc_paused()
+def rowwise_write_records_csv(records, path: str, config_echo: dict | None = None) -> None:
+    """``write_records_csv`` one row at a time through ``csv.writer``."""
+    with replacing(path, newline="") as fh:
+        write_echo(fh, config_echo)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for rec in records:
+            row = list(_ROW(rec))
+            for i, write in _WRITERS:
+                row[i] = write(row[i], rec)
+            writer.writerow(row)
+
+
+def rowwise_box_stats(values: list[float]) -> BoxStats | None:
+    """``box_stats`` finding its whiskers by two scans."""
+    if not values:
+        return None
+    vs = sorted(values)
+    q1, med, q3 = (_quantile(vs, q) for q in (0.25, 0.5, 0.75))
+    iqr = q3 - q1
+    lo = min((v for v in vs if v >= q1 - 1.5 * iqr), default=vs[0])
+    hi = max((v for v in vs if v <= q3 + 1.5 * iqr), default=vs[-1])
+    return BoxStats(vs[0], q1, med, q3, vs[-1], lo, hi)
+
+
+def rowwise_metagenome(records, oee_only: bool = False) -> list[dict]:
+    """``metagenome`` counting the rules in a ``Counter``."""
+    counts = Counter(chain.from_iterable(
+        rec.attractor_rules for rec in records
+        if rec.attractor_rules is not None and (rec.oee or not oee_only)))
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [{"rule": rule, "count": count, "wolfram_class": int(wolfram_class(rule))}
+            for rule, count in ranked]
+
+
+@gc_paused()
+def rowwise_aggregate(records) -> EnsembleReport:
+    """``aggregate`` reading the records one at a time, with a histogram
+    label per value."""
+    live = [r for r in records if not r.censored]
+    if not live:
+        raise EmptyReportError("no non-censored records to aggregate")
+    n = len(live)
+    pct = lambda flag: 100.0 * sum(1 for r in live if getattr(r, flag)) / n
+
+    t_r_ratios = [r.t_r / r.t_P for r in live]
+    t_a_ratios = [r.t_a / r.t_P for r in live if r.t_a is not None]
+    points = sorted((r.innovation_I, r.t_r) for r in live)
+    rho = p = None
+    if len(points) >= 3 and len({i for i, _ in points}) > 1 and len({t for _, t in points}) > 1:
+        rho, p = spearman([i for i, _ in points], [t for _, t in points])
+
+    cs = [r.C for r in live if r.C is not None]
+    ks = [r.k for r in live if isinstance(r.k, float)]
+    return EnsembleReport(
+        n_records=len(records),
+        n_censored=len(records) - n,
+        oee_percent=pct("oee"),
+        inn_percent=pct("inn"),
+        ue_percent=pct("ue"),
+        t_r_ratio_hist=scalar_log2_histogram(t_r_ratios),
+        t_a_ratio_hist=scalar_log2_histogram(t_a_ratios),
+        t_r_ratio_box=rowwise_box_stats(t_r_ratios),
+        t_a_ratio_box=rowwise_box_stats(t_a_ratios),
+        innovation_points=points,
+        spearman_rho=rho,
+        spearman_p=p,
+        metagenome_all=rowwise_metagenome(records),
+        metagenome_oee=rowwise_metagenome(records, oee_only=True),
+        c_mean=_mean(cs),
+        c_hist=scalar_value_histogram(cs),
+        k_mean=_mean(ks),
+        k_hist=scalar_value_histogram(ks),
+        n_extinct_k=sum(1 for r in live if r.k == EXTINCT),
+    )
 
 
 def scalar_trajectory(config: VariantConfig, cap: int | None = None) -> Trajectory:

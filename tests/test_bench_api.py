@@ -5,13 +5,8 @@ this test only resolves the names, by running ``bench/pipeline.install``
 against a tracer stub that records what it is asked to wrap.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
+from helpers import load_pipeline
 from oee_ca.variants import Trajectory
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 class RecordingTracer:
@@ -20,15 +15,6 @@ class RecordingTracer:
 
     def wrap(self, module, attr, name, count=None):
         self.wrapped.append((module, attr))
-
-
-def load_pipeline(monkeypatch):
-    # the module puts src/ and bench/ on sys.path; monkeypatch restores it
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    spec = importlib.util.spec_from_file_location("bench_pipeline", BENCH / "pipeline.py")
-    pipeline = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pipeline)
-    return pipeline
 
 
 def test_benchmark_names_resolve(monkeypatch):

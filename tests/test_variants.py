@@ -1,5 +1,6 @@
 """Rule-update mechanisms and the coupled stepping loop."""
 
+import random
 from array import array
 
 import numpy as np
@@ -16,7 +17,7 @@ from helpers import (
 )
 
 from oee_ca import complexity as cx
-from oee_ca.eca import step_table, stepper
+from oee_ca.eca import count_array, step_table, stepper
 from oee_ca.innovation import transition_pins
 from oee_ca.variants import (
     CASE_I,
@@ -26,6 +27,7 @@ from oee_ca.variants import (
     TABLE_BUDGET,
     Variant,
     VariantConfig,
+    _case1_flip_table,
     case1_update_bits,
     case3_masks,
     continued,
@@ -159,6 +161,37 @@ def test_case1_involution_on_flip_mask(r_o, so, se):
     """Applying the update twice from the same states restores the rule."""
     once = case1_update_bits(so, 4, r_o, se, 6)
     assert case1_update_bits(so, 4, once, se, 6) == r_o
+
+
+def dense_flip_table(w_o: int, w_e: int) -> list[bytes]:
+    """``_case1_flip_table`` evaluated over every pair of states."""
+    co, ce = count_array(w_o).astype(np.int32), count_array(w_e).astype(np.int32)
+    flip = np.zeros((1 << w_o, 1 << w_e), dtype=np.uint8)
+    for i in range(8):
+        a, b = co[i][:, None], ce[i][None, :]
+        both = (a > 0) & (b > 0) & (a * w_e >= b * w_o)
+        np.bitwise_or(flip, np.uint8(1 << (7 - i)), out=flip, where=both)
+    return [row.tobytes() for row in flip]
+
+
+@pytest.mark.parametrize("w_o,w_e", [(3, 3), (4, 4), (3, 7), (7, 3), (4, 8), (6, 5)])
+def test_flip_table_is_case1_update_bits(w_o, w_e):
+    flip = _case1_flip_table(w_o, w_e)
+    assert [list(row) for row in flip] == [
+        [case1_update_bits(so, w_o, 0, se, w_e) for se in range(1 << w_e)]
+        for so in range(1 << w_o)]
+
+
+@pytest.mark.parametrize("w_o,w_e", [(6, 13), (5, 15)])
+def test_flip_table_at_the_budget(w_o, w_e):
+    """The largest tables (w_o + w_e up to 20): every entry against the
+    dense evaluation, and sampled entries against ``case1_update_bits``."""
+    flip = _case1_flip_table(w_o, w_e)
+    assert flip == dense_flip_table(w_o, w_e)
+    rng = random.Random(w_o * 100 + w_e)
+    for se in rng.sample(range(1 << w_e), 64):
+        for so in range(1 << w_o):
+            assert flip[so][se] == case1_update_bits(so, w_o, 0, se, w_e)
 
 
 # --- Case II ----------------------------------------------------------------
