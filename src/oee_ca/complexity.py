@@ -137,10 +137,8 @@ def normalization_constant(w: int, samples: int = NORM_SAMPLES, steps: int = NOR
 
     Sample i draws ``rng.integers(0, 256)`` (its rule), then
     ``rng.integers(0, 1 << w)`` (its initial state), from
-    ``execution_rng(seed)``; ``integers_rows`` computes all the samples'
-    draws first, from one block of 32-bit words with numpy's Lemire
-    rejection rule (no word is rejected for these power-of-two bounds), and
-    makes them one call at a time above 32 cells.  Each sample is stepped
+    ``execution_rng(seed)``; ``integers_rows`` makes all the samples' draws
+    first, in one vectorised ``integers`` call.  Each sample is stepped
     only to its first repeated state (``variants.fixed_rule_run``), and the
     runs are visited longest first, ties in draw order.  LZW walks a run,
     the cycle repeated out to the full length, only when

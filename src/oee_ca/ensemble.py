@@ -86,6 +86,8 @@ class SamplePlan:
                 object.__setattr__(self, "mu", 0.5)
             if not 0.0 <= self.mu < 1.0:
                 raise ValueError(f"Case III requires mu in [0, 1), got {self.mu}")
+        elif self.mu is not None:
+            raise ValueError(f"{self.variant.value} takes no mu")
         if self.step_cap is not None and self.step_cap < 1:
             raise ValueError(f"step_cap must be >= 1, got {self.step_cap}")
         if self.full_width > cx.NORM_MAX_WIDTH:
@@ -116,12 +118,10 @@ def draw_plan(plan: SamplePlan) -> list[tuple]:
     by its index instead.  Draw order per tuple: r_o, (r_e,) s_o, (s_e),
     each ``rng.integers(0, n)`` of ``execution_rng(master_seed)`` with
     ``n = 88`` (an index into ``canonical_rules()``) or ``2^w``.
-    ``integers_rows`` computes those draws from one block of 32-bit words
-    of the stream, with numpy's Lemire rejection rule, and makes the scalar
-    calls instead for a block with a rejected word, or above 32 cells.  A
-    coupled plan takes blocks of at least 1024 rows until it holds
-    ``sample_count`` distinct tuples, so a plan close to its space size does
-    not stall on repeats.
+    ``integers_rows`` makes a block of those draws in one vectorised
+    ``integers`` call.  A coupled plan takes blocks of at least 1024 rows
+    until it holds ``sample_count`` distinct tuples, so a plan close to its
+    space size does not stall on repeats.
     """
     rng = execution_rng(plan.master_seed)
     canon = canonical_rules()

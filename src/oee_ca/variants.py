@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import enum
 import gc
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -139,6 +138,8 @@ class VariantConfig:
                 raise ValueError("Case III requires mu in [0, 1)")
             if self.seed is None:
                 raise ValueError("Case III requires a seed")
+        elif (self.mu, self.seed) != (None, None):
+            raise ValueError(f"{variant.value} takes no mu and no seed")
 
 
 def _check_ca(ca: str, width: int, bits: int, rule: int) -> None:
@@ -220,38 +221,14 @@ def execution_rng(master_seed: int) -> np.random.Generator:
 
 def integers_rows(rng: np.random.Generator, bounds: tuple[int, ...],
                   rows: int) -> list[tuple[int, ...]]:
-    """``[tuple(int(rng.integers(0, b)) for b in bounds) for _ in range(rows)]``,
-    computed from one block of raw words; ``rng`` is left where those scalar
-    calls would leave it.
-
-    A scalar draw below a bound ``2 <= n <= 2^32`` takes one 32-bit word
-    ``u`` (Philox hands out the low half of each 64-bit output, then its
-    high half) and returns ``(u * n) >> 32``, Lemire's multiply-shift
-    method (D. Lemire, *ACM TOMACS* 29(1), 2019), unless the low 32 bits of ``u * n`` fall below
-    ``(2^32 - n) % n``: that word is rejected and the draw takes the next.
-    The threshold is 0 for ``n = 2^k`` and 48 for ``n = 88``.  So the draws
-    are a fixed-stride stream of words, one ``random_raw`` block, unless a
-    word is rejected (the state is then restored), a bound lies outside
-    [2, 2^32] (no word, or numpy's 64-bit path), the generator holds a
-    buffered half-word or the word count is odd; each of those cases makes
-    the scalar calls instead.
-    """
-    bg = rng.bit_generator
-    saved = bg.state
-    words = rows * len(bounds)
-    if (words % 2 == 0 and all(2 <= b <= 1 << 32 for b in bounds)
-            and not saved["has_uint32"]):
-        raw = bg.random_raw(words // 2)
-        m = np.empty((rows, len(bounds)), dtype=np.uint64)   # the words, then u * n
-        m.reshape(-1)[0::2] = raw & 0xFFFFFFFF
-        m.reshape(-1)[1::2] = raw >> 32
-        n = np.array(bounds, dtype=np.uint64)
-        m *= n
-        if not ((m & 0xFFFFFFFF) < (2**32 - n) % n).any():
-            m >>= 32
-            return list(zip(*m.T.tolist()))
-        bg.state = saved
-    return [tuple(int(rng.integers(0, b)) for b in bounds) for _ in range(rows)]
+    """``[tuple(int(rng.integers(0, b)) for b in bounds) for _ in range(rows)]``
+    from one vectorised ``rng.integers`` call, which draws the same values in
+    the same order and leaves ``rng`` where those scalar calls would.  The
+    bounds go in as a uint64 array, which holds each bound up to 2^63
+    exactly: numpy would turn a list holding 2^63 and another bound above
+    2^53 into float64."""
+    a = rng.integers(0, np.array(bounds, dtype=np.uint64), size=(rows, len(bounds)))
+    return list(zip(*a.T.tolist()))
 
 
 @contextmanager
@@ -337,15 +314,7 @@ _PHILOX = np.random.Philox(key=0)
 _PHILOX_STATE = {"bit_generator": "Philox",
                  "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
                  "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
-def flip_threshold(mu: float) -> int:
-    """The integer ``thr`` with ``k < thr`` exactly when ``k * 2.0**-53 < mu``,
-    for every integer ``0 <= k < 2**53``: a double of ``Generator.random()``
-    is ``(raw >> 11) * 2**-53``, and ``mu * 2**53`` is exact (a power-of-two
-    scaling), so the double is below ``mu`` exactly when ``raw >> 11`` is
-    below ``ceil(mu * 2**53)``."""
-    return math.ceil(mu * 2.0**53)
+_RANDOM = np.random.Generator(_PHILOX).random
 
 
 def case3_masks(seed: int, mu: float, start: int, n: int) -> bytes:
@@ -353,22 +322,19 @@ def case3_masks(seed: int, mu: float, start: int, n: int) -> bytes:
     seeded ``seed``: mask t is XORed into the rule at step t + 1.  They are
     the stream of ``execution_rng(seed)``: a step takes 8 doubles of
     ``random()``, and draw j of a step flips rule bit 7 - j when it is below
-    mu.  Each double is one raw 64-bit word ``raw``, and ``raw >> 11 < thr``
-    exactly when ``raw < thr << 11``, so n steps compare ``random_raw(8 * n)``
-    with ``flip_threshold(mu) << 11`` (below 2**64, as mu < 1) and pack the
-    bits 8 to a byte, one byte per step.
+    mu, so n steps compare ``random(8 * n)`` with mu and pack the bits 8 to
+    a byte, one byte per step.
 
     Philox is counter-based: the 64-bit words of block c of a stream are a
-    function of (key, c) alone.  A step takes 8 words, two 4-word blocks,
-    so step ``start`` begins at counter ``2 * start``.  The call points the
-    module's shared generator there, with an empty buffer; no generator is
-    built per run."""
+    function of (key, c) alone.  A double takes one word, so a step takes 8
+    words, two 4-word blocks, and step ``start`` begins at counter
+    ``2 * start``.  The call points the module's shared generator there,
+    with an empty buffer; no generator is built per run."""
     state = _PHILOX_STATE["state"]
     state["counter"][0] = 2 * start
     state["key"][:] = stream_key(seed)
     _PHILOX.state = _PHILOX_STATE
-    bound = np.uint64(flip_threshold(mu) << 11)
-    return np.packbits(_PHILOX.random_raw(8 * n) < bound).tobytes()
+    return np.packbits(_RANDOM(8 * n) < mu).tobytes()
 
 
 # --- coupled stepping -------------------------------------------------------

@@ -7,6 +7,7 @@ fail honestly — the analysis lives in the project notes, not in this file.
 """
 
 import math
+from pathlib import Path
 from collections import Counter
 
 import numpy as np
@@ -258,8 +259,8 @@ def test_criterion_13_worker_determinism(tmp_path):
         path = str(tmp_path / f"records_w{workers}.csv")
         write_records_csv(records, path, config_echo={"seed": 131})
         paths.append(path)
-    a = open(paths[0], "rb").read()
-    b = open(paths[1], "rb").read()
+    a = Path(paths[0]).read_bytes()
+    b = Path(paths[1]).read_bytes()
     ok = a == b
     assert verdict(13, "worker-count determinism", ok,
                    f"{len(a)} bytes, byte-identical={ok}")

@@ -1,6 +1,7 @@
 """LZW compressibility, normalization, and Lyapunov exponents."""
 
 import math
+from pathlib import Path
 from statistics import linear_regression
 
 import pytest
@@ -204,9 +205,9 @@ def test_norm_constant_memo_hit_still_writes_cache_file(tmp_path):
     val = normalization_constant(4, samples=7, steps=24, seed=5, cache_path=first)
     assert normalization_constant(4, samples=7, steps=24, seed=5, cache_path=second) == val
     for path in (first, second):
-        assert open(path).read() == f"4 7 24 5 {val}\n"
+        assert Path(path).read_text() == f"4 7 24 5 {val}\n"
     normalization_constant(4, samples=7, steps=24, seed=5, cache_path=second)
-    assert open(second).read() == f"4 7 24 5 {val}\n"
+    assert Path(second).read_text() == f"4 7 24 5 {val}\n"
 
 
 @pytest.mark.parametrize("w", [1, 2, 3, 5, 13, 17, 21, 33, 63])

@@ -90,6 +90,16 @@ def test_case3_plan_rejects_mu(mu):
         SamplePlan(Variant.CASE_III, 3, mu=mu, sample_count=10)
 
 
+@pytest.mark.parametrize("variant, w_e", [(Variant.CASE_I, 4), (Variant.CASE_II, None),
+                                         (Variant.ISOLATED, None)])
+@pytest.mark.parametrize("mu", [0.3, 0.0])
+def test_plan_without_noise_rejects_mu(variant, w_e, mu):
+    """Only Case III has a mutation rate: a ``mu`` given to another variant
+    would be written into every record's ``mu`` column."""
+    with pytest.raises(ValueError, match="takes no mu"):
+        SamplePlan(variant, 4, w_e, mu=mu, sample_count=10)
+
+
 @pytest.mark.parametrize("cap", [0, -5])
 def test_plan_rejects_step_cap_below_one(cap):
     with pytest.raises(ValueError, match="step_cap"):
@@ -181,17 +191,6 @@ def test_case1_36_exhaustive_flag_counts():
 
 # --- block draws against the scalar oracle ---------------------------------
 
-class CountingRng:
-    """A ``Generator`` stand-in that counts its scalar ``integers`` calls."""
-
-    def __init__(self, rng):
-        self.rng, self.bit_generator, self.calls = rng, rng.bit_generator, 0
-
-    def integers(self, *args, **kwargs):
-        self.calls += 1
-        return self.rng.integers(*args, **kwargs)
-
-
 DRAW_PLANS = {
     "case1-4x4": SamplePlan(Variant.CASE_I, 4, 4, sample_count=3000, master_seed=1),
     "case1-6x13": SamplePlan(Variant.CASE_I, 6, 13, sample_count=1000, master_seed=2),
@@ -225,50 +224,51 @@ def test_drawn_tuples_hold_python_ints(name):
     assert pickle.dumps(tuples) == pickle.dumps(scalar_draw_plan(plan))
 
 
-def test_draw_plan_after_a_rejected_word_takes_the_scalar_calls(monkeypatch):
+def test_draw_plan_after_a_rejected_word_takes_the_scalar_calls():
     """Seed 31395 of a Case I (4, 4) plan: the word of the r_e draw of tuple
     2248 (0-based) is rejected by numpy's bounded method for n = 88, so the
-    scalar calls shift by one word from there on."""
+    scalar calls shift by one word from there on, and the plan's tuples are
+    still the ones they draw."""
     seed, index = 31395, 2248
     raw = execution_rng(seed).bit_generator.random_raw(2 * (index + 1))
     words = np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=1).reshape(-1, 4)
     assert (words[index, 1] * np.uint64(88)) & 0xFFFFFFFF < (2**32 - 88) % 88
 
-    rngs = []
-    def counting_rng(master_seed):
-        rngs.append(CountingRng(execution_rng(master_seed)))
-        return rngs[-1]
-    monkeypatch.setattr(ensemble, "execution_rng", counting_rng)
     plan = SamplePlan(Variant.CASE_I, 4, 4, sample_count=2500, master_seed=seed)
-    tuples = draw_plan(plan)
-    assert rngs[0].calls == 4 * 2500
-    monkeypatch.undo()
-    assert tuples == scalar_draw_plan(plan)
+    assert draw_plan(plan) == scalar_draw_plan(plan)
 
 
-@pytest.mark.parametrize("bounds, rows, scalar", [
-    ((88, 16), 500, False),
-    ((88, 88, 8, 1 << 13), 300, False),
-    ((256, 1 << 32), 400, False),
-    ((2, 2, 2, 2), 100, False),
-    ((88, 16), 0, False),
-    ((256, 1 << 33), 50, True),   # numpy's 64-bit path
-    ((88,), 7, True),             # an odd number of words
-    ((1, 88), 10, True),          # a bound that takes no word
+# the first eight ids are those these cases ran under in an earlier,
+# three-column form of this table
+@pytest.mark.parametrize("bounds, rows", [
+    pytest.param((88, 16), 500, id="bounds0-500-False"),
+    pytest.param((88, 88, 8, 1 << 13), 300, id="bounds1-300-False"),
+    pytest.param((256, 1 << 32), 400, id="bounds2-400-False"),
+    pytest.param((2, 2, 2, 2), 100, id="bounds3-100-False"),
+    pytest.param((88, 16), 0, id="bounds4-0-False"),
+    pytest.param((256, 1 << 33), 50, id="bounds5-50-True"),     # numpy's 64-bit path
+    pytest.param((88,), 7, id="bounds6-7-True"),                # an odd number of words
+    pytest.param((1, 88), 10, id="bounds7-10-True"),            # a bound that takes no word
+    pytest.param((3, 2**31 + 1, 2**32 - 1), 200, id="odd-bounds"),
+    pytest.param((256, 2**63), 50, id="norm-63"),               # norm(63)'s state bound
+    # as a list, these bounds would convert to float64 and lose precision
+    pytest.param((2**62 + 1, 2**63), 30, id="wide-bounds"),
 ])
 @pytest.mark.parametrize("buffered", [False, True], ids=["aligned", "half-word"])
-def test_integers_rows_matches_scalar_calls(bounds, rows, scalar, buffered):
-    """Values, types and the stream after the call (compared by the next
-    draws: the state dicts differ in a stale buffered word even when the
-    streams agree)."""
-    rng, ref = CountingRng(execution_rng(3)), execution_rng(3)
+def test_integers_rows_matches_scalar_calls(bounds, rows, buffered):
+    """Values, types and the stream after the call, through a second call
+    (which starts with the half-word an odd number of 32-bit draws leaves)
+    and the next draws (the state dicts differ in a stale buffered word even
+    when the streams agree)."""
+    rng, ref = execution_rng(3), execution_rng(3)
     if buffered:   # leaves the high half of a word in the generator
-        assert int(rng.rng.integers(0, 2)) == int(ref.integers(0, 2))
+        assert int(rng.integers(0, 2)) == int(ref.integers(0, 2))
     got = integers_rows(rng, bounds, rows)
     assert got == [tuple(int(ref.integers(0, n)) for n in bounds) for _ in range(rows)]
     assert all(type(x) is int for row in got for x in row)
-    assert bool(rng.calls) == (rows > 0 and (scalar or buffered))
-    assert ([int(rng.rng.integers(0, 1000)) for _ in range(8)]
+    assert integers_rows(rng, (88, 3, 16), 3) == [
+        tuple(int(ref.integers(0, n)) for n in (88, 3, 16)) for _ in range(3)]
+    assert ([int(rng.integers(0, 1000)) for _ in range(8)]
             == [int(ref.integers(0, 1000)) for _ in range(8)])
 
 
@@ -836,7 +836,8 @@ def test_execute_tuple_records_are_byte_identical(name, tmp_path):
     records = scalar_plan_records(name)
     path = tmp_path / "records.csv"
     write_records_csv(records, str(path), config_echo={"variant": plan.variant.value})
-    body = b"".join(line for line in open(path, "rb") if not line.startswith(b"#"))
+    body = b"".join(line for line in path.read_bytes().splitlines(keepends=True)
+                    if not line.startswith(b"#"))
     assert hashlib.sha256(body).hexdigest() == digest
     assert read_records_csv(str(path)) == [dataclasses.replace(r, attractor_rules=None)
                                            for r in records]
@@ -981,6 +982,28 @@ def test_flags_are_invariant_under_organism_rotation(variant, mu, w_o, r_o, seed
     s_o = data.draw(st.integers(0, (1 << w_o) - 1))
     a = data.draw(st.integers(1, w_o - 1))
     assert flags(plan, index, (r_o, s_o)) == flags(plan, index, (r_o, rotated(s_o, a, w_o)))
+
+
+@pytest.mark.parametrize("w_o", [3, 4])
+def test_case2_initial_rule_matters_only_when_it_recurs(w_o):
+    """Case II's first step sets r_o = s_e before it steps the organism, so
+    r_o(0) is read only as rules[0] and in snapshot 0, and every later
+    state, rule and environment is a function of the base (r_e, s_e, s_o).
+    So every canonical r_o(0) absent from its own run's rules[1:] gives the
+    same run after step 0, the same recurrence report and the same INN."""
+    plan = SamplePlan(Variant.CASE_II, w_o, sample_count=1)
+    canon = canonical_rules()
+    rng = np.random.default_rng(w_o)
+    for _ in range(8):
+        r_e, s_e, s_o = (canon[int(rng.integers(88))], int(rng.integers(256)),
+                         int(rng.integers(1 << w_o)))
+        generic = set()
+        for r_o in canon:
+            _, traj, rep, _, inn = flag_stages(plan, 0, (r_o, r_e, s_o, s_e))
+            if r_o not in traj.rules[1:]:
+                generic.add((dataclasses.astuple(rep), inn, tuple(traj.rules[1:]),
+                             tuple(traj.states)))
+        assert len(generic) == 1
 
 
 def mirrored(bits: int, width: int) -> int:

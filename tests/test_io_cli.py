@@ -8,10 +8,12 @@ import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from helpers import SystemSnapshot, cell, render_rows, system_step
+import oee_ca
 from oee_ca import __version__
 from oee_ca import complexity as cx
 from oee_ca.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main, render_start
@@ -49,7 +51,7 @@ def test_csv_round_trip(sample_records, tmp_path):
     # attractor rule sequences are in-memory only; everything else survives
     stripped = [dataclasses.replace(r, attractor_rules=None) for r in [*sample_records, wide]]
     assert loaded == stripped
-    assert ",0123456789abcdef," in open(path).read().splitlines()[-1]
+    assert ",0123456789abcdef," in Path(path).read_text().splitlines()[-1]
 
 
 def test_csv_columns_pinned(sample_records, tmp_path):
@@ -98,7 +100,7 @@ def test_csv_byte_identical_reruns(sample_records, tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     write_records_csv(sample_records, a, config_echo={"seed": 5})
     write_records_csv(sample_records, b, config_echo={"seed": 5})
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 # --- report JSON ------------------------------------------------------------
@@ -106,7 +108,7 @@ def test_csv_byte_identical_reruns(sample_records, tmp_path):
 def test_report_json_structure(sample_records, tmp_path):
     path = str(tmp_path / "report.json")
     write_report_json(aggregate(sample_records), path, config_echo={"wo": 3})
-    doc = json.load(open(path))
+    doc = json.loads(Path(path).read_text())
     assert doc["metadata"]["tool"] == "oee-ca"
     assert doc["metadata"]["config"] == {"wo": 3}
     assert len(doc["metadata"]["errata_notes"]) == 2
@@ -140,7 +142,7 @@ def aggregate_box():
 def test_pgm_identity_rule_rows(tmp_path):
     path = str(tmp_path / "out.pgm")
     write_pgm([0b0110] * 3, 4, path)
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     header, pixels = data.rsplit(b"\n", 1)[0], data[-12:]
     assert data.startswith(b"P5\n")
     assert b"4 3" in header and b"255" in header
@@ -157,7 +159,7 @@ def test_pgm_rows_match_per_cell_oracle(width, tmp_path):
     states = [0, full, 1, full >> 1, *(rng.getrandbits(width) for _ in range(4))]
     path = str(tmp_path / "rows.pgm")
     write_pgm(states, width, path)
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     head = f"P5\n# oee-ca {__version__}\n{width} {len(states)}\n255\n".encode()
     assert data[:len(head)] == head
     assert data[len(head):] == b"".join(
@@ -218,10 +220,10 @@ def test_cli_run_writes_trajectory(tmp_path):
     code = main(["run", "--variant", "eca", "--wo", "4", "--rule-o", "204",
                  "--state-o", "0110", "--out", out, "--pgm", pgm])
     assert code == EXIT_OK
-    lines = [l for l in open(out) if not l.startswith("#")]
+    lines = [l for l in Path(out).read_text().splitlines() if not l.startswith("#")]
     assert lines[0].strip() == "t,s_o,r_o,s_e"
     assert lines[1].strip() == "0,0110,204,"
-    assert open(pgm, "rb").read().startswith(b"P5\n")
+    assert Path(pgm).read_bytes().startswith(b"P5\n")
 
 
 def test_cli_ensemble_eca_control(tmp_path):
@@ -231,7 +233,7 @@ def test_cli_ensemble_eca_control(tmp_path):
                  "--samples", "200", "--seed", "1",
                  "--out", out, "--report", report])
     assert code == EXIT_OK
-    doc = json.load(open(report))
+    doc = json.loads(Path(report).read_text())
     assert doc["report"]["oee_percent"] == 0.0
 
 
@@ -254,8 +256,8 @@ def test_cli_analyze_round_trip(tmp_path):
                  "--samples", "100", "--out", out, "--report", rep1]) == EXIT_OK
     assert main(["analyze", "--records", out, "--report", rep2,
                  "--svg-dir", svg_dir]) == EXIT_OK
-    a = json.load(open(rep1))["report"]
-    b = json.load(open(rep2))["report"]
+    a = json.loads(Path(rep1).read_text())["report"]
+    b = json.loads(Path(rep2).read_text())["report"]
     for key in ("oee_percent", "inn_percent", "ue_percent", "t_r_ratio_hist"):
         assert a[key] == b[key]
     import os
@@ -283,10 +285,10 @@ def test_cli_analyze_unparsable_field_exits_3(sample_records, tmp_path, capsys):
     and the column named."""
     records = str(tmp_path / "records.csv")
     write_records_csv(sample_records[:2], records)
-    lines = open(records).read().splitlines(keepends=True)
+    lines = Path(records).read_text().splitlines(keepends=True)
     variant, _, rest = lines[-1].split(",", 2)
     lines[-1] = f"{variant},abc,{rest}"
-    open(records, "w").writelines(lines)
+    Path(records).write_text("".join(lines))
     report = tmp_path / "report.json"
     assert main(["analyze", "--records", records, "--report", str(report)]) == EXIT_DATA
     assert f"{records}: record 2: w_o = 'abc' does not parse" in capsys.readouterr().err
@@ -297,7 +299,7 @@ def test_cli_norm(tmp_path):
     cache = str(tmp_path / "norm.txt")
     assert main(["norm", "--width", "4", "--samples", "5", "--steps", "16",
                  "--cache", cache]) == EXIT_OK
-    assert open(cache).read().startswith("4 5 16 0 ")
+    assert Path(cache).read_text().startswith("4 5 16 0 ")
 
 
 def test_cli_norm_defaults_are_the_ensemble_defaults(tmp_path):
@@ -306,26 +308,26 @@ def test_cli_norm_defaults_are_the_ensemble_defaults(tmp_path):
     cache = str(tmp_path / "norm.txt")
     cx._NORM_MEMO.clear()   # each command computes or reads the file afresh
     assert main(["norm", "--width", "8", "--cache", cache]) == EXIT_OK
-    written = open(cache).read()
+    written = Path(cache).read_text()
     assert written.count("\n") == 1
     cx._NORM_MEMO.clear()
     assert main(["ensemble", "--variant", "case1", "--wo", "4", "--we", "4",
                  "--samples", "20", "--norm-cache", cache,
                  "--out", str(tmp_path / "r.csv"),
                  "--report", str(tmp_path / "rep.json")]) == EXIT_OK
-    assert open(cache).read() == written
+    assert Path(cache).read_text() == written
 
 
 def test_cli_render_dimensions(tmp_path):
     out = str(tmp_path / "render.pgm")
     assert main(["render", "--variant", "case1", "--wo", "101", "--we", "101",
                  "--steps", "40", "--seed", "7", "--out", out]) == EXIT_OK
-    head = open(out, "rb").read(64).split(b"\n")
+    head = Path(out).read_bytes()[:64].split(b"\n")
     assert head[0] == b"P5" and head[2] == b"101 41"
 
 
 def read_pgm_rows(path: str) -> list[int]:
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     _, _, dims, _, pixels = data.split(b"\n", 4)
     width, height = map(int, dims.split())
     return [int("".join("1" if b else "0" for b in pixels[i * width:(i + 1) * width]), 2)
@@ -414,11 +416,11 @@ def test_cli_run_output_is_byte_identical(name, tmp_path):
     argv, n_lines, csv_digest, pgm_digest = RUN_GOLDEN[name]
     out, pgm = str(tmp_path / "traj.csv"), str(tmp_path / "traj.pgm")
     assert main(["run", *argv, "--out", out, "--pgm", pgm]) == EXIT_OK
-    lines = open(out, "rb").readlines()
+    lines = Path(out).read_bytes().splitlines(keepends=True)
     assert len(lines) == n_lines
     body = b"".join(line for line in lines if not line.startswith(b"#"))
     assert hashlib.sha256(body).hexdigest() == csv_digest
-    assert hashlib.sha256(open(pgm, "rb").read()).hexdigest() == pgm_digest
+    assert hashlib.sha256(Path(pgm).read_bytes()).hexdigest() == pgm_digest
 
 
 # Digests of the PGM written by `render`, recorded with the 8-term
@@ -444,7 +446,7 @@ def test_cli_render_output_is_byte_identical(name, tmp_path):
     argv, digest = RENDER_GOLDEN[name]
     out = str(tmp_path / "render.pgm")
     assert main(["render", *argv, "--out", out]) == EXIT_OK
-    assert hashlib.sha256(open(out, "rb").read()).hexdigest() == digest
+    assert hashlib.sha256(Path(out).read_bytes()).hexdigest() == digest
 
 
 def test_cli_render_case3_is_usage_error(tmp_path, capsys):
@@ -465,7 +467,8 @@ def test_cli_run_draws_64_cell_states(widths, tmp_path):
         out = str(tmp_path / f"traj{seed}.csv")
         assert main(["run", "--variant", "case1", *widths, "--cap", "5",
                      "--seed", str(seed), "--out", out]) == EXIT_OK
-        row = [l for l in open(out) if not l.startswith("#")][1].strip().split(",")
+        lines = [l for l in Path(out).read_text().splitlines() if not l.startswith("#")]
+        row = lines[1].split(",")
         wide = row[1] if widths[1] == "64" else row[3]
         assert len(wide) == 64
         top.add(wide[0])
@@ -570,7 +573,8 @@ def run_rows(tmp_path, argv) -> list[list[str]]:
     """The data rows of the CSV written by ``run``."""
     out = tmp_path / "traj.csv"
     assert main(["run", *argv, "--out", str(out)]) == EXIT_OK
-    return [line.strip().split(",") for line in open(out) if not line.startswith("#")][1:]
+    return [line.strip().split(",") for line in Path(out).read_text().splitlines()
+            if not line.startswith("#")][1:]
 
 
 def test_cli_run_parses_given_states(tmp_path):
@@ -598,7 +602,8 @@ def test_cli_run_with_given_states_is_byte_identical(tmp_path):
     assert main(["run", "--variant", "case1", "--wo", "4", "--we", "6",
                  "--state-o", "0110", "--state-e", "101100", "--rule-o", "30",
                  "--rule-e", "110", "--cap", "40", "--out", out]) == EXIT_OK
-    body = b"".join(line for line in open(out, "rb") if not line.startswith(b"#"))
+    body = b"".join(line for line in Path(out).read_bytes().splitlines(keepends=True)
+                    if not line.startswith(b"#"))
     assert body.startswith(b"t,s_o,r_o,s_e\n0,0110,30,101100\n")
     assert (hashlib.sha256(body).hexdigest()
             == "b8a293828c40925a82bf2810b240ca00833d46cd9150110c980da5c8c7ef1788")
@@ -635,6 +640,23 @@ def test_ensemble_leaves_scipy_stats_unloaded(tmp_path):
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert json.loads(report.read_text())["report"]["n_records"] == 20
+
+
+@pytest.mark.parametrize("module, absent", [("oee_ca.cli", "scipy"),
+                                            ("oee_ca.ensemble", "scipy.stats")])
+def test_import_footprint(module, absent):
+    """In an isolated interpreter (``-I``: no PYTHONPATH, no user site),
+    importing ``cli`` loads no scipy module and importing ``ensemble`` loads
+    no ``scipy.stats``: the CLI's start-up and every ensemble's peak memory
+    rest on these."""
+    src = str(Path(oee_ca.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+            f"print(sorted(m for m in sys.modules "
+            f"if m == {absent!r} or m.startswith({absent + '.'!r})))")
+    result = subprocess.run([sys.executable, "-I", "-c", code],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("flags", [["--wo", "0"], ["--wo", "5", "--we", "0"],
@@ -826,7 +848,7 @@ def test_cli_config_file_values_are_converted(tmp_path):
                  "--wo", "3", "--samples", "20", "--out", out, "--report", report])
     assert code == EXIT_OK
     assert all(r.w_e == 3 for r in read_records_csv(out))
-    assert json.load(open(report))["metadata"]["config"]["workers"] == 1
+    assert json.loads(Path(report).read_text())["metadata"]["config"]["workers"] == 1
     conf.write_text("we = three\n")
     with pytest.raises(SystemExit) as exc:
         main(["--config", str(conf), "ensemble", "--variant", "case1",
@@ -927,7 +949,7 @@ def test_cli_class_table_lasts_one_call(tmp_path):
 
     def tags():
         return {m["rule"]: m["wolfram_class"]
-                for m in json.load(open(report))["report"]["metagenome_all"]}
+                for m in json.loads(Path(report).read_text())["report"]["metagenome_all"]}
 
     assert main(["--class-table", str(table), *argv]) == EXIT_OK
     assert set(tags().values()) == {4}

@@ -35,7 +35,6 @@ from oee_ca.variants import (
     environment_steps,
     execution_rng,
     flip_masks,
-    flip_threshold,
     organism_steps,
     run_trajectory,
     stream_key,
@@ -119,6 +118,18 @@ def test_config_rejects_rules_outside_0_255(fields, message):
 def test_config_rejects_an_environment_width_without_environment():
     with pytest.raises(ValueError, match="takes no environment"):
         VariantConfig(Variant.ISOLATED, 3, 0, 30, w_e=3)
+
+
+@pytest.mark.parametrize("variant, fields", [
+    (Variant.CASE_I, CASE1_FIELDS),
+    (Variant.CASE_II, dict(CASE1_FIELDS, w_e=8, s_e=0)),
+    (Variant.ISOLATED, dict(w_o=4, s_o=0b0110, r_o=30)),
+], ids=["case1", "case2", "eca"])
+@pytest.mark.parametrize("noise", [dict(mu=0.3), dict(seed=1), dict(mu=0.0, seed=0)],
+                         ids=["mu", "seed", "both"])
+def test_config_without_noise_rejects_mu_and_seed(variant, fields, noise):
+    with pytest.raises(ValueError, match="takes no mu and no seed"):
+        VariantConfig(variant, **fields, **noise)
 
 
 # --- Case I -----------------------------------------------------------------
@@ -276,7 +287,7 @@ RANDOM_SEEDS = np.random.default_rng(17).integers(0, 2**64, 5, dtype=np.uint64).
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, *RANDOM_SEEDS])
-@pytest.mark.parametrize("mu", [0.1, 0.3, 0.5, 0.999999])
+@pytest.mark.parametrize("mu", [0.0, 2.0**-53, 0.1, 0.3, 0.5, 0.999999, 1 - 2.0**-53])
 def test_flip_masks_are_the_execution_stream(seed, mu):
     """Past the 4096-step block size: blocks of 16, 16, 32, ..., 4096, 4096."""
     n = 10_000
@@ -292,20 +303,6 @@ def test_case3_masks_are_slices_of_the_stream(mu):
     for start in (0, 1, 15, 16, 17, 4095, 4096, 10000):
         for n in (0, 1, 7, 16, 33, 100):
             assert case3_masks(seed, mu, start, n) == stream[start:start + n]
-
-
-@pytest.mark.parametrize("mu", [0.0, 2.0**-53, 0.1, 0.3, 0.5, 0.999999, 1 - 2.0**-53])
-def test_flip_threshold_is_exact_at_its_edges(mu):
-    """The top 53 bits ``k`` of a raw word are below the threshold exactly
-    when its double ``k * 2**-53`` is below mu, and the word is below
-    ``thr << 11`` (a 64-bit bound) exactly when ``k`` is below ``thr``."""
-    thr = flip_threshold(mu)
-    assert thr << 11 < 2**64
-    for k in (thr - 1, thr, thr + 1):
-        if k >= 0:
-            assert (k < thr) == (k * 2.0**-53 < mu)
-            for raw in (k << 11, (k << 11) | 2047):
-                assert (raw < thr << 11) == (k < thr)
 
 
 def test_interleaved_flip_masks_keep_their_streams():
