@@ -20,10 +20,10 @@ operations; a wider ring (``render``) steps as the OR of its neighborhood
 masks over the rule's set bits, a few whole-ring operations.
 
 ``neighborhoods`` states the neighborhood formula once, for one packed state
-or a numpy array of them; the step and count tables, one state's triplet
-counts and the innovation pins all read it.  The Wolfram class table is one
-module global, loaded from the bundled file on first use and replaced by
-``set_default_class_table``.
+or a numpy array of them; the step tables, the triplet counts of one state
+or of all states of a width (``count_array``) and the innovation pins all
+read it.  The Wolfram class table is one module global, loaded from the
+bundled file on first use and replaced by ``set_default_class_table``.
 """
 
 from __future__ import annotations
@@ -167,12 +167,6 @@ def count_array(width: int) -> np.ndarray:
     counts = np.stack([bits(masks[7 - i]).sum(axis=1, dtype=np.uint8) for i in range(8)])
     counts.flags.writeable = False
     return counts
-
-
-@lru_cache(maxsize=None)
-def count_table(width: int) -> tuple[tuple[int, ...], ...]:
-    """``count_table(width)[s]`` is ``triplet_counts_bits(s, width)``."""
-    return tuple(map(tuple, count_array(width).T.tolist()))
 
 
 # --- rule equivalence -------------------------------------------------------

@@ -27,16 +27,17 @@ Poincare time 2^w_o and once per environment cycle after it; Case III stops
 at a homogeneous state.  A ``Trajectory`` holds plain int
 sequences: organism states, rules and, with an environment, environment
 states; every reader of a deterministic run's cycle (pre-period P, period
-L) takes it from ``detect_cycle``.  The loops' lookups (the organism step
-under every rule, the environment step and the Case I flip mask) are
-tables built with numpy over all states at once (``step_table``,
-``count_array``), as long as the tables of one kind and width
+L) takes it from ``detect_cycle``.  The loops' step lookups (the organism
+under every rule, the environment) are tables built with numpy over all
+states at once (``step_table``) as long as the tables of one kind and width
 fit in ``TABLE_BUDGET`` entries: the organism's 256 step tables, the
-environment tables of all ``ENVIRONMENT_RULES`` rules a plan can draw, one
-flip table.  Above it the loops compute each entry per step: a step with the
-window-table kernel (``eca.stepper``), a flip mask with
-``case1_update_bits``.  Each lookup function is cached whole, budget test
-included, so a lookup is one cache hit on either side of the budget.
+environment tables of all ``ENVIRONMENT_RULES`` rules a plan can draw.
+Above it the loops step with the window-table kernel (``eca.stepper``).
+``case1_flips`` states the Case I flip test once; ``flip_masks`` holds its
+masks as rows shared by triplet-count class while both rings have at most
+16 cells, and computes each mask per step above.  Each lookup function is
+cached whole, limit test included, so a lookup is one cache hit on either
+side of the limit.
 Case III's flip masks are a pure function of
 (seed, mu, step), ``case3_masks``: its Philox stream is addressed by key
 and counter through one generator shared by the process (not thread-safe;
@@ -70,16 +71,15 @@ import numpy as np
 from .eca import (
     canonical_rules,
     count_array,
-    count_table,
     step_table,
     stepper,
     triplet_counts_bits,
 )
 
-# Most entries the stepping loop keeps in the lookup tables of one kind and
-# width: the organism's 256 step tables, the step tables of every rule an
-# environment is drawn from, or one Case I flip table.  A lookup whose tables
-# would exceed it is computed per step instead.
+# Most entries the stepping loop keeps in the step tables of one kind and
+# width: the organism's 256 step tables, or the step tables of every rule an
+# environment is drawn from.  A step whose tables would exceed it is computed
+# per step instead.
 TABLE_BUDGET = 1 << 20
 
 # Environment/organism width ratios a Case I ensemble is drawn at.
@@ -183,27 +183,30 @@ def detect_cycle(traj: Trajectory) -> tuple[int, int] | None:
 
 # --- rule updates -----------------------------------------------------------
 
-def case1_update_bits(s_o_bits: int, w_o: int, r_o: int, s_e_bits: int, w_e: int) -> int:
-    """Flip rule bit i when triplet S3[i] occurs in both states and its
-    normalized frequency in s_o meets or exceeds the one in s_e (exact
-    cross-multiplied integer comparison).
+def case1_flips(co, ce, w_o: int, w_e: int) -> int:
+    """The Case I mask XORed into the rule, from the S3 triplet counts
+    ``co`` of the organism's state (``w_o`` cells) and ``ce`` of the
+    environment's (``w_e`` cells): bit 7 - i is set when triplet S3[i]
+    occurs in both states and its normalized frequency in the organism
+    meets or exceeds the one in the environment (exact cross-multiplied
+    integer comparison).  The one statement of the flip test.
 
     Requiring the triplet in both states is what makes a single-triplet
     update (the rule 30 -> 62 example) possible at all: if absent-from-the-
     environment triplets flipped too, every present triplet would win
     against a zero frequency and updates could never isolate one bit.
     """
-    if max(w_o, w_e) <= 16:
-        co = count_table(w_o)[s_o_bits]
-        ce = count_table(w_e)[s_e_bits]
-    else:
-        co = triplet_counts_bits(s_o_bits, w_o)
-        ce = triplet_counts_bits(s_e_bits, w_e)
-    out = r_o
+    mask = 0
     for i in range(8):
         if co[i] and ce[i] and co[i] * w_e >= ce[i] * w_o:
-            out ^= 1 << (7 - i)
-    return out
+            mask |= 1 << (7 - i)
+    return mask
+
+
+def case1_update_bits(s_o_bits: int, w_o: int, r_o: int, s_e_bits: int, w_e: int) -> int:
+    """r_o after the Case I update from the states s_o and s_e."""
+    return r_o ^ case1_flips(triplet_counts_bits(s_o_bits, w_o),
+                             triplet_counts_bits(s_e_bits, w_e), w_o, w_e)
 
 
 def stream_key(master_seed: int) -> list[int]:
@@ -279,29 +282,30 @@ def environment_steps(rule: int, width: int):
     return _Computed(stepper(rule, width))
 
 
-def _case1_flip_table(w_o: int, w_e: int) -> list[bytes]:
-    """``flip[s_o][s_e]``, set per pair of triplet-count classes one rule bit at a
-    time: bit 7 - i is set when S3[i] occurs in both states and ``co * w_e >= ce * w_o``."""
-    def classes(w):   # a count is at most w, so base w + 1 packs a state's counts in a key
-        counts = count_array(w).astype(np.int64)
-        _, first, of_state = np.unique((w + 1) ** np.arange(8) @ counts,
-                                       return_index=True, return_inverse=True)
-        return counts[:, first], of_state
-    (co, o_class), (ce, e_class) = classes(w_o), classes(w_e)
-    flip = np.zeros((co.shape[1], ce.shape[1]), dtype=np.uint8)
-    for i in range(8):
-        a, b = co[i][:, None], ce[i][None, :]
-        both = (a > 0) & (b > 0) & (a * w_e >= b * w_o)
-        np.bitwise_or(flip, np.uint8(1 << (7 - i)), out=flip, where=both)
-    return [row.tobytes() for row in flip[o_class][:, e_class]]
+def _count_classes(w: int) -> tuple[list[list[int]], np.ndarray]:
+    """The distinct S3 count vectors of the ``w``-cell states, and each
+    state's index among them."""
+    counts = count_array(w).astype(np.int64)
+    # a count is at most w, so base w + 1 packs a state's counts in a key
+    _, first, of_state = np.unique((w + 1) ** np.arange(8) @ counts,
+                                   return_index=True, return_inverse=True)
+    return counts[:, first].T.tolist(), of_state
 
 
 @lru_cache(maxsize=8)
 def flip_masks(w_o: int, w_e: int):
-    """``flip[s_o][s_e]``: the Case I mask XORed into the rule, i.e.
-    ``case1_update_bits(s_o, w_o, 0, s_e, w_e)`` (cached per width pair)."""
-    if 1 << (w_o + w_e) <= TABLE_BUDGET:
-        return _case1_flip_table(w_o, w_e)
+    """``flip[s_o][s_e]``: ``case1_flips`` of the two states' triplet counts
+    (cached per width pair).  Up to 16 cells a ring, ``case1_flips`` is
+    called once per pair of count classes, and each organism class gets one
+    ``bytes`` row over every s_e, which the states of the class share.
+    Above, each entry is computed on access."""
+    if max(w_o, w_e) <= 16:
+        (co, o_class), (ce, e_class) = _count_classes(w_o), _count_classes(w_e)
+        rows = []
+        for a in co:   # the class's masks, gathered out to every s_e
+            masks = np.array([case1_flips(a, b, w_o, w_e) for b in ce], dtype=np.uint8)
+            rows.append(masks[e_class].tobytes())
+        return [rows[c] for c in o_class.tolist()]
     return _Computed(lambda so: _Computed(
         lambda se: case1_update_bits(so, w_o, 0, se, w_e)))
 

@@ -42,6 +42,7 @@ from oee_ca.variants import (
     case1_update_bits,
     default_step_cap,
     execution_rng,
+    fixed_rule_run,
     gc_paused,
     run_trajectory,
 )
@@ -204,27 +205,74 @@ class LightStats:
     ue_percent: float
     n_live: int
     n_censored: int
+    n_oee: int
+    n_inn: int
+    n_ue: int
+
+
+def _run_flags(rep, inn) -> tuple[int, int, int, int, int]:
+    """(live, censored, OEE, INN, UE) of one run, each 0 or 1."""
+    if rep.censored:
+        return 0, 1, 0, 0, 0
+    return 1, 0, int(bool(rep.ue and inn)), int(inn), int(bool(rep.ue))
+
+
+def _light_stats(live: int, censored: int, oee: int, inn: int, ue: int) -> LightStats:
+    if live == 0:
+        raise ValueError("all executions censored")
+    return LightStats(100.0 * oee / live, 100.0 * inn / live, 100.0 * ue / live,
+                      live, censored, oee, inn, ue)
 
 
 def light_stats(plan: SamplePlan, tuples=None) -> LightStats:
-    """OEE/INN/UE percentages from the flag stages alone, without the
-    complexity pipeline (fast path)."""
+    """OEE/INN/UE percentages and counts from the flag stages alone, without
+    the complexity pipeline (fast path)."""
     if tuples is None:
         tuples = draw_plan(plan)
-    n = n_oee = n_inn = n_ue = n_cens = 0
+    totals = [0] * 5
     for i, tup in enumerate(tuples):
         _, _, rep, _, inn = flag_stages(plan, i, tup)
-        if rep.censored:
-            n_cens += 1
-            continue
-        n += 1
-        n_inn += inn
-        n_ue += bool(rep.ue)
-        n_oee += bool(rep.ue and inn)
-    if n == 0:
-        raise ValueError("all executions censored")
-    return LightStats(100.0 * n_oee / n, 100.0 * n_inn / n, 100.0 * n_ue / n,
-                      n, n_cens)
+        for k, flag in enumerate(_run_flags(rep, inn)):
+            totals[k] += flag
+    return _light_stats(*totals)
+
+
+def case2_exact_counts(w: int) -> LightStats:
+    """``light_stats`` over the whole Case II space at w_o = ``w`` (88 * 88
+    * 2^w * 256 tuples), from far fewer runs than tuples.
+
+    Case II's first step sets r_o = s_e before it steps the organism, so
+    r_o(0) = X is read only as rules[0] and in snapshot 0, (s_o, X, s_e);
+    every later state, rule and environment state is a function of the base
+    (r_e, s_e, s_o), and rules[t] = s_e(t - 1) for t >= 1.
+    - A rule the environment never visits from s_e is in no run's
+      rules[1:].  The run from such an X, which need not be canonical, is
+      the base's generic run.  (No ECA takes all 256 states of an 8-cell
+      ring in one orbit, so such a rule exists.)
+    - For every X outside the generic run's rules[1:], snapshot 0 never
+      recurs, so the run after step 0 is the generic one.  So are its flags:
+      INN reads states only, and the rule recurrence reads rules[0] only to
+      compare it with some rules[lam], lam >= 1, which differs from X.
+    So a base takes its generic run, weighted by the canonical rules outside
+    its rules[1:], plus one run for each canonical rule inside."""
+    plan = SamplePlan(Variant.CASE_II, w, sample_count=1)
+    canon = canonical_rules()
+    totals = [0] * 5
+    for r_e in canon:
+        for s_e in range(256):
+            visited = set(fixed_rule_run(r_e, 8, s_e, 256)[0])
+            generic = next(x for x in range(256) if x not in visited)
+            for s_o in range(1 << w):
+                _, traj, rep, _, inn = flag_stages(plan, 0, (generic, r_e, s_o, s_e))
+                recurring = set(traj.rules[1:]).intersection(canon)
+                runs = [(88 - len(recurring), rep, inn)]
+                for x in recurring:
+                    _, _, x_rep, _, x_inn = flag_stages(plan, 0, (x, r_e, s_o, s_e))
+                    runs.append((1, x_rep, x_inn))
+                for weight, rep, inn in runs:
+                    for k, flag in enumerate(_run_flags(rep, inn)):
+                        totals[k] += weight * flag
+    return _light_stats(*totals)
 
 
 # --- per-value histograms -----------------------------------------------------
@@ -524,11 +572,6 @@ def naive_triplet_counts(bits: int, width: int) -> tuple[int, ...]:
         l, c, r = (cell(bits, p + d, width) for d in (-1, 0, 1))
         counts[7 - (l << 2 | c << 1 | r)] += 1
     return tuple(counts)
-
-
-def scalar_count_table(width: int) -> tuple[tuple[int, ...], ...]:
-    """``count_table`` one ``naive_triplet_counts`` call per state (oracle)."""
-    return tuple(naive_triplet_counts(s, width) for s in range(1 << width))
 
 
 def naive_cycle(step_fn, initial) -> tuple[int, int]:

@@ -28,8 +28,8 @@ from oee_ca.io_formats import write_records_csv
 from oee_ca.recurrence import build_report, poincare_time, projected_recurrence
 from oee_ca.variants import (
     Variant,
-    _case1_flip_table,
     case1_update_bits,
+    flip_masks,
     run_trajectory,
 )
 
@@ -206,7 +206,7 @@ def test_criterion_12_oracle_equivalence():
     # exhaustive (3,3) space, deduplicated state windows
     windows = set()
     canon = canonical_rules()
-    flip = _case1_flip_table(3, 3)
+    flip = flip_masks(3, 3)
     o_tab = [step_table(r, 3) for r in range(256)]
     for r_o in canon:
         for r_e in canon:

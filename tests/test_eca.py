@@ -13,7 +13,6 @@ from helpers import (
     naive_triplet_counts,
     rule_from_number,
     rule_to_number,
-    scalar_count_table,
     scalar_step_table,
 )
 from oee_ca.eca import (
@@ -23,7 +22,6 @@ from oee_ca.eca import (
     _mirror_number,
     canonical_rule,
     canonical_rules,
-    count_table,
     load_class_table,
     neighborhood_masks,
     step_table,
@@ -189,11 +187,6 @@ def test_step_table_matches_scalar(width, rule):
 
 def test_step_table_beyond_16_cells():
     assert_step_table(110, 17)
-
-
-@pytest.mark.parametrize("width", [3, 4, 5, 8, 11, 13])
-def test_count_table_matches_scalar(width):
-    assert count_table(width) == scalar_count_table(width)
 
 
 def test_neighborhood_masks_cached_and_read_only():

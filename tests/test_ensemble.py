@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 
 from helpers import (
+    case2_exact_counts,
     case3_convergence_law,
     case3_inn_law,
     case3_inn_law_with_rule,
@@ -22,7 +23,7 @@ from helpers import (
     scalar_value_histogram,
 )
 from oee_ca import complexity as cx
-from oee_ca import ensemble
+from oee_ca import ensemble, variants
 from oee_ca.ensemble import (
     BoxStats,
     EmptyReportError,
@@ -187,6 +188,52 @@ def test_case1_36_exhaustive_flag_counts():
     assert (stats.n_live, stats.n_censored) == (3_964_928, 0)
     assert stats.oee_percent == 100.0 * 665_352 / 3_964_928
     assert stats.inn_percent == 100.0 * 2_512_670 / 3_964_928
+
+
+def flip_reading(test):
+    """A stand-in for ``variants.case1_flips`` that sets rule bit 7 - i
+    where ``test(co[i], ce[i], w_o, w_e)`` holds."""
+    def flips(co, ce, w_o, w_e):
+        return sum(1 << (7 - i) for i in range(8) if test(co[i], ce[i], w_o, w_e))
+    return flips
+
+
+# readings of the Case I flip test, and the OEE and INN counts each gives
+# over the (3, 3) space of 495,616 tuples (percentages in the comments)
+FLIP_READINGS = {
+    "both, >=": (lambda a, b, w_o, w_e: a and b and a * w_e >= b * w_o,
+                 30_750, 186_090),         # 6.204, 37.547: the model's reading
+    "both, >": (lambda a, b, w_o, w_e: a and b and a * w_e > b * w_o, 0, 0),
+    "both, <": (lambda a, b, w_o, w_e: a and b and a * w_e < b * w_o, 0, 0),
+    "both, <=": (lambda a, b, w_o, w_e: a and b and a * w_e <= b * w_o,
+                 30_750, 186_090),
+    "both, raw >=": (lambda a, b, w_o, w_e: a and b and a >= b, 30_750, 186_090),
+    "organism only, >=": (lambda a, b, w_o, w_e: a and a * w_e >= b * w_o,
+                          118_272, 495_616),   # 23.864, 100.000
+    "no presence test, >=": (lambda a, b, w_o, w_e: a * w_e >= b * w_o,
+                             88_830, 437_980),  # 17.923, 88.371
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("reading", FLIP_READINGS)
+def test_case1_33_flip_readings(reading, monkeypatch):
+    """The exhaustive Case I (3,3) counts under each reading of the flip
+    test, swapped in for ``variants.case1_flips``, which every flip table
+    is built from.  UE equals OEE under each.  With equal widths a triplet
+    present in both states has equal counts, so ``<=`` and raw counts flip
+    what ``>=`` flips, and ``>`` and ``<`` flip nothing.  About six seconds
+    each, so they run only with ``-m slow``."""
+    test, n_oee, n_inn = FLIP_READINGS[reading]
+    monkeypatch.setattr(variants, "case1_flips", flip_reading(test))
+    variants.flip_masks.cache_clear()
+    try:
+        plan = SamplePlan(Variant.CASE_I, 3, 3, sample_count=1)
+        stats = light_stats(plan, exhaustive_plan_tuples(plan))
+    finally:
+        variants.flip_masks.cache_clear()
+    assert (stats.n_live, stats.n_censored) == (495_616, 0)
+    assert (stats.n_oee, stats.n_inn, stats.n_ue) == (n_oee, n_inn, n_oee)
 
 
 # --- block draws against the scalar oracle ---------------------------------
@@ -1004,6 +1051,40 @@ def test_case2_initial_rule_matters_only_when_it_recurs(w_o):
                 generic.add((dataclasses.astuple(rep), inn, tuple(traj.rules[1:]),
                              tuple(traj.states)))
         assert len(generic) == 1
+
+
+# the exact Case II flag counts (OEE, INN, UE) over the whole space at each
+# w_o, from ``case2_exact_counts``; no run reaches the step cap
+CASE2_EXACT = {
+    3: (6_598_355, 12_126_928, 6_614_177),   # 41.6045 %, 76.4637 %, 41.7043 %
+    4: (3_546_353, 26_167_240, 3_546_353),   # 11.1804 %, 82.4959 %
+    5: (6_533_284, 55_353_408, 6_533_284),   # 10.2986 %, 87.2547 %
+    6: (351_120, 111_824_944, 351_120),      # 0.2767 %, 88.1360 %
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("w_o", CASE2_EXACT)
+def test_case2_exact_flag_counts(w_o):
+    """Every tuple of the Case II space, through the collapse of r_o(0)
+    that ``case2_exact_counts`` argues: the exact population that criteria
+    4, 5 and 7 sample.  15 seconds at w_o = 3 to 80 at 6, so they run only
+    with ``-m slow``."""
+    flags = case2_exact_counts(w_o)
+    assert (flags.n_live, flags.n_censored) == (sample_space_size(Variant.CASE_II, w_o), 0)
+    assert (flags.n_oee, flags.n_inn, flags.n_ue) == CASE2_EXACT[w_o]
+
+
+@pytest.mark.parametrize("w_o, seed", [(3, 281), (4, 282)])
+def test_case2_flags_follow_the_exact_counts(w_o, seed):
+    """The OEE and INN counts of a fresh 10,000-sample Case II plan pass
+    exact binomial tests against the rates of the whole space."""
+    n_oee, n_inn, _ = CASE2_EXACT[w_o]
+    space = sample_space_size(Variant.CASE_II, w_o)
+    flags = light_stats(SamplePlan(Variant.CASE_II, w_o, sample_count=10_000, master_seed=seed))
+    assert (flags.n_live, flags.n_censored) == (10_000, 0)
+    assert stats.binomtest(flags.n_oee, 10_000, n_oee / space).pvalue > 1e-4
+    assert stats.binomtest(flags.n_inn, 10_000, n_inn / space).pvalue > 1e-4
 
 
 def mirrored(bits: int, width: int) -> int:

@@ -27,7 +27,6 @@ from oee_ca.variants import (
     TABLE_BUDGET,
     Variant,
     VariantConfig,
-    _case1_flip_table,
     case1_update_bits,
     case3_masks,
     continued,
@@ -174,10 +173,15 @@ def test_case1_involution_on_flip_mask(r_o, so, se):
     assert case1_update_bits(so, 4, once, se, 6) == r_o
 
 
-def dense_flip_table(w_o: int, w_e: int) -> list[bytes]:
-    """``_case1_flip_table`` evaluated over every pair of states."""
-    co, ce = count_array(w_o).astype(np.int32), count_array(w_e).astype(np.int32)
-    flip = np.zeros((1 << w_o, 1 << w_e), dtype=np.uint8)
+def dense_flip_table(w_o: int, w_e: int, states=None) -> list[bytes]:
+    """``flip_masks`` evaluated with numpy over every pair of states, or over
+    the organism ``states`` given and every environment state: the tests'
+    own statement of the Case I flip test."""
+    co = count_array(w_o).astype(np.int32)
+    if states is not None:
+        co = co[:, states]
+    ce = count_array(w_e).astype(np.int32)
+    flip = np.zeros((co.shape[1], 1 << w_e), dtype=np.uint8)
     for i in range(8):
         a, b = co[i][:, None], ce[i][None, :]
         both = (a > 0) & (b > 0) & (a * w_e >= b * w_o)
@@ -187,22 +191,32 @@ def dense_flip_table(w_o: int, w_e: int) -> list[bytes]:
 
 @pytest.mark.parametrize("w_o,w_e", [(3, 3), (4, 4), (3, 7), (7, 3), (4, 8), (6, 5)])
 def test_flip_table_is_case1_update_bits(w_o, w_e):
-    flip = _case1_flip_table(w_o, w_e)
+    flip = flip_masks(w_o, w_e)
     assert [list(row) for row in flip] == [
         [case1_update_bits(so, w_o, 0, se, w_e) for se in range(1 << w_e)]
         for so in range(1 << w_o)]
 
 
-@pytest.mark.parametrize("w_o,w_e", [(6, 13), (5, 15)])
+@pytest.mark.parametrize("w_o,w_e", [(6, 13), (5, 15), (6, 15), (8, 16), (16, 5)])
 def test_flip_table_at_the_budget(w_o, w_e):
-    """The largest tables (w_o + w_e up to 20): every entry against the
-    dense evaluation, and sampled entries against ``case1_update_bits``."""
-    flip = _case1_flip_table(w_o, w_e)
-    assert flip == dense_flip_table(w_o, w_e)
+    """Tables up to 16 cells a ring: rows against the dense evaluation, all
+    of them while w_o + w_e is at most 20 and 64 sampled ones above, and
+    sampled entries against ``case1_update_bits``.  The organism states of
+    one triplet-count class share one row object."""
+    flip = flip_masks(w_o, w_e)
     rng = random.Random(w_o * 100 + w_e)
-    for se in rng.sample(range(1 << w_e), 64):
-        for so in range(1 << w_o):
+    if w_o + w_e <= 20:
+        assert flip == dense_flip_table(w_o, w_e)
+    else:
+        states = rng.sample(range(1 << w_o), min(64, 1 << w_o))
+        assert [flip[so] for so in states] == dense_flip_table(w_o, w_e, states)
+    for se in rng.sample(range(1 << w_e), 16):
+        for so in rng.sample(range(1 << w_o), min(64, 1 << w_o)):
             assert flip[so][se] == case1_update_bits(so, w_o, 0, se, w_e)
+    row_of_class = {}
+    for so, counts in enumerate(count_array(w_o).T.tolist()):
+        assert row_of_class.setdefault(tuple(counts), flip[so]) is flip[so]
+    assert len({id(row) for row in flip}) == len(row_of_class)
 
 
 # --- Case II ----------------------------------------------------------------
@@ -488,21 +502,24 @@ def assert_same_run(config, cap=None, horizons=(2, 5, 17)):
             assert cx.lyapunov(traj, 0, h) == want
 
 
-@pytest.mark.parametrize("w_o, w_e", [(4, 6), (6, 13)])
+@pytest.mark.parametrize("w_o, w_e", [(4, 6), (6, 13), (6, 15)])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_packed_case1_tables_match_oracle(w_o, w_e, data):
-    assert (1 << (w_o + w_e)) <= TABLE_BUDGET
+    """Flip masks from the table, also at (6, 15), where w_o + w_e is above
+    the step tables' budget."""
+    assert max(w_o, w_e) <= 16
     config = drawn_case1(data, w_o, w_e)
     assert_same_run(config, cap=3000)
 
 
-@pytest.mark.parametrize("w_o, w_e", [(12, 9), (13, 21)])
+@pytest.mark.parametrize("w_o, w_e", [(12, 9), (13, 21), (6, 17)])
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_packed_case1_above_budget_matches_oracle(w_o, w_e, data):
-    """(12, 9): organism tables at the budget, flip masks computed per step;
-    (13, 21): every lookup computed per step."""
+    """(12, 9): organism tables at the budget; (13, 21): every lookup
+    computed per step; (6, 17): organism tables, flip masks and environment
+    steps computed per step."""
     assert (1 << (w_o + w_e)) > TABLE_BUDGET
     config = drawn_case1(data, w_o, w_e)
     assert_same_run(config, cap=data.draw(st.integers(1, 60)), horizons=(2, 9))
@@ -538,12 +555,12 @@ def test_run_repeating_at_the_environment_pre_period_past_t_p():
 
 @pytest.mark.parametrize("variant, w_o, w_e", [
     (Variant.CASE_I, 4, 6), (Variant.CASE_I, 12, 9), (Variant.CASE_II, 5, 8),
-    (Variant.CASE_III, 6, None), (Variant.ISOLATED, 5, None)])
+    (Variant.CASE_III, 6, None), (Variant.ISOLATED, 5, None), (Variant.CASE_I, 4, 17)])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_lyapunov_matches_oracle_for_every_bit(variant, w_o, w_e, data):
     """Every perturbed bit, at a horizon past the run's end: the copy is read
-    against the run continued around its cycle or on its stream.  (12, 9)
+    against the run continued around its cycle or on its stream.  (4, 17)
     computes its Case I flip masks per step."""
     if variant is Variant.CASE_I:
         config = drawn_case1(data, w_o, w_e)
@@ -583,10 +600,10 @@ def test_tables_chosen_by_budget():
     (flip_masks, (4, 4)), (flip_masks, (6, 15)),
     (environment_steps, (30, 4)), (environment_steps, (30, 14)),
     (cx.state_rows, (4,)), (cx.state_rows, (17,)),
-    (transition_pins, (4,)), (transition_pins, (11,))])
+    (transition_pins, (4,)), (transition_pins, (11,)), (flip_masks, (6, 17))])
 def test_lookups_are_cached_whole(lookup, key):
-    """A lookup is one cache hit, below the budget and above it: a second
-    call with the same key returns the very object of the first."""
+    """A lookup is one cache hit, below its table limit and above it: a
+    second call with the same key returns the very object of the first."""
     assert lookup(*key) is lookup(*key)
 
 
