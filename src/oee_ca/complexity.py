@@ -12,8 +12,8 @@ numpy.
 The compressibility C of a trajectory is its compressed bit count divided by
 an ensemble-maximum normalization constant taken over random fixed-rule ECA
 of the full-system width; large C means low complexity.  The constant's
-sample runs, stepped to their first repeated state by
-``variants.fixed_rule_run``, are visited longest first; a run is walked by
+sample runs, stepped together to their first repeated states by
+``variants.fixed_rule_runs``, are visited longest first; a run is walked by
 LZW only when a bound on the phrase count of an eventually periodic string
 leaves room to beat the largest count so far.  The bound caps the distinct
 substrings of each length, first by the span a run repeats within, then, for
@@ -21,17 +21,15 @@ a run that repeats, by the exact counts of its lengths up to
 ``COUNT_LENGTHS``; the span-only bound never decreases with the span, so the
 visit stops at the first run it rules out.  With the defaults
 (``NORM_SAMPLES`` x ``NORM_STEPS``, 1000 x 1024) norm(6) and norm(8) take
-about 0.02 s and norm(19) about 0.25 s of CPU time on a 2-vCPU host, where
-norm(19) walks 86 of its 1000 runs; above 12 cells the runs step through the
-window-table kernel (``eca.stepper``), and at 19 cells the stepping and the
-walks are each about a third of the time.  Only ``lyapunov`` steps here.
+about 0.01 s and norm(19) about 0.13 s of CPU time on a 2-vCPU host; there
+the LZW walks of 86 of the 1000 runs are about three fifths of the time
+and the lockstep stepping a fifth.  Only ``lyapunov`` steps here.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from array import array
 from collections.abc import Sequence
 from functools import lru_cache
 
@@ -43,7 +41,7 @@ from .variants import (
     Trajectory,
     continued,
     execution_rng,
-    fixed_rule_run,
+    fixed_rule_runs,
     flip_masks,
     gc_paused,
     integers_rows,
@@ -138,9 +136,10 @@ def normalization_constant(w: int, samples: int = NORM_SAMPLES, steps: int = NOR
     Sample i draws ``rng.integers(0, 256)`` (its rule), then
     ``rng.integers(0, 1 << w)`` (its initial state), from
     ``execution_rng(seed)``; ``integers_rows`` makes all the samples' draws
-    first, in one vectorised ``integers`` call.  Each sample is stepped
-    only to its first repeated state (``variants.fixed_rule_run``), and the
-    runs are visited longest first, ties in draw order.  LZW walks a run,
+    first, in one vectorised ``integers`` call.  All the samples step
+    together, each only to about twice its first repeated state
+    (``variants.fixed_rule_runs``), and the runs are visited longest
+    first, ties in draw order.  LZW walks a run,
     the cycle repeated out to the full length, only when
     ``lzw_phrase_bound`` leaves room for more phrases than the largest count
     so far: first the bound from the run's span alone, then, for a run that
@@ -150,7 +149,8 @@ def normalization_constant(w: int, samples: int = NORM_SAMPLES, steps: int = NOR
     first run it rules out; a maximum does not depend on the order, so the
     constant is still the largest size over all the runs.  At the defaults
     and width 19 the visit stops after 367 of the 1000 runs, the counts rule
-    out 281 of those and 86 are walked.
+    out 281 of those and 86 are walked; the span-only bound is computed once
+    per distinct span, 81 times for the 368 runs it checks.
     """
     if not 1 <= w <= NORM_MAX_WIDTH:
         raise ValueError(f"normalization width must be in 1..{NORM_MAX_WIDTH}, got {w}")
@@ -195,19 +195,18 @@ def _cached_norm(cache_path: str | None, key: tuple) -> int | None:
 def _max_compressed_bits(w: int, samples: int, steps: int, seed: int) -> int:
     run_steps = min(steps, 1 << min(2 * w, 62))
     n = (run_steps + 1) * w
-    rng = execution_rng(seed)
-    runs = []
-    for rule, state in integers_rows(rng, (256, 1 << w), samples):
-        states, first = fixed_rule_run(rule, w, state, run_steps)
-        runs.append((array("Q", states), first))     # 8 bytes a state, not an int
+    rules, states = zip(*integers_rows(execution_rng(seed), (256, 1 << w), samples))
+    runs = fixed_rule_runs(rules, w, states, run_steps)
     # longest first (stable, so ties keep draw order): the span-only bound
     # never decreases with the span, so once it cannot beat the largest
     # count so far, no shorter run can either
     runs.sort(key=lambda run: len(run[0]), reverse=True)
-    most = 0
+    most = bound_span = 0
     for states, first in runs:
         span = len(states) * w
-        if lzw_phrase_bound(n, span) <= most:
+        if span != bound_span:      # runs of one span are adjacent
+            bound, bound_span = lzw_phrase_bound(n, span), span
+        if bound <= most:
             break
         bits = serialize_states(states, w)
         if first is not None:

@@ -19,19 +19,19 @@ and immediately applied to s_o(t).
 A state is a packed int plus its width (leftmost cell in the most
 significant bit), and a ``VariantConfig`` is a run's widths, packed initial
 states and rules, checked once when it is built.  Every run is stepped
-here, in one of three packed loops: ``fixed_rule_run`` steps a fixed rule
-to its first repeated state, for the isolated variant and for the sample
-runs of ``complexity.normalization_constant``; Case I and II stop at the
-first repeat of (s_o, r_o, s_e), which they check at every step up to the
-Poincare time 2^w_o and once per environment cycle after it; Case III stops
-at a homogeneous state.  A ``Trajectory`` holds plain int
-sequences: organism states, rules and, with an environment, environment
-states; every reader of a deterministic run's cycle (pre-period P, period
-L) takes it from ``detect_cycle``.  The loops' step lookups (the organism
-under every rule, the environment) are tables built with numpy over all
-states at once (``step_table``) as long as the tables of one kind and width
-fit in ``TABLE_BUDGET`` entries: the organism's 256 step tables, the
-environment tables of all ``ENVIRONMENT_RULES`` rules a plan can draw.
+here, in one of three packed loops, or as numpy lanes: ``fixed_rule_run``
+steps a fixed rule to its first repeated state, ``fixed_rule_runs`` many
+at once (the sample runs of ``complexity.normalization_constant``); Case I
+and II stop at the first repeat of (s_o, r_o, s_e), which they check at
+every step up to the Poincare time 2^w_o and once per environment cycle
+after it; Case III stops at a homogeneous state.  A ``Trajectory`` holds
+plain int sequences: organism states, rules and, with an environment,
+environment states; every reader of a deterministic run's cycle (pre-period
+P, period L) takes it from ``detect_cycle``.  The loops' step lookups (the
+organism under every rule, the environment) are tables built with numpy
+over all states at once (``step_table``) as long as the tables of one kind
+and width fit in ``TABLE_BUDGET`` entries: the organism's 256 step tables,
+the environment tables of all ``ENVIRONMENT_RULES`` rules a plan can draw.
 Above it the loops step with the window-table kernel (``eca.stepper``).
 ``case1_flips`` states the Case I flip test once; ``flip_masks`` holds its
 masks as rows shared by triplet-count class while both rings have at most
@@ -62,15 +62,18 @@ from __future__ import annotations
 
 import enum
 import gc
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, or_
 
 import numpy as np
 
 from .eca import (
     canonical_rules,
     count_array,
+    neighborhoods,
     step_table,
     stepper,
     triplet_counts_bits,
@@ -380,6 +383,64 @@ def fixed_rule_run(rule: int, width: int, state: int,
     from step ``first`` on; ``first`` is None when no state repeats within
     ``steps`` updates."""
     return _first_repeat(organism_steps(width)[rule], state, steps)
+
+
+def fixed_rule_runs(rules, width: int, states,
+                    steps: int) -> list[tuple[array, int | None]]:
+    """``fixed_rule_run(rules[i], width, states[i], steps)`` for every lane
+    i, the states as an ``array("Q")``, stepped together as numpy ``uint64``
+    lanes (a gather from the stacked ``organism_steps`` tables, or each
+    lane's rule bits ANDed with its ``neighborhoods``) in blocks to the
+    checkpoints 16, 32, 64, ... and ``steps``.  There the lanes whose
+    history holds a repeat retire (``_sorted_pairs``), so none steps to
+    much more than twice its run."""
+    hist, rules = np.array(states, dtype=np.uint64)[:, None], np.array(rules, dtype=np.uint64)
+    if 256 << width <= TABLE_BUDGET:
+        tables = organism_steps(width)
+        flat = np.frombuffer(b"".join(tables), memoryview(tables[0]).format)
+        params = (rules << width)[None]
+        step = lambda c, offset: flat[offset[0] + c]
+    else:
+        full = np.uint64((1 << width) - 1)
+        # params[v]: all ones in the lanes whose rule has bit v set
+        params = (rules >> np.arange(8, dtype=np.uint64)[:, None] & 1) * full
+        step = lambda c, bits: reduce(or_, map(and_, neighborhoods(c, width, full), bits))
+    runs, ids, t = [None] * len(hist), np.arange(len(hist)), 0
+    while len(ids):
+        stop = min(steps, max(16, 2 * t))
+        hist = np.concatenate([hist, np.empty((len(ids), stop - t), np.uint64)], axis=1)
+        for s in range(t + 1, stop + 1):
+            hist[:, s] = step(hist[:, s - 1], params)
+        n = stop + 1
+        equal, at = _sorted_pairs(hist, width)
+        ends = np.where(equal, at[:, 1:], n).min(axis=1, initial=n)
+        firsts = np.where(equal, at[:, :-1], n).min(axis=1, initial=n)
+        done = np.flatnonzero((ends < n) | (stop == steps))
+        for i, lane, end, first in zip(done.tolist(), ids[done].tolist(),
+                                       ends[done].tolist(), firsts[done].tolist()):
+            runs[lane] = (array("Q", hist[i, :end].tobytes()), first if end < n else None)
+        live = (ends == n) & (stop < steps)
+        ids, hist, params, t = ids[live], hist[live], params[:, live], stop
+    return runs
+
+
+def _sorted_pairs(hist: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(equal, at)`` of the rows of ``hist`` sorted, ties in step order:
+    ``at[:, k]`` is the step of sorted entry k, ``equal[:, k]`` whether
+    entries k and k + 1 are one state, so the first repeat is the earliest
+    later step of an equal pair and its first occurrence the earliest
+    earlier one (no state before it recurs).  The sort is of
+    ``state << b | step`` keys while they fit in 64 bits, else a stable argsort."""
+    b = (hist.shape[1] - 1).bit_length()
+    if width + b > 64:
+        at = np.argsort(hist, axis=1, kind="stable")
+        return np.diff(np.take_along_axis(hist, at, axis=1), axis=1) == 0, at
+    keys = hist << b
+    keys |= np.arange(hist.shape[1], dtype=np.uint64)
+    keys.sort(axis=1)
+    equal = (keys[:, 1:] ^ keys[:, :-1]) < (1 << b)     # the state bits agree
+    keys &= (1 << b) - 1
+    return equal, keys
 
 
 def _first_repeat(table, state: int, steps: int) -> tuple[list[int], int | None]:

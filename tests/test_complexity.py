@@ -1,9 +1,11 @@
 """LZW compressibility, normalization, and Lyapunov exponents."""
 
 import math
+import tracemalloc
 from pathlib import Path
 from statistics import linear_regression
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -36,8 +38,11 @@ from oee_ca.variants import (
     TABLE_BUDGET,
     Variant,
     VariantConfig,
+    _sorted_pairs,
     execution_rng,
     fixed_rule_run,
+    fixed_rule_runs,
+    integers_rows,
     run_trajectory,
 )
 
@@ -219,8 +224,9 @@ def test_norm_constant_matches_scalar_oracle(w):
         assert normalization_constant(*key) == scalar_normalization_constant(*key)
 
 
-@pytest.mark.parametrize("w, expected", [(6, 6097), (8, 8697), (10, 12451), (13, 16290),
-                                         (19, 23577)])
+@pytest.mark.parametrize("w, expected", [(3, 261), (6, 6097), (8, 8697), (10, 12451),
+                                         (12, 14640), (13, 16290), (14, 17467), (19, 23577),
+                                         (24, 29685), (32, 39189), (63, 76244)])
 def test_norm_constant_defaults_pinned(w, expected):
     """The default settings of the library and the CLI: 1000 samples x 1024
     steps, seed 0."""
@@ -262,6 +268,77 @@ def test_fixed_rule_runs_match_step_bits(w):
             assert len(states) == steps + 1
         else:
             assert rows[len(states)] == states[first]
+
+
+# caps at, around and between the lanes' checkpoints (16, 32, 64, ...)
+LANE_CAPS = [0, 1, 15, 16, 17, 31, 32, 33, 300, 1024]
+
+
+def _assert_runs_match(lanes, w, steps):
+    rules, states = zip(*lanes)
+    runs = fixed_rule_runs(rules, w, states, steps)
+    assert len(runs) == len(lanes)
+    for (rule, state), (got, first) in zip(lanes, runs):
+        assert (got.tolist(), first) == fixed_rule_run(rule, w, state, steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 63), st.sampled_from(LANE_CAPS), st.data())
+def test_fixed_rule_runs_match_fixed_rule_run(w, steps, data):
+    """Run for run, states and ``first``: one lane, or several with some
+    sharing a rule."""
+    state = st.integers(0, (1 << w) - 1)
+    shared = data.draw(st.integers(0, 255))
+    lanes = data.draw(st.lists(st.tuples(st.integers(0, 255) | st.just(shared), state),
+                               min_size=1, max_size=12))
+    _assert_runs_match(lanes, w, steps)
+
+
+@pytest.mark.parametrize("steps", LANE_CAPS)
+@pytest.mark.parametrize("w, lanes", [
+    # each with a run whose first repeat is step 16, 32 or 64, a checkpoint
+    # exactly, beside runs that repeat elsewhere or not within the cap
+    (5, [(25, 11), (26, 27), (30, 13)]),
+    (7, [(26, 27), (30, 13), (30, 13), (0, 0)]),
+    (13, [(7, 1539), (6, 2325), (30, 1)]),
+    (40, [(37, 323492280079), (65, 623201794424), (110, 1)]),
+    # at 63 cells the history's keys pass 64 bits: the argsort path
+    (63, [(37, 3006298905912775774), (37, 8790988948122266956), (110, 1), (0, 5)]),
+])
+def test_fixed_rule_runs_repeat_on_a_checkpoint(w, lanes, steps):
+    _assert_runs_match(lanes, w, steps)
+
+
+@pytest.mark.parametrize("width", [53, 54, 63])
+def test_sorted_pairs_keep_the_top_cell_at_the_key_limit(width):
+    """1025-state histories take 11 step bits, so from 54 cells their
+    ``state << b | step`` keys would pass 64 bits: states that differ in
+    the top cell alone stay apart, and ties stay in step order."""
+    top = 1 << (width - 1)
+    rows = np.array([[0, top, *range(1, 1024)], [top, 0, top, *range(1, 1023)]],
+                    dtype=np.uint64)
+    equal, at = _sorted_pairs(rows, width)
+    assert equal.sum(axis=1).tolist() == [0, 1]
+    k = int(np.flatnonzero(equal[1])[0])
+    assert (at[1, k], at[1, k + 1]) == (0, 2)
+
+
+def test_fixed_rule_runs_memory_does_not_grow_with_the_cap():
+    """Every width-8 run repeats within 256 steps, so lanes retire at the
+    same checkpoints whatever the cap above that: the same runs, and a
+    tracemalloc peak within 10 %."""
+    rules, states = zip(*integers_rows(execution_rng(0), (256, 1 << 8), 1000))
+    fixed_rule_runs(rules, 8, states, 16)      # builds the step tables
+    peaks, results = [], []
+    for steps in (1024, 1 << 16):
+        tracemalloc.start()
+        try:
+            results.append(fixed_rule_runs(rules, 8, states, steps))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert results[0] == results[1]
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
 
 @settings(max_examples=300, deadline=None)
