@@ -82,24 +82,40 @@ def lzw_phrase_count(bits: bytes) -> int:
 
     The dictionary starts as {0, 1} and is an integer trie: the children of
     code c are ``kids[2c]`` and ``kids[2c + 1]`` (0 while absent).  Nodes are
-    held doubled (2c), so a child lookup is ``kids[node + bit]``.
+    held doubled (2c), so a child lookup is ``kids[node + bit]``.  Every
+    emission but the last adds an entry, so codes stay below len + 2.  The
+    list starts with room for them all or 4096 entries, the fewer, and at
+    least doubles when a lookup runs past its end, so its memory follows
+    the phrases.  The time still follows the length: the normalization
+    constant is by definition the LZW count of strings of (cap + 1) * w
+    symbols, each walked here in full.
     """
     if not bits:
         raise ValueError("empty input")
-    # every emission but the last adds an entry: codes stay below len + 2
-    kids = [0] * (2 * len(bits) + 4)
+    room = 2 * len(bits) + 4
+    kids = [0] * (room if room < 4096 else 4096)    # min() is a slower call
     free = 4
     symbols = iter(bits)
     node = 2 * next(symbols)
-    for bit in symbols:
-        child = kids[node + bit]
-        if child:
-            node = child
-        else:
+    while True:
+        try:
+            for bit in symbols:
+                child = kids[node + bit]
+                if child:
+                    node = child
+                else:
+                    kids[node + bit] = free
+                    free += 2
+                    node = bit + bit
+            return free // 2 - 1
+        except IndexError:
+            # the lookup ran past the end, so its node is one with no
+            # children yet: a miss.  Nodes stay below ``free``, which is
+            # at least the old length here
+            kids += [0] * free
             kids[node + bit] = free
             free += 2
             node = bit + bit
-    return free // 2 - 1
 
 
 def lzw_size_bits(phrases: int) -> int:

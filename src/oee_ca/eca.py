@@ -14,10 +14,11 @@ A state is a periodic ring of cells held as a packed int plus its width:
 cells, the widest ring the pipeline and ``run`` step, the ring, extended
 by one wrap cell on each side, is read eight cells at a time through a
 10-cell window, whose next values come from a table of all 1024 windows per
-rule (``window_tables``, 256 KB for all 256 rules, built once with numpy).
-Each window is a shift of the whole ring, so a step costs O(w^2) bit
-operations; a wider ring (``render``) steps as the OR of its neighborhood
-masks over the rule's set bits, a few whole-ring operations.
+rule: the rule's 10-cell ``step_table``, whose cells 1..8 have neighborhoods
+that do not wrap, shifted down one cell (1 KB a rule, built by its first
+``stepper``).  Each window is a shift of the whole ring, so a step costs
+O(w^2) bit operations; a wider ring (``render``) steps as the OR of its
+neighborhood masks over the rule's set bits, a few whole-ring operations.
 
 ``neighborhoods`` states the neighborhood formula once, for one packed state
 or a numpy array of them; the step tables, the triplet counts of one state
@@ -43,25 +44,6 @@ class ConfigurationError(Exception):
     """Raised when bundled static data is missing or malformed."""
 
 
-@lru_cache(maxsize=1)
-def window_tables() -> list[bytes]:
-    """``tables[rule][x]``: the next values of the 8 middle cells of the
-    10-cell window ``x`` (leftmost cell in bit 9): bit ``i`` is rule bit
-    ``(x >> i) & 7``."""
-    x = np.arange(1024, dtype=np.uint16)
-    tables = []
-    # 32 rules at a time keeps each temporary under malloc's 128 KB mmap
-    # threshold: freeing a larger one raises the threshold, and later
-    # temporaries then stay resident in the heap
-    for first in range(0, 256, 32):
-        rules = np.arange(first, first + 32, dtype=np.uint16)[:, None]
-        out = np.zeros((32, 1024), dtype=np.uint8)
-        for i in range(8):
-            out |= ((rules >> ((x >> i) & 7)) & 1).astype(np.uint8) << i
-        tables += [row.tobytes() for row in out]
-    return tables
-
-
 @lru_cache(maxsize=None)
 def stepper(rule_number: int, width: int):
     """``step(bits)``: one synchronous update of a ``width``-cell state under
@@ -70,6 +52,8 @@ def stepper(rule_number: int, width: int):
     The state is extended by one wrap cell on each side, so bit ``i + 1`` of
     ``e`` is cell bit ``i`` and cell bit ``i``'s neighborhood is bits
     ``i..i + 2`` of ``e``; the window table then gives 8 cells per lookup.
+    Entry ``x`` of that table is cells 1..8 of ``step_table(rule, 10)[x]``,
+    the next values of the 8 middle cells of the 10-cell window ``x``.
     Above ``SIM_MAX_WIDTH`` cells the step is the union of
     ``neighborhoods(bits, width, full)[v]`` over the rule's set bits ``v``.
     """
@@ -85,7 +69,7 @@ def stepper(rule_number: int, width: int):
             return out
 
         return step
-    table = window_tables()[rule_number]
+    table = (np.frombuffer(step_table(rule_number, 10), np.uint16) >> 1).astype(np.uint8).tobytes()
     top, low, mask = width + 1, width - 1, (1 << width) - 1
     shifts = tuple(range(8, width, 8))
 

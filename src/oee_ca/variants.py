@@ -21,7 +21,9 @@ significant bit), and a ``VariantConfig`` is a run's widths, packed initial
 states and rules, checked once when it is built.  Every run is stepped
 here, in one of three packed loops, or as numpy lanes: ``fixed_rule_run``
 steps a fixed rule to its first repeated state, ``fixed_rule_runs`` many
-at once (the sample runs of ``complexity.normalization_constant``); Case I
+at once (the sample runs of ``complexity.normalization_constant``), each
+lane, at every width, as the OR of its ``neighborhoods`` over its rule's
+set bits; Case I
 and II stop at the first repeat of (s_o, r_o, s_e), which they check at
 every step up to the Poincare time 2^w_o and once per environment cycle
 after it; Case III stops at a homogeneous state.  A ``Trajectory`` holds
@@ -389,28 +391,20 @@ def fixed_rule_runs(rules, width: int, states,
                     steps: int) -> list[tuple[array, int | None]]:
     """``fixed_rule_run(rules[i], width, states[i], steps)`` for every lane
     i, the states as an ``array("Q")``, stepped together as numpy ``uint64``
-    lanes (a gather from the stacked ``organism_steps`` tables, or each
-    lane's rule bits ANDed with its ``neighborhoods``) in blocks to the
-    checkpoints 16, 32, 64, ... and ``steps``.  There the lanes whose
-    history holds a repeat retire (``_sorted_pairs``), so none steps to
-    much more than twice its run."""
+    lanes, at any width, as the OR of each lane's ``neighborhoods`` ANDed
+    with its rule bits, in blocks to the checkpoints 16, 32, 64, ... and
+    ``steps``.  There the lanes whose history holds a repeat retire
+    (``_sorted_pairs``), so none steps to much more than twice its run."""
     hist, rules = np.array(states, dtype=np.uint64)[:, None], np.array(rules, dtype=np.uint64)
-    if 256 << width <= TABLE_BUDGET:
-        tables = organism_steps(width)
-        flat = np.frombuffer(b"".join(tables), memoryview(tables[0]).format)
-        params = (rules << width)[None]
-        step = lambda c, offset: flat[offset[0] + c]
-    else:
-        full = np.uint64((1 << width) - 1)
-        # params[v]: all ones in the lanes whose rule has bit v set
-        params = (rules >> np.arange(8, dtype=np.uint64)[:, None] & 1) * full
-        step = lambda c, bits: reduce(or_, map(and_, neighborhoods(c, width, full), bits))
+    full = np.uint64((1 << width) - 1)
+    # bits[v]: all ones in the lanes whose rule has bit v set
+    bits = (rules >> np.arange(8, dtype=np.uint64)[:, None] & 1) * full
     runs, ids, t = [None] * len(hist), np.arange(len(hist)), 0
     while len(ids):
         stop = min(steps, max(16, 2 * t))
         hist = np.concatenate([hist, np.empty((len(ids), stop - t), np.uint64)], axis=1)
         for s in range(t + 1, stop + 1):
-            hist[:, s] = step(hist[:, s - 1], params)
+            hist[:, s] = reduce(or_, map(and_, neighborhoods(hist[:, s - 1], width, full), bits))
         n = stop + 1
         equal, at = _sorted_pairs(hist, width)
         ends = np.where(equal, at[:, 1:], n).min(axis=1, initial=n)
@@ -420,7 +414,7 @@ def fixed_rule_runs(rules, width: int, states,
                                        ends[done].tolist(), firsts[done].tolist()):
             runs[lane] = (array("Q", hist[i, :end].tobytes()), first if end < n else None)
         live = (ends == n) & (stop < steps)
-        ids, hist, params, t = ids[live], hist[live], params[:, live], stop
+        ids, hist, bits, t = ids[live], hist[live], bits[:, live], stop
     return runs
 
 

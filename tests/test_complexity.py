@@ -165,6 +165,16 @@ def test_lzw_size_matches_oracle_random(s):
     assert lzw_compress_bits(s) == _oracle_bits(s)
 
 
+@pytest.mark.parametrize("density", [0.5, 0.1, 0.01])
+def test_lzw_phrase_count_grows_its_trie(density):
+    """From 2047 symbols on the trie list starts at 4096 entries and grows
+    as the phrases need: the count still equals the oracle's."""
+    rng = execution_rng(7)
+    for n in (2047, 2048, 5000, 40_000):
+        bits = (rng.random(n) < density).astype(np.uint8).tobytes()
+        assert lzw_phrase_count(bits) == len(lzw_compress("".join(map(str, bits))))
+
+
 @given(st.text(alphabet="01", min_size=1, max_size=24), st.integers(1, 60))
 def test_lzw_size_matches_oracle_periodic(period, k):
     s = period * k
@@ -328,7 +338,7 @@ def test_fixed_rule_runs_memory_does_not_grow_with_the_cap():
     same checkpoints whatever the cap above that: the same runs, and a
     tracemalloc peak within 10 %."""
     rules, states = zip(*integers_rows(execution_rng(0), (256, 1 << 8), 1000))
-    fixed_rule_runs(rules, 8, states, 16)      # builds the step tables
+    fixed_rule_runs(rules, 8, states, 16)      # numpy's first calls
     peaks, results = [], []
     for steps in (1024, 1 << 16):
         tracemalloc.start()
@@ -339,6 +349,27 @@ def test_fixed_rule_runs_memory_does_not_grow_with_the_cap():
             tracemalloc.stop()
     assert results[0] == results[1]
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+
+
+def test_norm_memory_follows_the_phrases_not_the_cap():
+    """At width 8 the walked strings grow with the cap, (cap + 1) x 8
+    symbols, and so does the constant, but their LZW tries hold the
+    phrases alone: the whole constant's tracemalloc peak at cap 2^16 is at
+    most three times the one at cap 1024 (about 2x; a trie list sized to
+    the string made it about 15x)."""
+    from oee_ca import complexity as cx
+
+    cx._max_compressed_bits(8, 1000, 16, 0)
+    peaks, constants = [], []
+    for steps in (1024, 1 << 16):
+        tracemalloc.start()
+        try:
+            constants.append(cx._max_compressed_bits(8, 1000, steps, 0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert constants == [8697, 202409]
+    assert peaks[1] <= 3 * peaks[0]
 
 
 @settings(max_examples=300, deadline=None)

@@ -27,7 +27,6 @@ from oee_ca.eca import (
     step_table,
     stepper,
     triplet_counts_bits,
-    window_tables,
     wolfram_class,
 )
 from oee_ca.ensemble import SamplePlan
@@ -160,13 +159,14 @@ def test_runs_either_side_of_the_window_kernel_follow_the_oracle(rule, width):
         assert bits == want
 
 
-def test_window_tables_read_rule_bits():
-    """Bit i of entry x is rule bit (x >> i) & 7, for all 256 rules."""
-    tables = window_tables()
-    assert len(tables) == 256 and all(len(t) == 1024 for t in tables)
-    for rule in (0, 30, 110, 255):
-        for x in range(1024):
-            assert tables[rule][x] == sum((rule >> ((x >> i) & 7) & 1) << i for i in range(8))
+@pytest.mark.parametrize("width", [8, 9, 10])
+def test_stepper_matches_step_table_on_every_state(width):
+    """The window kernel against the step tables it is built from, for all
+    256 rules and every state.  An 8-cell ring, extended by its two wrap
+    cells, is one window exactly; 9 and 10 cells take a second window that
+    runs past the extended ring."""
+    for rule in range(256):
+        assert list(map(stepper(rule, width), range(1 << width))) == list(step_table(rule, width))
 
 
 # --- triplet statistics -----------------------------------------------------

@@ -236,6 +236,34 @@ def test_case1_33_flip_readings(reading, monkeypatch):
     assert (stats.n_oee, stats.n_inn, stats.n_ue) == (n_oee, n_inn, n_oee)
 
 
+# the strict readings over the (3, 6) space of 3,964,928 tuples, where the
+# unequal widths let them flip: OEE and INN counts (percentages in comments)
+FLIP_READINGS_36 = {
+    "both, >": (473_124, 1_939_332),    # 11.933, 48.912
+    "both, <": (10_260, 197_712),       # 0.259, 4.987
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("reading", FLIP_READINGS_36)
+def test_case1_36_flip_readings(reading, monkeypatch):
+    """The exhaustive Case I (3,6) counts under the strict readings of the
+    flip test, swapped in as in ``test_case1_33_flip_readings``; UE equals
+    OEE under each.  About 40 seconds each, so they run only with
+    ``-m slow``."""
+    n_oee, n_inn = FLIP_READINGS_36[reading]
+    monkeypatch.setattr(variants, "case1_flips", flip_reading(FLIP_READINGS[reading][0]))
+    variants.flip_masks.cache_clear()
+    try:
+        plan = SamplePlan(Variant.CASE_I, 3, 6, sample_count=1)
+        canon = canonical_rules()
+        stats = light_stats(plan, itertools.product(canon, canon, range(1 << 3), range(1 << 6)))
+    finally:
+        variants.flip_masks.cache_clear()
+    assert (stats.n_live, stats.n_censored) == (3_964_928, 0)
+    assert (stats.n_oee, stats.n_inn, stats.n_ue) == (n_oee, n_inn, n_oee)
+
+
 # --- block draws against the scalar oracle ---------------------------------
 
 DRAW_PLANS = {

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -16,7 +17,7 @@ from helpers import SystemSnapshot, cell, render_rows, system_step
 import oee_ca
 from oee_ca import __version__
 from oee_ca import complexity as cx
-from oee_ca.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main, render_start
+from oee_ca.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main, render_start
 from oee_ca.ensemble import SamplePlan, aggregate, run_ensemble
 from oee_ca.eca import load_class_table
 from oee_ca.io_formats import (
@@ -293,6 +294,19 @@ def test_cli_analyze_unparsable_field_exits_3(sample_records, tmp_path, capsys):
     assert main(["analyze", "--records", records, "--report", str(report)]) == EXIT_DATA
     assert f"{records}: record 2: w_o = 'abc' does not parse" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_readme_command_lines_parse():
+    """Every ``oee-ca`` example in README's "Command line" block, its
+    ``\\``-continued lines joined, parses with the CLI's parser."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("oee-ca ")]
+    assert len(commands) == 6
+    for line in commands:
+        argv = shlex.split(line)[1:]
+        assert build_parser().parse_args(argv).command == argv[0]
 
 
 def test_cli_norm(tmp_path):
