@@ -6,9 +6,10 @@ a records CSV), render (large-width PGM).
 
 Exit codes: 0 success, 2 usage error, 3 data/format error.
 
-Only ensemble and analyze import ``ensemble``, which loads ``scipy.special``
-for the Spearman p-value: 0.26-0.35 s and 20 MB of peak RSS on top of this
-module's 0.18 s and 34 MB (2-vCPU host), so the others start without it.
+Only ensemble and analyze import ``ensemble``: about 0.015 s and 2 MB of peak
+RSS on top of this module's 0.06-0.10 s and 34 MB (``python3 -I``, 2-vCPU
+host).  ``ensemble`` loads ``scipy.special`` only for a Spearman p-value that
+can be nonzero, a further 0.11-0.18 s and 17 MB.
 """
 
 from __future__ import annotations

@@ -53,7 +53,9 @@ def stepper(rule_number: int, width: int):
     ``e`` is cell bit ``i`` and cell bit ``i``'s neighborhood is bits
     ``i..i + 2`` of ``e``; the window table then gives 8 cells per lookup.
     Entry ``x`` of that table is cells 1..8 of ``step_table(rule, 10)[x]``,
-    the next values of the 8 middle cells of the 10-cell window ``x``.
+    the next values of the 8 middle cells of the 10-cell window ``x``; the
+    10-cell table is built outside ``step_table``'s cache, so only the 1 KB
+    window table stays per rule.
     Above ``SIM_MAX_WIDTH`` cells the step is the union of
     ``neighborhoods(bits, width, full)[v]`` over the rule's set bits ``v``.
     """
@@ -69,7 +71,8 @@ def stepper(rule_number: int, width: int):
             return out
 
         return step
-    table = (np.frombuffer(step_table(rule_number, 10), np.uint16) >> 1).astype(np.uint8).tobytes()
+    table = np.frombuffer(step_table.__wrapped__(rule_number, 10), np.uint16) >> 1
+    table = table.astype(np.uint8).tobytes()
     top, low, mask = width + 1, width - 1, (1 << width) - 1
     shifts = tuple(range(8, width, 8))
 

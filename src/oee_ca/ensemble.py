@@ -25,7 +25,6 @@ from functools import reduce
 from itertools import chain, compress
 
 import numpy as np
-from scipy.special import stdtr
 
 from . import complexity as cx
 from .eca import SIM_MIN_WIDTH, canonical_rules, wolfram_class
@@ -385,6 +384,29 @@ def _average_ranks(values: list[float]) -> np.ndarray:
     return ranks
 
 
+# A log bound on the two-sided p-value below which p is 0.0: well past
+# ln(5e-324) ~ -744.4, the log of the least subnormal double
+_LOG_P_ZERO = -800.0
+
+
+def _log_p_bound(dof: int, t: float) -> float:
+    """The log of ``x^a (1 - x)^(-1/2) / (a B(a, 1/2))`` with
+    ``x = dof / (dof + t^2)`` and ``a = dof / 2``, a bound on the two-sided
+    p-value ``I_x(a, 1/2)``: ``(1 - y)^(-1/2)`` in the regularized incomplete
+    beta integrand is increasing in ``y``, so at most its value at ``x``.
+    An infinite ``t`` gives -inf, and a ``t`` of 0 gives 0 (p <= 1)."""
+    t2 = t * t
+    if t2 == math.inf:
+        return -math.inf
+    if t2 == 0:
+        return 0.0
+    a = dof / 2
+    log_x = -math.log1p(t2 / dof)
+    log_1mx = math.log(t2) - math.log(dof + t2)
+    log_beta = math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5)
+    return a * log_x - 0.5 * log_1mx - math.log(a) - log_beta
+
+
 def spearman(xs: list[float], ys: list[float]) -> tuple[float, float]:
     """Spearman's rank correlation ``rho`` of two samples of n >= 3 values,
     neither constant, and its two-sided p-value, computed as
@@ -392,14 +414,22 @@ def spearman(xs: list[float], ys: list[float]) -> tuple[float, float]:
     results bit for bit: the ``np.corrcoef`` of the two samples' average
     ranks, then ``t = rho * sqrt(dof / ((rho + 1) * (1 - rho)))`` with
     ``dof = n - 2`` and ``p = 2 * stdtr(dof, -|t|)``, Student's t tail.
+
+    scipy (17 MB of peak RSS on top of this package) is imported only for a p
+    that can be nonzero: where ``_log_p_bound`` is below ``_LOG_P_ZERO``, p
+    is 0.0.
     """
     rs = np.corrcoef(np.vstack((_average_ranks(xs), _average_ranks(ys))))
     dof = len(xs) - 2
     # rho = +-1 divides by zero: t is then infinite and p is 0
     with np.errstate(divide="ignore"):
         t = rs * np.sqrt((dof / ((rs + 1.0) * (1.0 - rs))).clip(0))
+    rho = float(rs[1, 0])
+    if _log_p_bound(dof, float(t[1, 0])) < _LOG_P_ZERO:
+        return rho, 0.0
+    from scipy.special import stdtr
     p = 2 * stdtr(dof, -np.abs(t))
-    return float(rs[1, 0]), float(p[1, 0])
+    return rho, float(p[1, 0])
 
 
 def _mean(values: list[float]) -> float | None:

@@ -1,7 +1,9 @@
 """Core ECA primitives: rule tables, stepping, equivalence orbits, classes."""
 
 import random
+import tracemalloc
 from array import array
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from helpers import (
     rule_to_number,
     scalar_step_table,
 )
+from oee_ca import eca
 from oee_ca.eca import (
     ConfigurationError,
     WolframClass,
@@ -167,6 +170,23 @@ def test_stepper_matches_step_table_on_every_state(width):
     runs past the extended ring."""
     for rule in range(256):
         assert list(map(stepper(rule, width), range(1 << width))) == list(step_table(rule, width))
+
+
+def test_steppers_hold_only_their_window_tables(monkeypatch):
+    """A stepper keeps its 1 KB window table and leaves no 2 KB 10-cell
+    table in ``step_table``'s cache (here a fresh one): the 256 rules at 20
+    cells hold about 0.43 MB, against 1.03 MB with the 10-cell tables cached."""
+    fresh = lru_cache(maxsize=None)(step_table.__wrapped__)
+    monkeypatch.setattr(eca, "step_table", fresh)
+    neighborhood_masks(10)
+    tracemalloc.start()
+    try:
+        steps = [stepper.__wrapped__(rule, 20) for rule in range(256)]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(steps) == 256 and fresh.cache_info().currsize == 0
+    assert held < 600_000
 
 
 # --- triplet statistics -----------------------------------------------------

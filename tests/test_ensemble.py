@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
+from scipy.special import stdtr
 
 from helpers import (
     case2_exact_counts,
@@ -665,11 +666,29 @@ def _rank_samples(draw):
 @example(([0.0, 0.5, 1.0], [1, 2, 3]))             # rho = 1, p = 0
 @example(([0.0, 0.5, 1.0, 1.0], [9, 7, 5, 5]))     # rho = -1 with ties
 @example(([0.25, 0.25, 0.5], [3, 1, 1]))
+@example(([1, 2, 3, 4], [1, 2, 2, 1]))             # rho = 0: t = 0, p = 1
+@example(([*range(430)], [*range(1, 430), 0]))     # log bound -771: through scipy
+@example(([*range(445)], [*range(1, 445), 0]))     # log bound -806: gated to 0
 def test_spearman_equals_scipy_bit_for_bit(columns):
     xs, ys = columns
     assume(len(set(xs)) > 1 and len(set(ys)) > 1)
     res = stats.spearmanr(xs, ys)
     assert spearman(xs, ys) == (float(res.statistic), float(res.pvalue))
+
+
+def test_p_value_gate_bounds_scipy_on_a_grid():
+    """``_log_p_bound`` against ``stdtr`` over dof 1-59 plus 300 random dof
+    up to 200,000 and t from 0.5 to 10^4: it is at least log p wherever p is
+    nonzero, and wherever it is below the gate's margin, p is 0.0."""
+    rng = np.random.default_rng(0)
+    dofs = np.concatenate((np.arange(1, 60), rng.integers(60, 200_001, 300)))
+    ts = np.geomspace(0.5, 1e4, 60)
+    p = 2 * stdtr(dofs[:, None], -ts)
+    bound = np.array([[ensemble._log_p_bound(int(d), float(t)) for t in ts] for d in dofs])
+    live, gated = p > 0, bound < ensemble._LOG_P_ZERO
+    assert live.sum() > 10_000 and gated.sum() > 9_000
+    assert (bound[live] >= np.log(p[live])).all()
+    assert (p[gated] == 0.0).all()
 
 
 # --- the collector pause ----------------------------------------------------

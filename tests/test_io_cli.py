@@ -639,8 +639,9 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
 
 
 def test_ensemble_leaves_scipy_stats_unloaded(tmp_path):
-    """Aggregation takes only ``scipy.special``: importing ``ensemble`` and an
-    ``ensemble`` and ``analyze`` run leave ``scipy.stats`` unloaded."""
+    """A p-value that can be nonzero takes only ``scipy.special``: importing
+    ``ensemble`` and an ``ensemble`` and ``analyze`` run of a small plan leave
+    ``scipy.stats`` unloaded."""
     code = ("import sys; import oee_ca.ensemble; from oee_ca.cli import main; "
             "assert 'scipy.stats' not in sys.modules; "
             "out, report = sys.argv[1:]; "
@@ -656,13 +657,52 @@ def test_ensemble_leaves_scipy_stats_unloaded(tmp_path):
     assert json.loads(report.read_text())["report"]["n_records"] == 20
 
 
+_PIPELINE = """\
+import json, sys
+from oee_ca import complexity as cx
+from oee_ca.ensemble import SamplePlan, aggregate, draw_plan, run_ensemble
+from oee_ca.io_formats import write_records_csv, write_report_json
+from oee_ca.variants import Variant
+w, samples, out, report_path = int(sys.argv[1]), int(sys.argv[2]), *sys.argv[3:]
+plan = SamplePlan(Variant.CASE_I, w, w, sample_count=samples)
+tuples = draw_plan(plan)
+cx.normalization_constant(plan.full_width, plan.norm_samples, plan.norm_steps, plan.norm_seed)
+records = run_ensemble(plan, workers=1, tuples=tuples)
+write_records_csv(records, out)
+write_report_json(aggregate(records), report_path)
+print(json.dumps("scipy" in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("w, samples, loads_scipy", [(4, 10_000, False), (3, 20, True)])
+def test_pipeline_loads_scipy_only_for_a_nonzero_p(w, samples, loads_scipy, tmp_path):
+    """The benchmark's pipeline calls, plan to report, on Case I (w, w).  At
+    the case1-w4x4 workload's 10,000 samples p underflows to 0.0 and scipy
+    stays unloaded; a 20-sample plan's p is nonzero, loads scipy and equals
+    ``scipy.stats.spearmanr``'s."""
+    from scipy import stats
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out, report = tmp_path / "records.csv", tmp_path / "report.json"
+    result = subprocess.run([sys.executable, "-c", _PIPELINE, str(w), str(samples),
+                             str(out), str(report)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) is loads_scipy
+    doc = json.loads(report.read_text())["report"]
+    assert doc["n_records"] == samples
+    live = [r for r in read_records_csv(str(out)) if not r.censored]
+    res = stats.spearmanr([r.innovation_I for r in live], [r.t_r for r in live])
+    assert doc["spearman_p"] == float(res.pvalue)
+    assert (doc["spearman_p"] > 0) is loads_scipy
+
+
 @pytest.mark.parametrize("module, absent", [("oee_ca.cli", "scipy"),
-                                            ("oee_ca.ensemble", "scipy.stats")])
+                                            ("oee_ca.ensemble", "scipy")])
 def test_import_footprint(module, absent):
     """In an isolated interpreter (``-I``: no PYTHONPATH, no user site),
-    importing ``cli`` loads no scipy module and importing ``ensemble`` loads
-    no ``scipy.stats``: the CLI's start-up and every ensemble's peak memory
-    rest on these."""
+    importing ``cli`` or ``ensemble`` loads no scipy module: the CLI's
+    start-up and every ensemble's peak memory rest on these."""
     src = str(Path(oee_ca.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
             f"print(sorted(m for m in sys.modules "
