@@ -6,10 +6,11 @@ a records CSV), render (large-width PGM).
 
 Exit codes: 0 success, 2 usage error, 3 data/format error.
 
-Only ensemble and analyze import ``ensemble``: about 0.015 s and 2 MB of peak
-RSS on top of this module's 0.06-0.10 s and 34 MB (``python3 -I``, 2-vCPU
-host).  ``ensemble`` loads ``scipy.special`` only for a Spearman p-value that
-can be nonzero, a further 0.11-0.18 s and 17 MB.
+Only ensemble and analyze import ``ensemble``: 0.005-0.009 s and 0.1 MB of
+peak RSS on top of this module's 0.07-0.15 s and 34 MB (``python3 -I``, 8
+interleaved runs, 2-vCPU host).  ``ensemble`` loads ``scipy.special`` only
+for a Spearman p-value that can be nonzero, a further 0.14-0.23 s and 19 MB,
+and the process-pool stack only for an ensemble of two or more workers.
 """
 
 from __future__ import annotations
@@ -229,7 +230,22 @@ def _random_config(args) -> VariantConfig:
     return VariantConfig(variant, args.wo, s_o, r_o, w_e, s_e, r_e)
 
 
+def _check_outputs(*paths: str | None) -> None:
+    """Refuse, before any work, an output path that cannot be published:
+    one whose directory is missing or not writable, or that is a directory.
+    The message names the path as given; a None path is no output."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise OSError(f"cannot write {path}: no directory {folder}")
+        if not os.access(folder, os.W_OK | os.X_OK):
+            raise OSError(f"cannot write {path}: directory {folder} is not writable")
+        if os.path.isdir(path):
+            raise OSError(f"cannot write {path}: it is a directory")
+
+
 def cmd_run(args) -> int:
+    _check_outputs(args.out, args.pgm)
     config = _random_config(args)
     traj = run_trajectory(config, args.cap)
     w_o, w_e = config.w_o, config.w_e
@@ -252,6 +268,7 @@ def cmd_run(args) -> int:
 def cmd_ensemble(args) -> int:
     from . import ensemble as ens
 
+    _check_outputs(args.out, args.report, args.norm_cache)
     _reject_environment_flags(args, "--we", "--ratio")
     w_e = args.we
     if args.variant is Variant.CASE_I and w_e is None:
@@ -279,6 +296,7 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_norm(args) -> int:
+    _check_outputs(args.cache)
     bits = cx.normalization_constant(args.width, args.samples, args.steps,
                                      args.seed, cache_path=args.cache)
     print(f"norm({args.width}, samples={args.samples}, steps={args.steps}, "
@@ -289,6 +307,7 @@ def cmd_norm(args) -> int:
 def cmd_analyze(args) -> int:
     from . import ensemble as ens
 
+    _check_outputs(args.report)
     records = iof.read_records_csv(args.records)
     report = ens.aggregate(records)
     iof.write_report_json(report, args.report, config_echo=_config_echo(args))
@@ -334,6 +353,7 @@ def cmd_render(args) -> int:
     """Large-width render; widths here are unbounded (rendering only).  The
     run stops at its first repeated configuration and then replays its
     cycle out to ``--steps``."""
+    _check_outputs(args.out)
     _reject_environment_flags(args, "--we")
     w_o = args.wo
     w_e = 8 if args.variant is Variant.CASE_II else args.we or w_o

@@ -18,11 +18,10 @@ import math
 import operator
 import os
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from functools import reduce
-from itertools import chain, compress
+from itertools import compress
 
 import numpy as np
 
@@ -193,7 +192,7 @@ def execute_tuple(plan: SamplePlan, index: int, tup: tuple, norm_bits: int) -> E
         k = cx.lyapunov(traj, 0, max(2, min(t_r, rep.t_P)))
         if plan.variant.deterministic:
             P, L = detect_cycle(traj)
-            att = tuple(rules[P:P + L])
+            att = bytes(rules[P:P + L])   # rule numbers are 0..255
     # positional, in ExecutionRecord's field order
     return ExecutionRecord(
         plan.variant, plan.w_o, plan.w_e, plan.mu, config.seed, config.r_o, config.r_e,
@@ -252,6 +251,8 @@ def run_ensemble(plan: SamplePlan, workers: int | None = None,
         tuples = draw_plan(plan)
     if workers <= 1:
         return [execute_tuple(plan, i, tup, norm_bits) for i, tup in enumerate(tuples)]
+    # the pool stack (about 2 MB) is loaded only by an ensemble that uses it
+    from concurrent.futures import ProcessPoolExecutor
     # each worker gets the plan once, then about 8 contiguous ranges of it
     parts = min(workers * 8, n)
     ranges = [(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
@@ -314,8 +315,12 @@ def metagenome(records: list[ExecutionRecord], oee_only: bool = False) -> list[d
     rules = map(operator.attrgetter("attractor_rules"), records)
     if oee_only:
         rules = compress(rules, map(operator.attrgetter("oee"), records))
-    rules = np.frombuffer(bytes(chain.from_iterable(filter(None, rules))), np.uint8)
-    # a rule number is a byte; counted in chunks, as bincount copies them to intp
+    # one growing buffer: ``b"".join`` would hold an 80-byte buffer view per cycle
+    cycles = bytearray()
+    for cycle in filter(None, rules):
+        cycles += cycle
+    rules = np.frombuffer(cycles, np.uint8)
+    # counted in chunks, as bincount copies the bytes to intp
     counts = sum((np.bincount(rules[i:i + 4096], minlength=256)
                   for i in range(0, len(rules), 4096)), np.zeros(256, np.int64)).tolist()
     ranked = sorted(filter(counts.__getitem__, range(256)), key=lambda rule: (-counts[rule], rule))
@@ -415,7 +420,7 @@ def spearman(xs: list[float], ys: list[float]) -> tuple[float, float]:
     ranks, then ``t = rho * sqrt(dof / ((rho + 1) * (1 - rho)))`` with
     ``dof = n - 2`` and ``p = 2 * stdtr(dof, -|t|)``, Student's t tail.
 
-    scipy (17 MB of peak RSS on top of this package) is imported only for a p
+    scipy (19 MB of peak RSS on top of this package) is imported only for a p
     that can be nonzero: where ``_log_p_bound`` is below ``_LOG_P_ZERO``, p
     is 0.0.
     """

@@ -3,8 +3,9 @@
 Every emitter embeds the resolved run configuration and tool version, so
 identical configs give byte-identical files, and publishes through
 ``replacing``, so a file appears whole or not at all.  The records CSV holds
-every ``ExecutionRecord`` field but ``attractor_rules``: ``analyze`` rebuilds
-the ``ensemble`` report from it with an empty metagenome.  It is written and
+every ``ExecutionRecord`` field but ``attractor_rules``, the attractor cycle
+kept in memory only, one byte per rule: ``analyze`` rebuilds the
+``ensemble`` report from the CSV with an empty metagenome.  It is written and
 read a column of 512 records at a time: each distinct value of a column is
 formatted once, and each distinct text of a column parsed once.
 
@@ -88,8 +89,8 @@ class ExecutionRecord:
     k: float | str | None = _column(_or_none(lambda text: text if text == EXTINCT
                                              else float(text)))
     censored: bool = _flag(_one)
-    # in memory only: the rule sequence over one attractor cycle
-    attractor_rules: tuple[int, ...] | None = None
+    # in memory only: the rule sequence over one attractor cycle, a byte per rule
+    attractor_rules: bytes | None = None
 
     def __reduce__(self):
         """Pickle as the field tuple, rebuilt by one constructor call."""

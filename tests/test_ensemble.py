@@ -5,6 +5,7 @@ import gc
 import hashlib
 import itertools
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -800,7 +801,7 @@ def test_executions_create_no_reference_cycles(tmp_path):
 
 def test_metagenome_single_rule(small_case1_records):
     _, records = small_case1_records
-    rec = dataclasses.replace(records[0], attractor_rules=(204, 204, 204))
+    rec = dataclasses.replace(records[0], attractor_rules=bytes([204, 204, 204]))
     table = metagenome([rec])
     assert table == [{"rule": 204, "count": 3, "wolfram_class": 2}]
 
@@ -821,6 +822,24 @@ def test_metagenome_oee_subset(small_case1_records):
     oee_t = metagenome(records, oee_only=True)
     for row in oee_t:
         assert row["count"] <= all_t[row["rule"]]
+
+
+def test_metagenome_memory_follows_the_rules(small_case1_records):
+    """20,000 one-rule cycles are counted within 20 bytes a cycle of
+    tracemalloc peak: no per-cycle buffer view (``b"".join`` holds 80 bytes
+    each) or per-rule int."""
+    _, records = small_case1_records
+    records = [dataclasses.replace(records[0], attractor_rules=bytes([rule % 256]))
+               for rule in range(20_000)]
+    metagenome(records)                  # the class table and numpy's first calls
+    tracemalloc.start()
+    try:
+        table = metagenome(records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [row["count"] for row in table] == [79] * 32 + [78] * 224
+    assert peak < 20 * len(records)
 
 
 # --- descriptive statistics -------------------------------------------------
@@ -1013,10 +1032,12 @@ def test_execute_tuple_matches_all_scalar_execution(name, monkeypatch):
 def test_record_windows_follow_their_definitions(plan):
     """n_r counts rule changes over steps 0..t_r, INN tests the organism
     states 0..max(t_r, 1) and LZW compresses the states 0..t_r, each taken
-    from the run directly and checked with the per-cell and string oracles."""
+    from the run directly and checked with the per-cell and string oracles.
+    A deterministic record keeps the rules of its attractor cycle, one byte
+    each; a Case III record keeps none."""
     from helpers import scalar_compressibility, scalar_is_eca_reproducible
     from oee_ca.ensemble import execute_tuple
-    from oee_ca.variants import run_trajectory
+    from oee_ca.variants import detect_cycle, run_trajectory
 
     checked = 0
     for i, tup in enumerate(draw_plan(plan)):
@@ -1030,6 +1051,11 @@ def test_record_windows_follow_their_definitions(plan):
         assert rec.inn == (len(window) > 1
                            and scalar_is_eca_reproducible(window, plan.w_o) is None)
         assert rec.compressed_bits == scalar_compressibility(states[:t_r + 1], plan.w_o, 1000)[0]
+        if plan.variant.deterministic:
+            P, L = detect_cycle(traj)
+            assert rec.attractor_rules == bytes(rules[P:P + L])
+        else:
+            assert rec.attractor_rules is None
         checked += t_r < len(states) - 1
     # a Case I run can outlast t_r, so its windows must stop inside the run
     assert checked or not plan.variant.deterministic

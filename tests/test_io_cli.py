@@ -17,6 +17,7 @@ from helpers import SystemSnapshot, cell, render_rows, system_step
 import oee_ca
 from oee_ca import __version__
 from oee_ca import complexity as cx
+from oee_ca import io_formats as iof
 from oee_ca.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main, render_start
 from oee_ca.ensemble import SamplePlan, aggregate, run_ensemble
 from oee_ca.eca import load_class_table
@@ -698,11 +699,14 @@ def test_pipeline_loads_scipy_only_for_a_nonzero_p(w, samples, loads_scipy, tmp_
 
 
 @pytest.mark.parametrize("module, absent", [("oee_ca.cli", "scipy"),
-                                            ("oee_ca.ensemble", "scipy")])
+                                            ("oee_ca.ensemble", "scipy"),
+                                            ("oee_ca.ensemble", "multiprocessing"),
+                                            ("oee_ca.ensemble", "concurrent")])
 def test_import_footprint(module, absent):
     """In an isolated interpreter (``-I``: no PYTHONPATH, no user site),
-    importing ``cli`` or ``ensemble`` loads no scipy module: the CLI's
-    start-up and every ensemble's peak memory rest on these."""
+    importing ``cli`` or ``ensemble`` loads no scipy module, and importing
+    ``ensemble`` no process-pool stack: the CLI's start-up and every
+    one-worker ensemble's peak memory rest on these."""
     src = str(Path(oee_ca.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
             f"print(sorted(m for m in sys.modules "
@@ -801,6 +805,64 @@ def test_cli_ensemble_oee_threads_below_one_exits_3(tmp_path, capsys, monkeypatc
     assert main(["ensemble", "--variant", "eca", "--wo", "4", "--samples", "5",
                  "--workers", "1", "--out", str(out),
                  "--report", str(tmp_path / "rep.json")]) == 0
+
+
+MISSING_DIRECTORY_ARGV = {
+    "ensemble --out": ["ensemble", "--variant", "eca", "--wo", "4", "--samples", "5",
+                       "--out", "missing/records.csv", "--report", "report.json"],
+    "ensemble --report": ["ensemble", "--variant", "eca", "--wo", "4", "--samples", "5",
+                          "--out", "records.csv", "--report", "missing/report.json"],
+    "ensemble --norm-cache": ["ensemble", "--variant", "eca", "--wo", "4", "--samples", "5",
+                              "--norm-cache", "missing/norm.txt"],
+    "analyze --report": ["analyze", "--records", "records.csv",
+                         "--report", "missing/report.json"],
+    "run --out": ["run", "--variant", "eca", "--wo", "4", "--out", "missing/t.csv"],
+    "run --pgm": ["run", "--variant", "eca", "--wo", "4", "--out", "t.csv",
+                  "--pgm", "missing/t.pgm"],
+    "render --out": ["render", "--wo", "8", "--out", "missing/r.pgm"],
+    "norm --cache": ["norm", "--width", "6", "--cache", "missing/norm.txt"],
+}
+
+
+@pytest.mark.parametrize("case", MISSING_DIRECTORY_ARGV)
+def test_cli_output_in_a_missing_directory_exits_3_before_any_work(
+        case, sample_records, tmp_path, capsys, monkeypatch):
+    """An output path whose directory does not exist fails before the run,
+    and the message names the path as given, not its temporary file."""
+    from oee_ca import cli
+    from oee_ca import ensemble as ens
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the output path was not checked before the work")
+    monkeypatch.chdir(tmp_path)
+    write_records_csv(sample_records, "records.csv")
+    for module, name in [(ens, "execute_tuple"), (iof, "read_records_csv"),
+                         (cli, "run_trajectory"), (cx, "normalization_constant")]:
+        monkeypatch.setattr(module, name, no_work)
+    argv = MISSING_DIRECTORY_ARGV[case]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert argv[argv.index(case.split()[1]) + 1] in err and ".tmp" not in err
+    assert sorted(os.listdir(tmp_path)) == ["records.csv"]
+
+
+@pytest.mark.parametrize("report, message", [
+    ("taken", "cannot write taken: it is a directory"),
+    ("taken/report.json", "cannot write taken/report.json: directory taken is not writable"),
+])
+def test_cli_output_that_cannot_be_published_exits_3(report, message, tmp_path, capsys,
+                                                     monkeypatch):
+    """An output path that is a directory, or whose directory refuses writes,
+    fails before the run.  ``os.access`` refuses ``taken``, since a root
+    process may write to any directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").mkdir()
+    monkeypatch.setattr(os, "access", lambda path, mode: path != "taken")
+    assert main(["ensemble", "--variant", "eca", "--wo", "4", "--samples", "5",
+                 "--out", "r.csv", "--report", report]) == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["taken"]
+    assert not os.listdir(tmp_path / "taken")
 
 
 CORRUPT_NORM_LINES = [
