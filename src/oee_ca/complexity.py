@@ -21,9 +21,9 @@ a run that repeats, by the exact counts of its lengths up to
 ``COUNT_LENGTHS``; the span-only bound never decreases with the span, so the
 visit stops at the first run it rules out.  With the defaults
 (``NORM_SAMPLES`` x ``NORM_STEPS``, 1000 x 1024) norm(6) and norm(8) take
-about 0.01 s and norm(19) about 0.13 s of CPU time on a 2-vCPU host; there
-the LZW walks of 86 of the 1000 runs are about three fifths of the time
-and the lockstep stepping a fifth.  Only ``lyapunov`` steps here.
+about 0.01 s and norm(19) about 0.10 s of CPU time on a 2-vCPU host, two
+thirds of it in the LZW walks of 86 runs, a seventh in the substring counts
+and a tenth in the lockstep stepping.  Only ``lyapunov`` steps here.
 """
 
 from __future__ import annotations

@@ -20,11 +20,12 @@ that do not wrap, shifted down one cell (1 KB a rule, built by its first
 O(w^2) bit operations; a wider ring (``render``) steps as the OR of its
 neighborhood masks over the rule's set bits, a few whole-ring operations.
 
-``neighborhoods`` states the neighborhood formula once, for one packed state
-or a numpy array of them; the step tables, the triplet counts of one state
-or of all states of a width (``count_array``) and the innovation pins all
-read it.  The Wolfram class table is one module global, loaded from the
-bundled file on first use and replaced by ``set_default_class_table``.
+``neighborhoods`` states the neighborhood formula once, for one packed state,
+a numpy array of them or rings packed in one int; the step tables, the
+triplet counts of one state or of all states of a width (``count_array``),
+the innovation pins and ``variants.fixed_rule_runs`` read it.  The Wolfram
+class table is one module global, loaded from the bundled file on first use
+and replaced by ``set_default_class_table``.
 """
 
 from __future__ import annotations
@@ -86,14 +87,16 @@ def stepper(rule_number: int, width: int):
     return step
 
 
-def neighborhoods(c, width: int, full):
-    """The eight neighborhood masks of ``c``, a packed ``width``-cell state
-    or a numpy array of them: ``masks[v]`` holds the cells whose
-    neighborhood (l, c, r) reads as ``v``.  ``full`` is the all-ones state,
-    of ``c``'s type.  Cell p's left neighbor is cell p - 1, so ``left`` is
-    the ring rotated one cell right, and ``right`` the ring rotated left."""
-    left = c >> 1 | (c & 1) << (width - 1)
-    right = (c << 1 & full) | c >> (width - 1)
+def neighborhoods(c, width: int, full, one=1):
+    """The eight neighborhood masks of ``c``, a packed ``width``-cell state,
+    a numpy array of them or rings packed in one int, a field each with a
+    spare bit above the ring: ``masks[v]`` holds the cells whose (l, c, r)
+    reads as ``v``.  ``full`` (all ones) and ``one`` (the lowest cell) are
+    of ``c``'s type, set in every field.  Cell p's left neighbor is cell
+    p - 1, so ``left`` is the ring rotated right; a cell a shift carries out
+    of a ring lands in a spare bit, cleared by each mask's ``c`` or ``nc``."""
+    left = c >> 1 | (c & one) << (width - 1)
+    right = c << 1 | (c >> (width - 1) & one)
     nl, nc, nr = left ^ full, c ^ full, right ^ full
     return (nl & nc & nr, nl & nc & right, nl & c & nr, nl & c & right,
             left & nc & nr, left & nc & right, left & c & nr, left & c & right)

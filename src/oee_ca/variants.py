@@ -19,11 +19,11 @@ and immediately applied to s_o(t).
 A state is a packed int plus its width (leftmost cell in the most
 significant bit), and a ``VariantConfig`` is a run's widths, packed initial
 states and rules, checked once when it is built.  Every run is stepped
-here, in one of three packed loops, or as numpy lanes: ``fixed_rule_run``
-steps a fixed rule to its first repeated state, ``fixed_rule_runs`` many
-at once (the sample runs of ``complexity.normalization_constant``), each
-lane, at every width, as the OR of its ``neighborhoods`` over its rule's
-set bits; Case I
+here, in one of three packed loops, or as lanes packed in one int:
+``fixed_rule_run`` steps a fixed rule to its first repeated state,
+``fixed_rule_runs`` many at once (the sample runs of
+``complexity.normalization_constant``), with one ``neighborhoods`` call a
+step for all the lanes; Case I
 and II stop at the first repeat of (s_o, r_o, s_e), which they check at
 every step up to the Poincare time 2^w_o and once per environment cycle
 after it; Case III stops at a homogeneous state.  A ``Trajectory`` holds
@@ -390,21 +390,30 @@ def fixed_rule_run(rule: int, width: int, state: int,
 def fixed_rule_runs(rules, width: int, states,
                     steps: int) -> list[tuple[array, int | None]]:
     """``fixed_rule_run(rules[i], width, states[i], steps)`` for every lane
-    i, the states as an ``array("Q")``, stepped together as numpy ``uint64``
-    lanes, at any width, as the OR of each lane's ``neighborhoods`` ANDed
-    with its rule bits, in blocks to the checkpoints 16, 32, 64, ... and
-    ``steps``.  There the lanes whose history holds a repeat retire
-    (``_sorted_pairs``), so none steps to much more than twice its run."""
+    i, the states as an ``array("Q")``: the lanes, packed in one int (32-bit
+    fields below 32 cells, else 64-bit: a spare bit above each ring), step
+    as the OR of their ``neighborhoods`` ANDed with their rule bits to the
+    checkpoints 16, 32, 64, ..., ``steps``, where those that have repeated
+    retire (``_sorted_pairs``): none steps far past twice its run."""
+    if not 1 <= width <= 63:
+        raise ValueError(f"lane width must be in 1..63, got {width}")
+    field = np.uint32 if width < 32 else np.uint64
+    pack = lambda a: int.from_bytes(a.astype(field).tobytes(), "little")
     hist, rules = np.array(states, dtype=np.uint64)[:, None], np.array(rules, dtype=np.uint64)
-    full = np.uint64((1 << width) - 1)
-    # bits[v]: all ones in the lanes whose rule has bit v set
-    bits = (rules >> np.arange(8, dtype=np.uint64)[:, None] & 1) * full
+    full = (1 << width) - 1
     runs, ids, t = [None] * len(hist), np.arange(len(hist)), 0
     while len(ids):
         stop = min(steps, max(16, 2 * t))
+        # bits[v]: all ones in the fields of the lanes whose rule has bit v set
+        bits, ones = [pack(rules >> v & 1) * full for v in range(8)], pack(np.ones(len(ids)))
+        fulls, size = ones * full, len(ids) * field().itemsize
+        state, block = pack(hist[:, t]), bytearray(size * (stop - t))
+        for k in range(0, len(block), size):
+            state = reduce(or_, map(and_, neighborhoods(state, width, fulls, ones), bits))
+            block[k:k + size] = state.to_bytes(size, "little")
         hist = np.concatenate([hist, np.empty((len(ids), stop - t), np.uint64)], axis=1)
-        for s in range(t + 1, stop + 1):
-            hist[:, s] = reduce(or_, map(and_, neighborhoods(hist[:, s - 1], width, full), bits))
+        hist[:, t + 1:] = np.frombuffer(block, field).reshape(stop - t, len(ids)).T
+        del block, bits, ones, fulls, state     # not held through the sort
         n = stop + 1
         equal, at = _sorted_pairs(hist, width)
         ends = np.where(equal, at[:, 1:], n).min(axis=1, initial=n)
@@ -414,7 +423,7 @@ def fixed_rule_runs(rules, width: int, states,
                                        ends[done].tolist(), firsts[done].tolist()):
             runs[lane] = (array("Q", hist[i, :end].tobytes()), first if end < n else None)
         live = (ends == n) & (stop < steps)
-        ids, hist, bits, t = ids[live], hist[live], bits[:, live], stop
+        ids, hist, rules, t = ids[live], hist[live], rules[live], stop
     return runs
 
 

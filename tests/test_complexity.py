@@ -292,16 +292,54 @@ def _assert_runs_match(lanes, w, steps):
         assert (got.tolist(), first) == fixed_rule_run(rule, w, state, steps)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 63), st.sampled_from(LANE_CAPS), st.data())
-def test_fixed_rule_runs_match_fixed_rule_run(w, steps, data):
-    """Run for run, states and ``first``: one lane, or several with some
-    sharing a rule."""
+# the widths either side of the lanes' field limits: a ring below 32 cells
+# takes a 32-bit field, one of 32..63 cells a 64-bit one
+FIELD_WIDTHS = [1, 2, 31, 32, 33, 62, 63]
+
+
+@st.composite
+def lane_sets(draw):
+    """``(w, lanes)``: one lane, or several with some sharing a rule."""
+    w = draw(st.integers(1, 63))
     state = st.integers(0, (1 << w) - 1)
-    shared = data.draw(st.integers(0, 255))
-    lanes = data.draw(st.lists(st.tuples(st.integers(0, 255) | st.just(shared), state),
-                               min_size=1, max_size=12))
+    shared = draw(st.integers(0, 255))
+    return w, draw(st.lists(st.tuples(st.integers(0, 255) | st.just(shared), state),
+                            min_size=1, max_size=12))
+
+
+def _edge_lanes(w):
+    """Rings with their top or bottom cell set, which a field without a
+    spare bit would carry into its neighbour."""
+    top, full = 1 << (w - 1), (1 << w) - 1
+    return w, [(30, top | 1), (110, full // 3), (90, top), (45, full)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(lane_sets(), st.sampled_from(LANE_CAPS))
+@example(_edge_lanes(1), 300)
+@example(_edge_lanes(2), 300)
+@example(_edge_lanes(31), 300)
+@example(_edge_lanes(32), 300)
+@example(_edge_lanes(33), 300)
+@example(_edge_lanes(62), 300)
+@example(_edge_lanes(63), 300)
+def test_fixed_rule_runs_match_fixed_rule_run(lanes, steps):
+    """Run for run, states and ``first``."""
+    w, lanes = lanes
     _assert_runs_match(lanes, w, steps)
+
+
+@pytest.mark.parametrize("steps", LANE_CAPS)
+@pytest.mark.parametrize("w", FIELD_WIDTHS)
+def test_fixed_rule_runs_match_at_the_field_limits(w, steps):
+    """40 drawn lanes at each width either side of a field limit."""
+    _assert_runs_match(integers_rows(execution_rng(w), (256, 1 << w), 40), w, steps)
+
+
+@pytest.mark.parametrize("w", [-1, 0, 64, 65])
+def test_fixed_rule_runs_reject_widths_without_a_spare_field_bit(w):
+    with pytest.raises(ValueError, match=rf"lane width must be in 1\.\.63, got {w}$"):
+        fixed_rule_runs([30], w, [1], 4)
 
 
 @pytest.mark.parametrize("steps", LANE_CAPS)

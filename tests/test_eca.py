@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     RuleTable,
+    cell,
     naive_step_bits,
     naive_triplet_counts,
     rule_from_number,
@@ -27,6 +28,7 @@ from oee_ca.eca import (
     canonical_rules,
     load_class_table,
     neighborhood_masks,
+    neighborhoods,
     step_table,
     stepper,
     triplet_counts_bits,
@@ -214,6 +216,35 @@ def test_neighborhood_masks_cached_and_read_only():
     assert masks is neighborhood_masks(5)
     with pytest.raises(ValueError):
         masks[0][0] = 1
+
+
+@pytest.mark.parametrize("width", range(1, 11))
+def test_neighborhood_masks_match_per_cell_windows(width):
+    """With the default ``one``, the masks of every state are the cells
+    whose (left, center, right) read as ``v``, one cell at a time."""
+    got = [m.tolist() for m in neighborhood_masks(width)]
+    for s in range(1 << width):
+        want = [0] * 8
+        for p in range(width):
+            v = cell(s, p - 1, width) << 2 | cell(s, p, width) << 1 | cell(s, p + 1, width)
+            want[v] |= 1 << (width - 1 - p)
+        assert [m[s] for m in got] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_neighborhoods_of_packed_lanes_match_each_lane(data):
+    """Rings packed one to a 32- or 64-bit field with a spare bit above
+    each: every packed mask unpacks, field by field, to each ring's own."""
+    width = data.draw(st.integers(1, 63))
+    field = data.draw(st.sampled_from([f for f in (32, 64) if f > width]))
+    lanes = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=20))
+    pack = lambda values: sum(v << field * i for i, v in enumerate(values))
+    full, ones = (1 << width) - 1, pack([1] * len(lanes))
+    masks = neighborhoods(pack(lanes), width, ones * full, ones)
+    for i, c in enumerate(lanes):
+        lane = [m >> field * i & (1 << field) - 1 for m in masks]
+        assert lane == list(neighborhoods(c, width, full))
 
 
 def test_triplet_frequencies_all_zero():
