@@ -33,10 +33,12 @@ from .eca import (
 )
 from .variants import (
     CASE1_RATIOS,
+    DEFAULT_MU,
     Variant,
     VariantConfig,
     continued,
     execution_rng,
+    integers_rows,
     run_trajectory,
 )
 
@@ -80,30 +82,27 @@ def build_parser() -> argparse.ArgumentParser:
                                          "(explicit flags take precedence)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="simulate one configuration")
-    run.add_argument("--variant", type=_variant, required=True)
-    run.add_argument("--wo", type=int, required=True)
-    run.add_argument("--we", type=int)
-    run.add_argument("--mu", type=float, default=0.5)
+    run_flags = argparse.ArgumentParser(add_help=False)   # shared by run and ensemble
+    run_flags.add_argument("--variant", type=_variant, required=True)
+    run_flags.add_argument("--wo", type=int, required=True)
+    run_flags.add_argument("--we", type=int)
+    run_flags.add_argument("--mu", type=float, help="mutation rate in [0, 1), case3 only "
+                                                    f"(default {DEFAULT_MU})")
+    run_flags.add_argument("--seed", type=int, default=0)
+    run_flags.add_argument("--cap", type=int)
+
+    run = sub.add_parser("run", parents=[run_flags], help="simulate one configuration")
     run.add_argument("--rule-o", type=int)
     run.add_argument("--rule-e", type=int)
     run.add_argument("--state-o", help="initial organism state, binary string")
     run.add_argument("--state-e", help="initial environment state, binary string")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--cap", type=int)
     run.add_argument("--out", default="trajectory.csv")
     run.add_argument("--pgm", help="also render the organism trajectory to PGM")
 
-    em = sub.add_parser("ensemble", help="execute a sampling plan")
-    em.add_argument("--variant", type=_variant, required=True)
-    em.add_argument("--wo", type=int, required=True)
-    em.add_argument("--we", type=int)
+    em = sub.add_parser("ensemble", parents=[run_flags], help="execute a sampling plan")
     em.add_argument("--ratio", choices=CASE1_RATIOS,
                     help="environment/organism width ratio (Case I)")
-    em.add_argument("--mu", type=float, default=0.5)
     em.add_argument("--samples", type=_int_at_least(1), required=True)
-    em.add_argument("--seed", type=int, default=0)
-    em.add_argument("--cap", type=int)
     em.add_argument("--workers", type=_int_at_least(1),
                     help="process-pool size (default: $OEE_THREADS, else 1)")
     em.add_argument("--norm-samples", type=_int_at_least(1), default=cx.NORM_SAMPLES)
@@ -187,26 +186,31 @@ def _given_state(text: str, flag: str, width: int) -> int:
     return int(text, 2)
 
 
-def _reject_environment_flags(args, *flags: str) -> None:
-    """Refuse, rather than ignore, an environment flag the run would not
-    use: any on a variant without an environment, a ``--we`` other than 8
-    or a ``--ratio`` on case2, whose environment has 8 cells, and a
-    ``--ratio`` beside ``--we``."""
+def _reject_unused_flags(args, *flags: str) -> None:
+    """Refuse, rather than ignore, a flag the run would not use: ``--mu``
+    on a variant without noise, an environment flag on a variant without
+    an environment, a ``--we`` other than 8 or a ``--ratio`` on case2,
+    whose environment has 8 cells, and a ``--ratio`` beside ``--we``."""
+    variant = args.variant
     given = [f for f in flags if getattr(args, f[2:].replace("-", "_")) is not None]
-    if given and not args.variant.has_environment:
-        raise ValueError(f"{given[0]} does not apply to {args.variant.value}, "
-                         "which has no environment")
-    if args.variant is Variant.CASE_II:
-        for flag in given:
-            if flag == "--ratio" or flag == "--we" and args.we != 8:
-                raise ValueError(f"{flag} does not apply to case2, whose environment "
-                                 "has 8 cells")
-    elif "--we" in given and "--ratio" in given:
+    for flag in given:
+        if flag == "--mu":
+            if variant.deterministic:
+                raise ValueError(f"--mu does not apply to {variant.value}, "
+                                 "which has no noise")
+        elif not variant.has_environment:
+            raise ValueError(f"{flag} does not apply to {variant.value}, "
+                             "which has no environment")
+        elif variant is Variant.CASE_II and (flag == "--ratio" or flag == "--we"
+                                             and args.we != 8):
+            raise ValueError(f"{flag} does not apply to case2, whose environment "
+                             "has 8 cells")
+    if "--we" in given and "--ratio" in given:
         raise ValueError("--we and --ratio both set the environment width; give one")
 
 
 def _random_config(args) -> VariantConfig:
-    _reject_environment_flags(args, "--we", "--rule-e", "--state-e")
+    _reject_unused_flags(args, "--we", "--rule-e", "--state-e", "--mu")
     variant = args.variant
     w_e = 8 if variant is Variant.CASE_II else args.we
     if not SIM_MIN_WIDTH <= args.wo <= SIM_MAX_WIDTH:
@@ -220,7 +224,8 @@ def _random_config(args) -> VariantConfig:
     s_o = (_given_state(args.state_o, "--state-o", args.wo) if args.state_o
            else _draw_state(rng, args.wo))
     if variant is Variant.CASE_III:
-        return VariantConfig(variant, args.wo, s_o, r_o, mu=args.mu, seed=args.seed)
+        mu = DEFAULT_MU if args.mu is None else args.mu
+        return VariantConfig(variant, args.wo, s_o, r_o, mu=mu, seed=args.seed)
     if variant is Variant.ISOLATED:
         return VariantConfig(variant, args.wo, s_o, r_o)
     if w_e is None:
@@ -250,7 +255,7 @@ def cmd_run(args) -> int:
     traj = run_trajectory(config, args.cap)
     w_o, w_e = config.w_o, config.w_e
     with iof.replacing(args.out) as fh:
-        iof.write_echo(fh, _config_echo(args))
+        iof.write_echo(fh, _config_echo(args) | {"mu": config.mu})
         fh.write("t,s_o,r_o,s_e\n")
         envs = traj.envs or [None] * len(traj.states)
         for t, (s_o, r_o, s_e) in enumerate(zip(traj.states, traj.rules, envs)):
@@ -269,22 +274,17 @@ def cmd_ensemble(args) -> int:
     from . import ensemble as ens
 
     _check_outputs(args.out, args.report, args.norm_cache)
-    _reject_environment_flags(args, "--we", "--ratio")
-    w_e = args.we
-    if args.variant is Variant.CASE_I and w_e is None:
-        if args.ratio is None:
-            raise ValueError("Case I needs --we or --ratio")
-        w_e = ens.environment_width(args.wo, args.ratio)
+    _reject_unused_flags(args, "--we", "--ratio", "--mu")
+    if args.variant is Variant.CASE_I and args.we is None and args.ratio is None:
+        raise ValueError("Case I needs --we or --ratio")
+    w_e = args.we if args.ratio is None else ens.environment_width(args.wo, args.ratio)
     plan = ens.SamplePlan(
-        variant=args.variant, w_o=args.wo,
-        w_e=w_e if args.variant is Variant.CASE_I else None,
-        mu=args.mu if args.variant is Variant.CASE_III else None,
+        variant=args.variant, w_o=args.wo, w_e=w_e, mu=args.mu,
         sample_count=args.samples, master_seed=args.seed, step_cap=args.cap,
         norm_samples=args.norm_samples, norm_steps=args.norm_steps,
         norm_seed=args.norm_seed)
     records = ens.run_ensemble(plan, workers=args.workers, norm_cache=args.norm_cache)
-    echo = _config_echo(args)
-    echo["effective_we"] = plan.w_e
+    echo = _config_echo(args) | {"mu": plan.mu, "effective_we": plan.w_e}
     iof.write_records_csv(records, args.out, config_echo=echo)
     report = ens.aggregate(records)
     iof.write_report_json(report, args.report, config_echo=echo)
@@ -335,10 +335,9 @@ def render_start(seed: int, w_o: int, w_e: int) -> tuple[int, int, int, int]:
     before the environment's, so organism rows do not depend on ``w_e``."""
     rng = execution_rng(seed)
     canon = canonical_rules()
-    r_o = canon[int(rng.integers(0, 88))]
-    r_e = canon[int(rng.integers(0, 88))]
-    s_o, s_e = (int(rng.integers(0, 2**63 if w > 62 else 1 << w)) for w in (w_o, w_e))
-    return r_o, r_e, _widen(rng, s_o, w_o), _widen(rng, s_e, w_e)
+    bounds = (88, 88, *(2**63 if w > 62 else 1 << w for w in (w_o, w_e)))
+    [(r_o, r_e, s_o, s_e)] = integers_rows(rng, bounds, 1)
+    return canon[r_o], canon[r_e], _widen(rng, s_o, w_o), _widen(rng, s_e, w_e)
 
 
 def _widen(rng, bits: int, width: int) -> int:
@@ -354,7 +353,7 @@ def cmd_render(args) -> int:
     run stops at its first repeated configuration and then replays its
     cycle out to ``--steps``."""
     _check_outputs(args.out)
-    _reject_environment_flags(args, "--we")
+    _reject_unused_flags(args, "--we")
     w_o = args.wo
     w_e = 8 if args.variant is Variant.CASE_II else args.we or w_o
     r_o, r_e, s_o, s_e = render_start(args.seed, w_o, w_e)

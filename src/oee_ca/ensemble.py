@@ -31,7 +31,9 @@ from .innovation import is_eca_reproducible
 from .io_formats import ExecutionRecord
 from .recurrence import build_report, detect_cycle
 from .variants import (
+    CASE_II,
     CASE_III,
+    DEFAULT_MU,
     ISOLATED,
     Variant,
     VariantConfig,
@@ -54,6 +56,10 @@ def environment_width(w_o: int, ratio: str) -> int:
 
 @dataclass(frozen=True)
 class SamplePlan:
+    """Which ``w_e`` and ``mu`` a variant takes is ``VariantConfig``'s rule:
+    the plan builds the config of a zero tuple after its own checks and its
+    defaults, Case II's ``w_e = 8`` and Case III's ``mu = DEFAULT_MU``."""
+
     variant: Variant
     w_o: int
     w_e: int | None = None
@@ -70,27 +76,18 @@ class SamplePlan:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
         if self.w_o < SIM_MIN_WIDTH:
             raise ValueError(f"organism width must be >= {SIM_MIN_WIDTH}, got {self.w_o}")
-        if self.variant is Variant.CASE_II:
-            if self.w_e not in (None, 8):
-                raise ValueError("Case II fixes w_e = 8")
-            object.__setattr__(self, "w_e", 8)
-        if self.variant is Variant.CASE_I:
-            if self.w_e is None or self.w_e < 1:
-                raise ValueError("Case I requires w_e >= 1")
-        if self.variant in (Variant.CASE_III, Variant.ISOLATED) and self.w_e is not None:
-            raise ValueError(f"{self.variant.value} takes no environment width")
-        if self.variant is Variant.CASE_III:
-            if self.mu is None:
-                object.__setattr__(self, "mu", 0.5)
-            if not 0.0 <= self.mu < 1.0:
-                raise ValueError(f"Case III requires mu in [0, 1), got {self.mu}")
-        elif self.mu is not None:
-            raise ValueError(f"{self.variant.value} takes no mu")
         if self.step_cap is not None and self.step_cap < 1:
             raise ValueError(f"step_cap must be >= 1, got {self.step_cap}")
+        if self.variant is CASE_II and self.w_e is None:
+            object.__setattr__(self, "w_e", 8)
+        if self.variant is CASE_III and self.mu is None:
+            object.__setattr__(self, "mu", DEFAULT_MU)
         if self.full_width > cx.NORM_MAX_WIDTH:
             raise ValueError(f"full width w_o + w_e = {self.full_width} exceeds the "
                              f"normalization width maximum {cx.NORM_MAX_WIDTH}")
+        env = () if self.w_e is None else (self.w_e, 0, 0)
+        VariantConfig(self.variant, self.w_o, 0, 0, *env, mu=self.mu,
+                      seed=0 if self.variant is CASE_III else None)
 
     @property
     def full_width(self) -> int:

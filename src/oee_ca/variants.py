@@ -90,6 +90,9 @@ TABLE_BUDGET = 1 << 20
 # Environment/organism width ratios a Case I ensemble is drawn at.
 CASE1_RATIOS = ("1/2", "1", "3/2", "2", "5/2")
 
+# Case III's mutation rate where a run or a plan is given none.
+DEFAULT_MU = 0.5
+
 # Environment rules an ensemble draws r_e from (the canonical orbit
 # representatives); their step tables at one width share the budget.
 ENVIRONMENT_RULES = len(canonical_rules())
@@ -140,7 +143,7 @@ class VariantConfig:
             raise ValueError(f"{variant.value} takes no environment CA")
         if variant is CASE_III:
             if self.mu is None or not 0.0 <= self.mu < 1.0:
-                raise ValueError("Case III requires mu in [0, 1)")
+                raise ValueError(f"Case III requires mu in [0, 1), got {self.mu}")
             if self.seed is None:
                 raise ValueError("Case III requires a seed")
         elif (self.mu, self.seed) != (None, None):

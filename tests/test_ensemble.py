@@ -103,6 +103,25 @@ def test_plan_without_noise_rejects_mu(variant, w_e, mu):
         SamplePlan(variant, 4, w_e, mu=mu, sample_count=10)
 
 
+def test_plan_accepts_exactly_each_variants_own_parameters():
+    """Case I takes a w_e >= 1, Case II only its 8-cell environment, Case
+    III a mu in [0, 1) and no environment, and the plain ECA neither; every
+    other (variant, w_e, mu) cell is refused."""
+    C1, C2, C3, ECA = Variant.CASE_I, Variant.CASE_II, Variant.CASE_III, Variant.ISOLATED
+    accepted = set()
+    for variant, w_e, mu in itertools.product(Variant, [None, -1, 0, 3, 8, 9],
+                                              [None, 0.0, 0.3, 1.0, -0.1, float("nan")]):
+        try:
+            SamplePlan(variant, 4, w_e, mu, sample_count=10)
+        except ValueError:
+            continue
+        accepted.add((variant, w_e, mu))
+    assert accepted == {(C1, 3, None), (C1, 8, None), (C1, 9, None),
+                        (C2, None, None), (C2, 8, None),
+                        (C3, None, None), (C3, None, 0.0), (C3, None, 0.3),
+                        (ECA, None, None)}
+
+
 @pytest.mark.parametrize("cap", [0, -5])
 def test_plan_rejects_step_cap_below_one(cap):
     with pytest.raises(ValueError, match="step_cap"):

@@ -1,5 +1,6 @@
 """File formats (CSV, JSON, SVG, PGM, config) and the command-line interface."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -20,7 +21,7 @@ from oee_ca import complexity as cx
 from oee_ca import io_formats as iof
 from oee_ca.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main, render_start
 from oee_ca.ensemble import SamplePlan, aggregate, run_ensemble
-from oee_ca.eca import load_class_table
+from oee_ca.eca import canonical_rules, load_class_table
 from oee_ca.io_formats import (
     CSV_COLUMNS,
     read_config_file,
@@ -33,7 +34,7 @@ from oee_ca.io_formats import (
     write_report_json,
     write_svg,
 )
-from oee_ca.variants import Variant, VariantConfig, run_trajectory
+from oee_ca.variants import Variant, VariantConfig, execution_rng, run_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +311,44 @@ def test_readme_command_lines_parse():
         assert build_parser().parse_args(argv).command == argv[0]
 
 
+def test_cli_subcommand_option_strings():
+    """Each subcommand takes exactly its own flags: the flags run and
+    ensemble share are declared once, and no other subcommand gains them."""
+    common = {"-h", "--help"}
+    one_run = {"--variant", "--wo", "--we", "--mu", "--seed", "--cap"}
+    want = {
+        "run": common | one_run | {"--rule-o", "--rule-e", "--state-o", "--state-e",
+                                   "--out", "--pgm"},
+        "ensemble": common | one_run | {"--ratio", "--samples", "--workers",
+                                        "--norm-samples", "--norm-steps", "--norm-seed",
+                                        "--norm-cache", "--out", "--report"},
+        "norm": common | {"--width", "--samples", "--steps", "--seed", "--cache"},
+        "analyze": common | {"--records", "--report", "--svg-dir"},
+        "render": common | {"--variant", "--wo", "--we", "--steps", "--seed", "--out"},
+    }
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert {name: {option for action in sub._actions for option in action.option_strings}
+            for name, sub in subparsers.choices.items()} == want
+
+
+@pytest.mark.parametrize("seed, w_o, w_e",
+                         [(1, 5, 5), (2, 62, 63), (7, 63, 64), (3, 101, 101), (9, 200, 8)])
+def test_render_start_is_the_scalar_draw_sequence(seed, w_o, w_e):
+    """render_start draws r_o, r_e, s_o and s_e, one ``rng.integers`` each
+    (a ring wider than 62 cells from 2^63), then widens the organism's and
+    the environment's state, in that order, with 48-bit draws."""
+    rng = execution_rng(seed)
+    r_o, r_e = (canonical_rules()[int(rng.integers(0, 88))] for _ in range(2))
+    states = [int(rng.integers(0, 2**63 if w > 62 else 1 << w)) for w in (w_o, w_e)]
+    for i, w in enumerate((w_o, w_e)):
+        if w > 62:
+            for _ in range(w // 48):
+                states[i] = (states[i] << 48) | int(rng.integers(0, 1 << 48))
+            states[i] %= 1 << w
+    assert render_start(seed, w_o, w_e) == (r_o, r_e, *states)
+
+
 def test_cli_norm(tmp_path):
     cache = str(tmp_path / "norm.txt")
     assert main(["norm", "--width", "4", "--samples", "5", "--steps", "16",
@@ -548,6 +587,33 @@ def test_cli_environment_flag_without_environment_exits_3(variant, command, flag
     assert main(environment_argv(command, variant, [flag, value], tmp_path)) == EXIT_DATA
     assert f"{flag} does not apply to {variant}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("from_config", [False, True])
+@pytest.mark.parametrize("variant", ["case1", "case2", "eca"])
+@pytest.mark.parametrize("command", ["run", "ensemble"])
+def test_cli_mu_without_noise_exits_3(command, variant, from_config, tmp_path, capsys):
+    """Only case3 has a mutation rate: the other variants refuse --mu, also
+    from the --config file, instead of running without it and echoing it."""
+    flags = ["--we", "4"] if variant == "case1" else []
+    prefix = []
+    if from_config:
+        config = tmp_path / "run.cfg"
+        config.write_text("mu = 0.3\n")
+        prefix = ["--config", str(config)]
+    else:
+        flags += ["--mu", "0.3"]
+    assert main(prefix + environment_argv(command, variant, flags, tmp_path)) == EXIT_DATA
+    assert (f"--mu does not apply to {variant}, which has no noise"
+            in capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == (["run.cfg"] if from_config else [])
+
+
+@pytest.mark.parametrize("command", ["run", "ensemble"])
+def test_cli_case3_without_mu_runs_and_echoes_the_default(command, tmp_path):
+    """A case3 run or plan given no --mu takes mu = 0.5 and echoes it."""
+    assert main(environment_argv(command, "case3", [], tmp_path)) == EXIT_OK
+    assert "# mu = 0.5\n" in (tmp_path / "out").read_text()
 
 
 @pytest.mark.parametrize("command", ["run", "render"])
