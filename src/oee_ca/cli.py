@@ -9,8 +9,8 @@ Exit codes: 0 success, 2 usage error, 3 data/format error.
 Only ensemble and analyze import ``ensemble``: 0.005-0.009 s and 0.1 MB of
 peak RSS on top of this module's 0.07-0.15 s and 34 MB (``python3 -I``, 8
 interleaved runs, 2-vCPU host).  ``ensemble`` loads ``scipy.special`` only
-for a Spearman p-value that can be nonzero, a further 0.14-0.23 s and 19 MB,
-and the process-pool stack only for an ensemble of two or more workers.
+for a Spearman p-value that can be nonzero, a further 0.14-0.23 s and 19 MB;
+a pooled ensemble forks its workers and loads no process-pool stack.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .eca import (
 )
 from .variants import (
     CASE1_RATIOS,
+    CASE_II_WIDTH,
     DEFAULT_MU,
     Variant,
     VariantConfig,
@@ -104,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="environment/organism width ratio (Case I)")
     em.add_argument("--samples", type=_int_at_least(1), required=True)
     em.add_argument("--workers", type=_int_at_least(1),
-                    help="process-pool size (default: $OEE_THREADS, else 1)")
+                    help="forked workers (default: $OEE_THREADS, else 1; 1 without os.fork)")
     em.add_argument("--norm-samples", type=_int_at_least(1), default=cx.NORM_SAMPLES)
     em.add_argument("--norm-steps", type=_int_at_least(0), default=cx.NORM_STEPS)
     em.add_argument("--norm-seed", type=int, default=0)
@@ -189,8 +190,8 @@ def _given_state(text: str, flag: str, width: int) -> int:
 def _reject_unused_flags(args, *flags: str) -> None:
     """Refuse, rather than ignore, a flag the run would not use: ``--mu``
     on a variant without noise, an environment flag on a variant without
-    an environment, a ``--we`` other than 8 or a ``--ratio`` on case2,
-    whose environment has 8 cells, and a ``--ratio`` beside ``--we``."""
+    an environment, a ``--we`` other than ``CASE_II_WIDTH`` or a ``--ratio``
+    on case2, whose environment is that wide, and a ``--ratio`` beside ``--we``."""
     variant = args.variant
     given = [f for f in flags if getattr(args, f[2:].replace("-", "_")) is not None]
     for flag in given:
@@ -202,9 +203,9 @@ def _reject_unused_flags(args, *flags: str) -> None:
             raise ValueError(f"{flag} does not apply to {variant.value}, "
                              "which has no environment")
         elif variant is Variant.CASE_II and (flag == "--ratio" or flag == "--we"
-                                             and args.we != 8):
+                                             and args.we != CASE_II_WIDTH):
             raise ValueError(f"{flag} does not apply to case2, whose environment "
-                             "has 8 cells")
+                             f"has {CASE_II_WIDTH} cells")
     if "--we" in given and "--ratio" in given:
         raise ValueError("--we and --ratio both set the environment width; give one")
 
@@ -212,7 +213,7 @@ def _reject_unused_flags(args, *flags: str) -> None:
 def _random_config(args) -> VariantConfig:
     _reject_unused_flags(args, "--we", "--rule-e", "--state-e", "--mu")
     variant = args.variant
-    w_e = 8 if variant is Variant.CASE_II else args.we
+    w_e = CASE_II_WIDTH if variant is Variant.CASE_II else args.we
     if not SIM_MIN_WIDTH <= args.wo <= SIM_MAX_WIDTH:
         raise ValueError(f"organism width must be in [{SIM_MIN_WIDTH}, {SIM_MAX_WIDTH}]")
     if variant.has_environment and w_e is not None and not 1 <= w_e <= SIM_MAX_WIDTH:
@@ -355,7 +356,7 @@ def cmd_render(args) -> int:
     _check_outputs(args.out)
     _reject_unused_flags(args, "--we")
     w_o = args.wo
-    w_e = 8 if args.variant is Variant.CASE_II else args.we or w_o
+    w_e = CASE_II_WIDTH if args.variant is Variant.CASE_II else args.we or w_o
     r_o, r_e, s_o, s_e = render_start(args.seed, w_o, w_e)
     env = (w_e, s_e, r_e) if args.variant.has_environment else ()
     config = VariantConfig(args.variant, w_o, s_o, r_o, *env)

@@ -3,7 +3,8 @@
 A SamplePlan pins everything needed to reproduce an ensemble: variant,
 widths, mutation rate, sample count, master seed and the step cap.  Records
 come back in draw order regardless of worker count, so ensembles are
-byte-reproducible.
+byte-reproducible.  Two or more workers are forked children that send
+records back through pipes; without ``os.fork`` an ensemble runs on one.
 
 The sampled space restricts initial rules to the 88 canonical orbit
 representatives; the full space size is 88^2 * 2^w_o * 2^w_e for the coupled
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import pickle
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
@@ -32,6 +34,7 @@ from .io_formats import ExecutionRecord
 from .recurrence import build_report, detect_cycle
 from .variants import (
     CASE_II,
+    CASE_II_WIDTH,
     CASE_III,
     DEFAULT_MU,
     ISOLATED,
@@ -58,7 +61,7 @@ def environment_width(w_o: int, ratio: str) -> int:
 class SamplePlan:
     """Which ``w_e`` and ``mu`` a variant takes is ``VariantConfig``'s rule:
     the plan builds the config of a zero tuple after its own checks and its
-    defaults, Case II's ``w_e = 8`` and Case III's ``mu = DEFAULT_MU``."""
+    defaults, Case II's ``w_e = CASE_II_WIDTH`` and Case III's ``mu = DEFAULT_MU``."""
 
     variant: Variant
     w_o: int
@@ -79,7 +82,7 @@ class SamplePlan:
         if self.step_cap is not None and self.step_cap < 1:
             raise ValueError(f"step_cap must be >= 1, got {self.step_cap}")
         if self.variant is CASE_II and self.w_e is None:
-            object.__setattr__(self, "w_e", 8)
+            object.__setattr__(self, "w_e", CASE_II_WIDTH)
         if self.variant is CASE_III and self.mu is None:
             object.__setattr__(self, "mu", DEFAULT_MU)
         if self.full_width > cx.NORM_MAX_WIDTH:
@@ -98,7 +101,7 @@ def sample_space_size(variant: Variant, w_o: int, w_e: int | None = None) -> int
     if variant in (Variant.CASE_III, Variant.ISOLATED):
         return 88 * (1 << w_o)
     if variant is Variant.CASE_II:
-        w_e = 8
+        w_e = CASE_II_WIDTH
     if w_e is None:
         raise ValueError("coupled variants need w_e")
     return 88 * 88 * (1 << w_o) * (1 << w_e)
@@ -198,29 +201,37 @@ def execute_tuple(plan: SamplePlan, index: int, tup: tuple, norm_bits: int) -> E
         n_rt, inno, compressed, norm_bits, c_val, k, rep.censored, att)
 
 
-# (plan, tuples, norm_bits) of the ensemble a pool worker runs, installed
-# once per worker by ``_install_job``
-_JOB: tuple | None = None
-
-
-def _install_job(job: tuple) -> None:
-    global _JOB
-    _JOB = job
-
-
 @gc_paused()
-def _run_range(bounds: tuple[int, int]) -> list[ExecutionRecord]:
-    """The records of the installed ensemble's tuples start..stop - 1."""
-    plan, tuples, norm_bits = _JOB
+def _run_range(plan: SamplePlan, tuples: list[tuple], norm_bits: int,
+               bounds: tuple[int, int]) -> list[ExecutionRecord]:
+    """The records of tuples start..stop - 1 of an ensemble."""
     return [execute_tuple(plan, i, tuples[i], norm_bits) for i in range(*bounds)]
+
+
+def _worker(tasks: int, out: int, run_range) -> None:
+    """A forked worker: per 4-byte range index ``k`` from the ``tasks`` pipe,
+    one frame of ``(k, run_range(k))`` or ``(None, exception)`` to the ``out``
+    pipe, pickled behind its 8-byte length; it leaves only by ``os._exit``."""
+    try:
+        with open(out, "wb") as pipe:
+            while task := os.read(tasks, 4):
+                k = int.from_bytes(task, "little")
+                try:
+                    frame = pickle.dumps((k, run_range(k)), pickle.HIGHEST_PROTOCOL)
+                except Exception as exc:
+                    frame = pickle.dumps((None, exc))
+                pipe.write(len(frame).to_bytes(8, "little") + frame)
+                pipe.flush()
+    finally:
+        os._exit(0)
 
 
 def worker_count(requested: int | None, n_tasks: int, env: str | None,
                  cpus: int | None) -> int:
     """Worker processes for ``n_tasks`` executions: the explicit request,
     else the ``OEE_THREADS`` value ``env``, else 1; at most one per task and
-    one per CPU, and at least 1.  An ``env`` that is no integer, or is below
-    1, raises ValueError."""
+    one per CPU, and at least 1; 1 where ``os.fork`` does not exist.  An
+    ``env`` that is no integer, or is below 1, raises ValueError."""
     if requested is None:
         try:
             requested = int(env) if env else 1
@@ -228,7 +239,7 @@ def worker_count(requested: int | None, n_tasks: int, env: str | None,
             raise ValueError(f"OEE_THREADS must be an integer, got {env!r}") from None
         if requested < 1:
             raise ValueError(f"OEE_THREADS must be >= 1, got {env!r}")
-    return max(1, min(requested, n_tasks, cpus or 1))
+    return max(1, min(requested, n_tasks, cpus or 1)) if hasattr(os, "fork") else 1
 
 
 @gc_paused()
@@ -248,14 +259,49 @@ def run_ensemble(plan: SamplePlan, workers: int | None = None,
         tuples = draw_plan(plan)
     if workers <= 1:
         return [execute_tuple(plan, i, tup, norm_bits) for i, tup in enumerate(tuples)]
-    # the pool stack (about 2 MB) is loaded only by an ensemble that uses it
-    from concurrent.futures import ProcessPoolExecutor
-    # each worker gets the plan once, then about 8 contiguous ranges of it
+    # imported here: their 0.1 MB would raise every one-worker ensemble's peak
+    import selectors
+    import signal
+    # forked workers inherit the plan and take about 8 contiguous ranges each,
+    # one at a time, from a pipe filled before the fork
     parts = min(workers * 8, n)
     ranges = [(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_install_job,
-                             initargs=((plan, tuples, norm_bits),)) as pool:
-        return [rec for chunk in pool.map(_run_range, ranges) for rec in chunk]
+    chunks: list = [None] * parts
+    tasks, fill = os.pipe()
+    os.write(fill, b"".join(k.to_bytes(4, "little") for k in range(parts)))
+    os.close(fill)
+    pids, selector = [], selectors.DefaultSelector()
+    try:
+        for _ in range(workers):
+            frames, out = os.pipe()
+            if (pid := os.fork()) == 0:
+                _worker(tasks, out, lambda k: _run_range(plan, tuples, norm_bits, ranges[k]))
+            pids.append(pid)
+            os.close(out)
+            selector.register(frames, selectors.EVENT_READ, bytearray())
+        while selector.get_map():   # read whichever pipes are ready, each to its end
+            for key, _ in selector.select():
+                data, buf = os.read(key.fd, 1 << 16), key.data
+                if not data:
+                    selector.unregister(key.fd)
+                    os.close(key.fd)
+                buf += data
+                while len(buf) >= 8 + (size := int.from_bytes(buf[:8], "little")):
+                    k, result = pickle.loads(buf[8:8 + size])
+                    del buf[:8 + size]
+                    if k is None:
+                        raise result
+                    chunks[k] = result
+    finally:   # no worker outlives the call
+        for fd in [tasks, *selector.get_map()]:
+            os.close(fd)
+        selector.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if None in chunks:
+        raise RuntimeError("an ensemble worker exited before returning its ranges")
+    return [rec for chunk in chunks for rec in chunk]
 
 
 # --- aggregation ------------------------------------------------------------

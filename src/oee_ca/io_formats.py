@@ -11,7 +11,7 @@ formatted once, and each distinct text of a column parsed once.
 
 ``ExecutionRecord`` is a slotted dataclass that nothing mutates after
 construction; it is not frozen, so it is not hashable.  It pickles as its
-field tuple, so pool workers send rows and the parent rebuilds the records.
+field tuple, so ensemble workers send rows and the parent rebuilds the records.
 """
 
 from __future__ import annotations

@@ -93,6 +93,9 @@ CASE1_RATIOS = ("1/2", "1", "3/2", "2", "5/2")
 # Case III's mutation rate where a run or a plan is given none.
 DEFAULT_MU = 0.5
 
+# The width of Case II's fixed environment.
+CASE_II_WIDTH = 8
+
 # Environment rules an ensemble draws r_e from (the canonical orbit
 # representatives); their step tables at one width share the budget.
 ENVIRONMENT_RULES = len(canonical_rules())
@@ -137,8 +140,8 @@ class VariantConfig:
             if None in (self.w_e, self.s_e, self.r_e):
                 raise ValueError(f"{variant.value} requires w_e, s_e and r_e")
             _check_ca("e", self.w_e, self.s_e, self.r_e)
-            if variant is CASE_II and self.w_e != 8:
-                raise ValueError("Case II requires an environment of width 8")
+            if variant is CASE_II and self.w_e != CASE_II_WIDTH:
+                raise ValueError(f"Case II requires an environment of width {CASE_II_WIDTH}")
         elif (self.w_e, self.s_e, self.r_e) != (None, None, None):
             raise ValueError(f"{variant.value} takes no environment CA")
         if variant is CASE_III:

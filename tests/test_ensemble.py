@@ -4,7 +4,10 @@ import dataclasses
 import gc
 import hashlib
 import itertools
+import os
 import pickle
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -312,8 +315,8 @@ def test_draw_plan_matches_scalar_oracle(name):
 
 @pytest.mark.parametrize("name", ["case1-4x4", "case3-repeats", "eca", "eca-w63"])
 def test_drawn_tuples_hold_python_ints(name):
-    """The pool pickles the tuples to its workers: numpy scalars would
-    pickle larger."""
+    """Forked workers send the tuples' values back in pickled records:
+    numpy scalars would pickle larger."""
     plan = DRAW_PLANS[name]
     tuples = draw_plan(plan)
     assert all(type(x) is int for tup in tuples for x in tup)
@@ -414,6 +417,91 @@ def test_worker_counts_write_identical_csv(variant, w_o, samples, tmp_path):
         write_records_csv(records, str(path))
         csv.append(path.read_bytes())
     assert csv[0] == csv[1]
+
+
+def test_worker_counts_write_identical_csv_from_large_frames(tmp_path):
+    """At 13,000 samples a range holds 812 or 813 records, so a worker's
+    frame overflows the 64 KB pipe buffer and reaches the parent in pieces."""
+    plan = SamplePlan(Variant.CASE_III, 3, sample_count=13_000, master_seed=7,
+                      norm_samples=20, norm_steps=64)
+    csv = []
+    for workers in (1, 2):
+        records = run_ensemble(plan, workers=workers)
+        path = tmp_path / f"records_w{workers}.csv"
+        write_records_csv(records, str(path))
+        csv.append(path.read_bytes())
+    assert len(pickle.dumps(records[:13_000 // 16], pickle.HIGHEST_PROTOCOL)) > 1 << 16
+    assert csv[0] == csv[1]
+
+
+_FORK_PLAN = SamplePlan(Variant.CASE_I, 3, 3, sample_count=100, master_seed=5)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Two forked workers whatever the host's CPU count, and a TimeoutError
+    rather than a hang if the parent still waits on them after 30 s."""
+    def expire(signum, frame):
+        raise TimeoutError("the ensemble is still running after 30 s")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, handler)
+
+
+def _failing_at(index: int, fail):
+    """``execute_tuple`` that calls ``fail()`` at one tuple index."""
+    execute = ensemble.execute_tuple
+
+    def failing(plan, i, tup, norm_bits):
+        if i == index:
+            fail()
+        return execute(plan, i, tup, norm_bits)
+    return failing
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_ensemble_reaps_its_workers(forked):
+    assert run_ensemble(_FORK_PLAN, workers=2) == run_ensemble(_FORK_PLAN, workers=1)
+    _assert_no_child_left()
+
+
+def test_worker_exception_reaches_the_caller(forked, monkeypatch):
+    """One worker raises at tuple 37 while the other sleeps in tuple 0: the
+    exception reaches the caller at once, and the sleeping worker is killed."""
+    def fail():
+        raise LookupError("no rule for tuple 37")
+
+    monkeypatch.setattr(ensemble, "execute_tuple", _failing_at(37, fail))
+    monkeypatch.setattr(ensemble, "execute_tuple", _failing_at(0, lambda: time.sleep(20)))
+    start = time.monotonic()
+    with pytest.raises(LookupError) as exc:
+        run_ensemble(_FORK_PLAN, workers=2)
+    assert time.monotonic() - start < 10
+    assert type(exc.value) is LookupError
+    assert str(exc.value) == "no rule for tuple 37"
+    _assert_no_child_left()
+
+
+def test_worker_that_dies_makes_the_ensemble_raise(forked, monkeypatch):
+    monkeypatch.setattr(ensemble, "execute_tuple", _failing_at(37, lambda: os._exit(3)))
+    with pytest.raises(RuntimeError, match="worker exited before returning its ranges"):
+        run_ensemble(_FORK_PLAN, workers=2)
+    _assert_no_child_left()
+
+
+def test_ensemble_without_fork_runs_serially(monkeypatch):
+    serial = run_ensemble(_FORK_PLAN, workers=1)
+    monkeypatch.delattr(os, "fork")
+    assert worker_count(2, 100, env=None, cpus=4) == 1
+    assert run_ensemble(_FORK_PLAN, workers=2) == serial
 
 
 def test_serial_ensemble_calls_execute_tuple_per_tuple_in_order(monkeypatch):
@@ -726,10 +814,6 @@ def _paused_entry_points(tmp_path, monkeypatch) -> dict:
     bad_csv.write_text("not,the,columns\n")
     job = (_GC_PLAN, draw_plan(_GC_PLAN), records[0].norm_bits)
 
-    def run_range(job):
-        monkeypatch.setattr(ensemble, "_JOB", job)
-        return ensemble._run_range((0, 10))
-
     def fresh_norm(w):
         monkeypatch.setattr(cx, "_NORM_MEMO", {})
         return cx.normalization_constant(w, 60, 64)
@@ -744,7 +828,8 @@ def _paused_entry_points(tmp_path, monkeypatch) -> dict:
                       ValueError),
         "normalization_constant": (lambda: fresh_norm(6), lambda: fresh_norm(0), ValueError),
         "run_ensemble": (lambda: run_ensemble(_GC_PLAN, workers=1), bad_threads, ValueError),
-        "_run_range": (lambda: run_range(job), lambda: run_range(None), TypeError),
+        "_run_range": (lambda: ensemble._run_range(*job, (0, 10)),
+                       lambda: ensemble._run_range(*job, None), TypeError),
         "aggregate": (lambda: aggregate(records), lambda: aggregate([]), EmptyReportError),
         "write_records_csv": (lambda: write_records_csv(records, csv_path),
                               lambda: write_records_csv(records, str(tmp_path / "no" / "r.csv")),

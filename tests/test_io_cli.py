@@ -764,15 +764,28 @@ def test_pipeline_loads_scipy_only_for_a_nonzero_p(w, samples, loads_scipy, tmp_
     assert (doc["spearman_p"] > 0) is loads_scipy
 
 
-@pytest.mark.parametrize("module, absent", [("oee_ca.cli", "scipy"),
-                                            ("oee_ca.ensemble", "scipy"),
-                                            ("oee_ca.ensemble", "multiprocessing"),
-                                            ("oee_ca.ensemble", "concurrent")])
+# the import of ``ensemble`` followed by an ensemble on two forked workers
+_POOLED = ("oee_ca.ensemble as ens, os; from oee_ca.variants import Variant; "
+           "os.cpu_count = lambda: 2; "
+           "ens.run_ensemble(ens.SamplePlan(Variant.CASE_I, 3, 3, sample_count=40, "
+           "norm_samples=20, norm_steps=64), workers=2)")
+
+
+@pytest.mark.parametrize("module, absent", [
+    ("oee_ca.cli", "scipy"),
+    ("oee_ca.ensemble", "scipy"),
+    ("oee_ca.ensemble", "multiprocessing"),
+    ("oee_ca.ensemble", "concurrent"),
+    ("oee_ca.ensemble", "selectors"),
+    ("oee_ca.ensemble", "signal"),
+    pytest.param(_POOLED, "multiprocessing", id="pooled-multiprocessing"),
+    pytest.param(_POOLED, "concurrent", id="pooled-concurrent")])
 def test_import_footprint(module, absent):
     """In an isolated interpreter (``-I``: no PYTHONPATH, no user site),
     importing ``cli`` or ``ensemble`` loads no scipy module, and importing
-    ``ensemble`` no process-pool stack: the CLI's start-up and every
-    one-worker ensemble's peak memory rest on these."""
+    ``ensemble`` no process-pool stack, nor does an ensemble on two workers,
+    and not the modules only a pooled ensemble uses: the CLI's start-up and
+    every ensemble's peak memory rest on these."""
     src = str(Path(oee_ca.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
             f"print(sorted(m for m in sys.modules "
