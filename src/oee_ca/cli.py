@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: run (single trajectory), ensemble (sampled plan -> records CSV
-+ report JSON), norm (normalization cache), analyze (report + SVG plots from
-a records CSV), render (large-width PGM).
+Subcommands: run (single trajectory -> CSV, and with --pgm its space-time
+diagram at any width), ensemble (sampled plan -> records CSV + report JSON),
+norm (normalization cache), analyze (report + SVG plots from a records CSV).
 
 Exit codes: 0 success, 2 usage error, 3 data/format error.
 
@@ -19,18 +19,10 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from . import complexity as cx
 from . import io_formats as iof
-from .eca import (
-    SIM_MAX_WIDTH,
-    SIM_MIN_WIDTH,
-    ConfigurationError,
-    canonical_rules,
-    set_default_class_table,
-)
+from .eca import ConfigurationError, canonical_rules, set_default_class_table
 from .variants import (
     CASE1_RATIOS,
     CASE_II_WIDTH,
@@ -67,14 +59,6 @@ def _int_at_least(least: int):
     return parse
 
 
-def _render_variant(name: str) -> Variant:
-    variant = _variant(name)
-    if variant is Variant.CASE_III:
-        raise argparse.ArgumentTypeError(
-            "render has no case3 (choose from case1, case2, eca)")
-    return variant
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="oee-ca", description=__doc__)
     parser.add_argument("--version", action="version", version=f"oee-ca {__version__}")
@@ -85,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_flags = argparse.ArgumentParser(add_help=False)   # shared by run and ensemble
     run_flags.add_argument("--variant", type=_variant, required=True)
-    run_flags.add_argument("--wo", type=int, required=True)
-    run_flags.add_argument("--we", type=int)
+    run_flags.add_argument("--wo", type=_int_at_least(1), required=True)
+    run_flags.add_argument("--we", type=_int_at_least(1))
     run_flags.add_argument("--mu", type=float, help="mutation rate in [0, 1), case3 only "
                                                     f"(default {DEFAULT_MU})")
     run_flags.add_argument("--seed", type=int, default=0)
@@ -99,6 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--state-e", help="initial environment state, binary string")
     run.add_argument("--out", default="trajectory.csv")
     run.add_argument("--pgm", help="also render the organism trajectory to PGM")
+    run.add_argument("--steps", type=_int_at_least(0),
+                     help="with --pgm: stop the run by step max(N, 1) and render rows "
+                          "0..N, a repeating run's cycle replayed out to N")
 
     em = sub.add_parser("ensemble", parents=[run_flags], help="execute a sampling plan")
     em.add_argument("--ratio", choices=CASE1_RATIOS,
@@ -125,14 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--records", required=True)
     an.add_argument("--report", default="report.json")
     an.add_argument("--svg-dir", help="also emit SVG plots into this directory")
-
-    rd = sub.add_parser("render", help="render a large-width run to PGM")
-    rd.add_argument("--variant", type=_render_variant, default=Variant.CASE_I)
-    rd.add_argument("--wo", type=_int_at_least(1), required=True)
-    rd.add_argument("--we", type=_int_at_least(1))
-    rd.add_argument("--steps", type=_int_at_least(0), default=400)
-    rd.add_argument("--seed", type=int, default=0)
-    rd.add_argument("--out", default="render.pgm")
     return parser
 
 
@@ -171,12 +150,23 @@ def _config_echo(args) -> dict:
             for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _draw_state(rng, width: int) -> int:
-    """A uniform ``width``-cell state: one int64 draw up to 63 cells, one
-    uint64 draw at 64."""
-    if width < 64:
-        return int(rng.integers(0, 1 << width))
-    return int(rng.integers(0, 1 << 64, dtype=np.uint64))
+def run_start(seed: int, w_o: int, w_e: int) -> tuple[int, int, int, int]:
+    """Initial (r_o, r_e, s_o, s_e) of a run.  A ring wider than 62 cells
+    starts from a 63-bit draw widened with 48-bit draws, the organism's
+    before the environment's, so organism rows do not depend on ``w_e``."""
+    rng = execution_rng(seed)
+    canon = canonical_rules()
+    bounds = (88, 88, *(2**63 if w > 62 else 1 << w for w in (w_o, w_e)))
+    [(r_o, r_e, s_o, s_e)] = integers_rows(rng, bounds, 1)
+    return canon[r_o], canon[r_e], _widen(rng, s_o, w_o), _widen(rng, s_e, w_e)
+
+
+def _widen(rng, bits: int, width: int) -> int:
+    if width > 62:
+        for _ in range(width // 48):
+            bits = (bits << 48) | int(rng.integers(0, 1 << 48))
+        bits %= 1 << width
+    return bits
 
 
 def _given_state(text: str, flag: str, width: int) -> int:
@@ -211,29 +201,25 @@ def _reject_unused_flags(args, *flags: str) -> None:
 
 
 def _random_config(args) -> VariantConfig:
+    """The run's config: ``run_start``'s draw for ``--seed``, each value
+    given by its own flag taking the place of its draw alone."""
     _reject_unused_flags(args, "--we", "--rule-e", "--state-e", "--mu")
     variant = args.variant
     w_e = CASE_II_WIDTH if variant is Variant.CASE_II else args.we
-    if not SIM_MIN_WIDTH <= args.wo <= SIM_MAX_WIDTH:
-        raise ValueError(f"organism width must be in [{SIM_MIN_WIDTH}, {SIM_MAX_WIDTH}]")
-    if variant.has_environment and w_e is not None and not 1 <= w_e <= SIM_MAX_WIDTH:
-        raise ValueError(f"environment width must be in [1, {SIM_MAX_WIDTH}]")
-    rng = execution_rng(args.seed)
-    canon = canonical_rules()
-    r_o = args.rule_o if args.rule_o is not None else canon[int(rng.integers(0, 88))]
-    r_e = args.rule_e if args.rule_e is not None else canon[int(rng.integers(0, 88))]
-    s_o = (_given_state(args.state_o, "--state-o", args.wo) if args.state_o
-           else _draw_state(rng, args.wo))
+    if variant is Variant.CASE_I and w_e is None:
+        raise ValueError("this variant requires --we")
+    r_o, r_e, s_o, s_e = run_start(args.seed, args.wo, w_e or args.wo)
+    r_o = r_o if args.rule_o is None else args.rule_o
+    r_e = r_e if args.rule_e is None else args.rule_e
+    if args.state_o is not None:
+        s_o = _given_state(args.state_o, "--state-o", args.wo)
+    if args.state_e is not None:
+        s_e = _given_state(args.state_e, "--state-e", w_e)
     if variant is Variant.CASE_III:
         mu = DEFAULT_MU if args.mu is None else args.mu
         return VariantConfig(variant, args.wo, s_o, r_o, mu=mu, seed=args.seed)
-    if variant is Variant.ISOLATED:
-        return VariantConfig(variant, args.wo, s_o, r_o)
-    if w_e is None:
-        raise ValueError("this variant requires --we")
-    s_e = (_given_state(args.state_e, "--state-e", w_e) if args.state_e
-           else _draw_state(rng, w_e))
-    return VariantConfig(variant, args.wo, s_o, r_o, w_e, s_e, r_e)
+    env = (w_e, s_e, r_e) if variant.has_environment else ()
+    return VariantConfig(variant, args.wo, s_o, r_o, *env)
 
 
 def _check_outputs(*paths: str | None) -> None:
@@ -251,9 +237,13 @@ def _check_outputs(*paths: str | None) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.steps is not None and not args.pgm:
+        raise ValueError("--steps sets the rows of --pgm; give it with --pgm")
+    if args.steps is not None and args.cap is not None:
+        raise ValueError("--steps and --cap both stop the run; give one")
     _check_outputs(args.out, args.pgm)
     config = _random_config(args)
-    traj = run_trajectory(config, args.cap)
+    traj = run_trajectory(config, args.cap if args.steps is None else max(args.steps, 1))
     w_o, w_e = config.w_o, config.w_e
     with iof.replacing(args.out) as fh:
         iof.write_echo(fh, _config_echo(args) | {"mu": config.mu})
@@ -262,11 +252,13 @@ def cmd_run(args) -> int:
         for t, (s_o, r_o, s_e) in enumerate(zip(traj.states, traj.rules, envs)):
             s_e = "" if s_e is None else format(s_e, f"0{w_e}b")
             fh.write(f"{t},{s_o:0{w_o}b},{r_o},{s_e}\n")
-    if traj.cap_hit:
+    if traj.cap_hit and args.steps is None:   # --steps asks for the cut
         print(f"warning: step cap reached after {len(traj.states) - 1} steps",
               file=sys.stderr)
     if args.pgm:
-        iof.write_pgm(traj.states, w_o, args.pgm)
+        rows = (traj.states if args.steps is None
+                else continued(traj, args.steps)[0][:args.steps + 1])
+        iof.write_pgm(rows, w_o, args.pgm)
     print(f"wrote {args.out} ({len(traj.states)} snapshots)")
     return EXIT_OK
 
@@ -330,48 +322,11 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def render_start(seed: int, w_o: int, w_e: int) -> tuple[int, int, int, int]:
-    """Initial (r_o, r_e, s_o, s_e) of a render.  A ring wider than 62 cells
-    starts from a 63-bit draw widened with 48-bit draws, the organism's
-    before the environment's, so organism rows do not depend on ``w_e``."""
-    rng = execution_rng(seed)
-    canon = canonical_rules()
-    bounds = (88, 88, *(2**63 if w > 62 else 1 << w for w in (w_o, w_e)))
-    [(r_o, r_e, s_o, s_e)] = integers_rows(rng, bounds, 1)
-    return canon[r_o], canon[r_e], _widen(rng, s_o, w_o), _widen(rng, s_e, w_e)
-
-
-def _widen(rng, bits: int, width: int) -> int:
-    if width > 62:
-        for _ in range(width // 48):
-            bits = (bits << 48) | int(rng.integers(0, 1 << 48))
-        bits %= 1 << width
-    return bits
-
-
-def cmd_render(args) -> int:
-    """Large-width render; widths here are unbounded (rendering only).  The
-    run stops at its first repeated configuration and then replays its
-    cycle out to ``--steps``."""
-    _check_outputs(args.out)
-    _reject_unused_flags(args, "--we")
-    w_o = args.wo
-    w_e = CASE_II_WIDTH if args.variant is Variant.CASE_II else args.we or w_o
-    r_o, r_e, s_o, s_e = render_start(args.seed, w_o, w_e)
-    env = (w_e, s_e, r_e) if args.variant.has_environment else ()
-    config = VariantConfig(args.variant, w_o, s_o, r_o, *env)
-    states = continued(run_trajectory(config, max(args.steps, 1)), args.steps)[0]
-    iof.write_pgm(states[:args.steps + 1], w_o, args.out)
-    print(f"wrote {args.out} ({args.steps + 1} rows x {w_o} columns)")
-    return EXIT_OK
-
-
 COMMANDS = {
     "run": cmd_run,
     "ensemble": cmd_ensemble,
     "norm": cmd_norm,
     "analyze": cmd_analyze,
-    "render": cmd_render,
 }
 
 

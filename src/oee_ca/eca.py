@@ -11,14 +11,15 @@ A state is a periodic ring of cells held as a packed int plus its width:
 ``width`` bits, the leftmost cell in the most significant bit.
 
 ``stepper`` steps a state of any width.  Up to ``SIM_MAX_WIDTH`` (64)
-cells, the widest ring the pipeline and ``run`` step, the ring, extended
+cells, the widest ring the pipeline steps, the ring, extended
 by one wrap cell on each side, is read eight cells at a time through a
 10-cell window, whose next values come from a table of all 1024 windows per
 rule: the rule's 10-cell ``step_table``, whose cells 1..8 have neighborhoods
 that do not wrap, shifted down one cell (1 KB a rule, built by its first
 ``stepper``).  Each window is a shift of the whole ring, so a step costs
-O(w^2) bit operations; a wider ring (``render``) steps as the OR of its
-neighborhood masks over the rule's set bits, a few whole-ring operations.
+O(w^2) bit operations; a wider ring (``oee-ca run`` takes any width)
+steps as the OR of its neighborhood masks over the rule's set bits, a few
+whole-ring operations.
 
 ``neighborhoods`` states the neighborhood formula once, for one packed state,
 a numpy array of them or rings packed in one int; the step tables, the

@@ -211,7 +211,8 @@ def _run_range(plan: SamplePlan, tuples: list[tuple], norm_bits: int,
 def _worker(tasks: int, out: int, run_range) -> None:
     """A forked worker: per 4-byte range index ``k`` from the ``tasks`` pipe,
     one frame of ``(k, run_range(k))`` or ``(None, exception)`` to the ``out``
-    pipe, pickled behind its 8-byte length; it leaves only by ``os._exit``."""
+    pipe, pickled behind its 8-byte length, and once the tasks run out an
+    end frame of length 0; it leaves only by ``os._exit``."""
     try:
         with open(out, "wb") as pipe:
             while task := os.read(tasks, 4):
@@ -222,6 +223,7 @@ def _worker(tasks: int, out: int, run_range) -> None:
                     frame = pickle.dumps((None, exc))
                 pipe.write(len(frame).to_bytes(8, "little") + frame)
                 pipe.flush()
+            pipe.write(bytes(8))
     finally:
         os._exit(0)
 
@@ -279,14 +281,17 @@ def run_ensemble(plan: SamplePlan, workers: int | None = None,
             pids.append(pid)
             os.close(out)
             selector.register(frames, selectors.EVENT_READ, bytearray())
-        while selector.get_map():   # read whichever pipes are ready, each to its end
+        while selector.get_map():   # read whichever pipes are ready, each to its end frame
             for key, _ in selector.select():
                 data, buf = os.read(key.fd, 1 << 16), key.data
-                if not data:
-                    selector.unregister(key.fd)
-                    os.close(key.fd)
+                if not data:   # the worker died: kill the others now
+                    raise RuntimeError("an ensemble worker exited before returning its ranges")
                 buf += data
                 while len(buf) >= 8 + (size := int.from_bytes(buf[:8], "little")):
+                    if not size:   # the end frame: every range is taken
+                        selector.unregister(key.fd)
+                        os.close(key.fd)
+                        break
                     k, result = pickle.loads(buf[8:8 + size])
                     del buf[:8 + size]
                     if k is None:
@@ -299,8 +304,6 @@ def run_ensemble(plan: SamplePlan, workers: int | None = None,
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if None in chunks:
-        raise RuntimeError("an ensemble worker exited before returning its ranges")
     return [rec for chunk in chunks for rec in chunk]
 
 

@@ -45,13 +45,13 @@ Case III's flip masks are a pure function of
 and counter through one generator shared by the process (not thread-safe;
 a process steps its runs on one thread), and a run draws them a block of
 steps at a time.  ``continued`` extends a finished run past its end,
-around its cycle or with the masks of the steps after it: ``oee-ca
-render`` replays a cycle with it, and ``complexity.lyapunov`` reads a run
-to its horizon from it and steps a perturbed copy of the organism
-alongside.  ``VariantConfig`` and ``Trajectory`` are slotted dataclasses;
-they are not frozen, so they are not hashable.  Widths are not bounded
-here; the callers that take them from outside (``oee-ca run``,
-``SamplePlan``) check them.
+around its cycle or with the masks of the steps after it: ``oee-ca run
+--steps`` renders a run past its stop with it, and
+``complexity.lyapunov`` reads a run to its horizon from it and steps a
+perturbed copy of the organism alongside.  ``VariantConfig`` and
+``Trajectory`` are slotted dataclasses; they are not frozen, so they are
+not hashable.  Widths are not bounded here; ``SamplePlan`` checks the
+widths of a plan, and ``oee-ca run`` steps any width of at least one cell.
 
 ``gc_paused`` pauses the cyclic garbage collector for a block or function.
 The pipeline's bulk entry points (drawing a plan, the normalization

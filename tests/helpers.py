@@ -126,17 +126,24 @@ def system_step(config: VariantConfig, snap: SystemSnapshot,
 
 
 def render_rows(variant: Variant, w_o: int, w_e: int, steps: int,
-                start: tuple[int, int, int, int]) -> list[int]:
-    """Organism rows 0..steps of ``oee-ca render`` from ``start`` = (r_o,
-    r_e, s_o, s_e), stepped ``steps`` times with ``naive_step_bits`` and
-    no cycle stop (oracle)."""
+                start: tuple[int, int, int, int], mu: float | None = None,
+                seed: int | None = None) -> list[int]:
+    """Organism rows 0..steps of ``oee-ca run --steps steps --pgm`` from
+    ``start`` = (r_o, r_e, s_o, s_e), stepped ``steps`` times with
+    ``naive_step_bits`` and no stop at a repeat or a homogeneous state
+    (oracle).  Case III's rule flips come from the scalar stream of
+    ``execution_rng(seed)``, 8 doubles a step (``case3_update_bits``), not
+    from ``case3_masks``."""
     r_o, r_e, s_o, s_e = start
+    rng = execution_rng(seed) if variant is Variant.CASE_III else None
     rows = [s_o]
     for _ in range(steps):
         if variant is Variant.CASE_I:
             r_o = case1_update_bits(s_o, w_o, r_o, s_e, w_e)
         elif variant is Variant.CASE_II:
             r_o = s_e
+        elif variant is Variant.CASE_III:
+            r_o = case3_update_bits(r_o, mu, rng)
         s_o = naive_step_bits(r_o, s_o, w_o)
         if variant.has_environment:
             s_e = naive_step_bits(r_e, s_e, w_e)

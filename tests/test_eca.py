@@ -121,7 +121,7 @@ def test_step_mirror_duality(n, s):
 
 
 def test_step_rejects_narrow_state():
-    """The kernel steps any width (``render`` draws 1- and 2-cell rings);
+    """The kernel steps any width (``run`` draws 1- and 2-cell rings);
     an ensemble plan, whose analysis needs 3 cells, rejects narrower
     organisms."""
     with pytest.raises(ValueError):

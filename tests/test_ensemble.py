@@ -491,9 +491,15 @@ def test_worker_exception_reaches_the_caller(forked, monkeypatch):
 
 
 def test_worker_that_dies_makes_the_ensemble_raise(forked, monkeypatch):
+    """One worker dies at tuple 37 while the other sleeps in tuple 0: the
+    ensemble raises at once, without waiting for the sleeping worker, and
+    kills it."""
     monkeypatch.setattr(ensemble, "execute_tuple", _failing_at(37, lambda: os._exit(3)))
+    monkeypatch.setattr(ensemble, "execute_tuple", _failing_at(0, lambda: time.sleep(20)))
+    start = time.monotonic()
     with pytest.raises(RuntimeError, match="worker exited before returning its ranges"):
         run_ensemble(_FORK_PLAN, workers=2)
+    assert time.monotonic() - start < 10
     _assert_no_child_left()
 
 
@@ -1192,6 +1198,20 @@ def test_case1_flags_are_invariant_under_rotation(w_o, w_e, r_o, r_e, data):
     a, b = data.draw(st.integers(1, w_o - 1)), data.draw(st.integers(0, w_e - 1))
     assert (flags(plan, 0, (r_o, r_e, s_o, s_e))
             == flags(plan, 0, (r_o, r_e, rotated(s_o, a, w_o), rotated(s_e, b, w_e))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(w_o=st.integers(3, 6), r_o=st.integers(0, 255), r_e=st.integers(0, 255),
+       s_e=st.integers(0, 255), data=st.data())
+def test_case2_flags_are_invariant_under_organism_rotation(w_o, r_o, r_e, s_e, data):
+    """Case II reads s_e as the next rule, so only the organism ring
+    rotates freely: rotating s_o changes no flag and no rule of the run,
+    hence neither n_rt nor OEE (UE and INN)."""
+    plan = SamplePlan(Variant.CASE_II, w_o, sample_count=1)
+    s_o = data.draw(st.integers(0, (1 << w_o) - 1))
+    a = data.draw(st.integers(1, w_o - 1))
+    assert (flags(plan, 0, (r_o, r_e, s_o, s_e))
+            == flags(plan, 0, (r_o, r_e, rotated(s_o, a, w_o), s_e)))
 
 
 @pytest.mark.parametrize("variant, mu", [(Variant.ISOLATED, None), (Variant.CASE_III, 0.3),

@@ -19,7 +19,8 @@ import oee_ca
 from oee_ca import __version__
 from oee_ca import complexity as cx
 from oee_ca import io_formats as iof
-from oee_ca.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main, render_start
+from oee_ca import cli
+from oee_ca.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main, run_start
 from oee_ca.ensemble import SamplePlan, aggregate, run_ensemble
 from oee_ca.eca import canonical_rules, load_class_table
 from oee_ca.io_formats import (
@@ -34,7 +35,7 @@ from oee_ca.io_formats import (
     write_report_json,
     write_svg,
 )
-from oee_ca.variants import Variant, VariantConfig, execution_rng, run_trajectory
+from oee_ca.variants import DEFAULT_MU, Variant, VariantConfig, execution_rng, run_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -298,17 +299,40 @@ def test_cli_analyze_unparsable_field_exits_3(sample_records, tmp_path, capsys):
     assert not report.exists()
 
 
-def test_readme_command_lines_parse():
-    """Every ``oee-ca`` example in README's "Command line" block, its
-    ``\\``-continued lines joined, parses with the CLI's parser."""
+def readme_commands() -> list[list[str]]:
+    """The argv of every ``oee-ca`` example in README's "Command line"
+    block, its ``\\``-continued lines joined."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = [line for line in block.replace("\\\n", " ").splitlines()
-                if line.startswith("oee-ca ")]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("oee-ca ")]
+
+
+def test_readme_command_lines_parse():
+    """Every example in README's "Command line" block parses with the CLI's
+    parser."""
+    commands = readme_commands()
     assert len(commands) == 6
-    for line in commands:
-        argv = shlex.split(line)[1:]
+    for argv in commands:
         assert build_parser().parse_args(argv).command == argv[0]
+
+
+def test_readme_run_examples_run(tmp_path, monkeypatch):
+    """README's ``run`` examples run: each exits 0 and writes a PGM of
+    ``--wo`` columns and one row per CSV snapshot, or rows 0..N with
+    ``--steps N``."""
+    monkeypatch.chdir(tmp_path)
+    runs = [argv for argv in readme_commands() if argv[0] == "run"]
+    assert len(runs) == 2
+    for argv in runs:
+        assert main(argv) == EXIT_OK
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        csv = Path(flags.get("--out", "trajectory.csv")).read_text().splitlines()
+        rows = (int(flags["--steps"]) + 1 if "--steps" in flags
+                else sum(not line.startswith("#") for line in csv) - 1)
+        head = Path(flags["--pgm"]).read_bytes().split(b"\n", 3)
+        assert (head[0], head[2]) == (b"P5", f"{flags['--wo']} {rows}".encode())
+    assert head[2] == b"101 401"
 
 
 def test_cli_subcommand_option_strings():
@@ -318,13 +342,12 @@ def test_cli_subcommand_option_strings():
     one_run = {"--variant", "--wo", "--we", "--mu", "--seed", "--cap"}
     want = {
         "run": common | one_run | {"--rule-o", "--rule-e", "--state-o", "--state-e",
-                                   "--out", "--pgm"},
+                                   "--out", "--pgm", "--steps"},
         "ensemble": common | one_run | {"--ratio", "--samples", "--workers",
                                         "--norm-samples", "--norm-steps", "--norm-seed",
                                         "--norm-cache", "--out", "--report"},
         "norm": common | {"--width", "--samples", "--steps", "--seed", "--cache"},
         "analyze": common | {"--records", "--report", "--svg-dir"},
-        "render": common | {"--variant", "--wo", "--we", "--steps", "--seed", "--out"},
     }
     subparsers = next(action for action in build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
@@ -335,7 +358,7 @@ def test_cli_subcommand_option_strings():
 @pytest.mark.parametrize("seed, w_o, w_e",
                          [(1, 5, 5), (2, 62, 63), (7, 63, 64), (3, 101, 101), (9, 200, 8)])
 def test_render_start_is_the_scalar_draw_sequence(seed, w_o, w_e):
-    """render_start draws r_o, r_e, s_o and s_e, one ``rng.integers`` each
+    """run_start draws r_o, r_e, s_o and s_e, one ``rng.integers`` each
     (a ring wider than 62 cells from 2^63), then widens the organism's and
     the environment's state, in that order, with 48-bit draws."""
     rng = execution_rng(seed)
@@ -346,7 +369,7 @@ def test_render_start_is_the_scalar_draw_sequence(seed, w_o, w_e):
             for _ in range(w // 48):
                 states[i] = (states[i] << 48) | int(rng.integers(0, 1 << 48))
             states[i] %= 1 << w
-    assert render_start(seed, w_o, w_e) == (r_o, r_e, *states)
+    assert run_start(seed, w_o, w_e) == (r_o, r_e, *states)
 
 
 def test_cli_norm(tmp_path):
@@ -372,12 +395,25 @@ def test_cli_norm_defaults_are_the_ensemble_defaults(tmp_path):
     assert Path(cache).read_text() == written
 
 
-def test_cli_render_dimensions(tmp_path):
+def render(tmp_path, argv: list[str]) -> str:
+    """The path of the PGM that ``run *argv --pgm`` writes (``argv`` gives
+    ``--steps``); the CSV goes beside it."""
     out = str(tmp_path / "render.pgm")
-    assert main(["render", "--variant", "case1", "--wo", "101", "--we", "101",
-                 "--steps", "40", "--seed", "7", "--out", out]) == EXIT_OK
+    assert main(["run", *argv, "--out", str(tmp_path / "traj.csv"), "--pgm", out]) == EXIT_OK
+    return out
+
+
+def test_cli_render_dimensions(tmp_path, capsys):
+    """A run wider than 64 cells renders rows 0..--steps, its CSV rows hold
+    every cell of both rings, and the stop at --steps, which it asked for,
+    is no step-cap warning."""
+    out = render(tmp_path, ["--variant", "case1", "--wo", "101", "--we", "101",
+                            "--steps", "40", "--seed", "7"])
     head = Path(out).read_bytes()[:64].split(b"\n")
     assert head[0] == b"P5" and head[2] == b"101 41"
+    row = (tmp_path / "traj.csv").read_text().splitlines()[-1].split(",")
+    assert (row[0], len(row[1]), len(row[3])) == ("40", 101, 101)
+    assert capsys.readouterr().err == ""
 
 
 def read_pgm_rows(path: str) -> list[int]:
@@ -391,10 +427,8 @@ def read_pgm_rows(path: str) -> list[int]:
 def test_cli_render_case2_uses_an_8_cell_environment(tmp_path):
     """The environment state is the next rule, so Case II fixes w_e = 8 at
     any organism width; rows equal system_step's."""
-    out = str(tmp_path / "render.pgm")
-    assert main(["render", "--variant", "case2", "--wo", "20", "--steps", "30",
-                 "--seed", "4", "--out", out]) == EXIT_OK
-    r_o, r_e, s_o, s_e = render_start(4, 20, 8)
+    out = render(tmp_path, ["--variant", "case2", "--wo", "20", "--steps", "30", "--seed", "4"])
+    r_o, r_e, s_o, s_e = run_start(4, 20, 8)
     config = VariantConfig(Variant.CASE_II, 20, s_o, r_o, w_e=8, s_e=s_e, r_e=r_e)
     snap = SystemSnapshot(0, config.s_o, r_o, config.s_e)
     want = [s_o]
@@ -404,13 +438,16 @@ def test_cli_render_case2_uses_an_8_cell_environment(tmp_path):
     assert read_pgm_rows(out) == want
 
 
-# (variant, w_o, --we, --steps, seed, whether the run repeats before --steps;
-# None where that is not the point of the case)
+# (variant, w_o, --we, --steps, seed, whether the run stops before --steps,
+# at a repeat or, case3, at a homogeneous state; None where that is not the
+# point of the case)
 RENDER_ORACLE = {
     "case1_repeats": (Variant.CASE_I, 4, 4, 200, 1, True),
     "case1_reaches_steps": (Variant.CASE_I, 30, 40, 60, 2, False),
     "case2_repeats": (Variant.CASE_II, 4, None, 300, 3, True),
     "case2_reaches_steps": (Variant.CASE_II, 40, None, 60, 4, False),
+    "case3_homogeneous": (Variant.CASE_III, 5, None, 60, 13, True),
+    "case3_reaches_steps": (Variant.CASE_III, 40, None, 50, 12, False),
     "eca_repeats": (Variant.ISOLATED, 5, None, 100, 5, True),
     "eca_reaches_steps": (Variant.ISOLATED, 90, None, 50, 6, False),
     "wo_1": (Variant.CASE_I, 1, 1, 20, 7, None),
@@ -421,45 +458,62 @@ RENDER_ORACLE = {
 
 @pytest.mark.parametrize("name", sorted(RENDER_ORACLE))
 def test_cli_render_rows_equal_the_stepping_oracle(name, tmp_path):
-    """Rows of a run that repeats are its cycle replayed out to --steps: they
-    equal plain stepping with no cycle stop."""
-    variant, w_o, we, steps, seed, repeats = RENDER_ORACLE[name]
-    out = str(tmp_path / "render.pgm")
+    """Rows of a run that stops before --steps go on past its stop, around
+    its cycle or on its flip masks: they equal plain stepping with no stop."""
+    variant, w_o, we, steps, seed, stops = RENDER_ORACLE[name]
     flags = ["--we", str(we)] if we else []
-    assert main(["render", "--variant", variant.value, "--wo", str(w_o), *flags,
-                 "--steps", str(steps), "--seed", str(seed), "--out", out]) == EXIT_OK
+    out = render(tmp_path, ["--variant", variant.value, "--wo", str(w_o), *flags,
+                            "--steps", str(steps), "--seed", str(seed)])
     w_e = 8 if variant is Variant.CASE_II else we or w_o
-    r_o, r_e, s_o, s_e = start = render_start(seed, w_o, w_e)
-    assert read_pgm_rows(out) == render_rows(variant, w_o, w_e, steps, start)
-    if repeats is not None:
+    r_o, r_e, s_o, s_e = start = run_start(seed, w_o, w_e)
+    mu = DEFAULT_MU if variant is Variant.CASE_III else None
+    assert read_pgm_rows(out) == render_rows(variant, w_o, w_e, steps, start, mu, seed)
+    if stops is not None:
         env = dict(w_e=w_e, s_e=s_e, r_e=r_e) if variant.has_environment else {}
-        traj = run_trajectory(VariantConfig(variant, w_o, s_o, r_o, **env), steps)
-        assert (not traj.cap_hit and len(traj.states) - 1 < steps) == repeats
+        noise = dict(mu=mu, seed=seed) if mu is not None else {}
+        traj = run_trajectory(VariantConfig(variant, w_o, s_o, r_o, **env, **noise), steps)
+        assert (not traj.cap_hit and len(traj.states) - 1 < steps) == stops
 
 
 def test_render_start_widens_wide_environments():
     """A ring wider than 62 cells has draws in its leading cells too, and
     the environment's widening comes after the organism's."""
-    assert all(render_start(seed, 8, 100)[3] >> 63 for seed in range(5))
-    assert all(render_start(seed, 101, 8)[3] < 1 << 8 for seed in range(5))
+    assert all(run_start(seed, 8, 100)[3] >> 63 for seed in range(5))
+    assert all(run_start(seed, 101, 8)[3] < 1 << 8 for seed in range(5))
     for seed in range(5):
-        assert render_start(seed, 101, 100)[:3] == render_start(seed, 101, 8)[:3]
-        assert render_start(seed, 8, 100)[:3] == render_start(seed, 8, 8)[:3]
+        assert run_start(seed, 101, 100)[:3] == run_start(seed, 101, 8)[:3]
+        assert run_start(seed, 8, 100)[:3] == run_start(seed, 8, 8)[:3]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("flag, value, field", [
+    ("--rule-o", "30", "r_o"), ("--rule-e", "110", "r_e"),
+    ("--state-o", "010010", "s_o"), ("--state-e", "0110100", "s_e")])
+def test_cli_run_given_value_replaces_only_its_own_draw(flag, value, field, seed):
+    """A run starts from ``run_start``'s draw for its seed, and a given rule
+    or state takes the place of its own value and of no other."""
+    argv = ["run", "--variant", "case1", "--wo", "6", "--we", "7", "--seed", str(seed)]
+    drawn = cli._random_config(build_parser().parse_args(argv))
+    assert (drawn.r_o, drawn.r_e, drawn.s_o, drawn.s_e) == run_start(seed, 6, 7)
+    given = cli._random_config(build_parser().parse_args([*argv, flag, value]))
+    assert getattr(given, field) == int(value, 2 if field[0] == "s" else 10)
+    assert dataclasses.replace(given, **{field: getattr(drawn, field)}) == drawn
 
 
 # Digests of the trajectory CSV (lines not starting with "#") and of the PGM
-# written by `run`, recorded with the snapshot-per-step loop.
+# written by `run`, recorded with the snapshot-per-step loop; the line counts
+# include the "# steps = None" echo line.
 RUN_GOLDEN = {
-    "case1": (["--variant", "case1", "--wo", "6", "--we", "13", "--seed", "5"], 125,
+    "case1": (["--variant", "case1", "--wo", "6", "--we", "13", "--seed", "5"], 126,
               "65a315731ca0d4cbfbb78cb1793701489502c6642d4932f4d45da8d21e6bc30d",
               "8f8a836f49a4ca6d97ae189e45b46f9b72a815940292fbe6d269a29cfb617526"),
-    "case2": (["--variant", "case2", "--wo", "7", "--seed", "5"], 32,
+    "case2": (["--variant", "case2", "--wo", "7", "--seed", "5"], 33,
               "07be45b1806441cd86794a056bc3c557ad1fc5688de98f1ee74cb6286d77261e",
               "ff3ceab90aaa18fa67e9b04c9600e66d13255a354d783a7b012392893b31361c"),
-    "case3": (["--variant", "case3", "--wo", "9", "--mu", "0.1", "--seed", "1"], 176,
+    "case3": (["--variant", "case3", "--wo", "9", "--mu", "0.1", "--seed", "1"], 177,
               "bcb785f884dbd6152355952c645ba184010521ccd0e0b21bc6777a1606160c43",
               "6e720ff3d5849c77907e5f39a3e4188dc3cf84b43f563566464e5e329120867c"),
-    "eca": (["--variant", "eca", "--wo", "10", "--seed", "3"], 26,
+    "eca": (["--variant", "eca", "--wo", "10", "--seed", "3"], 27,
             "55aac1191cd61216f9070554812a1a6b9d98cc27590f0df0da0d02943f872507",
             "45748b399842f80ffbdb941209b37eff99c1ae356951cc2460ced14267d9d7ae"),
 }
@@ -477,7 +531,8 @@ def test_cli_run_output_is_byte_identical(name, tmp_path):
     assert hashlib.sha256(Path(pgm).read_bytes()).hexdigest() == pgm_digest
 
 
-# Digests of the PGM written by `render`, recorded with the 8-term
+# Digests of the PGM written by `run --steps N --pgm` (before it, by the
+# `render` command), recorded with the 8-term
 # `step_bits` loop that `tests/helpers.naive_step_bits` keeps: the README
 # example (101-cell rings), Case II's 8-cell environment, an 80-cell
 # environment and a 150-cell fixed-rule organism.
@@ -498,18 +553,7 @@ RENDER_GOLDEN = {
 @pytest.mark.parametrize("name", sorted(RENDER_GOLDEN))
 def test_cli_render_output_is_byte_identical(name, tmp_path):
     argv, digest = RENDER_GOLDEN[name]
-    out = str(tmp_path / "render.pgm")
-    assert main(["render", *argv, "--out", out]) == EXIT_OK
-    assert hashlib.sha256(Path(out).read_bytes()).hexdigest() == digest
-
-
-def test_cli_render_case3_is_usage_error(tmp_path, capsys):
-    out = tmp_path / "render.pgm"
-    with pytest.raises(SystemExit) as exc:
-        main(["render", "--variant", "case3", "--wo", "8", "--out", str(out)])
-    assert exc.value.code == EXIT_USAGE
-    assert "case3" in capsys.readouterr().err
-    assert not out.exists()
+    assert hashlib.sha256(Path(render(tmp_path, argv)).read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("widths", [["--wo", "64", "--we", "4"], ["--wo", "4", "--we", "64"]])
@@ -529,17 +573,6 @@ def test_cli_run_draws_64_cell_states(widths, tmp_path):
     assert top == {"0", "1"}
 
 
-@pytest.mark.parametrize("widths, message", [
-    (["--wo", "70", "--we", "4"], "organism width must be in [3, 64]"),
-    (["--wo", "4", "--we", "70"], "environment width must be in [1, 64]"),
-])
-def test_cli_run_width_above_64_reports_range(widths, message, tmp_path, capsys):
-    out = tmp_path / "traj.csv"
-    assert main(["run", "--variant", "case1", *widths, "--out", str(out)]) == EXIT_DATA
-    assert message in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("argv, message", [
     (["--variant", "eca", "--wo", "4", "--state-o", "0110110", "--rule-o", "30"],
      "--state-o has 7 cells, expected 4"),
@@ -553,10 +586,25 @@ def test_cli_run_width_above_64_reports_range(widths, message, tmp_path, capsys)
      "--state-o must be a string of 0s and 1s, got '0_11'"),
     (["--variant", "case1", "--wo", "4", "--we", "4", "--state-e", "01 1"],
      "--state-e must be a string of 0s and 1s, got '01 1'"),
+    (["--variant", "eca", "--wo", "4", "--state-o", ""], "--state-o has 0 cells, expected 4"),
+    (["--variant", "case1", "--wo", "4", "--we", "6", "--state-e", ""],
+     "--state-e has 0 cells, expected 6"),
+    (["--config", "state_o =", "--variant", "eca", "--wo", "4"],
+     "--state-o has 0 cells, expected 4"),
+    (["--config", "state_e =", "--variant", "case2", "--wo", "4"],
+     "--state-e has 0 cells, expected 8"),
 ])
 def test_cli_run_state_width_mismatch_exits_3(argv, message, tmp_path, capsys):
+    """A given state of another width is refused, an empty one too, from a
+    flag or from the config file (``"--config", text`` in ``argv`` stands
+    for a file holding that line)."""
     out = tmp_path / "traj.csv"
-    assert main(["run", *argv, "--cap", "3", "--out", str(out)]) == EXIT_DATA
+    prefix = []
+    if argv[0] == "--config":
+        conf = tmp_path / "run.cfg"
+        conf.write_text(argv[1] + "\n")
+        prefix, argv = ["--config", str(conf)], argv[2:]
+    assert main([*prefix, "run", *argv, "--cap", "3", "--out", str(out)]) == EXIT_DATA
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -567,16 +615,17 @@ ENVIRONMENT_FLAGS = [("run", "--we", "9"), ("run", "--rule-e", "30"), ("run", "-
 
 
 def environment_argv(command, variant, flags, tmp_path):
+    """The argv of ``command``: run, ensemble, or render, which is a run
+    rendered with --steps to --pgm."""
     extra = {"run": ["--cap", "3"],
              "ensemble": ["--samples", "3", "--report", str(tmp_path / "report.json")],
-             "render": ["--steps", "3"]}[command]
-    return [command, "--variant", variant, "--wo", "4", *flags, *extra,
-            "--out", str(tmp_path / "out")]
+             "render": ["--steps", "3", "--pgm", str(tmp_path / "out.pgm")]}[command]
+    return ["run" if command == "render" else command, "--variant", variant, "--wo", "4",
+            *flags, *extra, "--out", str(tmp_path / "out")]
 
 
 @pytest.mark.parametrize("variant, command, flag, value", [
-    (variant, *case) for variant in ("eca", "case3") for case in ENVIRONMENT_FLAGS
-    if (variant, case[0]) != ("case3", "render")] + [   # render has no case3
+    (variant, *case) for variant in ("eca", "case3") for case in ENVIRONMENT_FLAGS] + [
     ("case2", "run", "--we", "9"), ("case2", "ensemble", "--we", "9"),
     ("case2", "ensemble", "--ratio", "5/2"), ("case2", "render", "--we", "5")])
 def test_cli_environment_flag_without_environment_exits_3(variant, command, flag, value,
@@ -674,6 +723,14 @@ def test_cli_run_state_leftmost_cell_is_msb(tmp_path):
     rows = run_rows(tmp_path, ["--variant", "eca", "--wo", "3", "--state-o", "100",
                                "--rule-o", "240", "--cap", "5"])
     assert [row[1] for row in rows] == ["100", "010", "001", "100"]
+
+
+def test_cli_run_cut_by_cap_warns(tmp_path, capsys):
+    """A run that --cap stops before its first repeat says so on stderr."""
+    rows = run_rows(tmp_path, ["--variant", "eca", "--wo", "3", "--state-o", "100",
+                               "--rule-o", "240", "--cap", "2"])
+    assert [row[1] for row in rows] == ["100", "010", "001"]
+    assert "warning: step cap reached after 2 steps" in capsys.readouterr().err
 
 
 def test_cli_run_with_given_states_is_byte_identical(tmp_path):
@@ -801,10 +858,25 @@ def test_import_footprint(module, absent):
 def test_cli_render_empty_sizes_are_usage_errors(flags, tmp_path, capsys):
     out = tmp_path / "render.pgm"
     with pytest.raises(SystemExit) as exc:
-        main(["render", *flags, "--out", str(out)])
+        main(["run", "--variant", "case1", *flags, "--out", str(tmp_path / "traj.csv"),
+              "--pgm", str(out)])
     assert exc.value.code == EXIT_USAGE
     assert "must be >=" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--steps", "5"], "--steps sets the rows of --pgm; give it with --pgm"),
+    (["--steps", "5", "--cap", "9", "--pgm", "t.pgm"], "--steps and --cap both stop the run"),
+])
+def test_cli_run_steps_needs_pgm_and_no_cap_exits_3(flags, message, tmp_path, capsys,
+                                                   monkeypatch):
+    """--steps only sets a render's rows and cap, so it is refused without
+    --pgm or beside --cap, as a flag the run would not use."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--variant", "eca", "--wo", "5", *flags]) == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -898,7 +970,8 @@ MISSING_DIRECTORY_ARGV = {
     "run --out": ["run", "--variant", "eca", "--wo", "4", "--out", "missing/t.csv"],
     "run --pgm": ["run", "--variant", "eca", "--wo", "4", "--out", "t.csv",
                   "--pgm", "missing/t.pgm"],
-    "render --out": ["render", "--wo", "8", "--out", "missing/r.pgm"],
+    "run --steps --pgm": ["run", "--variant", "case1", "--wo", "101", "--we", "101",
+                          "--steps", "400", "--out", "t.csv", "--pgm", "missing/big.pgm"],
     "norm --cache": ["norm", "--width", "6", "--cache", "missing/norm.txt"],
 }
 
@@ -921,7 +994,7 @@ def test_cli_output_in_a_missing_directory_exits_3_before_any_work(
     argv = MISSING_DIRECTORY_ARGV[case]
     assert main(argv) == EXIT_DATA
     err = capsys.readouterr().err
-    assert argv[argv.index(case.split()[1]) + 1] in err and ".tmp" not in err
+    assert argv[argv.index(case.split()[-1]) + 1] in err and ".tmp" not in err
     assert sorted(os.listdir(tmp_path)) == ["records.csv"]
 
 
@@ -1109,7 +1182,7 @@ def test_cli_malformed_top_level_option_prints_full_usage(argv, message, capsys)
         main(argv)
     assert exc.value.code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "{run,ensemble,norm,analyze,render}" in err and message in err
+    assert "{run,ensemble,norm,analyze}" in err and message in err
 
 
 def test_cli_abbreviated_config_flag_reads_the_file(tmp_path):
