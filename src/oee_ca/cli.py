@@ -27,9 +27,11 @@ from .variants import (
     CASE1_RATIOS,
     CASE_II_WIDTH,
     DEFAULT_MU,
+    STEP_CEILING,
     Variant,
     VariantConfig,
     continued,
+    default_step_cap,
     execution_rng,
     integers_rows,
     run_trajectory,
@@ -92,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="environment/organism width ratio (Case I)")
     em.add_argument("--samples", type=_int_at_least(1), required=True)
     em.add_argument("--workers", type=_int_at_least(1),
-                    help="forked workers (default: $OEE_THREADS, else 1; 1 without os.fork)")
+                    help="forked workers (default 1; 1 without os.fork)")
     em.add_argument("--norm-samples", type=_int_at_least(1), default=cx.NORM_SAMPLES)
     em.add_argument("--norm-steps", type=_int_at_least(0), default=cx.NORM_STEPS)
     em.add_argument("--norm-seed", type=int, default=0)
@@ -207,7 +209,7 @@ def _random_config(args) -> VariantConfig:
     variant = args.variant
     w_e = CASE_II_WIDTH if variant is Variant.CASE_II else args.we
     if variant is Variant.CASE_I and w_e is None:
-        raise ValueError("this variant requires --we")
+        raise ValueError("Case I needs --we")
     r_o, r_e, s_o, s_e = run_start(args.seed, args.wo, w_e or args.wo)
     r_o = r_o if args.rule_o is None else args.rule_o
     r_e = r_e if args.rule_e is None else args.rule_e
@@ -243,7 +245,10 @@ def cmd_run(args) -> int:
         raise ValueError("--steps and --cap both stop the run; give one")
     _check_outputs(args.out, args.pgm)
     config = _random_config(args)
-    traj = run_trajectory(config, args.cap if args.steps is None else max(args.steps, 1))
+    cap = args.cap if args.steps is None else max(args.steps, 1)
+    if cap is None:   # a wide ring's default cap would keep every state it reaches
+        cap = min(default_step_cap(config), STEP_CEILING)
+    traj = run_trajectory(config, cap)
     w_o, w_e = config.w_o, config.w_e
     with iof.replacing(args.out) as fh:
         iof.write_echo(fh, _config_echo(args) | {"mu": config.mu})

@@ -187,23 +187,23 @@ def normalization_constant(w: int, samples: int = NORM_SAMPLES, steps: int = NOR
 
 
 def _cached_norm(cache_path: str | None, key: tuple) -> int | None:
-    """The constant a cache file holds for ``key``, else None.  A line of
-    five fields up to the one for ``key`` that are not all integers, or
-    whose constant is below 1, is a ValueError naming the file and line."""
+    """The constant a cache file holds for ``key``, else None.  A line up
+    to the one for ``key`` that is not blank and not 5 integers, or whose
+    constant is below 1, is a ValueError naming the file and line."""
     if cache_path and os.path.exists(cache_path):
         with open(cache_path) as fh:
             for number, line in enumerate(fh, start=1):
                 parts = line.split()
-                if len(parts) != 5:
+                if not parts:
                     continue
                 where = f"{cache_path}: line {number}"
-                try:
-                    *line_key, bits = map(int, parts)
+                try:   # a line of another length fails to unpack
+                    w, samples, steps, seed, bits = map(int, parts)
                 except ValueError:
                     raise ValueError(f"{where}: expected 5 integers, got {line.strip()!r}") from None
                 if bits < 1:
                     raise ValueError(f"{where}: the constant must be >= 1, got {bits}")
-                if tuple(line_key) == key:
+                if (w, samples, steps, seed) == key:
                     return bits
     return None
 

@@ -228,20 +228,11 @@ def _worker(tasks: int, out: int, run_range) -> None:
         os._exit(0)
 
 
-def worker_count(requested: int | None, n_tasks: int, env: str | None,
-                 cpus: int | None) -> int:
-    """Worker processes for ``n_tasks`` executions: the explicit request,
-    else the ``OEE_THREADS`` value ``env``, else 1; at most one per task and
-    one per CPU, and at least 1; 1 where ``os.fork`` does not exist.  An
-    ``env`` that is no integer, or is below 1, raises ValueError."""
-    if requested is None:
-        try:
-            requested = int(env) if env else 1
-        except ValueError:
-            raise ValueError(f"OEE_THREADS must be an integer, got {env!r}") from None
-        if requested < 1:
-            raise ValueError(f"OEE_THREADS must be >= 1, got {env!r}")
-    return max(1, min(requested, n_tasks, cpus or 1)) if hasattr(os, "fork") else 1
+def worker_count(requested: int | None, n_tasks: int, cpus: int | None) -> int:
+    """Worker processes for ``n_tasks`` executions: the request, else 1; at
+    most one per task and one per CPU, and at least 1; 1 where ``os.fork``
+    does not exist."""
+    return max(1, min(requested or 1, n_tasks, cpus or 1)) if hasattr(os, "fork") else 1
 
 
 @gc_paused()
@@ -249,18 +240,18 @@ def run_ensemble(plan: SamplePlan, workers: int | None = None,
                  tuples: list[tuple] | None = None,
                  norm_cache: str | None = None) -> list[ExecutionRecord]:
     """Execute a plan; output order equals draw order for any worker count.
-    ``workers`` None defers to ``OEE_THREADS`` (see ``worker_count``)."""
-    # a drawn plan has sample_count tuples; a bad OEE_THREADS or norm cache
-    # line fails before the plan is drawn
+    ``workers`` None is one worker (see ``worker_count``)."""
+    # a drawn plan has sample_count tuples; a bad norm cache line fails
+    # before the plan is drawn
     n = plan.sample_count if tuples is None else len(tuples)
-    workers = worker_count(workers, n, os.environ.get("OEE_THREADS"), os.cpu_count())
+    workers = worker_count(workers, n, os.cpu_count())
     norm_bits = cx.normalization_constant(
         plan.full_width, plan.norm_samples, plan.norm_steps, plan.norm_seed,
         cache_path=norm_cache)
     if tuples is None:
         tuples = draw_plan(plan)
     if workers <= 1:
-        return [execute_tuple(plan, i, tup, norm_bits) for i, tup in enumerate(tuples)]
+        return _run_range(plan, tuples, norm_bits, (0, n))
     # imported here: their 0.1 MB would raise every one-worker ensemble's peak
     import selectors
     import signal

@@ -93,6 +93,9 @@ CASE1_RATIOS = ("1/2", "1", "3/2", "2", "5/2")
 # Case III's mutation rate where a run or a plan is given none.
 DEFAULT_MU = 0.5
 
+# Case III's default step cap, and ``oee-ca run``'s ceiling on any default cap.
+STEP_CEILING = 10**6
+
 # The width of Case II's fixed environment.
 CASE_II_WIDTH = 8
 
@@ -356,7 +359,7 @@ def case3_masks(seed: int, mu: float, start: int, n: int) -> bytes:
 
 def default_step_cap(config: VariantConfig) -> int:
     if config.variant is CASE_III:
-        return 10**6
+        return STEP_CEILING
     w_e = config.w_e or 0
     return 256 * (1 << (config.w_o + w_e)) + 1
 

@@ -506,7 +506,7 @@ def test_worker_that_dies_makes_the_ensemble_raise(forked, monkeypatch):
 def test_ensemble_without_fork_runs_serially(monkeypatch):
     serial = run_ensemble(_FORK_PLAN, workers=1)
     monkeypatch.delattr(os, "fork")
-    assert worker_count(2, 100, env=None, cpus=4) == 1
+    assert worker_count(2, 100, cpus=4) == 1
     assert run_ensemble(_FORK_PLAN, workers=2) == serial
 
 
@@ -569,41 +569,16 @@ def test_serial_ensemble_calls_each_benchmark_stage_per_execution(plan, monkeypa
         "detect_cycle": len(live) if plan.variant.deterministic else 0}
 
 
-def test_worker_count_explicit_request_beats_env():
-    assert worker_count(2, 100, env="3", cpus=4) == 2
-    assert worker_count(1, 100, env="3", cpus=4) == 1
-
-
-def test_worker_count_env_only_without_request():
-    assert worker_count(None, 100, env="3", cpus=4) == 3
-    assert worker_count(None, 100, env=None, cpus=4) == 1
-    assert worker_count(None, 100, env="", cpus=4) == 1
-
-
 def test_worker_count_clamped_to_tasks_and_cpus():
-    assert worker_count(8, 3, env=None, cpus=4) == 3
-    assert worker_count(8, 100, env=None, cpus=2) == 2
-    assert worker_count(None, 100, env="6", cpus=None) == 1
-    assert worker_count(4, 0, env=None, cpus=4) == 1
-    assert worker_count(0, 100, env=None, cpus=4) == 1
-    assert worker_count(-3, 100, env="2", cpus=4) == 1
-
-
-@pytest.mark.parametrize("env", ["0", "-2"])
-def test_worker_count_env_below_one_raises(env):
-    with pytest.raises(ValueError, match=f"OEE_THREADS must be >= 1, got '{env}'"):
-        worker_count(None, 100, env=env, cpus=4)
-    assert worker_count(1, 100, env=env, cpus=4) == 1
-
-
-def test_run_ensemble_explicit_workers_ignore_env(monkeypatch):
-    """OEE_THREADS must not turn an explicit serial run into a pool: an
-    invalid value would raise if it were read."""
-    monkeypatch.setenv("OEE_THREADS", "not-a-number")
-    plan = SamplePlan(Variant.ISOLATED, 3, sample_count=20, master_seed=2)
-    assert len(run_ensemble(plan, workers=1)) == 20
-    with pytest.raises(ValueError):
-        run_ensemble(plan)
+    assert worker_count(2, 100, cpus=4) == 2
+    assert worker_count(1, 100, cpus=4) == 1
+    assert worker_count(None, 100, cpus=4) == 1
+    assert worker_count(8, 3, cpus=4) == 3
+    assert worker_count(8, 100, cpus=2) == 2
+    assert worker_count(6, 100, cpus=None) == 1
+    assert worker_count(4, 0, cpus=4) == 1
+    assert worker_count(0, 100, cpus=4) == 1
+    assert worker_count(-3, 100, cpus=4) == 1
 
 
 @pytest.mark.parametrize("w_o, mu, seed", [(4, 0.25, 191), (4, 0.5, 192),
@@ -824,16 +799,18 @@ def _paused_entry_points(tmp_path, monkeypatch) -> dict:
         monkeypatch.setattr(cx, "_NORM_MEMO", {})
         return cx.normalization_constant(w, 60, 64)
 
-    def bad_threads():
-        monkeypatch.setenv("OEE_THREADS", "abc")
-        return run_ensemble(_GC_PLAN)
+    bad_cache = tmp_path / "norm.txt"   # a corrupt line for _GC_PLAN's key
+    bad_cache.write_text(f"{_GC_PLAN.full_width} {_GC_PLAN.norm_samples} "
+                         f"{_GC_PLAN.norm_steps} {_GC_PLAN.norm_seed} 0\n")
 
     return {
         "draw_plan": (lambda: draw_plan(_GC_PLAN),
                       lambda: draw_plan(SamplePlan(Variant.ISOLATED, 3, sample_count=705)),
                       ValueError),
         "normalization_constant": (lambda: fresh_norm(6), lambda: fresh_norm(0), ValueError),
-        "run_ensemble": (lambda: run_ensemble(_GC_PLAN, workers=1), bad_threads, ValueError),
+        "run_ensemble": (lambda: run_ensemble(_GC_PLAN, workers=1),
+                         lambda: run_ensemble(_GC_PLAN, norm_cache=str(bad_cache)),
+                         ValueError),
         "_run_range": (lambda: ensemble._run_range(*job, (0, 10)),
                        lambda: ensemble._run_range(*job, None), TypeError),
         "aggregate": (lambda: aggregate(records), lambda: aggregate([]), EmptyReportError),

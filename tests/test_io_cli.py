@@ -1,6 +1,7 @@
 """File formats (CSV, JSON, SVG, PGM, config) and the command-line interface."""
 
 import argparse
+import ast
 import dataclasses
 import hashlib
 import json
@@ -593,11 +594,12 @@ def test_cli_run_draws_64_cell_states(widths, tmp_path):
      "--state-o has 0 cells, expected 4"),
     (["--config", "state_e =", "--variant", "case2", "--wo", "4"],
      "--state-e has 0 cells, expected 8"),
+    (["--variant", "case1", "--wo", "4"], "Case I needs --we"),
 ])
 def test_cli_run_state_width_mismatch_exits_3(argv, message, tmp_path, capsys):
     """A given state of another width is refused, an empty one too, from a
     flag or from the config file (``"--config", text`` in ``argv`` stands
-    for a file holding that line)."""
+    for a file holding that line), and so is a case1 run without ``--we``."""
     out = tmp_path / "traj.csv"
     prefix = []
     if argv[0] == "--config":
@@ -731,6 +733,23 @@ def test_cli_run_cut_by_cap_warns(tmp_path, capsys):
                                "--rule-o", "240", "--cap", "2"])
     assert [row[1] for row in rows] == ["100", "010", "001"]
     assert "warning: step cap reached after 2 steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("w_o, cap", [(101, 10**6), (4, 256 * 2**4 + 1)])
+def test_cli_run_default_cap_has_a_ceiling(w_o, cap, tmp_path, capsys, monkeypatch):
+    """Without --cap or --steps a run is capped at its variant's default cap,
+    but at 10^6 steps at most, so a wide ring that does not repeat soon ends
+    by itself; a run that reaches the cap says so."""
+    caps = []
+
+    def recorded(config, cap):
+        caps.append(cap)
+        return run_trajectory(config, 3)
+    monkeypatch.setattr(cli, "run_trajectory", recorded)
+    rows = run_rows(tmp_path, ["--variant", "eca", "--wo", str(w_o), "--rule-o", "30",
+                               "--state-o", "1" + "0" * (w_o - 1)])
+    assert caps == [cap] and len(rows) == 4
+    assert "warning: step cap reached after 3 steps" in capsys.readouterr().err
 
 
 def test_cli_run_with_given_states_is_byte_identical(tmp_path):
@@ -930,32 +949,37 @@ def test_cli_ensemble_bad_mu_or_cap_exits_3_before_any_work(argv, message, tmp_p
     assert not out.exists()
 
 
-def test_cli_ensemble_bad_oee_threads_exits_3_before_any_work(tmp_path, capsys, monkeypatch):
-    from oee_ca import ensemble as ens
+def test_worker_count_comes_only_from_its_flag(tmp_path, monkeypatch):
+    """The worker count comes from ``--workers`` alone: with ``OEE_THREADS``
+    set to a non-integer, an ensemble without ``--workers`` runs on one
+    worker and writes the records of ``--workers 1``."""
+    monkeypatch.setenv("OEE_THREADS", "abc")
+    plan = SamplePlan(Variant.ISOLATED, 3, sample_count=20, master_seed=2)
+    assert run_ensemble(plan) == run_ensemble(plan, workers=1)
+    bodies = []
+    for workers in ([], ["--workers", "1"]):
+        out = tmp_path / f"r{len(workers)}.csv"
+        assert main(["ensemble", "--variant", "eca", "--wo", "4", "--samples", "5",
+                     *workers, "--out", str(out),
+                     "--report", str(tmp_path / "rep.json")]) == EXIT_OK
+        bodies.append([line for line in out.read_text().splitlines()
+                       if not line.startswith("#")])
+    assert bodies[0] == bodies[1] and len(bodies[0]) == 6
 
-    def no_work(*args, **kwargs):
-        raise AssertionError("OEE_THREADS was not read before the work")
-    monkeypatch.setattr(cx, "normalization_constant", no_work)
-    monkeypatch.setattr(ens, "draw_plan", no_work)
-    monkeypatch.setenv("OEE_THREADS", "two")
-    out = tmp_path / "r.csv"
-    assert main(["ensemble", "--variant", "eca", "--wo", "4", "--samples", "5",
-                 "--out", str(out), "--report", str(tmp_path / "rep.json")]) == EXIT_DATA
-    assert "OEE_THREADS must be an integer, got 'two'" in capsys.readouterr().err
-    assert not out.exists()
 
-
-def test_cli_ensemble_oee_threads_below_one_exits_3(tmp_path, capsys, monkeypatch):
-    """``OEE_THREADS=0`` is an error, as ``--workers 0`` is, not one worker."""
-    monkeypatch.setenv("OEE_THREADS", "0")
-    out = tmp_path / "r.csv"
-    assert main(["ensemble", "--variant", "eca", "--wo", "4", "--samples", "5",
-                 "--out", str(out), "--report", str(tmp_path / "rep.json")]) == EXIT_DATA
-    assert "OEE_THREADS must be >= 1, got '0'" in capsys.readouterr().err
-    assert not out.exists()
-    assert main(["ensemble", "--variant", "eca", "--wo", "4", "--samples", "5",
-                 "--workers", "1", "--out", str(out),
-                 "--report", str(tmp_path / "rep.json")]) == 0
+def test_package_reads_no_environment_variable():
+    """Settings reach the program through the one parser of flags and
+    config files: no module of the package reads the process environment."""
+    banned = {"environ", "environb", "getenv"}
+    reads = []
+    for path in sorted(Path(oee_ca.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr in banned
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"
+                    or isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and banned & {alias.name for alias in node.names}):
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []
 
 
 MISSING_DIRECTORY_ARGV = {
@@ -1021,6 +1045,8 @@ CORRUPT_NORM_LINES = [
     ("abc", "line 2: expected 5 integers, got '{key} abc'"),
     ("0", "line 2: the constant must be >= 1, got 0"),
     ("-4", "line 2: the constant must be >= 1, got -4"),
+    ("", "line 2: expected 5 integers, got '{key}'"),   # 4 fields
+    ("12 7", "line 2: expected 5 integers, got '{key} 12 7'"),   # 6 fields
 ]
 
 
