@@ -569,9 +569,14 @@ def test_serial_ensemble_calls_each_benchmark_stage_per_execution(plan, monkeypa
         "detect_cycle": len(live) if plan.variant.deterministic else 0}
 
 
-def test_worker_count_clamped_to_tasks_and_cpus():
+def test_worker_count_explicit_request_beats_env():
+    """An explicit request is the worker count, clamped only by the task and
+    CPU counts: no environment variable is read that could override it."""
     assert worker_count(2, 100, cpus=4) == 2
     assert worker_count(1, 100, cpus=4) == 1
+
+
+def test_worker_count_clamped_to_tasks_and_cpus():
     assert worker_count(None, 100, cpus=4) == 1
     assert worker_count(8, 3, cpus=4) == 3
     assert worker_count(8, 100, cpus=2) == 2
